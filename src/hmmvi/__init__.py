@@ -19,7 +19,7 @@ from .discretisation import (AssembledForms, DiscretisationError, DofVector,
                              build_gd, flux_conservation_defect, fluxes,
                              interpolate_exact, interpolate_initial,
                              interpolate_obstacle, reconstruct_function,
-                             reconstruct_gradient, reconstruct_gradient_flat)
+                             reconstruct_gradient_flat)
 from .expressions import ExpressionError, compile_expression
 from .mesh import (MESH_FAMILIES, Cell, Edge, MeshError, MeshFormatError,
                    MeshGenerationError, MeshValidationError, PolytopalMesh,
@@ -44,7 +44,7 @@ __all__ = [
     "GradientDiscretisation", "ObstacleVector", "assemble_forms", "build_gd",
     "flux_conservation_defect", "fluxes", "interpolate_exact",
     "interpolate_initial", "interpolate_obstacle", "reconstruct_function",
-    "reconstruct_gradient", "reconstruct_gradient_flat",
+    "reconstruct_gradient_flat",
     "ExpressionError", "compile_expression",
     "MESH_FAMILIES", "Cell", "Edge", "MeshError", "MeshFormatError",
     "MeshGenerationError", "MeshValidationError", "PolytopalMesh",

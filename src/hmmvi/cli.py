@@ -26,7 +26,7 @@ from .cases import BUILTIN_CASES, AnalyticCase, CaseError, builtin_case, load_ca
 from .diagnostics import DiagnosticsError, eoc, error_norms, gd_quality_report
 from .discretisation import DiscretisationError, build_gd
 from .export import write_csv, write_json, write_vtk
-from .mesh import (MESH_FAMILIES, MeshError, MeshFormatError, MeshGenerationError,
+from .mesh import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, generate_mesh, load_mesh, mesh_size,
                    save_mesh, validate)
 from .solver import SolverError

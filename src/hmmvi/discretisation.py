@@ -10,16 +10,22 @@ D_{K,sigma} (the triangles spanned by an edge and the cell point x_K):
     grad_D v   = grad_K v + (sqrt(2)/d_{K,sigma}) R_K(v)_s n_{K,sigma}
 
 The stabilised gradient is exact for affine functions sampled at cell points
-and edge midpoints.  Homogeneous Dirichlet conditions eliminate the boundary
-edge unknowns; with non-homogeneous data the same unknowns are pinned to the
-boundary values instead.
+and edge midpoints.  It is one linear map, stored as a sparse matrix G with
+two rows per subcell and one column per unknown.  Every form of the scheme is
+that map weighted and squared: the stiffness is G^T W G with W = |D| Lambda_K
+on each subcell, the plain stiffness uses W = |D|, and the local form of a
+cell is the same product over the rows of its subcells.
+
+Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
+non-homogeneous data the same unknowns are pinned to the boundary values
+instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,21 +69,6 @@ class ObstacleVector:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise DiscretisationError("obstacle values must be finite")
-
-
-@dataclass
-class LocalCellOperator:
-    """Geometric part of the reconstruction operators on one cell.
-
-    ``gradient_maps[j]`` is the 2 x (m+1) matrix taking the local vector
-    (v_K, v_sigma1, ..., v_sigmam) to the reconstructed gradient on subcell j.
-    """
-
-    cell: int
-    grad_coeffs: np.ndarray        # (2, m): consistent gradient from edge values
-    stab_rows: np.ndarray          # (m, m+1): residual R_K rows
-    subcell_volumes: np.ndarray    # (m,)
-    gradient_maps: np.ndarray      # (m, 2, m+1)
 
 
 @dataclass
@@ -132,7 +123,7 @@ def _check_diffusion(field: np.ndarray, eig_bounds) -> None:
 
 
 class GradientDiscretisation:
-    """Reconstruction operators, unknown layout and local stiffness data.
+    """Subcell gradient matrix, subcell geometry and unknown layout.
 
     Unknown ordering is all cells first, then all edges; ``edge_dof`` maps an
     edge index to its global unknown.  Instances are immutable after
@@ -148,62 +139,27 @@ class GradientDiscretisation:
         self.n_edges = mesh.n_edges
         self.n_dofs = self.n_cells + self.n_edges
 
-        self.local: list[LocalCellOperator] = []
-        sub_cell = []
-        sub_local = []
-        sub_edge = []
-        sub_vol = []
-        sub_centroid = []
-        sub_tri = []
-        sqrt2 = math.sqrt(2.0)
-        for k in range(self.n_cells):
-            eids = mesh.cell_edges[k]
-            m = eids.size
-            lengths = mesh.edge_lengths[eids]
-            normals = mesh.cell_normals[k]
-            dists = mesh.cell_edge_dists[k]
-            area = mesh.cell_areas[k]
-            xk = mesh.cell_points[k]
-            mids = mesh.edge_centers[eids]
+        counts = np.fromiter(map(len, mesh.cell_edges), dtype=int, count=self.n_cells)
+        first = np.cumsum(counts) - counts
+        cell = np.repeat(np.arange(self.n_cells), counts)
+        local = np.arange(cell.size) - first[cell]
+        edges = np.concatenate(mesh.cell_edges)
+        normals = np.concatenate(mesh.cell_normals)
+        dists = np.concatenate(mesh.cell_edge_dists)
+        lengths = mesh.edge_lengths[edges]
+        xk = mesh.cell_points[cell]
+        verts = mesh.vertices[np.concatenate(mesh.cell_vertices)]
+        nxt = verts[first[cell] + (local + 1) % counts[cell]]
 
-            grad_coeffs = (normals * lengths[:, None]).T / area
-            stab = np.zeros((m, m + 1))
-            stab[:, 0] = -1.0
-            stab[np.arange(m), 1 + np.arange(m)] += 1.0
-            stab[:, 1:] -= (mids - xk) @ grad_coeffs
+        self.subcell_cell = cell
+        self.subcell_edge = edges
+        self.subcell_volumes = 0.5 * lengths * dists
+        self.subcell_centroids = (xk + verts + nxt) / 3.0
+        self.subcell_triangles = np.stack((xk, verts, nxt), axis=1)
+        self.n_subcells = cell.size
+        self._first_subcell = first
 
-            maps = np.zeros((m, 2, m + 1))
-            maps[:, :, 1:] = grad_coeffs[None, :, :]
-            maps += (sqrt2 / dists)[:, None, None] * normals[:, :, None] * stab[:, None, :]
-
-            vols = 0.5 * lengths * dists
-            self.local.append(LocalCellOperator(
-                cell=k, grad_coeffs=grad_coeffs, stab_rows=stab,
-                subcell_volumes=vols, gradient_maps=maps))
-
-            loc = mesh.cell_vertices[k]
-            verts = mesh.vertices[loc]
-            nxt = np.roll(verts, -1, axis=0)
-            centroids = (xk + verts + nxt) / 3.0
-            tri = np.stack((np.broadcast_to(xk, verts.shape), verts, nxt), axis=1)
-            sub_cell.append(np.full(m, k))
-            sub_local.append(np.arange(m))
-            sub_edge.append(eids)
-            sub_vol.append(vols)
-            sub_centroid.append(centroids)
-            sub_tri.append(tri)
-
-        self.subcell_cell = np.concatenate(sub_cell)
-        self.subcell_local = np.concatenate(sub_local)
-        self.subcell_edge = np.concatenate(sub_edge)
-        self.subcell_volumes = np.concatenate(sub_vol)
-        self.subcell_centroids = np.vstack(sub_centroid)
-        self.subcell_triangles = np.concatenate(sub_tri, axis=0)
-        self.n_subcells = self.subcell_cell.size
-
-        self._grad_matrix = self._build_gradient_matrix()
-        self._local_stiffness: list = [None] * self.n_cells
-        self._local_plain: list = [None] * self.n_cells
+        self._grad_matrix = self._build_gradient_matrix(normals, dists, lengths)
 
         bdofs = self.n_cells + mesh.boundary_edges
         self.boundary_edge_dofs = bdofs
@@ -211,22 +167,35 @@ class GradientDiscretisation:
         free[bdofs] = False
         self.free_dofs = np.nonzero(free)[0]
 
-    def _build_gradient_matrix(self) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        row0 = 0
-        for k in range(self.n_cells):
-            op = self.local[k]
-            m = op.subcell_volumes.size
-            dofs = np.concatenate(([k], self.n_cells + self.mesh.cell_edges[k]))
-            maps = op.gradient_maps.reshape(2 * m, m + 1)
-            r, c = np.nonzero(maps)
-            rows.append(row0 + r)
-            cols.append(dofs[c])
-            vals.append(maps[r, c])
-            row0 += 2 * m
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(2 * self.n_subcells, self.n_dofs))
+    def _build_gradient_matrix(self, normals, dists, lengths) -> sp.csr_matrix:
+        """Rows 2s, 2s+1 hold the gradient on subcell s as a map of the dofs.
+
+        For subcells s and t of cell K, with g_t = |sigma_t| n_t / |K| and
+        c_s = sqrt(2) / d_s n_s, the edge-t column is
+        g_t + c_s (delta_st - (x_sigma_s - x_K) . g_t) and the cell column
+        is -c_s.
+        """
+        mesh = self.mesh
+        cell = self.subcell_cell
+        counts = np.bincount(cell, minlength=self.n_cells)[cell]
+        s = np.repeat(np.arange(self.n_subcells), counts)
+        pair_first = np.cumsum(counts) - counts
+        t = self._first_subcell[cell[s]] + np.arange(s.size) - pair_first[s]
+
+        g = normals * lengths[:, None] / mesh.cell_areas[cell][:, None]
+        c = (math.sqrt(2.0) / dists)[:, None] * normals
+        dx = mesh.edge_centers[self.subcell_edge] - mesh.cell_points[cell]
+        stab = (s == t) - (dx[s, 0] * g[t, 0] + dx[s, 1] * g[t, 1])
+        edge_vals = g[t] + c[s] * stab[:, None]
+
+        rows = np.concatenate((2 * s[:, None] + np.arange(2),
+                               2 * np.arange(self.n_subcells)[:, None] + np.arange(2)))
+        cols = np.concatenate((np.repeat(self.n_cells + self.subcell_edge[t], 2),
+                               np.repeat(cell, 2)))
+        vals = np.concatenate((edge_vals, -c)).ravel()
+        keep = vals != 0.0
+        mat = sp.coo_matrix((vals[keep], (rows.ravel()[keep], cols[keep])),
+                            shape=(2 * self.n_subcells, self.n_dofs))
         return mat.tocsr()
 
     # -- unknown layout ------------------------------------------------------
@@ -254,24 +223,14 @@ class GradientDiscretisation:
     # -- local forms -----------------------------------------------------
 
     def local_stiffness(self, k: int) -> np.ndarray:
-        A = self._local_stiffness[k]
-        if A is None:
-            op = self.local[k]
-            A = np.einsum("jai,ab,jbl,j->il", op.gradient_maps, self.diffusion[k],
-                          op.gradient_maps, op.subcell_volumes, optimize=True)
-            A = 0.5 * (A + A.T)
-            self._local_stiffness[k] = A
-        return A
-
-    def local_plain_stiffness(self, k: int) -> np.ndarray:
-        A = self._local_plain[k]
-        if A is None:
-            op = self.local[k]
-            A = np.einsum("jai,jal,j->il", op.gradient_maps, op.gradient_maps,
-                          op.subcell_volumes, optimize=True)
-            A = 0.5 * (A + A.T)
-            self._local_plain[k] = A
-        return A
+        """Dense local form on (v_K, v_sigma1, ..., v_sigmam) of cell k."""
+        eids = self.mesh.cell_edges[k]
+        first, m = self._first_subcell[k], eids.size
+        dofs = np.concatenate(([k], self.n_cells + eids))
+        maps = self._grad_matrix[2 * first:2 * (first + m)][:, dofs].toarray()
+        W = np.kron(np.diag(self.subcell_volumes[first:first + m]), self.diffusion[k])
+        A = maps.T @ W @ maps
+        return 0.5 * (A + A.T)
 
 
 def build_gd(mesh: PolytopalMesh, diffusion=None,
@@ -304,44 +263,22 @@ def reconstruct_gradient_flat(gd: GradientDiscretisation, v: DofVector) -> np.nd
     return (gd._grad_matrix @ v.values).reshape(gd.n_subcells, 2)
 
 
-def reconstruct_gradient(gd: GradientDiscretisation, v: DofVector) -> list:
-    """Per-cell arrays of subcell gradients, each of shape (m_K, 2)."""
-    flat = reconstruct_gradient_flat(gd, v)
-    out = []
-    start = 0
-    for k in range(gd.n_cells):
-        m = gd.local[k].subcell_volumes.size
-        out.append(flat[start:start + m])
-        start += m
-    return out
-
-
 def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
-    """Assemble the global stiffness forms and the diagonal cell mass."""
-    nnz = sum((op.subcell_volumes.size + 1) ** 2 for op in gd.local)
-    rows = np.empty(nnz, dtype=int)
-    cols = np.empty(nnz, dtype=int)
-    vals = np.empty(nnz)
-    vals0 = np.empty(nnz)
-    at = 0
-    for k in range(gd.n_cells):
-        dofs = np.concatenate(([k], gd.n_cells + gd.mesh.cell_edges[k]))
-        A = gd.local_stiffness(k)
-        A0 = gd.local_plain_stiffness(k)
-        n = dofs.size
-        rr = np.repeat(dofs, n)
-        cc = np.tile(dofs, n)
-        rows[at:at + n * n] = rr
-        cols[at:at + n * n] = cc
-        vals[at:at + n * n] = A.ravel()
-        vals0[at:at + n * n] = A0.ravel()
-        at += n * n
-    shape = (gd.n_dofs, gd.n_dofs)
-    stiffness = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    plain = sp.coo_matrix((vals0, (rows, cols)), shape=shape).tocsr()
+    """Assemble the global stiffness forms and the diagonal cell mass.
+
+    Both forms are G^T W G of the subcell gradient matrix G, with W holding
+    |D| Lambda_K (or |D| alone for the plain form) on each subcell.
+    """
+    G = gd._grad_matrix
+    n = gd.n_subcells
+    blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[gd.subcell_cell]
+    W = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n))
+    stiffness = (G.T @ (W @ G)).tocsr()
+    plain = (G.T @ sp.diags(np.repeat(gd.subcell_volumes, 2)) @ G).tocsr()
     mass = np.zeros(gd.n_dofs)
     mass[:gd.n_cells] = gd.mesh.cell_areas
-    return AssembledForms(stiffness=stiffness, plain_stiffness=plain, mass_diag=mass)
+    return AssembledForms(stiffness=0.5 * (stiffness + stiffness.T),
+                          plain_stiffness=0.5 * (plain + plain.T), mass_diag=mass)
 
 
 def fluxes(gd: GradientDiscretisation, v: DofVector, k: int) -> np.ndarray:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -560,12 +560,34 @@ def _load_native_json(path) -> PolytopalMesh:
     for key in ("vertices", "cells"):
         if key not in doc:
             raise MeshFormatError(f"{path}: missing required field {key!r}")
-    return PolytopalMesh(
-        np.asarray(doc["vertices"], dtype=float),
-        doc["cells"],
-        cell_points=doc.get("cell_points"),
-        metadata=doc.get("metadata"),
-    )
+    cells = doc["cells"]
+    if not isinstance(cells, list):
+        raise MeshFormatError(f"{path}: 'cells' must be a list of vertex id lists")
+    for k, ids in enumerate(cells):
+        if not isinstance(ids, list):
+            raise MeshFormatError(f"{path}: cell {k} is not a list of vertex ids")
+        for v in ids:
+            if type(v) is not int:
+                raise MeshFormatError(
+                    f"{path}: cell {k} has vertex id {v!r}, expected an integer")
+    vertices = _native_points(path, doc["vertices"], "vertices")
+    points = doc.get("cell_points")
+    if points is not None:
+        points = _native_points(path, points, "cell_points")
+        if points.shape[0] != len(cells):
+            raise MeshFormatError(
+                f"{path}: 'cell_points' has {points.shape[0]} points for {len(cells)} cells")
+    return PolytopalMesh(vertices, cells, cell_points=points, metadata=doc.get("metadata"))
+
+
+def _native_points(path, value, name: str) -> np.ndarray:
+    try:
+        pts = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeshFormatError(f"{path}: {name!r} must be a list of [x, y] pairs ({exc})") from exc
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise MeshFormatError(f"{path}: {name!r} must be a list of [x, y] pairs")
+    return pts
 
 
 def _load_fvca_text(path) -> PolytopalMesh:

@@ -42,22 +42,6 @@ def cell_rule(mesh, k: int, rule: str = "fan3"):
     return np.vstack(pts_list), np.concatenate(w_list)
 
 
-def subcell_rule(mesh, k: int, j: int, rule: str = "fan3"):
-    """Quadrature for the subcell of local edge j of cell k."""
-    loc = mesh.cell_vertices[k]
-    tri = np.array([mesh.cell_points[k],
-                    mesh.vertices[loc[j]],
-                    mesh.vertices[loc[(j + 1) % loc.size]]])
-    if rule == "centroid":
-        area = 0.5 * abs(
-            (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-            - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
-        return np.mean(tri, axis=0)[None, :], np.array([area])
-    if rule != "fan3":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    return _triangle_midpoint_rule(tri)
-
-
 def integrate_cells(mesh, fn, rule: str = "fan3") -> np.ndarray:
     """Integral of a scalar field over each cell, as an (n_cells,) array."""
     out = np.empty(mesh.n_cells)

@@ -1,0 +1,90 @@
+"""Per-cell reference assembly of the HMM gradient matrix and forms.
+
+This is the cell-by-cell construction the vectorised code in
+``hmmvi.discretisation`` replaced, kept frozen so the batched operators can be
+checked against it: one dense (m, 2, m+1) gradient map per cell, a sparse
+matrix stacked from them, and local forms summed over the subcells with
+einsum before being scattered into the global matrices.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def cell_gradient_maps(mesh, k):
+    """Gradient maps (m, 2, m+1) and subcell volumes (m,) of cell k.
+
+    ``maps[j]`` takes the local vector (v_K, v_sigma1, ..., v_sigmam) to the
+    reconstructed gradient on subcell j.
+    """
+    eids = mesh.cell_edges[k]
+    m = eids.size
+    lengths = mesh.edge_lengths[eids]
+    normals = mesh.cell_normals[k]
+    dists = mesh.cell_edge_dists[k]
+    xk = mesh.cell_points[k]
+    mids = mesh.edge_centers[eids]
+
+    grad_coeffs = (normals * lengths[:, None]).T / mesh.cell_areas[k]
+    stab = np.zeros((m, m + 1))
+    stab[:, 0] = -1.0
+    stab[np.arange(m), 1 + np.arange(m)] += 1.0
+    stab[:, 1:] -= (mids - xk) @ grad_coeffs
+
+    maps = np.zeros((m, 2, m + 1))
+    maps[:, :, 1:] = grad_coeffs[None, :, :]
+    maps += (math.sqrt(2.0) / dists)[:, None, None] * normals[:, :, None] * stab[:, None, :]
+    return maps, 0.5 * lengths * dists
+
+
+def local_dofs(mesh, k):
+    return np.concatenate(([k], mesh.n_cells + mesh.cell_edges[k]))
+
+
+def gradient_matrix(mesh):
+    """Subcell gradients stacked cell by cell, two rows per subcell."""
+    n_dofs = mesh.n_cells + mesh.n_edges
+    rows, cols, vals = [], [], []
+    row0 = 0
+    for k in range(mesh.n_cells):
+        maps, _ = cell_gradient_maps(mesh, k)
+        m = maps.shape[0]
+        maps = maps.reshape(2 * m, m + 1)
+        r, c = np.nonzero(maps)
+        rows.append(row0 + r)
+        cols.append(local_dofs(mesh, k)[c])
+        vals.append(maps[r, c])
+        row0 += 2 * m
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, n_dofs))
+    return mat.tocsr()
+
+
+def local_forms(mesh, diffusion, k):
+    """Diffusion-weighted and plain local forms of cell k, symmetrised."""
+    maps, vols = cell_gradient_maps(mesh, k)
+    A = np.einsum("jai,ab,jbl,j->il", maps, diffusion[k], maps, vols, optimize=True)
+    A0 = np.einsum("jai,jal,j->il", maps, maps, vols, optimize=True)
+    return 0.5 * (A + A.T), 0.5 * (A0 + A0.T)
+
+
+def assemble(mesh, diffusion):
+    """Global stiffness and plain stiffness scattered from the local forms."""
+    n_dofs = mesh.n_cells + mesh.n_edges
+    rows, cols, vals, vals0 = [], [], [], []
+    for k in range(mesh.n_cells):
+        dofs = local_dofs(mesh, k)
+        A, A0 = local_forms(mesh, diffusion, k)
+        rows.append(np.repeat(dofs, dofs.size))
+        cols.append(np.tile(dofs, dofs.size))
+        vals.append(A.ravel())
+        vals0.append(A0.ravel())
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    shape = (n_dofs, n_dofs)
+    stiffness = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
+    plain = sp.coo_matrix((np.concatenate(vals0), (rows, cols)), shape=shape).tocsr()
+    return stiffness, plain

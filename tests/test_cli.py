@@ -40,6 +40,27 @@ def test_validate_missing_file_is_usage_error(tmp_path):
     assert run_cli("validate", str(tmp_path / "nope.json")) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cell_points", [[0.5, 0.5], [0.2, 0.2]]),
+    ("cells", [[0, 1, 2, "a"]]),
+    ("cells", [[0, 1, 2, [3]]]),
+    ("cells", [[0, 1, 2.7, 3]]),
+    ("vertices", [[0, 0], [1, "x"], [1, 1], [0, 1]]),
+])
+def test_validate_rejects_malformed_native_json(tmp_path, field, value):
+    doc = {"format": "polytopal-mesh", "version": 1,
+           "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+           "cells": [[0, 1, 2, 3]], "cell_points": [[0.5, 0.5]]}
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "hmmvi.cli", "validate", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr or "cell 0" in proc.stderr
+
+
 def test_solve_writes_outputs(tmp_path):
     out = tmp_path / "run"
     code = run_cli("solve", "--case", "test2", "--family", "cartesian",

@@ -9,13 +9,15 @@ quarter, energy v'Av = 8 and an outward flux of exactly 2 through each edge.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hmmvi import (DiscretisationError, MESH_FAMILIES, assemble_forms, build_gd,
                    flux_conservation_defect, fluxes, generate_mesh,
                    interpolate_exact, interpolate_initial, interpolate_obstacle,
-                   reconstruct_function, reconstruct_gradient,
-                   reconstruct_gradient_flat)
+                   reconstruct_function, reconstruct_gradient_flat)
 from hmmvi.discretisation import DofVector
+
+import gdref
 
 
 def test_unit_square_energy_and_fluxes(unit_square_gd):
@@ -88,6 +90,40 @@ def test_flux_defining_identity_random_vectors():
             assert balance == pytest.approx(bilinear, rel=1e-11, abs=1e-12)
 
 
+def _diffusion(kind, mesh):
+    if kind == "identity":
+        return None
+    if kind == "anisotropic":
+        return np.array([[1.5, 0.2], [0.2, 3.0]])
+    rng = np.random.default_rng(7)
+    field = np.zeros((mesh.n_cells, 2, 2))
+    field[:, 0, 0] = rng.uniform(0.5, 2.0, mesh.n_cells)
+    field[:, 1, 1] = rng.uniform(0.5, 2.0, mesh.n_cells)
+    field[:, 0, 1] = field[:, 1, 0] = rng.uniform(-0.3, 0.3, mesh.n_cells)
+    return field
+
+
+def _rel_diff(A, B):
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    return abs(A - B).max() / abs(B).max()
+
+
+@pytest.mark.parametrize("diffusion", ["identity", "anisotropic", "per_cell"])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2])
+def test_operators_match_per_cell_reference(level, family, diffusion):
+    m = generate_mesh(family, level)
+    gd = build_gd(m, diffusion=_diffusion(diffusion, m))
+    forms = assemble_forms(gd)
+    stiffness, plain = gdref.assemble(m, gd.diffusion)
+    assert _rel_diff(gd._grad_matrix, gdref.gradient_matrix(m)) <= 1e-14
+    assert _rel_diff(forms.stiffness, stiffness) <= 1e-14
+    assert _rel_diff(forms.plain_stiffness, plain) <= 1e-14
+    for k in range(m.n_cells):
+        A, _ = gdref.local_forms(m, gd.diffusion, k)
+        assert np.abs(gd.local_stiffness(k) - A).max() <= 1e-14 * np.abs(A).max()
+
+
 def test_stiffness_is_symmetric_and_psd():
     m = generate_mesh("triangular", 3)
     gd = build_gd(m, diffusion=lambda p: np.broadcast_to(
@@ -132,20 +168,6 @@ def test_function_reconstruction_is_cellwise_constant():
     assert np.array_equal(vals, np.arange(m.n_cells, dtype=float))
     vals[0] = 99.0
     assert v.cells[0] == 0.0, "reconstruction must hand out a copy"
-
-
-def test_gradient_per_cell_matches_flat():
-    m = generate_mesh("hexagonal", 1)
-    gd = build_gd(m)
-    rng = np.random.default_rng(3)
-    v = DofVector(rng.standard_normal(gd.n_dofs), m.n_cells)
-    flat = reconstruct_gradient_flat(gd, v)
-    ragged = reconstruct_gradient(gd, v)
-    pos = 0
-    for k in range(m.n_cells):
-        nloc = len(gd.mesh.cell_edges[k])
-        assert np.allclose(ragged[k], flat[pos:pos + nloc])
-        pos += nloc
 
 
 def test_obstacle_interpolation_and_clipping():
