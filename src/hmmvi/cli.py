@@ -202,7 +202,8 @@ def cmd_validate(args) -> int:
 def _solve_one(gd, case, grid, out, formats, vtk_every):
     mesh = gd.mesh
     snapshots = []
-    psi = case.spec.obstacle(mesh.cell_points)
+    with np.errstate(all="ignore"):  # run_transient rejects non-finite values
+        psi = case.spec.obstacle(mesh.cell_points)
 
     def on_step(step, t, u, partition, stats):
         if "vtk" in formats and (step % vtk_every == 0 or step == grid.n_steps):
@@ -231,6 +232,7 @@ def _solve_one(gd, case, grid, out, formats, vtk_every):
         "contact_cells": [int(p.n_contact) for p in solution.partitions],
         "complementarity_max": max(s.complementarity_max for s in solution.stats),
         "conservation_defect": max(s.conservation_defect for s in solution.stats),
+        "solver_timings": solution.solver_timings,
         "wall_seconds": elapsed,
         "snapshots": snapshots,
     }

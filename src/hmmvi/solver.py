@@ -18,10 +18,23 @@ exact equality are assigned to the contact set.  A fixed partition means the
 complementarity conditions hold and the iteration stops; the iteration count
 is bounded by the number of cells, with a safeguard one step above that and
 detection of revisited partitions.
+
+Each linear solve condenses the cell unknowns out.  An HMM cell unknown
+couples only to its own edges, so the cell-cell block of S + alpha M is the
+diagonal d.  With w = 1/d on balance cells and 0 on contact cells, B the
+cell x interior-edge block and g = b - S u_pinned (u_pinned holding the
+obstacle on contact cells and the Dirichlet values), the interior edges solve
+
+    (A_ee - B^T diag(w) B) u_e = g_e - B^T (w g_cells),
+
+and the cells follow as u_K = w_K (g_K - B_K u_e).  The Schur complement is
+SPD because S is SPD on the free unknowns, so it is factorised with a
+symmetric minimum-degree ordering of A^T + A and diagonal pivots.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,6 +132,7 @@ class LviProblem:
     linear_tol: float = 1e-12
     direct_limit: int = 200_000
     _system: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
+    _condensed: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def system_matrix(self) -> sp.csr_matrix:
@@ -128,6 +142,11 @@ class LviProblem:
                 S = S + sp.diags(self.alpha * self.forms.mass_diag)
             self._system = S.tocsr()
         return self._system
+
+
+# Seconds summed over the iterations of one solve: the factorisation alone,
+# the whole linear solve including it, and the partition updates.
+TIMING_KEYS = ("factor_s", "linear_s", "update_s")
 
 
 @dataclass
@@ -140,6 +159,7 @@ class SolveStats:
     linear_residuals: list = field(default_factory=list)
     complementarity_max: float = 0.0
     conservation_defect: float = 0.0
+    timings: dict = field(default_factory=lambda: dict.fromkeys(TIMING_KEYS, 0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -149,6 +169,7 @@ class SolveStats:
             "linear_residuals": list(self.linear_residuals),
             "complementarity_max": self.complementarity_max,
             "conservation_defect": self.conservation_defect,
+            "timings": dict(self.timings),
         }
 
 
@@ -205,11 +226,31 @@ def complementarity_residual(gd: GradientDiscretisation, problem: LviProblem,
                                  worst_cell=worst)
 
 
+def _condensed_blocks(gd, problem):
+    """(d, B, Aee, edge dofs) of the system matrix, built once per problem.
+
+    d is the cell diagonal (the cell-cell block is diagonal in HMM), B the
+    cell x interior-edge block and Aee the interior-edge block.
+    """
+    if problem._condensed is None:
+        S = problem.system_matrix
+        nc = gd.n_cells
+        edofs = gd.free_dofs[nc:]
+        cell_rows = S[:nc]
+        problem._condensed = (cell_rows.diagonal(), cell_rows[:, edofs],
+                              S[edofs][:, edofs], edofs)
+    return problem._condensed
+
+
 def _linear_solve(gd, problem, partition):
-    """Solve the linear system for a fixed partition; returns (u, residual)."""
+    """Solve the linear system for a fixed partition.
+
+    The balance cells are condensed out and only the interior-edge Schur
+    complement is factorised.  Returns (u, residual, factorisation seconds),
+    the residual measured on the uncondensed free system.
+    """
     S = problem.system_matrix
-    n = gd.n_dofs
-    pinned_vals = np.empty(0)
+    nc = gd.n_cells
     bdofs = gd.boundary_edge_dofs
     if problem.boundary_values is not None:
         bvals = np.asarray(problem.boundary_values, dtype=float)
@@ -219,30 +260,39 @@ def _linear_solve(gd, problem, partition):
     else:
         bvals = np.zeros(bdofs.size)
 
-    contact_ids = partition.contact_cells
-    pinned = np.concatenate((contact_ids, bdofs))
-    pinned_vals = np.concatenate((problem.psi.values[contact_ids], bvals))
-
-    u = np.zeros(n)
-    u[pinned] = pinned_vals
-
-    free = np.ones(n, dtype=bool)
-    free[pinned] = False
-    free_ids = np.nonzero(free)[0]
+    d, B, Aee, edofs = _condensed_blocks(gd, problem)
+    contact = partition.contact
+    balance = ~contact
+    u = np.zeros(gd.n_dofs)
+    u[:nc][contact] = problem.psi.values[contact]
+    u[bdofs] = bvals
+    free_ids = np.concatenate((np.nonzero(balance)[0], edofs))
     if free_ids.size == 0:
-        return DofVector(u, gd.n_cells), 0.0
+        return DofVector(u, nc), 0.0, 0.0
 
-    b = np.zeros(n)
-    b[:gd.n_cells] = problem.rhs
-    rhs = b[free_ids] - S[free_ids][:, pinned] @ pinned_vals
-    Sff = S[free_ids][:, free_ids].tocsc()
+    b = np.zeros(gd.n_dofs)
+    b[:nc] = problem.rhs
+    g = b - S @ u
+    w = np.zeros(nc)
+    w[balance] = 1.0 / d[balance]
+    wg = w * g[:nc]
+    Bt = B.T
+    schur = (Aee - Bt @ sp.diags(w) @ B).tocsc()
+    rhs_e = g[edofs] - Bt @ wg
 
+    factor_s = 0.0
     try:
-        if free_ids.size <= problem.direct_limit:
-            x = spla.splu(Sff).solve(rhs)
+        if edofs.size == 0:
+            x = np.zeros(0)
+        elif free_ids.size <= problem.direct_limit:
+            start = time.perf_counter()
+            lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            factor_s = time.perf_counter() - start
+            x = lu.solve(rhs_e)
         else:
-            precond = sp.diags(1.0 / Sff.diagonal())
-            x, info = spla.cg(Sff, rhs, M=precond, rtol=problem.linear_tol,
+            precond = sp.diags(1.0 / schur.diagonal())
+            x, info = spla.cg(schur, rhs_e, M=precond, rtol=problem.linear_tol,
                               atol=0.0, maxiter=20 * free_ids.size)
             if info != 0:
                 raise SingularSystemError(
@@ -255,13 +305,16 @@ def _linear_solve(gd, problem, partition):
             f"{partition.n_contact} contact cells: {exc}",
             partition=partition) from exc
 
-    resid = float(np.linalg.norm(Sff @ x - rhs) / max(1.0, np.linalg.norm(rhs)))
+    u[edofs] = x
+    u[:nc] = np.where(contact, u[:nc], wg - w * (B @ x))
+    rhs = g[free_ids]
+    r = (S @ u - b)[free_ids]
+    resid = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(rhs)))
     if not np.isfinite(resid) or resid > 1e3 * problem.linear_tol:
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)
-    u[free_ids] = x
-    return DofVector(u, gd.n_cells), resid
+    return DofVector(u, nc), resid, factor_s
 
 
 def solve_lvi(gd: GradientDiscretisation, problem: LviProblem,
@@ -284,12 +337,18 @@ def solve_lvi(gd: GradientDiscretisation, problem: LviProblem,
     stats = SolveStats()
     seen = {partition.key()}
     previous = partition
+    timings = stats.timings
     for it in range(1, nc + 2):
-        u, lin_resid = _linear_solve(gd, problem, partition)
+        start = time.perf_counter()
+        u, lin_resid, factor_s = _linear_solve(gd, problem, partition)
+        mid = time.perf_counter()
+        timings["factor_s"] += factor_s
+        timings["linear_s"] += mid - start
         stats.iterations = it
         stats.linear_residuals.append(lin_resid)
         stats.contact_sizes.append(partition.n_contact)
         new = update_partition(gd, problem, u, partition)
+        timings["update_s"] += time.perf_counter() - mid
         changed = int(np.count_nonzero(new.contact != partition.contact))
         stats.set_changes.append(changed)
         if changed == 0:

@@ -16,10 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .discretisation import (GradientDiscretisation, DofVector, ObstacleVector,
-                             assemble_forms, interpolate_initial,
-                             interpolate_obstacle)
-from .solver import ActiveSetPartition, LviProblem, SolveStats, solve_lvi
+from .discretisation import (DiscretisationError, GradientDiscretisation,
+                             DofVector, ObstacleVector, assemble_forms,
+                             interpolate_initial, interpolate_obstacle)
+from .solver import (TIMING_KEYS, ActiveSetPartition, LviProblem, SolveStats,
+                     solve_lvi)
 
 
 class TimeGridError(Exception):
@@ -114,11 +115,21 @@ class TransientSolution:
     def final(self) -> DofVector:
         return self.vectors[-1]
 
+    @property
+    def solver_timings(self) -> dict:
+        """Solver phase seconds summed over all steps."""
+        return {key: sum(s.timings[key] for s in self.stats) for key in TIMING_KEYS}
+
 
 def time_average_source(source: Callable, t_a: float, t_b: float,
                         points: np.ndarray) -> np.ndarray:
     """Midpoint-in-time evaluation of the source over one step."""
     return np.asarray(source(points, 0.5 * (t_a + t_b)), dtype=float)
+
+
+def _check_finite(values: np.ndarray, name: str, t: float) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DiscretisationError(f"{name} values are not finite at t = {t:.6g}")
 
 
 def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
@@ -131,8 +142,12 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
     step (used by the command line driver to export snapshots).
     """
     forms = assemble_forms(gd)
-    psi = interpolate_obstacle(gd, spec.obstacle)
-    u = interpolate_initial(gd, spec.initial, psi, rule=initial_rule)
+    # Case data is checked where it is evaluated; non-finite values raise
+    # DiscretisationError instead of printing numpy warnings.
+    with np.errstate(all="ignore"):
+        psi = interpolate_obstacle(gd, spec.obstacle)
+        u = interpolate_initial(gd, spec.initial, psi, rule=initial_rule)
+    _check_finite(u.cells, "initial", 0.0)
 
     areas = gd.mesh.cell_areas
     cell_pts = gd.mesh.cell_points
@@ -149,11 +164,15 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
         t_b = float(grid.nodes[n + 1])
         dt = t_b - t_a
         alpha = 1.0 / dt
-        f_cells = time_average_source(spec.source, t_a, t_b, cell_pts)
+        with np.errstate(all="ignore"):
+            f_cells = time_average_source(spec.source, t_a, t_b, cell_pts)
+            bvals = None
+            if spec.dirichlet is not None:
+                bvals = np.asarray(spec.dirichlet(bcenters, t_b), dtype=float)
+        _check_finite(f_cells, "source", 0.5 * (t_a + t_b))
+        if bvals is not None:
+            _check_finite(bvals, "dirichlet", t_b)
         rhs = areas * f_cells + alpha * areas * u.cells
-        bvals = None
-        if spec.dirichlet is not None:
-            bvals = np.asarray(spec.dirichlet(bcenters, t_b), dtype=float)
         problem = LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
                              boundary_values=bvals, linear_tol=linear_tol)
         u, partition, stats = solve_lvi(gd, problem, warm=warm)

@@ -1,13 +1,20 @@
 """Slow reference solvers for the obstacle sub-problem.
 
-Both solvers here are written for transparency, not speed, so the fast
-active-set solver can be checked against them on small meshes.  They work on
-dense copies of the system matrix.
+The two obstacle solvers here are written for transparency, not speed, so the
+fast active-set solver can be checked against them on small meshes.  They
+work on dense copies of the system matrix.  ``full_linear_solve`` is the
+former fixed-partition solve on the whole free system, kept to check the
+condensed solve of ``hmmvi.solver``.
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from hmmvi.discretisation import DofVector
+from hmmvi.solver import SingularSystemError, SolverError
 
 
 def _dense_system(gd, problem):
@@ -73,3 +80,65 @@ def projected_gauss_seidel(gd, problem, tol=1e-12, max_sweeps=100_000):
         if delta < tol:
             return u
     raise RuntimeError(f"projected Gauss-Seidel stalled above {tol}")
+
+
+def full_linear_solve(gd, problem, partition):
+    """Solve the linear system for a fixed partition; returns (u, residual).
+
+    Factorises the whole free system (balance cells and interior edges).
+    """
+    S = problem.system_matrix
+    n = gd.n_dofs
+    pinned_vals = np.empty(0)
+    bdofs = gd.boundary_edge_dofs
+    if problem.boundary_values is not None:
+        bvals = np.asarray(problem.boundary_values, dtype=float)
+        if bvals.shape != (bdofs.size,):
+            raise SolverError(
+                f"{bvals.size} boundary values for {bdofs.size} boundary edges")
+    else:
+        bvals = np.zeros(bdofs.size)
+
+    contact_ids = partition.contact_cells
+    pinned = np.concatenate((contact_ids, bdofs))
+    pinned_vals = np.concatenate((problem.psi.values[contact_ids], bvals))
+
+    u = np.zeros(n)
+    u[pinned] = pinned_vals
+
+    free = np.ones(n, dtype=bool)
+    free[pinned] = False
+    free_ids = np.nonzero(free)[0]
+    if free_ids.size == 0:
+        return DofVector(u, gd.n_cells), 0.0
+
+    b = np.zeros(n)
+    b[:gd.n_cells] = problem.rhs
+    rhs = b[free_ids] - S[free_ids][:, pinned] @ pinned_vals
+    Sff = S[free_ids][:, free_ids].tocsc()
+
+    try:
+        if free_ids.size <= problem.direct_limit:
+            x = spla.splu(Sff).solve(rhs)
+        else:
+            precond = sp.diags(1.0 / Sff.diagonal())
+            x, info = spla.cg(Sff, rhs, M=precond, rtol=problem.linear_tol,
+                              atol=0.0, maxiter=20 * free_ids.size)
+            if info != 0:
+                raise SingularSystemError(
+                    f"conjugate gradients did not converge (info={info}) for the "
+                    f"partition with {partition.n_contact} contact cells",
+                    partition=partition)
+    except RuntimeError as exc:
+        raise SingularSystemError(
+            f"linear sub-system is singular for the partition with "
+            f"{partition.n_contact} contact cells: {exc}",
+            partition=partition) from exc
+
+    resid = float(np.linalg.norm(Sff @ x - rhs) / max(1.0, np.linalg.norm(rhs)))
+    if not np.isfinite(resid) or resid > 1e3 * problem.linear_tol:
+        raise SingularSystemError(
+            f"linear solve residual {resid:.3e} for the partition with "
+            f"{partition.n_contact} contact cells", partition=partition)
+    u[free_ids] = x
+    return DofVector(u, gd.n_cells), resid

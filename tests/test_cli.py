@@ -78,6 +78,30 @@ def test_solve_writes_outputs(tmp_path):
     assert record["mesh"]["cells"] == 64
     assert len(record["iterations"]) == 5
     assert record["complementarity_max"] <= 1e-8
+    timings = record["solver_timings"]
+    assert set(timings) == {"factor_s", "linear_s", "update_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert timings["factor_s"] <= timings["linear_s"]
+
+
+@pytest.mark.parametrize("field,expr", [("source", "log(x)"),
+                                        ("initial", "log(x)"),
+                                        ("dirichlet", "sqrt(x-2)+t")])
+def test_nonfinite_case_data_is_named(tmp_path, field, expr):
+    spec = {"name": "bad", "final_time": 0.1, "source": "0*x",
+            "obstacle": "-10 + 0*x", "initial": "0.5*x", "dirichlet": "0.5*x"}
+    spec[field] = expr
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file", str(case),
+         "--family", "cartesian", "--level", "2", "--dt", "0.05",
+         "--out", str(tmp_path / "run"), "--formats", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert f"{field} values are not finite at t = " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_vtk_snapshot_is_wellformed(tmp_path):

@@ -124,6 +124,16 @@ def test_operators_match_per_cell_reference(level, family, diffusion):
         assert np.abs(gd.local_stiffness(k) - A).max() <= 1e-14 * np.abs(A).max()
 
 
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_cell_cell_block_is_diagonal(family):
+    # the active-set solve condenses the cell unknowns out on this structure
+    m = generate_mesh(family, 2)
+    gd = build_gd(m, diffusion=_diffusion("per_cell", m))
+    block = assemble_forms(gd).stiffness[:m.n_cells, :m.n_cells].tocoo()
+    assert not np.any(block.data[block.row != block.col])
+    assert np.all(block.diagonal() > 0.0)
+
+
 def test_stiffness_is_symmetric_and_psd():
     m = generate_mesh("triangular", 3)
     gd = build_gd(m, diffusion=lambda p: np.broadcast_to(

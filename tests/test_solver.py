@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmvi import (ActiveSetPartition, LviProblem, SingularSystemError,
-                   assemble_forms, build_gd, complementarity_residual,
-                   contact_tolerance, generate_mesh, solve_lvi, update_partition)
+from hmmvi import (MESH_FAMILIES, ActiveSetPartition, LviProblem,
+                   SingularSystemError, assemble_forms, build_gd,
+                   complementarity_residual, contact_tolerance, generate_mesh,
+                   solve_lvi, update_partition)
 from hmmvi.discretisation import ObstacleVector
+from hmmvi.solver import _linear_solve
 
-from lviref import enumerate_lvi, projected_gauss_seidel
+from lviref import enumerate_lvi, full_linear_solve, projected_gauss_seidel
 
 
 def _problem(gd, rhs, psi, alpha=1.0, bvals=None):
@@ -156,6 +158,9 @@ def test_stats_record_the_iteration_history():
     assert len(stats.linear_residuals) == stats.iterations
     d = stats.to_dict()
     assert d["iterations"] == stats.iterations
+    assert set(d["timings"]) == {"factor_s", "linear_s", "update_s"}
+    assert all(v >= 0.0 for v in d["timings"].values())
+    assert 0.0 < d["timings"]["factor_s"] <= d["timings"]["linear_s"]
 
 
 def test_unreachable_linear_tolerance_is_reported():
@@ -191,3 +196,33 @@ def test_iterative_path_matches_direct():
     ud, _, _ = solve_lvi(gd, direct)
     ui, _, _ = solve_lvi(gd, iterative)
     assert np.abs(ud.values - ui.values).max() < 1e-8
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2])
+def test_condensed_solve_matches_full_system_reference(family, level):
+    m = generate_mesh(family, level)
+    gd = build_gd(m)
+    forms = assemble_forms(gd)
+    nc = m.n_cells
+    rng = np.random.default_rng(31 * level + len(family))
+    partitions = [ActiveSetPartition.all_pde(nc),
+                  ActiveSetPartition(np.ones(nc, dtype=bool)),
+                  ActiveSetPartition(rng.random(nc) < 0.3)]
+    rhs = rng.standard_normal(nc)
+    psi = ObstacleVector(rng.standard_normal(nc) * 0.5)
+    for alpha in (0.0, 5.0):
+        for bvals in (None, rng.standard_normal(gd.boundary_edge_dofs.size)):
+            for part in partitions:
+                kw = dict(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
+                          boundary_values=bvals)
+                want, _ = full_linear_solve(gd, LviProblem(**kw), part)
+                scale = max(np.linalg.norm(want.values), 1e-300)
+                got, resid, _ = _linear_solve(gd, LviProblem(**kw), part)
+                assert np.linalg.norm(got.values - want.values) <= 1e-12 * scale
+                assert resid <= 1e-12
+                cg, _, factor_s = _linear_solve(
+                    gd, LviProblem(**kw, direct_limit=0), part)
+                assert factor_s == 0.0
+                assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
+
