@@ -103,6 +103,11 @@ def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
 
 def _check_diffusion(field: np.ndarray, eig_bounds) -> None:
     lo, hi = eig_bounds
+    bad = np.flatnonzero(~np.isfinite(field).all(axis=(1, 2)))
+    if bad.size:
+        k = int(bad[0])
+        raise DiscretisationError(
+            f"diffusion tensor on cell {k} is not finite: {field[k].tolist()}")
     sym_defect = np.abs(field[:, 0, 1] - field[:, 1, 0])
     scale = np.maximum(1.0, np.max(np.abs(field), axis=(1, 2)))
     bad = np.nonzero(sym_defect > 1e-12 * scale)[0]
@@ -139,16 +144,16 @@ class GradientDiscretisation:
         self.n_edges = mesh.n_edges
         self.n_dofs = self.n_cells + self.n_edges
 
-        counts = np.fromiter(map(len, mesh.cell_edges), dtype=int, count=self.n_cells)
-        first = np.cumsum(counts) - counts
+        counts = np.diff(mesh.cell_offsets)
+        first = mesh.cell_offsets[:-1]
         cell = np.repeat(np.arange(self.n_cells), counts)
         local = np.arange(cell.size) - first[cell]
-        edges = np.concatenate(mesh.cell_edges)
-        normals = np.concatenate(mesh.cell_normals)
-        dists = np.concatenate(mesh.cell_edge_dists)
+        edges = mesh.corner_edges
+        normals = mesh.corner_normals
+        dists = mesh.corner_edge_dists
         lengths = mesh.edge_lengths[edges]
         xk = mesh.cell_points[cell]
-        verts = mesh.vertices[np.concatenate(mesh.cell_vertices)]
+        verts = mesh.vertices[mesh.corner_vertices]
         nxt = verts[first[cell] + (local + 1) % counts[cell]]
 
         self.subcell_cell = cell

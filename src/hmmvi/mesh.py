@@ -15,8 +15,10 @@ construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,15 +75,58 @@ def _polygon_signed_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _polygon_centroid(pts: np.ndarray, area: float) -> np.ndarray:
-    # Computed relative to the first vertex to limit cancellation.
-    rel = pts - pts[0]
-    x = rel[:, 0]
-    y = rel[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * area)
-    return pts[0] + np.array([cx, cy])
+# Per-cell defects in the order they are checked; a mesh error names the
+# first defective cell and its first defect.
+_CELL_DEFECTS = ("has fewer than 3 vertices", "references an unknown vertex",
+                 "repeats a vertex", "has zero area")
+
+
+def _require_finite(points: np.ndarray, label: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise MeshValidationError(
+            f"{label.format(i)} has non-finite coordinates {points[i].tolist()}")
+
+
+def _flatten_cells(cell_vertices):
+    """Vertex ids of all cells in one array, and the vertex count of each cell.
+
+    ``cell_vertices`` is a 2-D integer array (cells of one size) or a
+    sequence of index sequences.
+    """
+    if isinstance(cell_vertices, np.ndarray) and cell_vertices.ndim == 2:
+        n, m = cell_vertices.shape
+        return np.asarray(cell_vertices, dtype=int).ravel(), np.full(n, m)
+    counts = np.fromiter(map(len, cell_vertices), dtype=int, count=len(cell_vertices))
+    flat = np.fromiter(itertools.chain.from_iterable(cell_vertices), dtype=int,
+                       count=int(counts.sum()))
+    return flat, counts
+
+
+class CellSlices(Sequence):
+    """Read-only per-cell views of a flat per-corner array.
+
+    Item k is ``flat[offsets[k]:offsets[k + 1]]``, made when it is read, so a
+    mesh holds no per-cell objects.
+    """
+
+    def __init__(self, flat: np.ndarray, offsets: np.ndarray):
+        self._flat = flat
+        self._bounds = offsets
+
+    def __len__(self) -> int:
+        return self._bounds.size - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        return self._flat[self._bounds[k]:self._bounds[k + 1]]
+
+    def __iter__(self):
+        bounds = self._bounds.tolist()
+        return (self._flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 class PolytopalMesh:
@@ -90,57 +135,103 @@ class PolytopalMesh:
     Parameters
     ----------
     vertices : (nv, 2) array of vertex coordinates.
-    cell_vertices : sequence of integer index sequences, one per cell.  Any
-        consistent orientation is accepted; clockwise cells are reversed.
+    cell_vertices : sequence of integer index sequences, one per cell, or a
+        2-D integer array when all cells have the same number of vertices.
+        Any consistent orientation is accepted; clockwise cells are reversed.
     cell_points : optional (nc, 2) array of declared cell points x_K.  When
         omitted the centroid is used.
     metadata : optional dict recorded verbatim (generator family, level,
         distortion caps and similar provenance of the construction).
+
+    Cells are stored flat: corner j of cell k is entry ``cell_offsets[k] + j``
+    of ``corner_vertices``, ``corner_edges``, ``corner_normals`` and
+    ``corner_edge_dists``, and pairs local vertex j with the edge from j to
+    j+1.  ``cell_vertices``, ``cell_edges``, ``cell_normals`` and
+    ``cell_edge_dists`` are the same arrays cut per cell.
     """
 
     def __init__(self, vertices, cell_vertices, cell_points=None, metadata=None):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshValidationError("vertex array must have shape (nv, 2)")
-        self.n_vertices = self.vertices.shape[0]
-        self.n_cells = len(cell_vertices)
-        if self.n_cells == 0:
+        _require_finite(self.vertices, "vertex {}")
+        self.n_vertices = nv = self.vertices.shape[0]
+        self.n_cells = n = len(cell_vertices)
+        if n == 0:
             raise MeshValidationError("mesh has no cells")
 
-        self.cell_vertices: list[np.ndarray] = []
-        self.cell_areas = np.empty(self.n_cells)
-        self.cell_diameters = np.empty(self.n_cells)
-        centroids = np.empty((self.n_cells, 2))
+        flat, counts = _flatten_cells(cell_vertices)
+        offsets = np.zeros(n + 1, dtype=int)
+        np.cumsum(counts, out=offsets[1:])
+        cell = np.repeat(np.arange(n), counts)
+        first = offsets[cell]
+        size = counts[cell]
+        local = np.arange(flat.size) - first
+        half = int(counts.max()) // 2
 
-        for k, idx in enumerate(cell_vertices):
-            loc = np.asarray(idx, dtype=int)
-            if loc.size < 3:
-                raise MeshValidationError(f"cell {k} has fewer than 3 vertices")
-            if np.any(loc < 0) or np.any(loc >= self.n_vertices):
-                raise MeshValidationError(f"cell {k} references an unknown vertex")
-            if len(set(loc.tolist())) != loc.size:
-                raise MeshValidationError(f"cell {k} repeats a vertex")
-            pts = self.vertices[loc]
-            area = _polygon_signed_area(pts)
-            if area < 0.0:
-                loc = loc[::-1].copy()
-                pts = self.vertices[loc]
-                area = -area
-            if area <= 0.0:
-                raise MeshValidationError(f"cell {k} has zero area")
-            self.cell_vertices.append(loc)
-            self.cell_areas[k] = area
-            centroids[k] = _polygon_centroid(pts, area)
-            diff = pts[:, None, :] - pts[None, :, :]
-            self.cell_diameters[k] = math.sqrt(float(np.max(np.sum(diff**2, axis=2))))
+        def ahead(r):
+            """Index of the corner r places after each corner of its cell."""
+            return first + (local + r) % size
+
+        small = counts < 3
+        unknown = np.zeros(n, dtype=bool)
+        unknown[cell[(flat < 0) | (flat >= nv)]] = True
+        repeated = np.zeros(n, dtype=bool)
+        for r in range(1, half + 1):
+            repeated[cell[(flat == flat[ahead(r)]) & (r % size != 0)]] = True
+
+        # Areas of the cells before the first id defect, the only ones whose
+        # geometry can be read and the only ones that can fail first.
+        id_bad = np.flatnonzero(small | unknown | repeated)
+        stop = int(id_bad[0]) if id_bad.size else n
+        c = offsets[stop]
+        nxt = ahead(1)
+        pts = self.vertices[flat[:c]]
+        x, y = pts[:, 0], pts[:, 1]
+        signed = 0.5 * np.bincount(cell[:c], x * y[nxt[:c]] - x[nxt[:c]] * y,
+                                   minlength=stop)
+        zero_area = np.zeros(n, dtype=bool)
+        zero_area[:stop] = ~(np.abs(signed) > 0.0)
+        defects = (small, unknown, repeated, zero_area)
+        bad = np.flatnonzero(np.logical_or.reduce(defects))
+        if bad.size:
+            k = int(bad[0])
+            reason = next(text for flags, text in zip(defects, _CELL_DEFECTS) if flags[k])
+            raise MeshValidationError(f"cell {k} {reason}")
+
+        # Reverse clockwise cells: local vertex j takes vertex m - 1 - j.
+        reverse = (signed < 0.0)[cell]
+        perm = np.where(reverse, first + size - 1 - local, np.arange(flat.size))
+        flat = flat[perm]
+        pts = pts[perm]
+        self.cell_areas = np.abs(signed)
+
+        # Centroids relative to the first vertex to limit cancellation.
+        p0 = pts[offsets[:-1]]
+        rel = pts - p0[cell]
+        x, y = rel[:, 0], rel[:, 1]
+        cross = x * y[nxt] - x[nxt] * y
+        six_area = 6.0 * self.cell_areas
+        centroids = p0 + np.column_stack(
+            (np.bincount(cell, (x + x[nxt]) * cross, minlength=n) / six_area,
+             np.bincount(cell, (y + y[nxt]) * cross, minlength=n) / six_area))
+
+        # Diameters: every vertex pair of a cell is r <= m/2 corners apart.
+        far = np.zeros(flat.size)
+        for r in range(1, half + 1):
+            np.maximum(far, np.sum((pts - pts[ahead(r)]) ** 2, axis=1), out=far)
+        self.cell_diameters = np.sqrt(np.maximum.reduceat(far, offsets[:-1]))
 
         if cell_points is None:
             self.cell_points = centroids
         else:
-            self.cell_points = np.asarray(cell_points, dtype=float).reshape(self.n_cells, 2)
+            self.cell_points = np.asarray(cell_points, dtype=float).reshape(n, 2)
+            _require_finite(self.cell_points, "cell {}: point x_K")
 
-        self._build_edges()
-        self._build_cell_geometry()
+        self.cell_offsets = offsets
+        self.corner_vertices = flat
+        self._build_edges(cell, nxt)
+        self._build_cell_geometry(cell, nxt, pts)
 
         xmin, ymin = self.vertices.min(axis=0)
         xmax, ymax = self.vertices.max(axis=0)
@@ -149,66 +240,63 @@ class PolytopalMesh:
 
         for arr in (self.vertices, self.cell_points, self.cell_areas,
                     self.cell_diameters, self.edge_vertices, self.edge_cells,
-                    self.edge_centers, self.edge_lengths, self.is_boundary_edge):
+                    self.edge_centers, self.edge_lengths, self.is_boundary_edge,
+                    self.cell_offsets, self.corner_vertices, self.corner_edges,
+                    self.corner_normals, self.corner_edge_dists):
             arr.setflags(write=False)
+        self.cell_vertices = CellSlices(self.corner_vertices, offsets)
+        self.cell_edges = CellSlices(self.corner_edges, offsets)
+        self.cell_normals = CellSlices(self.corner_normals, offsets)
+        self.cell_edge_dists = CellSlices(self.corner_edge_dists, offsets)
 
-    def _build_edges(self):
-        edge_ids: dict[tuple, int] = {}
-        edge_verts: list[tuple] = []
-        owners: list[list[int]] = []
-        self.cell_edges: list[np.ndarray] = []
-        for k, loc in enumerate(self.cell_vertices):
-            m = loc.size
-            eids = np.empty(m, dtype=int)
-            for j in range(m):
-                a = int(loc[j])
-                b = int(loc[(j + 1) % m])
-                key = (a, b) if a < b else (b, a)
-                e = edge_ids.get(key)
-                if e is None:
-                    e = len(edge_verts)
-                    edge_ids[key] = e
-                    edge_verts.append(key)
-                    owners.append([])
-                if len(owners[e]) >= 2:
-                    raise MeshValidationError(
-                        f"edge {e} between vertices {key} has more than two cells")
-                owners[e].append(k)
-                eids[j] = e
-            self.cell_edges.append(eids)
+    def _build_edges(self, cell, nxt):
+        # Edges are numbered in the order the corners first reach them, and
+        # the owners of an edge in corner order.
+        a = self.corner_vertices
+        b = a[nxt]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first_corner, inverse = np.unique(lo * self.n_vertices + hi,
+                                             return_index=True, return_inverse=True)
+        order = np.argsort(first_corner)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.corner_edges = edges = rank[inverse]
+        first_corner = first_corner[order]
+        self.n_edges = first_corner.size
+        self.edge_vertices = np.column_stack((lo[first_corner], hi[first_corner]))
 
-        self.n_edges = len(edge_verts)
-        self.edge_vertices = np.array(edge_verts, dtype=int)
+        by_edge = np.argsort(edges, kind="stable")
+        owners = np.bincount(edges, minlength=self.n_edges)
+        slot = np.empty_like(by_edge)
+        slot[by_edge] = np.arange(edges.size) - np.repeat(np.cumsum(owners) - owners, owners)
+        third = np.flatnonzero(slot >= 2)
+        if third.size:
+            e = int(edges[third[0]])
+            key = tuple(int(v) for v in self.edge_vertices[e])
+            raise MeshValidationError(
+                f"edge {e} between vertices {key} has more than two cells")
         self.edge_cells = np.full((self.n_edges, 2), -1, dtype=int)
-        for e, cells in enumerate(owners):
-            for slot, k in enumerate(cells):
-                self.edge_cells[e, slot] = k
+        self.edge_cells[edges, slot] = cell
+
         pa = self.vertices[self.edge_vertices[:, 0]]
         pb = self.vertices[self.edge_vertices[:, 1]]
         self.edge_centers = 0.5 * (pa + pb)
         self.edge_lengths = np.sqrt(np.sum((pb - pa) ** 2, axis=1))
-        if np.any(self.edge_lengths <= 0.0):
+        if np.any(~(self.edge_lengths > 0.0)):
             e = int(np.argmin(self.edge_lengths))
             raise MeshValidationError(f"edge {e} has zero length")
         self.is_boundary_edge = self.edge_cells[:, 1] < 0
 
-    def _build_cell_geometry(self):
-        # Outward unit normals and orthogonal distances from x_K, in the
-        # per-cell edge order (edge j joins local vertices j and j+1).
-        self.cell_normals: list[np.ndarray] = []
-        self.cell_edge_dists: list[np.ndarray] = []
-        for k, loc in enumerate(self.cell_vertices):
-            pts = self.vertices[loc]
-            d = np.roll(pts, -1, axis=0) - pts
-            lengths = np.sqrt(np.sum(d**2, axis=1))
-            # For a counterclockwise polygon (dy, -dx) points outward.
-            normals = np.column_stack((d[:, 1], -d[:, 0])) / lengths[:, None]
-            mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
-            dists = np.sum((mids - self.cell_points[k]) * normals, axis=1)
-            normals.setflags(write=False)
-            dists.setflags(write=False)
-            self.cell_normals.append(normals)
-            self.cell_edge_dists.append(dists)
+    def _build_cell_geometry(self, cell, nxt, pts):
+        # Outward unit normals and orthogonal distances from x_K, per corner
+        # (the edge of corner j joins local vertices j and j+1).
+        d = pts[nxt] - pts
+        lengths = np.sqrt(np.sum(d**2, axis=1))
+        # For a counterclockwise polygon (dy, -dx) points outward.
+        self.corner_normals = np.column_stack((d[:, 1], -d[:, 0])) / lengths[:, None]
+        mids = 0.5 * (pts + pts[nxt])
+        self.corner_edge_dists = np.sum(
+            (mids - self.cell_points[cell]) * self.corner_normals, axis=1)
 
     # -- convenience views -------------------------------------------------
 
@@ -263,23 +351,27 @@ def validate(mesh: PolytopalMesh, require_bbox_cover: bool = True,
     xmin, xmax, ymin, ymax = mesh.bbox
     scale = max(xmax - xmin, ymax - ymin)
 
-    worst_closure = 0.0
-    min_dist = math.inf
-    for k in range(mesh.n_cells):
-        lengths = mesh.edge_lengths[mesh.cell_edges[k]]
-        closure = np.linalg.norm(mesh.cell_normals[k].T @ lengths)
-        perimeter = float(np.sum(lengths))
-        worst_closure = max(worst_closure, closure / perimeter)
-        if closure > tol * max(1.0, perimeter):
+    n = mesh.n_cells
+    starts = mesh.cell_offsets[:-1]
+    cell = np.repeat(np.arange(n), np.diff(mesh.cell_offsets))
+    lengths = mesh.edge_lengths[mesh.corner_edges]
+    flux = mesh.corner_normals * lengths[:, None]
+    closure = np.hypot(np.bincount(cell, flux[:, 0], minlength=n),
+                       np.bincount(cell, flux[:, 1], minlength=n))
+    perimeter = np.bincount(cell, lengths, minlength=n)
+    dmin = np.minimum.reduceat(mesh.corner_edge_dists, starts)
+    open_cells = ~(closure <= tol * np.maximum(1.0, perimeter))
+    unseen = ~(dmin > 0.0)
+    bad = np.flatnonzero(open_cells | unseen)
+    if bad.size:
+        k = int(bad[0])
+        if open_cells[k]:
             raise MeshValidationError(
-                f"cell {k}: edge normals do not close up (defect {closure:.3e})")
-        dmin = float(np.min(mesh.cell_edge_dists[k]))
-        min_dist = min(min_dist, dmin)
-        if dmin <= 0.0:
-            j = int(np.argmin(mesh.cell_edge_dists[k]))
-            raise MeshValidationError(
-                f"cell {k}: point x_K does not see edge {int(mesh.cell_edges[k][j])} "
-                f"from inside (d = {dmin:.3e})")
+                f"cell {k}: edge normals do not close up (defect {closure[k]:.3e})")
+        j = int(np.argmin(mesh.cell_edge_dists[k]))
+        raise MeshValidationError(
+            f"cell {k}: point x_K does not see edge {int(mesh.cell_edges[k][j])} "
+            f"from inside (d = {dmin[k]:.3e})")
 
     counts = np.sum(mesh.edge_cells >= 0, axis=1)
     if np.any(counts < 1):
@@ -298,22 +390,23 @@ def validate(mesh: PolytopalMesh, require_bbox_cover: bool = True,
         if euler != 1:
             raise MeshValidationError(
                 f"Euler characteristic V - E + F = {euler}, expected 1")
-        for e in mesh.boundary_edges:
-            c = mesh.edge_centers[e]
-            on_box = (min(abs(c[0] - xmin), abs(c[0] - xmax)) <= tol * scale
-                      or min(abs(c[1] - ymin), abs(c[1] - ymax)) <= tol * scale)
-            if not on_box:
-                raise MeshValidationError(
-                    f"edge {int(e)} has one owning cell but does not lie on the "
-                    f"domain boundary (possible hanging node or crack)")
+        boundary = mesh.boundary_edges
+        c = mesh.edge_centers[boundary]
+        on_box = ((np.minimum(np.abs(c[:, 0] - xmin), np.abs(c[:, 0] - xmax)) <= tol * scale)
+                  | (np.minimum(np.abs(c[:, 1] - ymin), np.abs(c[:, 1] - ymax)) <= tol * scale))
+        off_box = boundary[~on_box]
+        if off_box.size:
+            raise MeshValidationError(
+                f"edge {int(off_box[0])} has one owning cell but does not lie on the "
+                f"domain boundary (possible hanging node or crack)")
 
     return {
         "n_cells": mesh.n_cells,
         "n_edges": mesh.n_edges,
         "n_vertices": mesh.n_vertices,
         "h": mesh_size(mesh),
-        "max_closure_defect": worst_closure,
-        "min_edge_distance": min_dist,
+        "max_closure_defect": max(0.0, float(np.max(closure / perimeter))),
+        "min_edge_distance": float(np.min(dmin)),
         "area_defect": area_defect,
         "euler_characteristic": euler,
     }
@@ -330,15 +423,10 @@ def _grid_vertices(m_x: int, m_y: int, bbox) -> np.ndarray:
     return np.column_stack((X.ravel(), Y.ravel()))
 
 
-def _cartesian_cells(m: int) -> list:
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    cells = []
-    for i in range(m):
-        for j in range(m):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return cells
+def _cartesian_cells(m: int) -> np.ndarray:
+    """Counterclockwise squares of an m x m grid, row i of cells at x_i."""
+    v = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    return np.column_stack((v, v + m + 1, v + m + 2, v + 1))
 
 
 def _generate_cartesian(m: int, bbox) -> PolytopalMesh:
@@ -346,14 +434,9 @@ def _generate_cartesian(m: int, bbox) -> PolytopalMesh:
 
 
 def _generate_triangular(m: int, bbox) -> PolytopalMesh:
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    cells = []
-    for i in range(m):
-        for j in range(m):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            cells.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
+    # Each square (v, v+m+1, v+m+2, v+1) is cut along its diagonal.
+    sq = _cartesian_cells(m)
+    cells = np.stack((sq[:, [0, 1, 2]], sq[:, [0, 2, 3]]), axis=1).reshape(-1, 3)
     return PolytopalMesh(_grid_vertices(m, m, bbox), cells)
 
 

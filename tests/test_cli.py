@@ -104,6 +104,42 @@ def test_nonfinite_case_data_is_named(tmp_path, field, expr):
     assert "Warning" not in proc.stderr
 
 
+def test_nonfinite_diffusion_is_named(tmp_path):
+    spec = {"name": "bad", "final_time": 0.1, "source": "0*x",
+            "obstacle": "-10 + 0*x", "initial": "0.5*x", "dirichlet": "0.5*x",
+            "diffusion": [[float("nan"), 0.0], [0.0, 1.0]]}
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file", str(case),
+         "--family", "cartesian", "--level", "2", "--dt", "0.05",
+         "--out", str(tmp_path / "run"), "--formats", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "diffusion tensor on cell 0 is not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("field, value, culprit", [
+    ("cell_points", [[float("nan"), 0.5]], "cell 0: point x_K"),
+    ("vertices", [[0, 0], [1, 0], [1, float("inf")], [0, 1]], "vertex 2"),
+])
+def test_validate_rejects_nonfinite_mesh_data(tmp_path, field, value, culprit):
+    doc = {"format": "polytopal-mesh", "version": 1,
+           "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+           "cells": [[0, 1, 2, 3]], "cell_points": [[0.5, 0.5]]}
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "hmmvi.cli", "validate", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert f"{culprit} has non-finite coordinates" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_vtk_snapshot_is_wellformed(tmp_path):
     out = tmp_path / "run"
     run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "2",

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmmvi import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
                    mesh_size, save_mesh, validate)
+
+import meshref
 
 
 def test_cartesian_level_one_counts():
@@ -173,3 +177,205 @@ def test_arrays_are_read_only():
         m.vertices[0, 0] = 99.0
     with pytest.raises(ValueError):
         m.cell_areas[0] = -1.0
+
+
+def test_nonfinite_vertices_and_cell_points_are_rejected():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    bad = square.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(MeshValidationError, match=r"vertex 2 has non-finite"):
+        PolytopalMesh(bad, [[0, 1, 2, 3]])
+    with pytest.raises(MeshValidationError, match=r"cell 0: point x_K has non-finite"):
+        PolytopalMesh(square, [[0, 1, 2, 3]], cell_points=[[np.nan, 0.5]])
+
+
+def test_cell_lists_are_read_only_views_of_the_corner_arrays():
+    m = generate_mesh("hexagonal", 2)
+    assert len(m.cell_vertices) == m.n_cells
+    off = m.cell_offsets
+    assert np.array_equal(m.cell_edges[-1], m.corner_edges[off[-2]:])
+    assert np.array_equal(m.cell_normals[3], m.corner_normals[off[3]:off[4]])
+    assert [c.size for c in m.cell_edge_dists[1:4]] == list(np.diff(off)[1:4])
+    with pytest.raises(IndexError):
+        m.cell_vertices[m.n_cells]
+    with pytest.raises(ValueError):
+        m.cell_vertices[0][0] = 5
+
+
+# -- parity with the frozen per-cell construction ------------------------------
+
+
+def _rel(a, b) -> float:
+    scale = max(float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(np.asarray(a) - b))) / scale
+
+
+def _assert_same_mesh(mesh, ref):
+    """Topology bitwise, geometry to 1e-14 relative."""
+    assert (mesh.n_cells, mesh.n_edges) == (ref.n_cells, ref.n_edges)
+    for name in ("cell_vertices", "cell_edges"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert len(got) == len(want)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    for name in ("edge_vertices", "edge_cells"):
+        assert np.array_equal(getattr(mesh, name), getattr(ref, name))
+    for name in ("cell_areas", "cell_diameters", "cell_points", "edge_centers",
+                 "edge_lengths"):
+        assert _rel(getattr(mesh, name), getattr(ref, name)) <= 1e-14, name
+    for name in ("cell_normals", "cell_edge_dists"):
+        assert _rel(np.concatenate(list(getattr(mesh, name))),
+                    np.concatenate(getattr(ref, name))) <= 1e-14, name
+    assert mesh.bbox == ref.bbox
+
+
+def _assert_same_report(report, ref):
+    assert report.keys() == ref.keys()
+    for key, want in ref.items():
+        if key == "max_closure_defect":
+            # Already relative to the perimeter, and rounding noise on a
+            # valid mesh, so it is compared absolutely.
+            assert abs(report[key] - want) <= 1e-14
+        elif isinstance(want, float):
+            assert abs(report[key] - want) <= 1e-14 * abs(want), key
+        else:
+            assert report[key] == want, key
+
+
+def _outcome(build, check, vertices, cells, points):
+    try:
+        mesh = build(vertices, cells, points)
+    except MeshValidationError as exc:
+        return None, str(exc)
+    try:
+        return mesh, check(mesh)
+    except MeshValidationError as exc:
+        return mesh, str(exc)
+
+
+def _assert_same_outcome(mesh, report, ref, ref_report):
+    """Both builders fail with the same message, or build the same mesh and
+    both validations fail alike or give the same report."""
+    assert (mesh is None) == (ref is None)
+    if mesh is None:
+        assert report == ref_report
+    else:
+        _assert_same_mesh(mesh, ref)
+        if isinstance(ref_report, str):
+            assert report == ref_report
+        else:
+            _assert_same_report(report, ref_report)
+
+
+@pytest.mark.parametrize("layout", ["given", "reversed", "alternate"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_mesh_matches_per_cell_reference(family, level, layout):
+    generated = generate_mesh(family, level)
+    vertices = generated.vertices
+    cells = [c.tolist() for c in generated.cell_vertices]
+    if layout == "reversed":
+        cells = [c[::-1] for c in cells]
+    elif layout == "alternate":
+        cells = [c[::-1] if k % 2 else c for k, c in enumerate(cells)]
+    mesh = PolytopalMesh(vertices, cells)
+    ref = meshref.ReferenceMesh(vertices, cells)
+    _assert_same_mesh(mesh, ref)
+    _assert_same_report(validate(mesh), meshref.validate(ref))
+    if family != "hexagonal":
+        # Cells of one size may also be given as a 2-D array.
+        _assert_same_mesh(PolytopalMesh(vertices, np.array(cells)), ref)
+
+
+@pytest.mark.parametrize("cells, points", [
+    ([[0, 1, 2, 4], [4, 3, 6, 5], [3, 2, 7, 6]], None),      # nonconforming
+    ([[0, 1, 2, 3, 4], [4, 3, 6, 5], [3, 2, 7, 6]], None),   # conforming
+    ([[0, 1, 2, 3, 4], [4, 3, 6, 5], [3, 2, 7, 6]],
+     [[1.0, 0.5], [0.5, 1.5], [1.5, 2.5]]),                  # x_K outside
+    ([[0, 1, 2, 4], [4, 3, 6, 5], [3, 2, 7, 6], [2, 1, 0, 4]], None),  # third owner
+])
+def test_hand_made_meshes_match_per_cell_reference(cells, points):
+    verts = np.array([
+        [0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0],
+        [0.0, 2.0], [1.0, 2.0], [2.0, 2.0]])
+    mesh, report = _outcome(PolytopalMesh, validate, verts, cells, points)
+    ref, ref_report = _outcome(meshref.ReferenceMesh, meshref.validate,
+                               verts, cells, points)
+    _assert_same_outcome(mesh, report, ref, ref_report)
+
+
+DEFECTS = ("none", "few", "unknown", "repeat", "collinear", "third_owner",
+           "zero_length", "outside_point", "hanging", "two_cells")
+
+
+@st.composite
+def defective_meshes(draw, defect):
+    """A jittered grid of squares and triangles with one defect injected.
+
+    Short cells and unknown ids may also repeat ids, and ``two_cells`` puts a
+    zero-area cell and an unknown id in two different cells, so the order in
+    which defects are reported is exercised too.
+    """
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    X, Y = np.meshgrid(np.arange(nx + 1.0), np.arange(ny + 1.0), indexing="ij")
+    verts = np.column_stack((X.ravel(), Y.ravel()))
+    inner = (verts[:, 0] > 0) & (verts[:, 0] < nx) & (verts[:, 1] > 0) & (verts[:, 1] < ny)
+    shift = draw(st.lists(st.floats(-0.2, 0.2), min_size=2 * len(verts),
+                          max_size=2 * len(verts)))
+    verts[inner] += np.reshape(shift, (-1, 2))[inner]
+    verts = verts.tolist()
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            v = i * (ny + 1) + j
+            square = [v, v + ny + 1, v + ny + 2, v + 1]
+            if draw(st.booleans()):
+                cells.append(square)
+            else:
+                cells += [square[:3], [square[0], square[2], square[3]]]
+    for k, c in enumerate(cells):
+        turn = draw(st.integers(0, len(c) - 1))
+        c = c[turn:] + c[:turn]
+        cells[k] = c[::-1] if draw(st.booleans()) else c
+
+    k = draw(st.integers(0, len(cells) - 1))
+    j = draw(st.integers(0, len(cells[k]) - 1))
+    c = cells[k]
+    nv = len(verts)
+    points = None
+    outside = st.sampled_from([-1, nv + 3, nv + 7])
+    if defect == "few":
+        cells[k] = draw(st.lists(st.sampled_from(c) | outside, max_size=2))
+    elif defect in ("unknown", "two_cells"):
+        c[j] = draw(outside)
+        if draw(st.booleans()):
+            c[(j + 1) % len(c)] = c[j]
+    elif defect == "repeat":
+        c[j] = c[(j + draw(st.integers(1, len(c) - 1))) % len(c)]
+    if defect in ("collinear", "two_cells"):
+        verts += [[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]]
+        cells.insert(draw(st.integers(0, len(cells))), [nv, nv + 1, nv + 2])
+    elif defect == "third_owner":
+        cells.insert(draw(st.integers(0, len(cells))), c[::-1])
+    elif defect == "zero_length":
+        verts.append(list(verts[c[j]]))
+        c.insert(j + 1, nv)
+    elif defect == "hanging":
+        a, b = verts[c[j]], verts[c[(j + 1) % len(c)]]
+        verts.append([0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])])
+        c.insert(j + 1, nv)
+    elif defect == "outside_point":
+        points = [np.mean([verts[v] for v in cell], axis=0) for cell in cells]
+        points[k] = points[k] + [draw(st.floats(-3.0, 3.0)), 3.0]
+    return np.array(verts), cells, points
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_defective_meshes_match_per_cell_reference(defect, data):
+    vertices, cells, points = data.draw(defective_meshes(defect))
+    mesh, report = _outcome(PolytopalMesh, validate, vertices, cells, points)
+    ref, ref_report = _outcome(meshref.ReferenceMesh, meshref.validate,
+                               vertices, cells, points)
+    _assert_same_outcome(mesh, report, ref, ref_report)
