@@ -327,6 +327,13 @@ def _spacetime_fn(expr_text, what):
         np.asarray(fn(t=t, **_space_env(points)), dtype=float), (points.shape[0],)).copy()
 
 
+def _numbers(value, what) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CaseError(f"{what} must be numeric, got {value!r}") from exc
+
+
 def load_case_file(path) -> AnalyticCase:
     """Read a user case from a JSON file (schema in docs/formats.md)."""
     try:
@@ -340,20 +347,24 @@ def load_case_file(path) -> AnalyticCase:
         if key not in doc:
             raise CaseError(f"{path}: missing required field {key!r}")
 
+    final_time = _numbers(doc["final_time"], f"{path}: final_time")
+    if final_time.shape != () or not 0.0 < final_time < math.inf:
+        raise CaseError(f"{path}: final_time must be a finite positive number, "
+                        f"got {doc['final_time']!r}")
+
     diffusion = doc.get("diffusion")
     if diffusion is not None:
-        if isinstance(diffusion, (int, float)):
-            diffusion = np.array([[float(diffusion), 0.0], [0.0, float(diffusion)]])
-        else:
-            diffusion = np.asarray(diffusion, dtype=float)
-            if diffusion.shape != (2, 2):
-                raise CaseError(f"{path}: diffusion must be a scalar or a 2x2 matrix")
+        diffusion = _numbers(diffusion, f"{path}: diffusion")
+        if diffusion.shape == ():
+            diffusion = np.diag([float(diffusion)] * 2)
+        elif diffusion.shape != (2, 2):
+            raise CaseError(f"{path}: diffusion must be a scalar or a 2x2 matrix")
 
     spec = ProblemSpec(
         source=_spacetime_fn(doc["source"], f"{path}: source"),
         obstacle=_space_fn(doc["obstacle"], f"{path}: obstacle"),
         initial=_space_fn(doc["initial"], f"{path}: initial"),
-        final_time=float(doc["final_time"]),
+        final_time=float(final_time),
         diffusion=diffusion,
         dirichlet=(_spacetime_fn(doc["dirichlet"], f"{path}: dirichlet")
                    if "dirichlet" in doc else None),
@@ -369,14 +380,14 @@ def load_case_file(path) -> AnalyticCase:
         gy = _spacetime_fn(exact["grad"][1], f"{path}: exact grad y")
         grad_exact = lambda points, t: np.column_stack((gx(points, t), gy(points, t)))
 
-    bbox = tuple(doc.get("bbox", (-1.0, 1.0, -1.0, 1.0)))
-    if len(bbox) != 4:
-        raise CaseError(f"{path}: bbox must have four entries")
+    bbox = _numbers(doc.get("bbox", (-1.0, 1.0, -1.0, 1.0)), f"{path}: bbox")
+    if bbox.shape != (4,) or not np.isfinite(bbox).all():
+        raise CaseError(f"{path}: bbox must have four finite entries, got {doc['bbox']!r}")
 
     return AnalyticCase(
         name=str(doc["name"]),
         spec=spec,
-        bbox=bbox,
+        bbox=tuple(bbox.tolist()),
         u_exact=u_exact,
         grad_exact=grad_exact,
         recommended=doc.get("recommended", {}),

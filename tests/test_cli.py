@@ -121,6 +121,32 @@ def test_nonfinite_diffusion_is_named(tmp_path):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("final_time", "abc"),
+    ("final_time", [1]),
+    ("final_time", float("nan")),
+    ("final_time", -1),
+    ("diffusion", "abc"),
+    ("diffusion", [[1, 0], [0, "x"]]),
+    ("bbox", ["a", 1, -1, 1]),
+])
+def test_case_file_bad_numbers_are_usage_errors(tmp_path, field, value):
+    spec = {"name": "bad", "final_time": 0.1, "source": "0*x",
+            "obstacle": "-10 + 0*x", "initial": "0.5*x"}
+    spec[field] = value
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file", str(case),
+         "--family", "cartesian", "--level", "2", "--dt", "0.05",
+         "--out", str(tmp_path / "run"), "--formats", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert f"{field} must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("field, value, culprit", [
     ("cell_points", [[float("nan"), 0.5]], "cell 0: point x_K"),
     ("vertices", [[0, 0], [1, 0], [1, float("inf")], [0, 1]], "vertex 2"),
