@@ -21,9 +21,9 @@ from .discretisation import (AssembledForms, DiscretisationError, DofVector,
                              interpolate_obstacle, reconstruct_function,
                              reconstruct_gradient_flat)
 from .expressions import ExpressionError, compile_expression
-from .mesh import (MESH_FAMILIES, Cell, Edge, MeshError, MeshFormatError,
-                   MeshGenerationError, MeshValidationError, PolytopalMesh,
-                   generate_mesh, load_mesh, mesh_size, save_mesh, validate)
+from .mesh import (MESH_FAMILIES, MeshError, MeshFormatError, MeshGenerationError,
+                   MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
+                   mesh_size, save_mesh, validate)
 from .solver import (ActiveSetPartition, ComplementarityReport, IterationLimitError,
                      LviProblem, SingularSystemError, SolveStats, SolverError,
                      complementarity_residual, contact_tolerance, solve_lvi,
@@ -46,7 +46,7 @@ __all__ = [
     "interpolate_initial", "interpolate_obstacle", "reconstruct_function",
     "reconstruct_gradient_flat",
     "ExpressionError", "compile_expression",
-    "MESH_FAMILIES", "Cell", "Edge", "MeshError", "MeshFormatError",
+    "MESH_FAMILIES", "MeshError", "MeshFormatError",
     "MeshGenerationError", "MeshValidationError", "PolytopalMesh",
     "generate_mesh", "load_mesh", "mesh_size", "save_mesh", "validate",
     "ActiveSetPartition", "ComplementarityReport", "IterationLimitError",

@@ -376,8 +376,12 @@ def load_case_file(path) -> AnalyticCase:
         if not isinstance(exact, dict) or "u" not in exact or "grad" not in exact:
             raise CaseError(f"{path}: 'exact' needs fields 'u' and 'grad'")
         u_exact = _spacetime_fn(exact["u"], f"{path}: exact u")
-        gx = _spacetime_fn(exact["grad"][0], f"{path}: exact grad x")
-        gy = _spacetime_fn(exact["grad"][1], f"{path}: exact grad y")
+        grad = exact["grad"]
+        if not isinstance(grad, list) or len(grad) != 2:
+            raise CaseError(f"{path}: exact.grad must be a list of two expressions, "
+                            f"got {grad!r}")
+        gx = _spacetime_fn(grad[0], f"{path}: exact grad x")
+        gy = _spacetime_fn(grad[1], f"{path}: exact grad y")
         grad_exact = lambda points, t: np.column_stack((gx(points, t), gy(points, t)))
 
     bbox = _numbers(doc.get("bbox", (-1.0, 1.0, -1.0, 1.0)), f"{path}: bbox")

@@ -50,13 +50,10 @@ def _cell_quad_flat(mesh, rule: str):
         raise DiagnosticsError(f"unknown quadrature rule {rule!r}")
     from .quadrature import cell_rule
 
-    pts, wts, idx = [], [], []
-    for k in range(mesh.n_cells):
-        p, w = cell_rule(mesh, k, "fan3")
-        pts.append(p)
-        wts.append(w)
-        idx.append(np.full(w.size, k))
-    return np.vstack(pts), np.concatenate(wts), np.concatenate(idx)
+    rules = [cell_rule(mesh, k, "fan3") for k in range(mesh.n_cells)]
+    owner = np.repeat(np.arange(mesh.n_cells), 3 * np.diff(mesh.cell_offsets))
+    return (np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
+            owner)
 
 
 def _subcell_quad_flat(gd, rule: str):
@@ -188,6 +185,24 @@ def eoc(errors, sizes) -> np.ndarray:
 # -- quality measures --------------------------------------------------------
 
 
+def _plain_factorisation(forms: AssembledForms):
+    """(A0, its factorisation), A0 the plain form on the free unknowns.
+
+    A0 is symmetric positive definite, so it is factorised with a symmetric
+    ordering and diagonal pivots, once per forms object.
+    """
+    if forms._plain_factor is None:
+        free = forms.gd.free_dofs
+        A0 = forms.plain_stiffness[free][:, free].tocsc()
+        try:
+            lu = spla.splu(A0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise DiagnosticsError(f"gradient form is singular: {exc}") from exc
+        forms._plain_factor = (A0, lu)
+    return forms._plain_factor
+
+
 def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = None,
                 tol: float = 1e-8, max_iter: int = 10_000) -> float:
     """Largest ratio of function to gradient reconstruction norms.
@@ -198,12 +213,8 @@ def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = No
     if forms is None:
         forms = assemble_forms(gd)
     free = gd.free_dofs
-    A0 = forms.plain_stiffness[free][:, free].tocsc()
+    A0, lu = _plain_factorisation(forms)
     mass = forms.mass_diag[free]
-    try:
-        lu = spla.splu(A0)
-    except RuntimeError as exc:
-        raise DiagnosticsError(f"gradient form is singular: {exc}") from exc
 
     x = np.ones(free.size)
     x /= math.sqrt(float(x @ (A0 @ x)))
@@ -245,13 +256,8 @@ def estimate_WD(gd: GradientDiscretisation, omega: Callable, div_omega: Callable
     np.add.at(moments, sidx, sw[:, None] * vals)
     ell += gd._grad_matrix.T @ moments.ravel()
 
-    free = gd.free_dofs
-    ell_f = ell[free]
-    A0 = forms.plain_stiffness[free][:, free].tocsc()
-    try:
-        x = spla.splu(A0).solve(ell_f)
-    except RuntimeError as exc:
-        raise DiagnosticsError(f"gradient form is singular: {exc}") from exc
+    ell_f = ell[gd.free_dofs]
+    x = _plain_factorisation(forms)[1].solve(ell_f)
     return math.sqrt(max(0.0, float(ell_f @ x)))
 
 

@@ -24,7 +24,7 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,11 +73,27 @@ class ObstacleVector:
 
 @dataclass
 class AssembledForms:
-    """Global sparse forms over the full cell+edge unknown set."""
+    """Global sparse forms over the full cell+edge unknown set.
 
+    ``plain_stiffness`` is assembled when it is first read, because only the
+    quality diagnostics use it; they keep its factorisation in
+    ``_plain_factor``.
+    """
+
+    gd: GradientDiscretisation = field(repr=False, compare=False)
     stiffness: sp.csr_matrix        # diffusion-weighted gradient form
-    plain_stiffness: sp.csr_matrix  # same with identity diffusion
     mass_diag: np.ndarray           # |K| on cell entries, zero on edges
+    _plain: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
+    _plain_factor: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    @property
+    def plain_stiffness(self) -> sp.csr_matrix:
+        """The gradient form with identity diffusion."""
+        if self._plain is None:
+            G = self.gd._grad_matrix
+            plain = (G.T @ sp.diags(np.repeat(self.gd.subcell_volumes, 2)) @ G).tocsr()
+            self._plain = 0.5 * (plain + plain.T)
+        return self._plain
 
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
@@ -272,18 +288,17 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     """Assemble the global stiffness forms and the diagonal cell mass.
 
     Both forms are G^T W G of the subcell gradient matrix G, with W holding
-    |D| Lambda_K (or |D| alone for the plain form) on each subcell.
+    |D| Lambda_K (or |D| alone for the plain form) on each subcell.  The
+    plain form is assembled on its first read.
     """
     G = gd._grad_matrix
     n = gd.n_subcells
     blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[gd.subcell_cell]
     W = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n))
     stiffness = (G.T @ (W @ G)).tocsr()
-    plain = (G.T @ sp.diags(np.repeat(gd.subcell_volumes, 2)) @ G).tocsr()
     mass = np.zeros(gd.n_dofs)
     mass[:gd.n_cells] = gd.mesh.cell_areas
-    return AssembledForms(stiffness=0.5 * (stiffness + stiffness.T),
-                          plain_stiffness=0.5 * (plain + plain.T), mass_diag=mass)
+    return AssembledForms(gd=gd, stiffness=0.5 * (stiffness + stiffness.T), mass_diag=mass)
 
 
 def fluxes(gd: GradientDiscretisation, v: DofVector, k: int) -> np.ndarray:

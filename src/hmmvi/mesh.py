@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,30 +42,6 @@ class MeshValidationError(MeshError):
 
 class MeshGenerationError(MeshError):
     """A generator was asked for something it cannot produce."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one polygonal cell."""
-
-    index: int
-    vertices: tuple
-    edges: tuple
-    point: np.ndarray
-    area: float
-    diameter: float
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Read-only view of one edge, with per-owner normals and distances."""
-
-    index: int
-    vertices: tuple
-    center: np.ndarray
-    length: float
-    cells: tuple
-    is_boundary: bool
 
 
 def _polygon_signed_area(pts: np.ndarray) -> float:
@@ -102,6 +77,18 @@ def _flatten_cells(cell_vertices):
     flat = np.fromiter(itertools.chain.from_iterable(cell_vertices), dtype=int,
                        count=int(counts.sum()))
     return flat, counts
+
+
+def _number_by_first_appearance(keys: np.ndarray):
+    """Ids 0, 1, ... for the distinct keys, in the order they first appear.
+
+    Returns the index of each id's first appearance and the id of every key.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
 
 
 class CellSlices(Sequence):
@@ -255,13 +242,8 @@ class PolytopalMesh:
         a = self.corner_vertices
         b = a[nxt]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        _, first_corner, inverse = np.unique(lo * self.n_vertices + hi,
-                                             return_index=True, return_inverse=True)
-        order = np.argsort(first_corner)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self.corner_edges = edges = rank[inverse]
-        first_corner = first_corner[order]
+        first_corner, edges = _number_by_first_appearance(lo * self.n_vertices + hi)
+        self.corner_edges = edges
         self.n_edges = first_corner.size
         self.edge_vertices = np.column_stack((lo[first_corner], hi[first_corner]))
 
@@ -297,29 +279,6 @@ class PolytopalMesh:
         mids = 0.5 * (pts + pts[nxt])
         self.corner_edge_dists = np.sum(
             (mids - self.cell_points[cell]) * self.corner_normals, axis=1)
-
-    # -- convenience views -------------------------------------------------
-
-    def cell(self, k: int) -> Cell:
-        return Cell(
-            index=k,
-            vertices=tuple(int(v) for v in self.cell_vertices[k]),
-            edges=tuple(int(e) for e in self.cell_edges[k]),
-            point=self.cell_points[k],
-            area=float(self.cell_areas[k]),
-            diameter=float(self.cell_diameters[k]),
-        )
-
-    def edge(self, e: int) -> Edge:
-        cells = tuple(int(c) for c in self.edge_cells[e] if c >= 0)
-        return Edge(
-            index=e,
-            vertices=tuple(int(v) for v in self.edge_vertices[e]),
-            center=self.edge_centers[e],
-            length=float(self.edge_lengths[e]),
-            cells=cells,
-            is_boundary=bool(self.is_boundary_edge[e]),
-        )
 
     @property
     def boundary_edges(self) -> np.ndarray:
@@ -504,12 +463,30 @@ def _clip_to_box(pts: np.ndarray, bbox) -> np.ndarray:
     return np.array(poly) if poly else np.empty((0, 2))
 
 
+def _round10(x: np.ndarray) -> np.ndarray:
+    """``round(value, 10)`` of every entry, bit for bit.
+
+    rint(x * 1e10) / 1e10 is the double nearest to N / 10^10, as round's
+    result is, whenever the product rounds to round's integer N; only entries
+    within a few ulps of a tie can differ, and those go through round itself.
+    """
+    y = x * 1e10
+    out = np.rint(y) / 1e10
+    tie = np.abs(np.abs(y - np.floor(y)) - 0.5) <= 4.0 * np.finfo(float).eps * np.abs(y)
+    for i in np.flatnonzero(tie):
+        out.flat[i] = round(float(x.flat[i]), 10)
+    return out
+
+
 def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     """Flat-top hexagon tiling clipped to the box.
 
     Boundary hexagons are cut to pentagons, quadrilaterals or triangles; the
     cut keeps the tiling conforming because neighbouring cells are clipped
-    against the same box lines.
+    against the same box lines.  Corners are rounded to 10 decimals, equal
+    rounded corners are one vertex, and vertices are numbered in the order
+    the lattice sweep (i, then j) first reaches them.  Only the hexagons that
+    cross the box are clipped, one by one.
     """
     xmin, xmax, ymin, ymax = bbox
     a = circumradius
@@ -519,41 +496,53 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     cx0 = 0.5 * (xmin + xmax)
     cy0 = 0.5 * (ymin + ymax)
 
-    key_of: dict[tuple, int] = {}
-    verts: list = []
-    cells: list = []
-
-    def vertex_id(p) -> int:
-        key = (round(float(p[0]), 10), round(float(p[1]), 10))
-        v = key_of.get(key)
-        if v is None:
-            v = len(verts)
-            key_of[key] = v
-            verts.append(np.array(key))
-        return v
-
     ni = int(math.ceil((xmax - xmin) / (3.0 * a))) + 2
     nj = int(math.ceil((ymax - ymin) / dy)) + 2
-    for i in range(-ni, ni + 1):
-        for j in range(-nj, nj + 1):
-            center = np.array([cx0 + 1.5 * a * i,
-                               cy0 + dy * j + (0.5 * dy if i % 2 else 0.0)])
-            clipped = _clip_to_box(center + offsets, bbox)
-            if clipped.shape[0] < 3:
-                continue
-            ids = []
-            for p in clipped:
-                v = vertex_id(p)
-                if not ids or (v != ids[-1] and v != ids[0]):
-                    ids.append(v)
-            if len(ids) < 3:
-                continue
-            pts = np.array([verts[v] for v in ids])
-            if abs(_polygon_signed_area(pts)) < 1e-12 * a * a:
-                continue
-            cells.append(ids)
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(-ni, ni + 1), np.arange(-nj, nj + 1),
+                                           indexing="ij"))
+    centers = np.column_stack((cx0 + 1.5 * a * i,
+                               cy0 + dy * j + np.where(i % 2 == 1, 0.5 * dy, 0.0)))
+    corners = centers[:, None, :] + offsets
+    x, y = corners[..., 0], corners[..., 1]
+    dist = np.stack((x - xmin, xmax - x, y - ymin, ymax - y), axis=-1)
+    inside = (dist >= 0.0).all(axis=(1, 2))
+    # Clipping computes points within rounding of the corners' hull, so a
+    # hexagon whose corners all lie clearly beyond one box line clips to nothing.
+    margin = 1e-9 * (a + max(abs(v) for v in bbox))
+    crossing = np.flatnonzero(~inside & ~(dist < -margin).all(axis=1).any(axis=1))
+    cut = [_clip_to_box(corners[k], bbox) for k in crossing]
 
-    return PolytopalMesh(np.array(verts), cells)
+    # A clip to fewer than 3 points adds no vertex; every other cell does,
+    # even if it is dropped below.
+    count = np.where(inside, 6, 0)
+    count[crossing] = [p.shape[0] if p.shape[0] >= 3 else 0 for p in cut]
+    start = np.cumsum(count) - count
+    pts = np.empty((int(count.sum()), 2))
+    pts[start[inside][:, None] + np.arange(6)] = corners[inside]
+    for k, p in zip(crossing.tolist(), cut):
+        if p.shape[0] >= 3:
+            pts[start[k]:start[k] + p.shape[0]] = p
+    rounded = _round10(pts)
+    _, ix = np.unique(rounded[:, 0], return_inverse=True)
+    uy, iy = np.unique(rounded[:, 1], return_inverse=True)
+    first, ids = _number_by_first_appearance(ix * uy.size + iy)
+    verts = rounded[first]
+
+    # Interior hexagons keep their six corners; a clipped cell drops repeated
+    # vertices and is dropped itself if fewer than 3 remain or its area is tiny.
+    flat = ids.tolist()
+    cells = [flat[s:s + c] for s, c in zip(start.tolist(), count.tolist())]
+    for k in crossing.tolist():
+        ids_k = []
+        for v in cells[k]:
+            if not ids_k or (v != ids_k[-1] and v != ids_k[0]):
+                ids_k.append(v)
+        if len(ids_k) < 3 or abs(_polygon_signed_area(verts[ids_k])) < 1e-12 * a * a:
+            ids_k = []
+        cells[k] = ids_k
+    cells = [loc for loc in cells if loc]
+
+    return PolytopalMesh(verts, cells)
 
 
 def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0),

@@ -14,32 +14,27 @@ import numpy as np
 CELL_RULES = ("centroid", "fan3")
 
 
-def _triangle_midpoint_rule(tri: np.ndarray):
-    pts = 0.5 * (tri + np.roll(tri, -1, axis=0))
-    area = 0.5 * abs(
-        (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-        - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
-    w = np.full(3, area / 3.0)
-    return pts, w
-
-
 def cell_rule(mesh, k: int, rule: str = "fan3"):
-    """Quadrature points and weights for cell k; weights sum to |K|."""
+    """Quadrature points and weights for cell k; weights sum to |K|.
+
+    The fan3 points of cell k come in triangle order (x_K, v_j, v_{j+1}),
+    three edge midpoints per triangle, each weighted by |T|/3.
+    """
     if rule == "centroid":
         return mesh.cell_points[k][None, :], np.array([mesh.cell_areas[k]])
     if rule != "fan3":
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    xk = mesh.cell_points[k]
-    pts_list = []
-    w_list = []
-    loc = mesh.cell_vertices[k]
-    verts = mesh.vertices[loc]
-    for j in range(loc.size):
-        tri = np.array([xk, verts[j], verts[(j + 1) % loc.size]])
-        p, w = _triangle_midpoint_rule(tri)
-        pts_list.append(p)
-        w_list.append(w)
-    return np.vstack(pts_list), np.concatenate(w_list)
+    start, stop = mesh.cell_offsets[k], mesh.cell_offsets[k + 1]
+    # Row j is the closed triangle (x_K, v_j, v_{j+1}, x_K).
+    tri = np.empty((stop - start, 4, 2))
+    tri[:, 0] = tri[:, 3] = mesh.cell_points[k]
+    tri[:, 1] = mesh.vertices[mesh.corner_vertices[start:stop]]
+    tri[:-1, 2] = tri[1:, 1]
+    tri[-1, 2] = tri[0, 1]
+    pts = 0.5 * (tri[:, :3] + tri[:, 1:])
+    e = tri[:, 1:3] - tri[:, :1]
+    area = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1])
+    return pts.reshape(-1, 2), np.repeat(area / 3.0, 3)
 
 
 def integrate_cells(mesh, fn, rule: str = "fan3") -> np.ndarray:

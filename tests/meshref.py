@@ -6,13 +6,17 @@ Python loop over cells for the orientation, area, centroid and diameter, a
 dict of sorted vertex pairs for the edge numbering and owners, and loops over
 cells and boundary edges in ``validate``.  It has no non-finite checks; those
 came with the batched code.
+
+``_generate_hexagonal`` is the hexagonal generator that clipped every
+hexagon of the lattice in Python and merged vertices through a dict of
+rounded coordinates; the array generator must give the same mesh bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from hmmvi.mesh import GEOM_TOL, MeshValidationError
+from hmmvi.mesh import GEOM_TOL, MeshValidationError, PolytopalMesh
 
 
 def _polygon_signed_area(pts: np.ndarray) -> float:
@@ -200,3 +204,83 @@ def validate(mesh, require_bbox_cover: bool = True, tol: float = GEOM_TOL) -> di
         "area_defect": area_defect,
         "euler_characteristic": euler,
     }
+
+
+def _clip_to_box(pts: np.ndarray, bbox) -> np.ndarray:
+    """Sutherland-Hodgman clipping of a convex polygon against a box."""
+    xmin, xmax, ymin, ymax = bbox
+    halfplanes = (
+        lambda p: p[0] - xmin,
+        lambda p: xmax - p[0],
+        lambda p: p[1] - ymin,
+        lambda p: ymax - p[1],
+    )
+    poly = [p for p in pts]
+    for inside in halfplanes:
+        if not poly:
+            return np.empty((0, 2))
+        out = []
+        n = len(poly)
+        for i in range(n):
+            a, b = poly[i], poly[(i + 1) % n]
+            da, db = inside(a), inside(b)
+            if da >= 0.0:
+                out.append(a)
+                if db < 0.0:
+                    out.append(a + (b - a) * (da / (da - db)))
+            elif db >= 0.0:
+                out.append(a + (b - a) * (da / (da - db)))
+        poly = out
+    return np.array(poly) if poly else np.empty((0, 2))
+
+
+def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
+    """Flat-top hexagon tiling clipped to the box.
+
+    Boundary hexagons are cut to pentagons, quadrilaterals or triangles; the
+    cut keeps the tiling conforming because neighbouring cells are clipped
+    against the same box lines.
+    """
+    xmin, xmax, ymin, ymax = bbox
+    a = circumradius
+    dy = math.sqrt(3.0) * a
+    offsets = np.array([(math.cos(t), math.sin(t))
+                        for t in np.arange(6) * math.pi / 3.0]) * a
+    cx0 = 0.5 * (xmin + xmax)
+    cy0 = 0.5 * (ymin + ymax)
+
+    key_of: dict[tuple, int] = {}
+    verts: list = []
+    cells: list = []
+
+    def vertex_id(p) -> int:
+        key = (round(float(p[0]), 10), round(float(p[1]), 10))
+        v = key_of.get(key)
+        if v is None:
+            v = len(verts)
+            key_of[key] = v
+            verts.append(np.array(key))
+        return v
+
+    ni = int(math.ceil((xmax - xmin) / (3.0 * a))) + 2
+    nj = int(math.ceil((ymax - ymin) / dy)) + 2
+    for i in range(-ni, ni + 1):
+        for j in range(-nj, nj + 1):
+            center = np.array([cx0 + 1.5 * a * i,
+                               cy0 + dy * j + (0.5 * dy if i % 2 else 0.0)])
+            clipped = _clip_to_box(center + offsets, bbox)
+            if clipped.shape[0] < 3:
+                continue
+            ids = []
+            for p in clipped:
+                v = vertex_id(p)
+                if not ids or (v != ids[-1] and v != ids[0]):
+                    ids.append(v)
+            if len(ids) < 3:
+                continue
+            pts = np.array([verts[v] for v in ids])
+            if abs(_polygon_signed_area(pts)) < 1e-12 * a * a:
+                continue
+            cells.append(ids)
+
+    return PolytopalMesh(np.array(verts), cells)

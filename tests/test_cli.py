@@ -147,6 +147,24 @@ def test_case_file_bad_numbers_are_usage_errors(tmp_path, field, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("grad", [[], 5, ["x"], ["x", "y", "z"]])
+def test_case_file_bad_exact_grad_is_a_usage_error(tmp_path, grad):
+    spec = {"name": "bad", "final_time": 0.1, "source": "0*x",
+            "obstacle": "-10 + 0*x", "initial": "0.5*x",
+            "exact": {"u": "0*x", "grad": grad}}
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file", str(case),
+         "--family", "cartesian", "--level", "2", "--dt", "0.05",
+         "--out", str(tmp_path / "run"), "--formats", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "exact.grad must be a list of two expressions" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("field, value, culprit", [
     ("cell_points", [[float("nan"), 0.5]], "cell 0: point x_K"),
     ("vertices", [[0, 0], [1, 0], [1, float("inf")], [0, 1]], "vertex 2"),

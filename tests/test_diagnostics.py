@@ -6,12 +6,15 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmvi import (DiagnosticsError, TimeGrid, assemble_forms, bound_SD, build_gd,
-                   builtin_case, eoc, error_norms, estimate_CD, estimate_WD,
+import hmmvi.quadrature
+from hmmvi import (MESH_FAMILIES, DiagnosticsError, TimeGrid, assemble_forms, bound_SD,
+                   build_gd, builtin_case, eoc, error_norms, estimate_CD, estimate_WD,
                    gd_quality_report, generate_mesh, initial_interp_error,
                    interpolate_obstacle, run_transient, standard_probes)
 from hmmvi.diagnostics import _cell_quad_flat, _subcell_quad_flat
 from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
+
+import diagref
 
 
 def test_unit_square_poincare_constant(unit_square_gd):
@@ -181,3 +184,51 @@ def test_quality_report_serializes():
     assert set(d) >= {"h", "n_cells", "n_edges", "c_d", "w_d", "s_d", "i_d0"}
     assert d["n_cells"] == 64
     assert d["c_d"] == pytest.approx(rep.c_d)
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2])
+def test_shared_factorisation_matches_two_factorisation_reference(family, level):
+    gd = build_gd(generate_mesh(family, level))
+    forms = assemble_forms(gd)
+    omega, div_omega = standard_probes(gd.mesh.bbox)["sinusoidal_field"]
+    cd = estimate_CD(gd, forms)
+    wd = estimate_WD(gd, omega, div_omega, forms)
+    ref_forms = assemble_forms(gd)
+    ref_cd = diagref.estimate_CD(gd, ref_forms)
+    ref_wd = diagref.estimate_WD(gd, omega, div_omega, ref_forms)
+    assert abs(cd - ref_cd) <= 1e-12 * ref_cd
+    assert abs(wd - ref_wd) <= 1e-12 * ref_wd
+
+
+def test_quality_report_factorises_the_plain_form_once(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    gd_quality_report(build_gd(generate_mesh("hexagonal", 2)))
+    assert len(calls) == 1
+    assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A"
+
+
+def test_fan3_flattening_calls_cell_rule_once_per_cell(monkeypatch):
+    mesh = generate_mesh("hexagonal", 2)
+    want = _cell_quad_flat(mesh, "fan3")
+    seen = []
+    cell_rule = hmmvi.quadrature.cell_rule
+
+    def counting_rule(m, k, rule="fan3"):
+        seen.append(k)
+        return cell_rule(m, k, rule)
+
+    monkeypatch.setattr(hmmvi.quadrature, "cell_rule", counting_rule)
+    got = _cell_quad_flat(mesh, "fan3")
+    assert seen == list(range(mesh.n_cells))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.array_equal(got[2], np.repeat(np.arange(mesh.n_cells),
+                                            3 * np.diff(mesh.cell_offsets)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hmmvi import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
                    mesh_size, save_mesh, validate)
+from hmmvi.mesh import _generate_hexagonal, _round10
 
 import meshref
 
@@ -379,3 +380,46 @@ def test_defective_meshes_match_per_cell_reference(defect, data):
     ref, ref_report = _outcome(meshref.ReferenceMesh, meshref.validate,
                                vertices, cells, points)
     _assert_same_outcome(mesh, report, ref, ref_report)
+
+
+@pytest.mark.parametrize("bbox", [(-1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 0.7),
+                                  (-0.3, 2.1, -1.7, 0.4)])
+@pytest.mark.parametrize("level", range(1, 7))
+def test_hexagonal_generator_matches_per_hexagon_reference_bitwise(level, bbox):
+    # tobytes also tells -0.0 from 0.0, which the (0, 1, 0, 0.7) box produces
+    # where a clipped corner rounds to zero from below.
+    a = 0.5 / 2 ** (level - 1)
+    mesh = generate_mesh("hexagonal", level, bbox)
+    ref = meshref._generate_hexagonal(a, bbox)
+    for name in ("vertices", "cell_offsets", "corner_vertices"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_vertex_rounding_equals_python_round_bitwise():
+    rng = np.random.default_rng(3)
+    x = np.concatenate((
+        rng.uniform(-3.0, 3.0, 2000),
+        (rng.integers(-10**10, 10**10, 2000) + 0.5) * 1e-10,  # next to a tie
+        rng.integers(-2**14, 2**14, 200) * 2.0**-11,          # exact ties
+        [0.0, -0.0, -1e-12, 1e-12, 1e3 + 1e-11, -2.5e-10, 1e20, -7e15],
+    )).reshape(-1, 2)
+    want = np.array([round(float(v), 10) for v in x.ravel()]).reshape(x.shape)
+    assert _round10(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bbox", [(-1.0, 1.0 + 1e-10, -1.0, 1.0 + 1e-10),
+                                  (-1.0 - 4e-11, 1.0 + 4e-11, -1.0, 1.0),
+                                  (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_hexagonal_slivers_match_per_hexagon_reference_bitwise(level, bbox):
+    # Box lines within 1e-10 of a row or column of corners cut slivers whose
+    # corners round together: clipped cells repeat a vertex (the last one can
+    # repeat the first), fall below 3 vertices or below the area floor, and
+    # are dropped after their vertices are numbered.
+    a = 0.5 / 2 ** (level - 1)
+    mesh = _generate_hexagonal(a, bbox)
+    ref = meshref._generate_hexagonal(a, bbox)
+    for name in ("vertices", "cell_offsets", "corner_vertices"):
+        assert getattr(mesh, name).tobytes() == getattr(ref, name).tobytes(), name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hmmvi.timeloop
 from hmmvi import (ProblemSpec, TimeGrid, TimeGridError, build_gd, builtin_case,
                    generate_mesh, interpolate_obstacle, run_transient,
                    time_average_source)
@@ -131,3 +132,22 @@ def test_spec_validates_final_time():
                     obstacle=lambda p: np.zeros(len(p)),
                     initial=lambda p: np.zeros(len(p)),
                     final_time=-1.0)
+
+
+def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
+    built = []
+    assemble = hmmvi.timeloop.assemble_forms
+
+    def keep(gd):
+        built.append(assemble(gd))
+        return built[-1]
+
+    monkeypatch.setattr(hmmvi.timeloop, "assemble_forms", keep)
+    case = builtin_case("test2")
+    gd = build_gd(generate_mesh("cartesian", 2))
+    run_transient(gd, case.spec, TimeGrid.uniform_from_dt(case.spec.final_time, 0.05))
+    assert len(built) == 1
+    assert built[0]._plain is None
+    assert built[0]._plain_factor is None
+    plain = built[0].plain_stiffness
+    assert plain is not None and built[0]._plain is plain
