@@ -388,13 +388,20 @@ def load_case_file(path) -> AnalyticCase:
     if bbox.shape != (4,) or not np.isfinite(bbox).all():
         raise CaseError(f"{path}: bbox must have four finite entries, got {doc['bbox']!r}")
 
+    recommended = doc.get("recommended", {})
+    if not isinstance(recommended, dict):
+        raise CaseError(f"{path}: recommended must be an object, got {recommended!r}")
+    if not isinstance(recommended.get("dt_rule", {}), dict):
+        raise CaseError(f"{path}: recommended.dt_rule must be an object, "
+                        f"got {recommended['dt_rule']!r}")
+
     return AnalyticCase(
         name=str(doc["name"]),
         spec=spec,
         bbox=tuple(bbox.tolist()),
         u_exact=u_exact,
         grad_exact=grad_exact,
-        recommended=doc.get("recommended", {}),
+        recommended=recommended,
         description=str(doc.get("description", "user case")),
     )
 

@@ -50,10 +50,10 @@ class ConfigError(Exception):
 
 def parse_levels(text) -> list:
     """Parse a level list: '3', '1..4', or '2,5,9'."""
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    text = str(text).strip()
     try:
+        if isinstance(text, (list, tuple)):
+            return [int(v) for v in text]
+        text = str(text).strip()
         if ".." in text:
             lo, hi = text.split("..", 1)
             lo, hi = int(lo), int(hi)
@@ -61,19 +61,20 @@ def parse_levels(text) -> list:
                 raise ValueError
             return list(range(lo, hi + 1))
         return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse level list {text!r} "
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"cannot parse levels {text!r} "
                           f"(expected e.g. '3', '1..4' or '2,5,9')")
 
 
 def parse_bbox(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        vals = [float(v) for v in value]
-    else:
-        try:
+    try:
+        if isinstance(value, (list, tuple)):
+            vals = [float(v) for v in value]
+        else:
             vals = [float(tok) for tok in str(value).split(",")]
-        except ValueError:
-            raise ConfigError(f"cannot parse bounding box {value!r}")
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse bbox {value!r} "
+                          f"(expected four numbers xmin,xmax,ymin,ymax)")
     if len(vals) != 4:
         raise ConfigError("bounding box needs four numbers: xmin,xmax,ymin,ymax")
     return tuple(vals)
@@ -122,20 +123,27 @@ def resolve_case(args, config) -> AnalyticCase:
     return builtin_case(name, variant=variant)
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def resolve_dt(args, config, case: AnalyticCase, h: float) -> float:
     dt = option(args, config, "dt")
     if dt is not None:
-        return float(dt)
+        return _number(dt, "dt")
     coef = option(args, config, "dt_coefficient")
     expo = option(args, config, "dt_exponent")
     rule = case.recommended.get("dt_rule", {})
     if coef is None and expo is None and "fixed" in rule:
-        return float(rule["fixed"])
+        return _number(rule["fixed"], "dt_rule.fixed")
     if coef is None:
-        coef = rule.get("coefficient", 1.0)
+        coef = _number(rule.get("coefficient", 1.0), "dt_rule.coefficient")
     if expo is None:
-        expo = rule.get("exponent", 2.0)
-    return float(coef) * h ** float(expo)
+        expo = _number(rule.get("exponent", 2.0), "dt_rule.exponent")
+    return _number(coef, "dt_coefficient") * h ** _number(expo, "dt_exponent")
 
 
 def resolve_meshes(args, config, case=None):
@@ -246,7 +254,9 @@ def cmd_solve(args) -> int:
     formats = option(args, config, "formats", list(DEFAULT_FORMATS))
     if isinstance(formats, str):
         formats = [f.strip() for f in formats.split(",") if f.strip()]
-    vtk_every = int(option(args, config, "vtk_every", 1))
+    vtk_every = option(args, config, "vtk_every", 1)
+    if isinstance(vtk_every, bool) or not isinstance(vtk_every, int) or vtk_every < 1:
+        raise ConfigError(f"vtk_every must be a positive integer, got {vtk_every!r}")
     quadrature = option(args, config, "quadrature", "centroid")
 
     meshes = list(resolve_meshes(args, config, case))

@@ -286,10 +286,9 @@ def bound_SD(gd: GradientDiscretisation, phi: Callable, grad_phi: Callable,
 
 
 def initial_interp_error(gd: GradientDiscretisation, u_ini: Callable,
-                         psi: ObstacleVector, rule: str = "fan3",
-                         initial_rule: str = "centroid") -> float:
+                         psi: ObstacleVector, rule: str = "fan3") -> float:
     """Distance between the initial datum and its admissible interpolant."""
-    v = interpolate_initial(gd, u_ini, psi, rule=initial_rule)
+    v = interpolate_initial(gd, u_ini, psi)
     pts, w, cidx = _cell_quad_flat(gd.mesh, rule)
     diff = v.cells[cidx] - np.asarray(u_ini(pts), dtype=float)
     return math.sqrt(float(w @ diff**2))

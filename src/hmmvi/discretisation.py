@@ -75,9 +75,10 @@ class ObstacleVector:
 class AssembledForms:
     """Global sparse forms over the full cell+edge unknown set.
 
-    ``plain_stiffness`` is assembled when it is first read, because only the
-    quality diagnostics use it; they keep its factorisation in
-    ``_plain_factor``.
+    One object serves every time step of a run; the mass is kept as its
+    diagonal.  ``split`` and ``plain_stiffness`` (only the quality
+    diagnostics use it, and keep its factorisation in ``_plain_factor``) are
+    built when first read.
     """
 
     gd: GradientDiscretisation = field(repr=False, compare=False)
@@ -85,6 +86,23 @@ class AssembledForms:
     mass_diag: np.ndarray           # |K| on cell entries, zero on edges
     _plain: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
     _plain_factor: Optional[tuple] = field(default=None, init=False, repr=False)
+    _split: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    @property
+    def split(self) -> tuple:
+        """(s_cc, B, Aee, edofs): the stiffness blocks of the condensed solve.
+
+        s_cc is the diagonal of the cell-cell block (diagonal in HMM), B the
+        cell x interior-edge block, Aee the interior-edge block and edofs the
+        interior-edge unknowns.  None of them depends on alpha.
+        """
+        if self._split is None:
+            nc = self.gd.n_cells
+            edofs = self.gd.free_dofs[nc:]
+            cell_rows = self.stiffness[:nc]
+            self._split = (cell_rows.diagonal(), cell_rows[:, edofs],
+                           self.stiffness[edofs][:, edofs], edofs)
+        return self._split
 
     @property
     def plain_stiffness(self) -> sp.csr_matrix:
@@ -146,9 +164,9 @@ def _check_diffusion(field: np.ndarray, eig_bounds) -> None:
 class GradientDiscretisation:
     """Subcell gradient matrix, subcell geometry and unknown layout.
 
-    Unknown ordering is all cells first, then all edges; ``edge_dof`` maps an
-    edge index to its global unknown.  Instances are immutable after
-    construction and can be shared between solves.
+    Unknown ordering is all cells first, then all edges: edge e is unknown
+    n_cells + e.  Instances are immutable after construction and can be
+    shared between solves.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None,
@@ -220,9 +238,6 @@ class GradientDiscretisation:
         return mat.tocsr()
 
     # -- unknown layout ------------------------------------------------------
-
-    def edge_dof(self, e) -> np.ndarray:
-        return self.n_cells + np.asarray(e)
 
     def zeros(self) -> DofVector:
         return DofVector(np.zeros(self.n_dofs), self.n_cells)
@@ -335,20 +350,14 @@ def interpolate_obstacle(gd: GradientDiscretisation, psi: Callable) -> ObstacleV
 
 
 def interpolate_initial(gd: GradientDiscretisation, u_ini: Callable,
-                        psi: ObstacleVector, rule: str = "centroid") -> DofVector:
-    """Admissible initial vector: cell averages clipped at the obstacle.
+                        psi: ObstacleVector) -> DofVector:
+    """Admissible initial vector: cell values u_ini(x_K) clipped at the obstacle.
 
-    Cell averages use the centroid rule by default; ``rule='fan3'`` subdivides
-    the cell for a quadratic-exact average.  Edge values are zero, which is
-    harmless because only cell values of the previous step enter the scheme.
+    Edge values are zero, which is harmless because only cell values of the
+    previous step enter the scheme.
     """
-    from .quadrature import integrate_cells
-
     v = gd.zeros()
-    if rule == "centroid":
-        v.cells[:] = u_ini(gd.mesh.cell_points)
-    else:
-        v.cells[:] = integrate_cells(gd.mesh, u_ini, rule) / gd.mesh.cell_areas
+    v.cells[:] = u_ini(gd.mesh.cell_points)
     np.maximum(v.cells, psi.values, out=v.cells)
     return v
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-CELL_RULES = ("centroid", "fan3")
-
 
 def cell_rule(mesh, k: int, rule: str = "fan3"):
     """Quadrature points and weights for cell k; weights sum to |K|.
@@ -36,11 +34,3 @@ def cell_rule(mesh, k: int, rule: str = "fan3"):
     area = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1])
     return pts.reshape(-1, 2), np.repeat(area / 3.0, 3)
 
-
-def integrate_cells(mesh, fn, rule: str = "fan3") -> np.ndarray:
-    """Integral of a scalar field over each cell, as an (n_cells,) array."""
-    out = np.empty(mesh.n_cells)
-    for k in range(mesh.n_cells):
-        pts, w = cell_rule(mesh, k, rule)
-        out[k] = float(w @ fn(pts))
-    return out

@@ -21,9 +21,13 @@ detection of revisited partitions.
 
 Each linear solve condenses the cell unknowns out.  An HMM cell unknown
 couples only to its own edges, so the cell-cell block of S + alpha M is the
-diagonal d.  With w = 1/d on balance cells and 0 on contact cells, B the
-cell x interior-edge block and g = b - S u_pinned (u_pinned holding the
-obstacle on contact cells and the Dirichlet values), the interior edges solve
+diagonal d = s_cc + alpha |K|; the mass enters nowhere else.  The stiffness
+diagonal s_cc, the cell x interior-edge block B and the interior-edge block
+A_ee are split off the stiffness once per forms object
+(``AssembledForms.split``) and serve every step of a run, so S + alpha M is
+never formed.  With w = 1/d on balance cells and 0 on contact cells and
+g = b - (S + alpha M) u_pinned (u_pinned holding the obstacle on contact
+cells and the Dirichlet values), the interior edges solve
 
     (A_ee - B^T diag(w) B) u_e = g_e - B^T (w g_cells),
 
@@ -116,9 +120,10 @@ class ActiveSetPartition:
 
 @dataclass
 class LviProblem:
-    """One elliptic variational inequality in assembled form.
+    """One elliptic variational inequality: the data of one time step.
 
-    ``rhs`` is the combined per-cell right-hand side (source plus previous
+    ``forms`` holds the operator, shared by every step of a run and free of
+    alpha; ``rhs`` is the combined per-cell right-hand side (source plus previous
     step weighted by alpha |K|), ``alpha`` the reciprocal time step (zero for
     a steady problem), and ``boundary_values`` the Dirichlet values on
     boundary edges in ``mesh.boundary_edges`` order (None means homogeneous).
@@ -131,17 +136,10 @@ class LviProblem:
     boundary_values: Optional[np.ndarray] = None
     linear_tol: float = 1e-12
     direct_limit: int = 200_000
-    _system: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
-    _condensed: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    @property
-    def system_matrix(self) -> sp.csr_matrix:
-        if self._system is None:
-            S = self.forms.stiffness
-            if self.alpha != 0.0:
-                S = S + sp.diags(self.alpha * self.forms.mass_diag)
-            self._system = S.tocsr()
-        return self._system
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(S + alpha M) v, with the mass applied as its diagonal."""
+        return self.forms.stiffness @ v + self.alpha * self.forms.mass_diag * v
 
 
 # Seconds summed over the iterations of one solve: the factorisation alone,
@@ -192,7 +190,7 @@ def contact_tolerance(problem: LviProblem) -> float:
 
 def _cell_residuals(gd, problem, u):
     feas = u.cells - problem.psi.values
-    mult = (problem.system_matrix @ u.values)[:gd.n_cells] - problem.rhs
+    mult = problem.apply(u.values)[:gd.n_cells] - problem.rhs
     return feas, mult
 
 
@@ -226,22 +224,6 @@ def complementarity_residual(gd: GradientDiscretisation, problem: LviProblem,
                                  worst_cell=worst)
 
 
-def _condensed_blocks(gd, problem):
-    """(d, B, Aee, edge dofs) of the system matrix, built once per problem.
-
-    d is the cell diagonal (the cell-cell block is diagonal in HMM), B the
-    cell x interior-edge block and Aee the interior-edge block.
-    """
-    if problem._condensed is None:
-        S = problem.system_matrix
-        nc = gd.n_cells
-        edofs = gd.free_dofs[nc:]
-        cell_rows = S[:nc]
-        problem._condensed = (cell_rows.diagonal(), cell_rows[:, edofs],
-                              S[edofs][:, edofs], edofs)
-    return problem._condensed
-
-
 def _linear_solve(gd, problem, partition):
     """Solve the linear system for a fixed partition.
 
@@ -249,7 +231,6 @@ def _linear_solve(gd, problem, partition):
     complement is factorised.  Returns (u, residual, factorisation seconds),
     the residual measured on the uncondensed free system.
     """
-    S = problem.system_matrix
     nc = gd.n_cells
     bdofs = gd.boundary_edge_dofs
     if problem.boundary_values is not None:
@@ -260,7 +241,8 @@ def _linear_solve(gd, problem, partition):
     else:
         bvals = np.zeros(bdofs.size)
 
-    d, B, Aee, edofs = _condensed_blocks(gd, problem)
+    s_cc, B, Aee, edofs = problem.forms.split
+    d = s_cc + problem.alpha * problem.forms.mass_diag[:nc]
     contact = partition.contact
     balance = ~contact
     u = np.zeros(gd.n_dofs)
@@ -272,7 +254,7 @@ def _linear_solve(gd, problem, partition):
 
     b = np.zeros(gd.n_dofs)
     b[:nc] = problem.rhs
-    g = b - S @ u
+    g = b - problem.apply(u)
     w = np.zeros(nc)
     w[balance] = 1.0 / d[balance]
     wg = w * g[:nc]
@@ -308,7 +290,7 @@ def _linear_solve(gd, problem, partition):
     u[edofs] = x
     u[:nc] = np.where(contact, u[:nc], wg - w * (B @ x))
     rhs = g[free_ids]
-    r = (S @ u - b)[free_ids]
+    r = (problem.apply(u) - b)[free_ids]
     resid = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(rhs)))
     if not np.isfinite(resid) or resid > 1e3 * problem.linear_tol:
         raise SingularSystemError(

@@ -40,7 +40,7 @@ class TimeGrid:
             raise TimeGridError("a time grid needs at least two nodes")
         if nodes[0] != 0.0:
             raise TimeGridError(f"time grid must start at 0, got {nodes[0]!r}")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not np.all(np.diff(nodes) > 0.0):
             raise TimeGridError("time nodes must be strictly increasing")
 
     @classmethod
@@ -54,7 +54,7 @@ class TimeGrid:
     @classmethod
     def uniform_from_dt(cls, final_time: float, dt: float) -> "TimeGrid":
         """Uniform grid with the largest step not exceeding dt."""
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise TimeGridError(f"time step must be positive, got {dt!r}")
         return cls.uniform(final_time, max(1, math.ceil(final_time / dt - 1e-12)))
 
@@ -133,8 +133,7 @@ def _check_finite(values: np.ndarray, name: str, t: float) -> None:
 
 
 def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
-                  warm_start: bool = True, initial_rule: str = "centroid",
-                  linear_tol: float = 1e-12,
+                  warm_start: bool = True,
                   on_step: Optional[Callable] = None) -> TransientSolution:
     """March the obstacle problem over the time grid.
 
@@ -146,7 +145,7 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
     # DiscretisationError instead of printing numpy warnings.
     with np.errstate(all="ignore"):
         psi = interpolate_obstacle(gd, spec.obstacle)
-        u = interpolate_initial(gd, spec.initial, psi, rule=initial_rule)
+        u = interpolate_initial(gd, spec.initial, psi)
     _check_finite(u.cells, "initial", 0.0)
 
     areas = gd.mesh.cell_areas
@@ -174,7 +173,7 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
             _check_finite(bvals, "dirichlet", t_b)
         rhs = areas * f_cells + alpha * areas * u.cells
         problem = LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
-                             boundary_values=bvals, linear_tol=linear_tol)
+                             boundary_values=bvals)
         u, partition, stats = solve_lvi(gd, problem, warm=warm)
         vectors.append(u)
         all_stats.append(stats)

@@ -17,8 +17,15 @@ from hmmvi.discretisation import DofVector
 from hmmvi.solver import SingularSystemError, SolverError
 
 
+def _system_matrix(problem):
+    S = problem.forms.stiffness
+    if problem.alpha != 0.0:
+        S = S + sp.diags(problem.alpha * problem.forms.mass_diag)
+    return S.tocsr()
+
+
 def _dense_system(gd, problem):
-    S = problem.system_matrix.toarray()
+    S = _system_matrix(problem).toarray()
     b = np.zeros(gd.n_dofs)
     b[:gd.n_cells] = problem.rhs
     bdofs = np.asarray(gd.boundary_edge_dofs)
@@ -87,7 +94,7 @@ def full_linear_solve(gd, problem, partition):
 
     Factorises the whole free system (balance cells and interior edges).
     """
-    S = problem.system_matrix
+    S = _system_matrix(problem)
     n = gd.n_dofs
     pinned_vals = np.empty(0)
     bdofs = gd.boundary_edge_dofs

@@ -165,6 +165,43 @@ def test_case_file_bad_exact_grad_is_a_usage_error(tmp_path, grad):
     assert "Traceback" not in proc.stderr
 
 
+_GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
+              "obstacle": "-10 + 0*x", "initial": "0.5*x"}
+
+
+@pytest.mark.parametrize("argv, files, field", [
+    pytest.param(["--case", "test2", "--level", "2", "--dt", "0.05",
+                  "--vtk-every", "0"], {}, "vtk_every", id="vtk-every-zero"),
+    pytest.param(["--case", "test2", "--level", "2", "--dt", "0.05",
+                  "--vtk-every", "-1"], {}, "vtk_every", id="vtk-every-negative"),
+    pytest.param(["--case", "test2", "--level", "2", "--dt", "nan"], {},
+                 "time step", id="dt-nan"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "recommended": [1, 2]}},
+                 "recommended must be an object", id="recommended-list"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "recommended": {"dt_rule": 0.01}}},
+                 "recommended.dt_rule must be an object", id="dt-rule-number"),
+    pytest.param(["--case", "test2", "--level", "2", "--dt", "0.05",
+                  "--config", "config.json"],
+                 {"config.json": {"bbox": ["a", 1, -1, 1]}}, "bbox", id="bbox-list"),
+    pytest.param(["--case", "test2", "--dt", "0.05", "--config", "config.json"],
+                 {"config.json": {"levels": [2, "a"]}}, "levels", id="levels-list"),
+])
+def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--family", "cartesian",
+         "--out", str(tmp_path / "run"), "--formats", "json", *argv],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("field, value, culprit", [
     ("cell_points", [[float("nan"), 0.5]], "cell 0: point x_K"),
     ("vertices", [[0, 0], [1, 0], [1, float("inf")], [0, 1]], "vertex 2"),

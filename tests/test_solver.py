@@ -1,5 +1,7 @@
 """Active-set solver for the per-step obstacle problem."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,7 +205,6 @@ def test_iterative_path_matches_direct():
 def test_condensed_solve_matches_full_system_reference(family, level):
     m = generate_mesh(family, level)
     gd = build_gd(m)
-    forms = assemble_forms(gd)
     nc = m.n_cells
     rng = np.random.default_rng(31 * level + len(family))
     partitions = [ActiveSetPartition.all_pde(nc),
@@ -211,18 +212,21 @@ def test_condensed_solve_matches_full_system_reference(family, level):
                   ActiveSetPartition(rng.random(nc) < 0.3)]
     rhs = rng.standard_normal(nc)
     psi = ObstacleVector(rng.standard_normal(nc) * 0.5)
-    for alpha in (0.0, 5.0):
-        for bvals in (None, rng.standard_normal(gd.boundary_edge_dofs.size)):
-            for part in partitions:
-                kw = dict(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
-                          boundary_values=bvals)
-                want, _ = full_linear_solve(gd, LviProblem(**kw), part)
-                scale = max(np.linalg.norm(want.values), 1e-300)
-                got, resid, _ = _linear_solve(gd, LviProblem(**kw), part)
-                assert np.linalg.norm(got.values - want.values) <= 1e-12 * scale
-                assert resid <= 1e-12
-                cg, _, factor_s = _linear_solve(
-                    gd, LviProblem(**kw, direct_limit=0), part)
-                assert factor_s == 0.0
-                assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
+    boundary = (None, rng.standard_normal(gd.boundary_edge_dofs.size))
+    # One forms object, and so one cached split, serves every alpha of an
+    # order; the first alpha read must not leak into the later ones.
+    for alphas in ((0.0, 5.0, 288.0), (288.0, 0.0, 5.0)):
+        forms = assemble_forms(gd)
+        for alpha, bvals, part in itertools.product(alphas, boundary, partitions):
+            kw = dict(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
+                      boundary_values=bvals)
+            want, _ = full_linear_solve(gd, LviProblem(**kw), part)
+            scale = max(np.linalg.norm(want.values), 1e-300)
+            got, resid, _ = _linear_solve(gd, LviProblem(**kw), part)
+            assert np.linalg.norm(got.values - want.values) <= 1e-12 * scale
+            assert resid <= 1e-12
+            cg, _, factor_s = _linear_solve(
+                gd, LviProblem(**kw, direct_limit=0), part)
+            assert factor_s == 0.0
+            assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 

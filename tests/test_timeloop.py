@@ -7,6 +7,7 @@ import hmmvi.timeloop
 from hmmvi import (ProblemSpec, TimeGrid, TimeGridError, build_gd, builtin_case,
                    generate_mesh, interpolate_obstacle, run_transient,
                    time_average_source)
+from hmmvi.discretisation import AssembledForms
 
 
 def test_uniform_grid():
@@ -28,7 +29,7 @@ def test_uniform_from_dt_rounds_up():
 
 
 @pytest.mark.parametrize("nodes", [
-    [0.0], [0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.0, 0.1]])
+    [0.0], [0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.0, 0.1], [0.0, float("nan")]])
 def test_bad_grids_are_rejected(nodes):
     with pytest.raises(TimeGridError):
         TimeGrid(np.array(nodes))
@@ -151,3 +152,23 @@ def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
     assert built[0]._plain_factor is None
     plain = built[0].plain_stiffness
     assert plain is not None and built[0]._plain is plain
+
+
+def test_run_builds_the_operator_split_once(monkeypatch):
+    # Every step has its own alpha, and all of them share the run's one
+    # forms object: its alpha-free split is built on the first solve only.
+    split = AssembledForms.split
+    reads = []
+
+    def counting(forms):
+        reads.append(split.fget(forms))
+        return reads[-1]
+
+    monkeypatch.setattr(AssembledForms, "split", property(counting))
+    case = builtin_case("test2")
+    gd = build_gd(generate_mesh("cartesian", 3))
+    grid = TimeGrid(np.array([0.0, 0.01, 0.03, 0.06, 0.1]))
+    assert np.unique(grid.steps).size == grid.n_steps
+    sol = run_transient(gd, case.spec, grid)
+    assert len(reads) == sum(sol.iterations) > grid.n_steps
+    assert len({id(r) for r in reads}) == 1
