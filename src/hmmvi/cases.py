@@ -391,9 +391,15 @@ def load_case_file(path) -> AnalyticCase:
     recommended = doc.get("recommended", {})
     if not isinstance(recommended, dict):
         raise CaseError(f"{path}: recommended must be an object, got {recommended!r}")
-    if not isinstance(recommended.get("dt_rule", {}), dict):
-        raise CaseError(f"{path}: recommended.dt_rule must be an object, "
-                        f"got {recommended['dt_rule']!r}")
+    rule = recommended.get("dt_rule", {})
+    if not isinstance(rule, dict):
+        raise CaseError(f"{path}: recommended.dt_rule must be an object, got {rule!r}")
+    for key in sorted(rule.keys() & {"fixed", "coefficient", "exponent"}):
+        number = _numbers(rule[key], f"{path}: recommended.dt_rule.{key}")
+        if number.shape != () or not np.isfinite(number):
+            raise CaseError(f"{path}: recommended.dt_rule.{key} must be a finite "
+                            f"number, got {rule[key]!r}")
+        rule[key] = float(number)
 
     return AnalyticCase(
         name=str(doc["name"]),

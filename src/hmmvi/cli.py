@@ -3,8 +3,10 @@
 Subcommands: ``meshgen`` writes mesh files, ``validate`` checks mesh files,
 ``solve`` runs one transient problem, ``converge`` runs a refinement study
 against an exact solution, ``diagnose`` evaluates the discretisation quality
-measures over a refinement family.  A JSON config file can supply any option;
-explicit flags win over the config, which wins over per-case recommendations.
+measures over a refinement family.  A JSON config file can supply any long
+option of a subcommand: its keys become option tokens for the same parser as
+the flags.  Explicit flags win over the config, which wins over per-case
+recommendations.
 
 Exit codes: 0 on success, 1 on numerical failures (solver breakdown, invalid
 mesh geometry, degenerate norms), 2 on usage and configuration errors.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -25,7 +28,7 @@ import numpy as np
 from .cases import BUILTIN_CASES, AnalyticCase, CaseError, builtin_case, load_case_file
 from .diagnostics import DiagnosticsError, eoc, error_norms, gd_quality_report
 from .discretisation import DiscretisationError, build_gd
-from .export import write_csv, write_json, write_vtk
+from .export import write_cells_csv, write_csv, write_json, write_vtk
 from .mesh import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, generate_mesh, load_mesh, mesh_size,
                    save_mesh, validate)
@@ -41,11 +44,18 @@ EXIT_USAGE = 2
 DEFAULT_FORMATS = ("vtk", "csv", "json")
 
 
-class ConfigError(Exception):
-    """Bad flag combinations or malformed config files."""
+class ConfigError(argparse.ArgumentTypeError):
+    """A usage error (exit 2); raised by an option type, argparse names the option."""
 
 
 # -- option handling ----------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def parse_levels(text) -> list:
@@ -55,141 +65,140 @@ def parse_levels(text) -> list:
             return [int(v) for v in text]
         text = str(text).strip()
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"cannot parse levels {text!r} "
-                          f"(expected e.g. '3', '1..4' or '2,5,9')")
-
-
-def parse_bbox(value) -> tuple:
-    try:
-        if isinstance(value, (list, tuple)):
-            vals = [float(v) for v in value]
+            lo, hi = map(int, text.split("..", 1))
+            levels = list(range(lo, hi + 1))
         else:
-            vals = [float(tok) for tok in str(value).split(",")]
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse bbox {value!r} "
-                          f"(expected four numbers xmin,xmax,ymin,ymax)")
-    if len(vals) != 4:
-        raise ConfigError("bounding box needs four numbers: xmin,xmax,ymin,ymax")
-    return tuple(vals)
+            levels = [int(tok) for tok in text.split(",") if tok.strip()]
+        if not levels:
+            raise ValueError
+        return levels
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"cannot parse levels {text!r} (expected e.g. '3', '1..4' or '2,5,9')")
 
 
-def load_config(path) -> dict:
+def parse_bbox(text) -> tuple:
+    """Parse a domain box 'xmin,xmax,ymin,ymax' of four finite numbers."""
+    try:
+        box = tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        box = ()
+    if len(box) != 4 or not all(map(math.isfinite, box)):
+        raise ConfigError(f"cannot parse bbox {text!r} (expected four finite "
+                          f"numbers xmin,xmax,ymin,ymax)")
+    return box
+
+
+def _formats(text) -> tuple:
+    formats = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not set(formats) <= set(DEFAULT_FORMATS):
+        raise ConfigError(f"expected a comma list from vtk,csv,json, got {text!r}")
+    return formats
+
+
+def _vtk_every(text) -> int:
+    every = int(text) if text.strip().isdecimal() else 0
+    if every < 1:
+        raise ConfigError(f"vtk_every must be a positive integer, got {text!r}")
+    return every
+
+
+def config_argv(parser: argparse.ArgumentParser, path,
+                given: argparse.Namespace) -> list:
+    """Read a JSON config file as tokens of ``parser``'s long options.
+
+    Rules in docs/formats.md; a key whose option the command line set is skipped.
+    """
     try:
         with open(path) as f:
-            doc = json.load(f)
+            config = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        action = next((a for a in parser._actions
+                       if a.dest not in ("help", "config")
+                       and (flag in a.option_strings or a.dest == key)), None)
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is None or getattr(given, action.dest) != action.default:
+            continue
+        opt = action.option_strings[0]
+        if action.nargs == 0:  # an on/off flag: argparse rejects "--flag=value"
+            if value is not False:
+                tokens.append(opt if value is True else f"{opt}={json.dumps(value)}")
+            continue
+        items = value if isinstance(value, list) else [value]
+        if action.type is None and not all(isinstance(v, str) for v in items):
+            raise ConfigError(f"argument {opt}: config key {key!r} takes a string "
+                              f"or a list of strings, got {value!r}")
+        texts = [v if isinstance(v, str) else json.dumps(v) for v in items]
+        if isinstance(action, argparse._AppendAction):
+            tokens += [f"{opt}={text}" for text in texts]
+        else:
+            tokens.append(f"{opt}={','.join(texts)}")
+    return tokens
 
 
-def option(args, config: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if config.get(key) is not None:
-        return config[key]
-    return default
-
-
-def resolve_out_dir(args, config) -> Path:
-    out = option(args, config, "out",
-                 os.environ.get("HMMVI_OUTDIR", "out"))
-    path = Path(out)
+def resolve_out_dir(args) -> Path:
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def resolve_case(args, config) -> AnalyticCase:
-    name = option(args, config, "case")
-    case_file = option(args, config, "case_file")
-    if name and case_file:
-        raise ConfigError("give either a built-in case or a case file, not both")
-    if case_file:
-        return load_case_file(case_file)
-    if not name:
+def resolve_case(args) -> AnalyticCase:
+    if args.case_file:
+        return load_case_file(args.case_file)
+    if not args.case:
         raise ConfigError(f"no case selected; use --case with one of "
                           f"{BUILTIN_CASES} or --case-file")
-    variant = option(args, config, "variant", "derived_f")
-    return builtin_case(name, variant=variant)
+    return builtin_case(args.case, variant=args.variant)
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def resolve_dt(args, config, case: AnalyticCase, h: float) -> float:
-    dt = option(args, config, "dt")
-    if dt is not None:
-        return _number(dt, "dt")
-    coef = option(args, config, "dt_coefficient")
-    expo = option(args, config, "dt_exponent")
+def resolve_dt(args, case: AnalyticCase, h: float) -> float:
+    if args.dt is not None:
+        return args.dt
+    coef, expo = args.dt_coefficient, args.dt_exponent
     rule = case.recommended.get("dt_rule", {})
     if coef is None and expo is None and "fixed" in rule:
-        return _number(rule["fixed"], "dt_rule.fixed")
+        return rule["fixed"]
     if coef is None:
-        coef = _number(rule.get("coefficient", 1.0), "dt_rule.coefficient")
+        coef = rule.get("coefficient", 1.0)
     if expo is None:
-        expo = _number(rule.get("exponent", 2.0), "dt_rule.exponent")
-    return _number(coef, "dt_coefficient") * h ** _number(expo, "dt_exponent")
+        expo = rule.get("exponent", 2.0)
+    return coef * h ** expo
 
 
-def resolve_meshes(args, config, case=None):
+def resolve_meshes(args, case=None):
     """Yield (tag, mesh) pairs from files or a generated family."""
-    files = option(args, config, "mesh")
-    family = option(args, config, "family")
-    if files and family:
-        raise ConfigError("give either mesh files or a generated family, not both")
-    if files:
-        if isinstance(files, str):
-            files = [files]
-        for f in files:
-            yield Path(f).stem, load_mesh(f, option(args, config, "mesh_format"))
+    if args.mesh:
+        for f in args.mesh:
+            yield Path(f).stem, load_mesh(f, args.mesh_format)
         return
-    if family is None and case is not None:
-        family = case.recommended.get("mesh_family")
+    recommended = case.recommended if case is not None else {}
+    family = args.family or recommended.get("mesh_family")
     if family is None:
         raise ConfigError("no mesh given; use --family/--levels or --mesh")
-    levels = option(args, config, "levels")
-    if levels is None:
-        levels = config.get("level")
-    if levels is None and case is not None:
-        levels = case.recommended.get("levels")
+    levels = args.levels or recommended.get("levels")
     if levels is None:
         raise ConfigError("no refinement levels given; use --levels")
-    bbox = parse_bbox(option(args, config, "bbox", (-1.0, 1.0, -1.0, 1.0)))
     for n in parse_levels(levels):
-        yield f"{family}_l{n}", generate_mesh(family, n, bbox)
+        yield f"{family}_l{n}", generate_mesh(family, n, args.bbox)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_meshgen(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    family = option(args, config, "family")
-    if family is None:
-        raise ConfigError("meshgen needs --family")
-    levels = option(args, config, "levels")
-    if levels is None:
-        raise ConfigError("meshgen needs --levels")
-    bbox = parse_bbox(option(args, config, "bbox", (-1.0, 1.0, -1.0, 1.0)))
-    out = resolve_out_dir(args, config)
-    for n in parse_levels(levels):
-        mesh = generate_mesh(family, n, bbox)
-        path = out / f"{family}_l{n:02d}.json"
+    if args.family is None or args.levels is None:
+        raise ConfigError("meshgen needs --family and --levels")
+    out = resolve_out_dir(args)
+    for n in args.levels:
+        mesh = generate_mesh(args.family, n, args.bbox)
+        path = out / f"{args.family}_l{n:02d}.json"
         save_mesh(mesh, path)
         log.info("wrote %s: %d cells, %d edges, h = %.5g",
                  path, mesh.n_cells, mesh.n_edges, mesh_size(mesh))
@@ -207,14 +216,28 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(gd, case, grid, out, formats, vtk_every):
-    mesh = gd.mesh
+def cmd_solve(args) -> int:
+    case = resolve_case(args)
+    out = resolve_out_dir(args)
+
+    meshes = list(resolve_meshes(args, case))
+    if len(meshes) != 1:
+        raise ConfigError(f"solve expects exactly one mesh, got {len(meshes)}")
+    tag, mesh = meshes[0]
+    gd = build_gd(mesh, case.spec.diffusion)
+    h = mesh_size(mesh)
+    dt = resolve_dt(args, case, h)
+    grid = TimeGrid.uniform_from_dt(case.spec.final_time, dt)
+    log.info("case %s on %s: %d cells, h = %.5g, %d steps of dt = %.5g",
+             case.name, tag, mesh.n_cells, h, grid.n_steps, grid.steps[0])
+
     snapshots = []
     with np.errstate(all="ignore"):  # run_transient rejects non-finite values
         psi = case.spec.obstacle(mesh.cell_points)
 
     def on_step(step, t, u, partition, stats):
-        if "vtk" in formats and (step % vtk_every == 0 or step == grid.n_steps):
+        if "vtk" in args.formats and (step % args.vtk_every == 0
+                                      or step == grid.n_steps):
             path = out / f"snapshot_{step:04d}.vtk"
             write_vtk(path, mesh, {
                 "u": u.cells,
@@ -226,13 +249,14 @@ def _solve_one(gd, case, grid, out, formats, vtk_every):
     start = time.perf_counter()
     solution = run_transient(gd, case.spec, grid, on_step=on_step)
     elapsed = time.perf_counter() - start
+    log.info("iterations per step: %s", solution.iterations)
 
     record = {
         "case": case.name,
         "mesh": {
             "cells": mesh.n_cells,
             "edges": mesh.n_edges,
-            "h": mesh_size(mesh),
+            "h": h,
             "metadata": mesh.metadata,
         },
         "time_nodes": solution.grid.nodes.tolist(),
@@ -244,82 +268,41 @@ def _solve_one(gd, case, grid, out, formats, vtk_every):
         "wall_seconds": elapsed,
         "snapshots": snapshots,
     }
-    return solution, record
 
-
-def cmd_solve(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    case = resolve_case(args, config)
-    out = resolve_out_dir(args, config)
-    formats = option(args, config, "formats", list(DEFAULT_FORMATS))
-    if isinstance(formats, str):
-        formats = [f.strip() for f in formats.split(",") if f.strip()]
-    vtk_every = option(args, config, "vtk_every", 1)
-    if isinstance(vtk_every, bool) or not isinstance(vtk_every, int) or vtk_every < 1:
-        raise ConfigError(f"vtk_every must be a positive integer, got {vtk_every!r}")
-    quadrature = option(args, config, "quadrature", "centroid")
-
-    meshes = list(resolve_meshes(args, config, case))
-    if len(meshes) != 1:
-        raise ConfigError(f"solve expects exactly one mesh, got {len(meshes)}")
-    tag, mesh = meshes[0]
-    gd = build_gd(mesh, case.spec.diffusion)
-    h = mesh_size(mesh)
-    dt = resolve_dt(args, config, case, h)
-    grid = TimeGrid.uniform_from_dt(case.spec.final_time, dt)
-    log.info("case %s on %s: %d cells, h = %.5g, %d steps of dt = %.5g",
-             case.name, tag, mesh.n_cells, h, grid.n_steps, grid.steps[0])
-
-    solution, record = _solve_one(gd, case, grid, out, formats, vtk_every)
-    log.info("iterations per step: %s", solution.iterations)
-
-    if "csv" in formats:
-        u = solution.final
-        psi = solution.psi.values
-        contact = solution.partitions[-1].contact
-        write_csv(out / "cells_final.csv",
-                  ["cell", "x", "y", "area", "u", "obstacle", "contact"],
-                  ((k, mesh.cell_points[k, 0], mesh.cell_points[k, 1],
-                    mesh.cell_areas[k], u.cells[k], psi[k], int(contact[k]))
-                   for k in range(mesh.n_cells)))
+    if "csv" in args.formats:
+        write_cells_csv(out / "cells_final.csv", mesh, solution.final.cells,
+                        solution.psi.values, solution.partitions[-1].contact)
     if case.has_exact:
         report = error_norms(gd, solution, case.u_exact, case.grad_exact,
-                             rule=quadrature)
-        record["errors"] = {
-            "rel_l2_final": report.rel_l2_final,
-            "rel_grad_final": report.rel_grad_final,
-            "linf_l2": report.linf_l2,
-            "spacetime_grad": report.spacetime_grad,
-            "quadrature": report.quadrature,
-        }
+                             rule=args.quadrature)
+        record["errors"] = {key: getattr(report, key) for key in (
+            "rel_l2_final", "rel_grad_final", "linf_l2", "spacetime_grad",
+            "quadrature")}
         log.info("relative errors at T: %.5g (values), %.5g (gradients)",
                  report.rel_l2_final, report.rel_grad_final)
-    if "json" in formats:
+    if "json" in args.formats:
         write_json(out / "run.json", record)
     return EXIT_OK
 
 
 def cmd_converge(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    case = resolve_case(args, config)
+    case = resolve_case(args)
     if not case.has_exact:
-        raise ConfigError(
-            f"case {case.name!r} has no exact solution; a convergence study "
-            f"needs one")
-    out = resolve_out_dir(args, config)
-    quadrature = option(args, config, "quadrature", "centroid")
+        raise ConfigError(f"case {case.name!r} has no exact solution; "
+                          f"a convergence study needs one")
+    out = resolve_out_dir(args)
 
     rows = []
-    for tag, mesh in resolve_meshes(args, config, case):
+    for tag, mesh in resolve_meshes(args, case):
         gd = build_gd(mesh, case.spec.diffusion)
         h = mesh_size(mesh)
-        dt = resolve_dt(args, config, case, h)
+        dt = resolve_dt(args, case, h)
         grid = TimeGrid.uniform_from_dt(case.spec.final_time, dt)
         log.info("level %s: %d cells, h = %.5g, %d steps", tag, mesh.n_cells,
                  h, grid.n_steps)
         solution = run_transient(gd, case.spec, grid)
         report = error_norms(gd, solution, case.u_exact, case.grad_exact,
-                             rule=quadrature)
+                             rule=args.quadrature)
         rows.append({
             "tag": tag,
             "h": h,
@@ -349,7 +332,7 @@ def cmd_converge(args) -> int:
     write_csv(out / "convergence.csv", header,
               ([("" if r[k] is None else r[k]) for k in header] for r in rows))
     write_json(out / "convergence.json", {"case": case.name,
-                                          "quadrature": quadrature,
+                                          "quadrature": args.quadrature,
                                           "levels": rows})
     write_csv(out / "convergence_loglog.dat", ["h", "rel_l2", "rel_grad"],
               ((r["h"], r["rel_l2"], r["rel_grad"]) for r in rows))
@@ -366,10 +349,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    out = resolve_out_dir(args, config)
+    out = resolve_out_dir(args)
     rows = []
-    for tag, mesh in resolve_meshes(args, config):
+    for tag, mesh in resolve_meshes(args):
         gd = build_gd(mesh)
         report = gd_quality_report(gd)
         entry = {"tag": tag, **report.to_dict()}
@@ -406,87 +388,90 @@ def cmd_diagnose(args) -> int:
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output directory (default 'out' or HMMVI_OUTDIR)")
+    p.add_argument("--out", default=os.environ.get("HMMVI_OUTDIR", "out"),
+                   help="output directory (default 'out' or HMMVI_OUTDIR)")
     p.add_argument("--quiet", action="store_true", help="only warnings and errors")
-
-
-def _add_mesh_options(p, multiple_levels: bool):
-    p.add_argument("--family", choices=MESH_FAMILIES, help="generated mesh family")
-    p.add_argument("--levels" if multiple_levels else "--level",
-                   dest="levels", help="refinement level(s), e.g. '3', '1..4', '2,5'")
-    p.add_argument("--bbox", help="domain box xmin,xmax,ymin,ymax")
-    p.add_argument("--mesh", action="append", help="mesh file (instead of a family)")
-    p.add_argument("--mesh-format", dest="mesh_format",
-                   choices=("native_json", "fvca_text"),
+    mesh = p.add_mutually_exclusive_group()
+    mesh.add_argument("--family", choices=MESH_FAMILIES, help="generated mesh family")
+    mesh.add_argument("--mesh", action="append", help="mesh file (instead of a family)")
+    p.add_argument("--levels", "--level", type=parse_levels,
+                   help="refinement level(s), e.g. '3', '1..4', '2,5'")
+    p.add_argument("--bbox", type=parse_bbox, default=(-1.0, 1.0, -1.0, 1.0),
+                   help="domain box xmin,xmax,ymin,ymax")
+    p.add_argument("--mesh-format", choices=("native_json", "fvca_text"),
                    help="mesh file format (default: by extension)")
 
 
 def _add_case_options(p):
-    p.add_argument("--case", help=f"built-in case: one of {', '.join(BUILTIN_CASES)}")
-    p.add_argument("--case-file", dest="case_file", help="user case JSON file")
-    p.add_argument("--variant", choices=("printed_f", "derived_f"),
+    case = p.add_mutually_exclusive_group()
+    case.add_argument("--case",
+                      help=f"built-in case: one of {', '.join(BUILTIN_CASES)}")
+    case.add_argument("--case-file", help="user case JSON file")
+    p.add_argument("--variant", choices=("printed_f", "derived_f"), default="derived_f",
                    help="source variant for the manufactured case")
     p.add_argument("--dt", type=float, help="fixed time step")
     p.add_argument("--dt-coef", dest="dt_coefficient", type=float,
                    help="c in the rule dt = c * h^p")
     p.add_argument("--dt-exp", dest="dt_exponent", type=float,
                    help="p in the rule dt = c * h^p")
-    p.add_argument("--quadrature", choices=("centroid", "fan3"),
+    p.add_argument("--quadrature", choices=("centroid", "fan3"), default="centroid",
                    help="cell quadrature for error norms (default centroid)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple:
+    """The top-level parser and the parser of each subcommand, by name."""
+    parser = _Parser(
         prog="hmmvi",
         description="Hybrid mimetic mixed solver for parabolic obstacle problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("meshgen", help="generate and write mesh families")
     _add_common(p)
-    _add_mesh_options(p, multiple_levels=True)
     p.set_defaults(func=cmd_meshgen)
 
     p = sub.add_parser("validate", help="validate mesh files")
     p.add_argument("files", nargs="+", help="mesh files to check")
-    p.add_argument("--mesh-format", dest="mesh_format",
-                   choices=("native_json", "fvca_text"))
+    p.add_argument("--mesh-format", choices=("native_json", "fvca_text"))
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="run one transient problem")
     _add_common(p)
-    _add_mesh_options(p, multiple_levels=False)
     _add_case_options(p)
-    p.add_argument("--formats", help="comma list from vtk,csv,json")
-    p.add_argument("--vtk-every", dest="vtk_every", type=int,
+    p.add_argument("--formats", type=_formats, default=DEFAULT_FORMATS,
+                   help="comma list from vtk,csv,json")
+    p.add_argument("--vtk-every", type=_vtk_every, default=1,
                    help="write every n-th snapshot (default 1)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="refinement study against an exact solution")
     _add_common(p)
-    _add_mesh_options(p, multiple_levels=True)
     _add_case_options(p)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("diagnose", help="discretisation quality measures")
     _add_common(p)
-    _add_mesh_options(p, multiple_levels=True)
     p.set_defaults(func=cmd_diagnose)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    logging.basicConfig(level=logging.INFO, format="%(message)s",
+                        stream=sys.stderr, force=True)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.WARNING if getattr(args, "quiet", False) else logging.INFO,
-        format="%(message)s", stream=sys.stderr, force=True)
-    try:
+        if getattr(args, "config", None):  # config options go before the flags
+            at = argv.index(args.command) + 1
+            tokens = config_argv(commands[args.command], args.config, args)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        if args.quiet:
+            logging.getLogger().setLevel(logging.WARNING)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ConfigError, CaseError, MeshFormatError, MeshGenerationError,
             TimeGridError) as exc:
         log.error("%s", exc)

@@ -91,19 +91,19 @@ class ErrorReport:
     rel_linf_l2: float
     rel_spacetime_grad: float
     quadrature: str
-    interp_per_node: Optional[np.ndarray] = None
+    interp_per_node: np.ndarray
 
 
 def error_norms(gd: GradientDiscretisation, solution: TransientSolution,
                 u_exact: Callable, grad_exact: Callable,
-                rule: str = "centroid", with_interp: bool = True) -> ErrorReport:
+                rule: str = "centroid") -> ErrorReport:
     """Compare a run against an exact solution.
 
     ``u_exact(points, t)`` returns values, ``grad_exact(points, t)`` returns
     an (n, 2) array.  Relative norms divide by the exact-solution norms at
     the final time under the same quadrature; a zero exact norm is an error.
-    With ``with_interp`` the report also carries, per time node, the distance
-    between the exact solution and its admissible sampling interpolant.
+    The report also carries, per time node, the distance between the exact
+    solution and its admissible sampling interpolant.
     """
     if u_exact is None or grad_exact is None:
         raise DiagnosticsError("error norms need both exact callables")
@@ -118,16 +118,15 @@ def error_norms(gd: GradientDiscretisation, solution: TransientSolution,
     spts, sw, sidx = _subcell_quad_flat(gd, rule)
 
     l2 = np.empty(n_nodes)
-    interp = np.empty(n_nodes) if with_interp else None
+    interp = np.empty(n_nodes)
     psi = solution.psi.values
     for n, t in enumerate(times):
         exact = np.asarray(u_exact(pts, float(t)), dtype=float)
         diff = solution.vectors[n].cells[cidx] - exact
         l2[n] = math.sqrt(float(w @ diff**2))
-        if with_interp:
-            clipped = np.maximum(u_exact(mesh.cell_points, float(t)), psi)
-            diff = clipped[cidx] - exact
-            interp[n] = math.sqrt(float(w @ diff**2))
+        clipped = np.maximum(u_exact(mesh.cell_points, float(t)), psi)
+        diff = clipped[cidx] - exact
+        interp[n] = math.sqrt(float(w @ diff**2))
 
     grad = np.empty(n_nodes - 1)
     for n in range(1, n_nodes):

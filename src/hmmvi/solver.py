@@ -93,10 +93,6 @@ class ActiveSetPartition:
         return self.contact.size
 
     @property
-    def pde_cells(self) -> np.ndarray:
-        return np.nonzero(~self.contact)[0]
-
-    @property
     def contact_cells(self) -> np.ndarray:
         return np.nonzero(self.contact)[0]
 

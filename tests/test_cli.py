@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
 
@@ -187,6 +191,14 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
                  {"config.json": {"bbox": ["a", 1, -1, 1]}}, "bbox", id="bbox-list"),
     pytest.param(["--case", "test2", "--dt", "0.05", "--config", "config.json"],
                  {"config.json": {"levels": [2, "a"]}}, "levels", id="levels-list"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE,
+                                "recommended": {"dt_rule": {"coefficient": "abc"}}}},
+                 "recommended.dt_rule.coefficient", id="dt-rule-coefficient"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE,
+                                "recommended": {"dt_rule": {"fixed": [0.1]}}}},
+                 "recommended.dt_rule.fixed", id="dt-rule-fixed-list"),
 ])
 def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field):
     for name, doc in files.items():
@@ -200,6 +212,95 @@ def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field
     assert len(proc.stderr.strip().splitlines()) == 1
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Each bad option, given once as flags and once as a config key: (config key,
+# flag tokens, config value, text the message must hold).
+_BAD_OPTIONS = [
+    ("formats", ["--formats", "5"], 5, "--formats"),
+    ("formats", ["--formats", "pdf"], "pdf", "--formats"),
+    ("quadrature", ["--quadrature", "bogus"], "bogus", "--quadrature"),
+    ("vtk_every", ["--vtk-every", "0"], 0, "--vtk-every"),
+    ("levels", ["--levels", "2,a"], [2, "a"], "--levels"),
+    ("bbox", ["--bbox", "a,1,-1,1"], ["a", 1, -1, 1], "--bbox"),
+    ("dt", ["--dt", "nan"], float("nan"), "time step"),
+]
+# Config values with no flag form: a number where a path or a name goes, and
+# a misspelt key.
+_BAD_CONFIG_ONLY = [("out", 5), ("mesh", 5), ("case_file", 5), ("levles", 2)]
+
+
+@pytest.mark.parametrize("key, flag, config, fragment", [
+    *(pytest.param(key, flag, None, fragment, id=f"flag-{key}-{flag[1]}")
+      for key, flag, _, fragment in _BAD_OPTIONS),
+    *(pytest.param(key, [], {key: value}, fragment, id=f"config-{key}-{value}")
+      for key, _, value, fragment in _BAD_OPTIONS),
+    *(pytest.param(key, [], {key: value}, repr(key), id=f"config-{key}-{value}")
+      for key, value in _BAD_CONFIG_ONLY),
+])
+def test_bad_options_exit_2_from_flags_and_config(tmp_path, key, flag, config,
+                                                  fragment):
+    base = {"case": "test2", "family": "cartesian", "level": "2", "dt": "0.05",
+            "out": str(tmp_path / "run")}
+    # The base run leaves out the option under test (`level` for `levels`).
+    argv = [tok for name, value in base.items() if name not in (key, key[:-1])
+            for tok in (f"--{name}", value)] + flag
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    proc = subprocess.run([sys.executable, "-m", "hmmvi.cli", "solve", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert fragment in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Documented keys other than those the fuzz run fixes by flag.
+_FUZZ_KEYS = ["case_file", "variant", "levels", "mesh", "mesh_format", "bbox",
+              "dt_coefficient", "dt_exponent", "formats", "vtk_every", "quadrature",
+              "quiet"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_NEAR_VALID = st.sampled_from(["vtk", "csv,json", "fan3", "printed_f", "native_json",
+                               "2", "0", "-1,1,-1,1", "", "pdf", 2, 0.5, -1, True,
+                               [0, 1, 0, 1], ["json", "csv"]])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(config=st.dictionaries(st.sampled_from(_FUZZ_KEYS), _NEAR_VALID | _JSON_VALUES,
+                              max_size=3),
+       junk=st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=1))
+def test_config_fuzz_ends_in_an_exit_code(config, junk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**junk, **config}))
+        code = run_cli("solve", "--case", "test2", "--family", "cartesian",
+                       "--level", "2", "--dt", "0.05", "--out", str(Path(tmp) / "run"),
+                       "--config", str(path))
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
+
+
+def test_config_mesh_list_and_mesh_flag_wins(tmp_path):
+    run_cli("meshgen", "--family", "cartesian", "--levels", "1..2",
+            "--out", str(tmp_path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "case": "test2", "dt_coefficient": 0.05, "dt_exponent": 0,
+        "mesh": [str(tmp_path / "cartesian_l01.json")]}))
+    assert run_cli("solve", "--config", str(config), "--out", str(tmp_path / "a"),
+                   "--formats", "json") == EXIT_OK
+    rec = json.loads((tmp_path / "a" / "run.json").read_text())
+    assert (rec["mesh"]["cells"], len(rec["iterations"])) == (4, 2)
+
+    assert run_cli("solve", "--config", str(config), "--out", str(tmp_path / "b"),
+                   "--formats", "json",
+                   "--mesh", str(tmp_path / "cartesian_l02.json")) == EXIT_OK
+    rec = json.loads((tmp_path / "b" / "run.json").read_text())
+    assert rec["mesh"]["cells"] == 16
 
 
 @pytest.mark.parametrize("field, value, culprit", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmmvi import MESH_FAMILIES, PolytopalMesh, generate_mesh
-from hmmvi.export import write_vtk
+from hmmvi.export import write_cells_csv, write_csv, write_vtk
 
 import exportref
 
@@ -125,3 +125,19 @@ def test_title_stays_on_one_header_line(tmp_path, brk):
     lines = path.read_bytes().split(b"\n")
     assert lines[1] == b"x" * 254 + b" "
     assert lines[2] == b"ASCII"
+
+
+@pytest.mark.parametrize("family, level", [("cartesian", 3), ("triangular", 8),
+                                           ("hexagonal", 2)])
+def test_cells_csv_matches_the_row_writer(tmp_path, family, level):
+    mesh = generate_mesh(family, level)
+    n = mesh.n_cells
+    fields = _fields(mesh)
+    u = fields["u"]
+    psi = np.resize(np.append(fields["special"], [np.nan, np.inf, -np.inf]), n)
+    contact = fields["contact"] > 0.5
+    write_cells_csv(tmp_path / "bulk.csv", mesh, u, psi, contact)
+    write_csv(tmp_path / "rows.csv", ["cell", "x", "y", "area", "u", "obstacle", "contact"],
+              ((k, mesh.cell_points[k, 0], mesh.cell_points[k, 1], mesh.cell_areas[k],
+                u[k], psi[k], int(contact[k])) for k in range(n)))
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
