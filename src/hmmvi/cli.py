@@ -28,7 +28,7 @@ import numpy as np
 from .cases import BUILTIN_CASES, AnalyticCase, CaseError, builtin_case, load_case_file
 from .diagnostics import DiagnosticsError, eoc, error_norms, gd_quality_report
 from .discretisation import DiscretisationError, build_gd
-from .export import write_cells_csv, write_csv, write_json, write_vtk
+from .export import write_csv, write_json, write_vtk
 from .mesh import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, generate_mesh, load_mesh, mesh_size,
                    save_mesh, validate)
@@ -107,7 +107,9 @@ def config_argv(parser: argparse.ArgumentParser, path,
                 given: argparse.Namespace) -> list:
     """Read a JSON config file as tokens of ``parser``'s long options.
 
-    Rules in docs/formats.md; a key whose option the command line set is skipped.
+    Rules in docs/formats.md.  The tokens go in front of the command line, so
+    a flag wins by argparse's last-one-wins rule; ``--mesh`` appends, so the
+    config's mesh files are dropped when the command line gives any.
     """
     try:
         with open(path) as f:
@@ -124,7 +126,7 @@ def config_argv(parser: argparse.ArgumentParser, path,
                        and (flag in a.option_strings or a.dest == key)), None)
         if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if value is None or getattr(given, action.dest) != action.default:
+        if value is None or (action.dest == "mesh" and given.mesh):
             continue
         opt = action.option_strings[0]
         if action.nargs == 0:  # an on/off flag: argparse rejects "--flag=value"
@@ -136,7 +138,7 @@ def config_argv(parser: argparse.ArgumentParser, path,
             raise ConfigError(f"argument {opt}: config key {key!r} takes a string "
                               f"or a list of strings, got {value!r}")
         texts = [v if isinstance(v, str) else json.dumps(v) for v in items]
-        if isinstance(action, argparse._AppendAction):
+        if action.dest == "mesh":
             tokens += [f"{opt}={text}" for text in texts]
         else:
             tokens.append(f"{opt}={','.join(texts)}")
@@ -270,8 +272,11 @@ def cmd_solve(args) -> int:
     }
 
     if "csv" in args.formats:
-        write_cells_csv(out / "cells_final.csv", mesh, solution.final.cells,
-                        solution.psi.values, solution.partitions[-1].contact)
+        x, y = mesh.cell_points.T
+        write_csv(out / "cells_final.csv",
+                  ["cell", "x", "y", "area", "u", "obstacle", "contact"],
+                  [range(mesh.n_cells), x, y, mesh.cell_areas, solution.final.cells,
+                   solution.psi.values, solution.partitions[-1].contact.astype(int)])
     if case.has_exact:
         report = error_norms(gd, solution, case.u_exact, case.grad_exact,
                              rule=args.quadrature)
@@ -329,13 +334,12 @@ def cmd_converge(args) -> int:
 
     header = ["tag", "h", "n_cells", "n_dofs", "dt", "n_steps",
               "rel_l2", "rate_l2", "rel_grad", "rate_grad"]
-    write_csv(out / "convergence.csv", header,
-              ([("" if r[k] is None else r[k]) for k in header] for r in rows))
+    write_csv(out / "convergence.csv", header, [[r[k] for r in rows] for k in header])
     write_json(out / "convergence.json", {"case": case.name,
                                           "quadrature": args.quadrature,
                                           "levels": rows})
     write_csv(out / "convergence_loglog.dat", ["h", "rel_l2", "rel_grad"],
-              ((r["h"], r["rel_l2"], r["rel_grad"]) for r in rows))
+              [[r[k] for r in rows] for k in ("h", "rel_l2", "rel_grad")])
 
     fmt = "%-16s %-9s %-8s %-10s %-8s %-10s %-8s"
     log.info(fmt, "level", "h", "cells", "rel_l2", "rate", "rel_grad", "rate")
@@ -377,9 +381,9 @@ def cmd_diagnose(args) -> int:
     write_json(out / "quality.json", doc)
     write_csv(out / "quality.csv",
               ["tag", "h", "n_cells", "n_edges", "c_d", "w_d", "s_d", "i_d0"],
-              ((r["tag"], r["h"], r["n_cells"], r["n_edges"], r["c_d"],
-                r["w_d"]["sinusoidal_field"], r["s_d"]["polynomial_bump"],
-                r["i_d0"]["polynomial_bump"]) for r in rows))
+              zip(*[(r["tag"], r["h"], r["n_cells"], r["n_edges"], r["c_d"],
+                     r["w_d"]["sinusoidal_field"], r["s_d"]["polynomial_bump"],
+                     r["i_d0"]["polynomial_bump"]) for r in rows]))
     return EXIT_OK
 
 

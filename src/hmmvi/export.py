@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,31 +57,24 @@ def write_vtk(path, mesh: PolytopalMesh, cell_fields: Mapping[str, np.ndarray],
         f.write("".join(parts))
 
 
-def write_csv(path, header: Iterable[str], rows: Iterable) -> None:
-    """Write rows of numbers/strings as CSV with 12 significant digits."""
+def write_csv(path, header: Sequence[str], columns: Iterable) -> None:
+    """Write equal-length columns as CSV rows.
 
-    def fmt(v):
-        if isinstance(v, (float, np.floating)):
-            return f"{v:.12g}"
-        return str(v)
+    Floats carry 12 significant digits and ``None`` is an empty field; other
+    values are written with ``str``.  A float array is formatted in one
+    ``%``-format, not value by value.
+    """
+
+    def fields(column):
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            return (("%.12g\n" * column.size) % tuple(column.tolist())).split("\n")[:-1]
+        return ["" if v is None else f"{v:.12g}" if isinstance(v, (float, np.floating))
+                else str(v) for v in column]
 
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-
-
-def write_cells_csv(path, mesh: PolytopalMesh, u, psi, contact) -> None:
-    """One ``cell,x,y,area,u,obstacle,contact`` row per cell, in one pass over
-    the arrays; the bytes are those ``write_csv`` gives for the same rows."""
-    n = mesh.n_cells
-    table = np.column_stack((np.arange(n), mesh.cell_points, mesh.cell_areas,
-                             u, psi, contact))
-    with open(path, "w", newline="") as f:
-        f.write("cell,x,y,area,u,obstacle,contact\r\n")
-        f.write(("%d,%.12g,%.12g,%.12g,%.12g,%.12g,%d\r\n" * n)
-                % tuple(table.ravel().tolist()))
+        writer.writerow(header)
+        writer.writerows(zip(*map(fields, columns)))
 
 
 def write_json(path, obj) -> None:

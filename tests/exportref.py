@@ -1,11 +1,14 @@
-"""Line-by-line reference VTK writer.
+"""Line-by-line reference VTK and row-by-row reference CSV writers.
 
-This is the writer the bulk-pass ``hmmvi.export.write_vtk`` replaced, kept
-frozen so the new one can be checked against it byte for byte: one formatted
-line per vertex, per cell (read through ``mesh.cell_vertices``) and per field
-value, joined and written at the end.  It writes the title as given, line
-breaks included.
+These are the writers the bulk-pass ``hmmvi.export.write_vtk`` and
+``write_csv`` replaced, kept frozen so the new ones can be checked against
+them byte for byte.  ``write_vtk`` formats one line per vertex, per cell (read
+through ``mesh.cell_vertices``) and per field value, joins them and writes
+them at the end; it writes the title as given, line breaks included.
+``write_csv_rows`` formats one row at a time through ``csv.writer``.
 """
+
+import csv
 
 import numpy as np
 
@@ -42,3 +45,18 @@ def write_vtk(path, mesh, cell_fields, title="polytopal cell data"):
     with open(path, "w") as f:
         f.write("\n".join(lines))
         f.write("\n")
+
+
+def write_csv_rows(path, header, rows):
+    """Write rows of numbers/strings as CSV with 12 significant digits."""
+
+    def fmt(v):
+        if isinstance(v, (float, np.floating)):
+            return f"{v:.12g}"
+        return str(v)
+
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])

@@ -388,6 +388,32 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert len(rec["iterations"]) == 4
 
 
+@pytest.mark.parametrize("key, value, flag", [
+    ("quadrature", "fan3", "--quadrature=centroid"),
+    ("variant", "printed_f", "--variant=derived_f"),
+    ("bbox", [0, 1, 0, 1], "--bbox=-1,1,-1,1"),
+    ("vtk_every", 2, "--vtk-every=1"),
+    ("formats", "json", "--formats=vtk,csv,json"),
+    ("out", "elsewhere", "--out=out"),
+])
+def test_flag_equal_to_its_default_beats_the_config(tmp_path, monkeypatch, key,
+                                                    value, flag):
+    monkeypatch.delenv("HMMVI_OUTDIR", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    argv = ["solve", "--case", "test1", "--family", "cartesian", "--level", "2",
+            "--dt", "0.05", flag]
+    outputs = []
+    for name, extra in (("plain", []), ("config", ["--config", str(config)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run_cli(*argv, *extra) == EXIT_OK
+        rec = json.loads(Path("out", "run.json").read_text())
+        del rec["wall_seconds"], rec["solver_timings"]
+        outputs.append((sorted(map(str, Path().rglob("*"))), rec))
+    assert outputs[0] == outputs[1]
+
+
 def test_user_case_file_via_cli(tmp_path):
     case = tmp_path / "plane.json"
     case.write_text(json.dumps({

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmmvi import MESH_FAMILIES, PolytopalMesh, generate_mesh
-from hmmvi.export import write_cells_csv, write_csv, write_vtk
+from hmmvi.export import write_csv, write_vtk
 
 import exportref
 
@@ -136,8 +136,23 @@ def test_cells_csv_matches_the_row_writer(tmp_path, family, level):
     u = fields["u"]
     psi = np.resize(np.append(fields["special"], [np.nan, np.inf, -np.inf]), n)
     contact = fields["contact"] > 0.5
-    write_cells_csv(tmp_path / "bulk.csv", mesh, u, psi, contact)
-    write_csv(tmp_path / "rows.csv", ["cell", "x", "y", "area", "u", "obstacle", "contact"],
-              ((k, mesh.cell_points[k, 0], mesh.cell_points[k, 1], mesh.cell_areas[k],
-                u[k], psi[k], int(contact[k])) for k in range(n)))
+    header = ["cell", "x", "y", "area", "u", "obstacle", "contact"]
+    x, y = mesh.cell_points.T
+    write_csv(tmp_path / "bulk.csv", header,
+              [range(n), x, y, mesh.cell_areas, u, psi, contact.astype(int)])
+    exportref.write_csv_rows(
+        tmp_path / "rows.csv", header,
+        ((k, mesh.cell_points[k, 0], mesh.cell_points[k, 1], mesh.cell_areas[k],
+          u[k], psi[k], int(contact[k])) for k in range(n)))
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_mixed_csv_table_matches_the_row_writer(tmp_path):
+    """Text that needs quoting, ints, float scalars and empty (None) fields."""
+    header = ["tag", "n", "h", "rate"]
+    rows = [("plain", 4, 0.5, None), ('a,"b"', np.int64(16), np.float64(1 / 3), 1.0),
+            ("line\nbreak", 64, -0.0, float("nan"))]
+    write_csv(tmp_path / "bulk.csv", header, list(zip(*rows)))
+    exportref.write_csv_rows(tmp_path / "rows.csv", header,
+                             [["" if v is None else v for v in row] for row in rows])
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
