@@ -24,8 +24,8 @@ from .expressions import ExpressionError, compile_expression
 from .mesh import (MESH_FAMILIES, MeshError, MeshFormatError, MeshGenerationError,
                    MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
                    mesh_size, save_mesh, validate)
-from .solver import (ActiveSetPartition, ComplementarityReport, IterationLimitError,
-                     LviProblem, SingularSystemError, SolveStats, SolverError,
+from .solver import (ActiveSetPartition, IterationLimitError, LviProblem,
+                     SingularSystemError, SolveStats, SolverError,
                      complementarity_residual, contact_tolerance, solve_lvi,
                      update_partition)
 from .timeloop import (ProblemSpec, TimeGrid, TimeGridError, TransientSolution,
@@ -49,7 +49,7 @@ __all__ = [
     "MESH_FAMILIES", "MeshError", "MeshFormatError",
     "MeshGenerationError", "MeshValidationError", "PolytopalMesh",
     "generate_mesh", "load_mesh", "mesh_size", "save_mesh", "validate",
-    "ActiveSetPartition", "ComplementarityReport", "IterationLimitError",
+    "ActiveSetPartition", "IterationLimitError",
     "LviProblem", "SingularSystemError", "SolveStats", "SolverError",
     "complementarity_residual", "contact_tolerance", "solve_lvi",
     "update_partition",

@@ -182,20 +182,20 @@ def test1_case(variant: str = "derived_f") -> AnalyticCase:
     )
 
 
-def compare_test1_sources(n_space: int = 51, n_time: int = 11) -> dict:
+def compare_test1_sources() -> dict:
     """Largest discrepancy between the two source variants off the contact set.
 
-    Sampled on an n_space x n_space x n_time grid of (-1,1)^2 x [0,T]; the
+    Sampled on a 51 x 51 x 11 grid of (-1,1)^2 x [0,T]; the
     maximum of |printed - derived| over the sampled non-contact points is
     returned along with the sample counts.  The value is reported, never
     asserted to vanish.
     """
-    xs = np.linspace(-1.0, 1.0, n_space)
+    xs = np.linspace(-1.0, 1.0, 51)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     points = np.column_stack((X.ravel(), Y.ravel()))
     worst = 0.0
     n_outside = 0
-    for t in np.linspace(0.0, 0.25, n_time):
+    for t in np.linspace(0.0, 0.25, 11):
         r2 = _t1_r2(points, float(t))
         mask = r2 > _t1_radius(float(t)) ** 2
         n_outside += int(np.count_nonzero(mask))
@@ -412,18 +412,17 @@ def load_case_file(path) -> AnalyticCase:
     )
 
 
-def admissibility_violation(case: AnalyticCase, n_space: int = 101,
-                            n_time: int = 11) -> float:
-    """Largest value of psi - u_exact over a sample grid (0 when admissible)."""
+def admissibility_violation(case: AnalyticCase) -> float:
+    """Largest psi - u_exact on a 101 x 101 x 11 grid of box x [0, T] (0 if admissible)."""
     if case.u_exact is None:
         raise CaseError(f"case {case.name!r} has no exact solution")
     xmin, xmax, ymin, ymax = case.bbox
-    xs = np.linspace(xmin, xmax, n_space)
-    ys = np.linspace(ymin, ymax, n_space)
+    xs = np.linspace(xmin, xmax, 101)
+    ys = np.linspace(ymin, ymax, 101)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack((X.ravel(), Y.ravel()))
     psi = case.spec.obstacle(points)
     worst = -math.inf
-    for t in np.linspace(0.0, case.spec.final_time, n_time):
+    for t in np.linspace(0.0, case.spec.final_time, 11):
         worst = max(worst, float(np.max(psi - case.u_exact(points, float(t)))))
     return worst

@@ -171,7 +171,11 @@ def resolve_dt(args, case: AnalyticCase, h: float) -> float:
         coef = rule.get("coefficient", 1.0)
     if expo is None:
         expo = rule.get("exponent", 2.0)
-    return coef * h ** expo
+    try:
+        return coef * h ** expo
+    except OverflowError:
+        raise ConfigError(f"the dt rule dt = {coef!r} * h^{expo!r} overflows "
+                          f"for h = {h:.6g}") from None
 
 
 def resolve_meshes(args, case=None):
@@ -188,7 +192,7 @@ def resolve_meshes(args, case=None):
     if levels is None:
         raise ConfigError("no refinement levels given; use --levels")
     for n in parse_levels(levels):
-        yield f"{family}_l{n}", generate_mesh(family, n, args.bbox)
+        yield f"{family}_l{n}", generate_mesh(family, n, args.bbox or case.bbox)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -401,7 +405,7 @@ def _add_common(p):
     p.add_argument("--levels", "--level", type=parse_levels,
                    help="refinement level(s), e.g. '3', '1..4', '2,5'")
     p.add_argument("--bbox", type=parse_bbox, default=(-1.0, 1.0, -1.0, 1.0),
-                   help="domain box xmin,xmax,ymin,ymax")
+                   help="domain box xmin,xmax,ymin,ymax (default: the case's, else -1,1,-1,1)")
     p.add_argument("--mesh-format", choices=("native_json", "fvca_text"),
                    help="mesh file format (default: by extension)")
 
@@ -420,6 +424,7 @@ def _add_case_options(p):
                    help="p in the rule dt = c * h^p")
     p.add_argument("--quadrature", choices=("centroid", "fan3"), default="centroid",
                    help="cell quadrature for error norms (default centroid)")
+    p.set_defaults(bbox=None)  # a generated mesh then takes the case's box
 
 
 def build_parser() -> tuple:

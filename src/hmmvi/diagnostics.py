@@ -35,6 +35,11 @@ from .discretisation import (AssembledForms, GradientDiscretisation,
 from .timeloop import TransientSolution
 
 
+# The C_D power iteration stops at this relative change, or fails after CD_MAX_ITER.
+CD_TOL = 1e-8
+CD_MAX_ITER = 10_000
+
+
 class DiagnosticsError(Exception):
     """Missing exact data, degenerate norms or non-converged estimates."""
 
@@ -50,7 +55,7 @@ def _cell_quad_flat(mesh, rule: str):
         raise DiagnosticsError(f"unknown quadrature rule {rule!r}")
     from .quadrature import cell_rule
 
-    rules = [cell_rule(mesh, k, "fan3") for k in range(mesh.n_cells)]
+    rules = [cell_rule(mesh, k) for k in range(mesh.n_cells)]
     owner = np.repeat(np.arange(mesh.n_cells), 3 * np.diff(mesh.cell_offsets))
     return (np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
             owner)
@@ -202,12 +207,12 @@ def _plain_factorisation(forms: AssembledForms):
     return forms._plain_factor
 
 
-def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = None,
-                tol: float = 1e-8, max_iter: int = 10_000) -> float:
+def estimate_CD(gd: GradientDiscretisation,
+                forms: Optional[AssembledForms] = None) -> float:
     """Largest ratio of function to gradient reconstruction norms.
 
     Power iteration on the pencil (M, A0) restricted to the homogeneous
-    unknowns, stopped when the eigenvalue is stable to ``tol`` relative.
+    unknowns, stopped when the eigenvalue is stable to ``CD_TOL`` relative.
     """
     if forms is None:
         forms = assemble_forms(gd)
@@ -218,23 +223,22 @@ def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = No
     x = np.ones(free.size)
     x /= math.sqrt(float(x @ (A0 @ x)))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(CD_MAX_ITER):
         z = lu.solve(mass * x)
         nrm = math.sqrt(float(z @ (A0 @ z)))
         if nrm == 0.0:
             raise DiagnosticsError("power iteration collapsed to the null space")
         x = z / nrm
         lam_new = float(x @ (mass * x))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
+        if abs(lam_new - lam) <= CD_TOL * max(lam_new, 1e-300):
             return math.sqrt(lam_new)
         lam = lam_new
     raise DiagnosticsError(
-        f"power iteration did not stabilise within {max_iter} iterations")
+        f"power iteration did not stabilise within {CD_MAX_ITER} iterations")
 
 
 def estimate_WD(gd: GradientDiscretisation, omega: Callable, div_omega: Callable,
-                forms: Optional[AssembledForms] = None,
-                rule: str = "fan3") -> float:
+                forms: Optional[AssembledForms] = None) -> float:
     """Dual norm of the discrete Stokes defect for the field omega.
 
     ``omega(points)`` returns an (n, 2) array and ``div_omega(points)`` its
@@ -246,10 +250,10 @@ def estimate_WD(gd: GradientDiscretisation, omega: Callable, div_omega: Callable
     mesh = gd.mesh
 
     ell = np.zeros(gd.n_dofs)
-    pts, w, cidx = _cell_quad_flat(mesh, rule)
+    pts, w, cidx = _cell_quad_flat(mesh, "fan3")
     np.add.at(ell, cidx, w * np.asarray(div_omega(pts), dtype=float))
 
-    spts, sw, sidx = _subcell_quad_flat(gd, rule)
+    spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
     vals = np.asarray(omega(spts), dtype=float)
     moments = np.zeros((gd.n_subcells, 2))
     np.add.at(moments, sidx, sw[:, None] * vals)
@@ -270,25 +274,25 @@ class SdBound:
 
 
 def bound_SD(gd: GradientDiscretisation, phi: Callable, grad_phi: Callable,
-             psi: ObstacleVector, rule: str = "fan3") -> SdBound:
+             psi: ObstacleVector) -> SdBound:
     """Reconstruction errors of the admissible sampling interpolant of phi."""
     v = interpolate_exact(gd, phi, psi)
-    pts, w, cidx = _cell_quad_flat(gd.mesh, rule)
+    pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
     diff = v.cells[cidx] - np.asarray(phi(pts), dtype=float)
     func = math.sqrt(float(w @ diff**2))
 
     g = reconstruct_gradient_flat(gd, v)
-    spts, sw, sidx = _subcell_quad_flat(gd, rule)
+    spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
     gdiff = g[sidx] - np.asarray(grad_phi(spts), dtype=float)
     grad = math.sqrt(float(sw @ np.sum(gdiff**2, axis=1)))
     return SdBound(total=func + grad, function_part=func, gradient_part=grad)
 
 
 def initial_interp_error(gd: GradientDiscretisation, u_ini: Callable,
-                         psi: ObstacleVector, rule: str = "fan3") -> float:
+                         psi: ObstacleVector) -> float:
     """Distance between the initial datum and its admissible interpolant."""
     v = interpolate_initial(gd, u_ini, psi)
-    pts, w, cidx = _cell_quad_flat(gd.mesh, rule)
+    pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
     diff = v.cells[cidx] - np.asarray(u_ini(pts), dtype=float)
     return math.sqrt(float(w @ diff**2))
 
@@ -346,13 +350,11 @@ def standard_probes(bbox):
     }
 
 
-def gd_quality_report(gd: GradientDiscretisation,
-                      forms: Optional[AssembledForms] = None) -> GdQualityReport:
+def gd_quality_report(gd: GradientDiscretisation) -> GdQualityReport:
     """Evaluate all quality measures with the standard probes."""
     from .mesh import mesh_size
 
-    if forms is None:
-        forms = assemble_forms(gd)
+    forms = assemble_forms(gd)
     probes = standard_probes(gd.mesh.bbox)
     omega, div_omega = probes["sinusoidal_field"]
     bump, grad_bump = probes["polynomial_bump"]

@@ -32,6 +32,9 @@ import scipy.sparse as sp
 
 from .mesh import PolytopalMesh
 
+# Every diffusion tensor must have its eigenvalues in this closed interval.
+EIG_BOUNDS = (1e-12, 1e12)
+
 
 class DiscretisationError(Exception):
     """Invalid diffusion data or mismatched vector sizes."""
@@ -135,8 +138,8 @@ def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
     raise DiscretisationError(f"diffusion array has shape {arr.shape}")
 
 
-def _check_diffusion(field: np.ndarray, eig_bounds) -> None:
-    lo, hi = eig_bounds
+def _check_diffusion(field: np.ndarray) -> None:
+    lo, hi = EIG_BOUNDS
     bad = np.flatnonzero(~np.isfinite(field).all(axis=(1, 2)))
     if bad.size:
         k = int(bad[0])
@@ -158,7 +161,7 @@ def _check_diffusion(field: np.ndarray, eig_bounds) -> None:
         k = int(bad[0])
         raise DiscretisationError(
             f"diffusion eigenvalues on cell {k} are [{lam_min[k]:.3e}, {lam_max[k]:.3e}], "
-            f"outside the configured bounds [{lo:.3e}, {hi:.3e}]")
+            f"outside the allowed bounds [{lo:.3e}, {hi:.3e}]")
 
 
 class GradientDiscretisation:
@@ -169,11 +172,10 @@ class GradientDiscretisation:
     shared between solves.
     """
 
-    def __init__(self, mesh: PolytopalMesh, diffusion=None,
-                 eig_bounds=(1e-12, 1e12)):
+    def __init__(self, mesh: PolytopalMesh, diffusion=None):
         self.mesh = mesh
         self.diffusion = _as_diffusion_field(mesh, diffusion)
-        _check_diffusion(self.diffusion, eig_bounds)
+        _check_diffusion(self.diffusion)
         self.n_cells = mesh.n_cells
         self.n_edges = mesh.n_edges
         self.n_dofs = self.n_cells + self.n_edges
@@ -269,15 +271,14 @@ class GradientDiscretisation:
         return 0.5 * (A + A.T)
 
 
-def build_gd(mesh: PolytopalMesh, diffusion=None,
-             eig_bounds=(1e-12, 1e12)) -> GradientDiscretisation:
+def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
     """Build the discretisation for a mesh and an optional diffusion field.
 
     ``diffusion`` may be None (identity), a constant 2x2 array, a per-cell
     (n_cells, 2, 2) array, or a callable evaluated at the cell points.  Each
-    tensor must be symmetric with eigenvalues inside ``eig_bounds``.
+    tensor must be symmetric with eigenvalues inside ``EIG_BOUNDS``.
     """
-    return GradientDiscretisation(mesh, diffusion, eig_bounds)
+    return GradientDiscretisation(mesh, diffusion)
 
 
 # -- reconstructions ---------------------------------------------------------
@@ -330,9 +331,9 @@ def fluxes(gd: GradientDiscretisation, v: DofVector, k: int) -> np.ndarray:
     return -Av[1:] / gd.mesh.edge_lengths[eids]
 
 
-def flux_conservation_defect(gd: GradientDiscretisation, forms: AssembledForms,
-                             v: DofVector) -> float:
+def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:
     """Largest interior-edge defect |F_K + F_L| of the two-sided fluxes."""
+    gd = forms.gd
     gd.check_vector(v)
     resid = forms.stiffness @ v.values
     interior = gd.n_cells + gd.mesh.interior_edges

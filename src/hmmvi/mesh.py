@@ -24,6 +24,8 @@ from typing import Optional
 import numpy as np
 
 GEOM_TOL = 1e-12
+# Largest estimated cell count generate_mesh accepts.
+MAX_CELLS = 2_000_000
 
 MESH_FAMILIES = ("cartesian", "triangular", "hexagonal", "kershaw")
 
@@ -74,8 +76,12 @@ def _flatten_cells(cell_vertices):
         n, m = cell_vertices.shape
         return np.asarray(cell_vertices, dtype=int).ravel(), np.full(n, m)
     counts = np.fromiter(map(len, cell_vertices), dtype=int, count=len(cell_vertices))
-    flat = np.fromiter(itertools.chain.from_iterable(cell_vertices), dtype=int,
-                       count=int(counts.sum()))
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(cell_vertices), dtype=int,
+                           count=int(counts.sum()))
+    except OverflowError:  # an id beyond any vertex array
+        k = next(k for k, ids in enumerate(cell_vertices) if any(abs(v) >= 2**63 for v in ids))
+        raise MeshValidationError(f"cell {k} {_CELL_DEFECTS[1]}") from None
     return flat, counts
 
 
@@ -298,14 +304,13 @@ def mesh_size(mesh: PolytopalMesh) -> float:
     return float(np.max(mesh.cell_diameters))
 
 
-def validate(mesh: PolytopalMesh, require_bbox_cover: bool = True,
-             tol: float = GEOM_TOL) -> dict:
+def validate(mesh: PolytopalMesh) -> dict:
     """Check the mesh invariants and return a report of the worst defects.
 
     Raises MeshValidationError naming the offending cell or edge on the first
-    violated invariant.  With ``require_bbox_cover`` the cells must tile the
-    bounding box exactly: total area, Euler characteristic and the position of
-    boundary edges are all checked, which catches cracks and hanging nodes.
+    violated invariant.  The cells must tile the bounding box exactly: total
+    area, Euler characteristic and the position of boundary edges are all
+    checked, which catches cracks and hanging nodes.
     """
     xmin, xmax, ymin, ymax = mesh.bbox
     scale = max(xmax - xmin, ymax - ymin)
@@ -319,7 +324,7 @@ def validate(mesh: PolytopalMesh, require_bbox_cover: bool = True,
                        np.bincount(cell, flux[:, 1], minlength=n))
     perimeter = np.bincount(cell, lengths, minlength=n)
     dmin = np.minimum.reduceat(mesh.corner_edge_dists, starts)
-    open_cells = ~(closure <= tol * np.maximum(1.0, perimeter))
+    open_cells = ~(closure <= GEOM_TOL * np.maximum(1.0, perimeter))
     unseen = ~(dmin > 0.0)
     bad = np.flatnonzero(open_cells | unseen)
     if bad.size:
@@ -342,22 +347,22 @@ def validate(mesh: PolytopalMesh, require_bbox_cover: bool = True,
     area_defect = abs(area_sum - bbox_area) / bbox_area
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
 
-    if require_bbox_cover:
-        if area_defect > tol:
-            raise MeshValidationError(
-                f"cell areas sum to {area_sum!r}, bounding box area is {bbox_area!r}")
-        if euler != 1:
-            raise MeshValidationError(
-                f"Euler characteristic V - E + F = {euler}, expected 1")
-        boundary = mesh.boundary_edges
-        c = mesh.edge_centers[boundary]
-        on_box = ((np.minimum(np.abs(c[:, 0] - xmin), np.abs(c[:, 0] - xmax)) <= tol * scale)
-                  | (np.minimum(np.abs(c[:, 1] - ymin), np.abs(c[:, 1] - ymax)) <= tol * scale))
-        off_box = boundary[~on_box]
-        if off_box.size:
-            raise MeshValidationError(
-                f"edge {int(off_box[0])} has one owning cell but does not lie on the "
-                f"domain boundary (possible hanging node or crack)")
+    if area_defect > GEOM_TOL:
+        raise MeshValidationError(
+            f"cell areas sum to {area_sum!r}, bounding box area is {bbox_area!r}")
+    if euler != 1:
+        raise MeshValidationError(
+            f"Euler characteristic V - E + F = {euler}, expected 1")
+    boundary = mesh.boundary_edges
+    c = mesh.edge_centers[boundary]
+    near = GEOM_TOL * scale
+    on_box = ((np.minimum(np.abs(c[:, 0] - xmin), np.abs(c[:, 0] - xmax)) <= near)
+              | (np.minimum(np.abs(c[:, 1] - ymin), np.abs(c[:, 1] - ymax)) <= near))
+    off_box = boundary[~on_box]
+    if off_box.size:
+        raise MeshValidationError(
+            f"edge {int(off_box[0])} has one owning cell but does not lie on the "
+            f"domain boundary (possible hanging node or crack)")
 
     return {
         "n_cells": mesh.n_cells,
@@ -545,8 +550,7 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     return PolytopalMesh(verts, cells)
 
 
-def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0),
-                  max_cells: int = 2_000_000) -> PolytopalMesh:
+def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> PolytopalMesh:
     """Generate one mesh of the requested family at refinement level n.
 
     Level semantics per family (documented in docs/formats.md):
@@ -580,10 +584,10 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0),
     else:
         a = 0.5 / 2 ** (n - 1)
         estimate = int((xmax - xmin) * (ymax - ymin) / (1.5 * math.sqrt(3.0) * a * a)) + 1
-    if estimate > max_cells:
+    if estimate > MAX_CELLS:
         raise MeshGenerationError(
             f"level {n} of family {family!r} would create about {estimate} cells, "
-            f"more than the budget of {max_cells}")
+            f"more than the budget of {MAX_CELLS}")
 
     if family == "cartesian":
         mesh = _generate_cartesian(m, bbox)
@@ -642,6 +646,9 @@ def _load_native_json(path) -> PolytopalMesh:
             if type(v) is not int:
                 raise MeshFormatError(
                     f"{path}: cell {k} has vertex id {v!r}, expected an integer")
+    metadata = doc.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise MeshFormatError(f"{path}: 'metadata' must be a JSON object")
     vertices = _native_points(path, doc["vertices"], "vertices")
     points = doc.get("cell_points")
     if points is not None:
@@ -649,7 +656,7 @@ def _load_native_json(path) -> PolytopalMesh:
         if points.shape[0] != len(cells):
             raise MeshFormatError(
                 f"{path}: 'cell_points' has {points.shape[0]} points for {len(cells)} cells")
-    return PolytopalMesh(vertices, cells, cell_points=points, metadata=doc.get("metadata"))
+    return PolytopalMesh(vertices, cells, cell_points=points, metadata=metadata)
 
 
 def _native_points(path, value, name: str) -> np.ndarray:
@@ -679,25 +686,23 @@ def _load_fvca_text(path) -> PolytopalMesh:
                 return stripped.split(), pos
         raise MeshFormatError(f"{path}: unexpected end of file at line {pos}")
 
-    tokens, ln = next_tokens()
-    try:
-        nv = int(tokens[0])
-    except ValueError:
-        raise MeshFormatError(f"{path}:{ln}: expected vertex count, got {tokens[0]!r}")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
+    def next_count(what):
+        tokens, ln = next_tokens()
+        if not tokens[0].isdecimal():
+            raise MeshFormatError(f"{path}:{ln}: expected {what} count, got {tokens[0]!r}")
+        return int(tokens[0])
+
+    nv = next_count("vertex")
+    verts = []  # grown line by line: a count beyond the file is an end-of-file error
+    for _ in range(nv):
         tokens, ln = next_tokens()
         if len(tokens) < 2:
             raise MeshFormatError(f"{path}:{ln}: expected two coordinates")
         try:
-            verts[i] = (float(tokens[0]), float(tokens[1]))
+            verts.append((float(tokens[0]), float(tokens[1])))
         except ValueError:
             raise MeshFormatError(f"{path}:{ln}: bad vertex coordinates {tokens!r}")
-    tokens, ln = next_tokens()
-    try:
-        nc = int(tokens[0])
-    except ValueError:
-        raise MeshFormatError(f"{path}:{ln}: expected cell count, got {tokens[0]!r}")
+    nc = next_count("cell")
     cells = []
     for k in range(nc):
         tokens, ln = next_tokens()
@@ -710,7 +715,7 @@ def _load_fvca_text(path) -> PolytopalMesh:
             raise MeshFormatError(
                 f"{path}:{ln}: cell {k} announces {count} vertices, lists {len(ids)}")
         cells.append(ids)
-    return PolytopalMesh(verts, cells)
+    return PolytopalMesh(np.array(verts, dtype=float).reshape(nv, 2), cells)
 
 
 def load_mesh(path, fmt: Optional[str] = None) -> PolytopalMesh:

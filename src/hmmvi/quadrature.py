@@ -1,10 +1,8 @@
-"""Quadrature rules on polygonal cells and their edge subcells.
+"""Quadrature rule on polygonal cells.
 
-Two rules are used throughout: the one-point centroid rule, and a fan rule
-that splits the cell into triangles around x_K and applies the three-point
-edge-midpoint rule on each (exact for quadratics).  The subcell D_{K,sigma}
-is the triangle spanned by the edge and x_K, so the same two rules apply to
-subcells directly.
+The fan rule splits the cell into triangles around x_K and applies the
+three-point edge-midpoint rule on each (exact for quadratics).  The
+one-point centroid rule needs no construction and is built by its callers.
 """
 
 from __future__ import annotations
@@ -12,16 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def cell_rule(mesh, k: int, rule: str = "fan3"):
-    """Quadrature points and weights for cell k; weights sum to |K|.
+def cell_rule(mesh, k: int):
+    """Fan3 quadrature points and weights for cell k; weights sum to |K|.
 
-    The fan3 points of cell k come in triangle order (x_K, v_j, v_{j+1}),
-    three edge midpoints per triangle, each weighted by |T|/3.
+    The points come in triangle order (x_K, v_j, v_{j+1}), three edge
+    midpoints per triangle, each weighted by |T|/3.
     """
-    if rule == "centroid":
-        return mesh.cell_points[k][None, :], np.array([mesh.cell_areas[k]])
-    if rule != "fan3":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
     start, stop = mesh.cell_offsets[k], mesh.cell_offsets[k + 1]
     # Row j is the closed triangle (x_K, v_j, v_{j+1}, x_K).
     tri = np.empty((stop - start, 4, 2))

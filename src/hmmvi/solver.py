@@ -46,8 +46,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretisation import (AssembledForms, DofVector, GradientDiscretisation,
-                             ObstacleVector, flux_conservation_defect)
+from .discretisation import (AssembledForms, DofVector, ObstacleVector,
+                             flux_conservation_defect)
+
+# CG's relative tolerance; a linear residual above 1e3 times it is refused.
+LINEAR_TOL = 1e-12
+# Free unknowns up to which a system is factorised rather than solved by CG.
+DIRECT_LIMIT = 200_000
 
 
 class SolverError(Exception):
@@ -130,8 +135,6 @@ class LviProblem:
     alpha: float
     psi: ObstacleVector
     boundary_values: Optional[np.ndarray] = None
-    linear_tol: float = 1e-12
-    direct_limit: int = 200_000
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(S + alpha M) v, with the mass applied as its diagonal."""
@@ -167,15 +170,6 @@ class SolveStats:
         }
 
 
-@dataclass
-class ComplementarityReport:
-    """Per-cell complementarity measure min(u_K - psi_K, residual_K)."""
-
-    per_cell: np.ndarray
-    max_abs: float
-    worst_cell: int
-
-
 def contact_tolerance(problem: LviProblem) -> float:
     """Comparison tolerance for the set updates, scaled by the data."""
     scale = 1.0
@@ -184,14 +178,14 @@ def contact_tolerance(problem: LviProblem) -> float:
     return 1e-10 * scale
 
 
-def _cell_residuals(gd, problem, u):
+def _cell_residuals(problem, u):
     feas = u.cells - problem.psi.values
-    mult = problem.apply(u.values)[:gd.n_cells] - problem.rhs
+    mult = problem.apply(u.values)[:problem.forms.gd.n_cells] - problem.rhs
     return feas, mult
 
 
-def update_partition(gd: GradientDiscretisation, problem: LviProblem,
-                     u: DofVector, current: ActiveSetPartition) -> ActiveSetPartition:
+def update_partition(problem: LviProblem, u: DofVector,
+                     current: ActiveSetPartition) -> ActiveSetPartition:
     """One exchange of cells between the balance and contact sets.
 
     Balance cells at or below the obstacle move to contact (ties go to
@@ -199,34 +193,35 @@ def update_partition(gd: GradientDiscretisation, problem: LviProblem,
     negative or their value falls strictly below the obstacle.  The function
     is a pure map of (u, partition) and is idempotent at the solution.
     """
-    if current.n_cells != gd.n_cells:
+    n_cells = problem.forms.gd.n_cells
+    if current.n_cells != n_cells:
         raise SolverError(
-            f"partition covers {current.n_cells} cells, mesh has {gd.n_cells}")
+            f"partition covers {current.n_cells} cells, mesh has {n_cells}")
     tau = contact_tolerance(problem)
-    feas, mult = _cell_residuals(gd, problem, u)
+    feas, mult = _cell_residuals(problem, u)
     keep_contact = ~((mult < -tau) | (feas < -tau))
     enter_contact = feas <= tau
     return ActiveSetPartition(np.where(current.contact, keep_contact, enter_contact))
 
 
-def complementarity_residual(gd: GradientDiscretisation, problem: LviProblem,
-                             u: DofVector) -> ComplementarityReport:
-    """How far u is from satisfying the discrete complementarity system."""
-    feas, mult = _cell_residuals(gd, problem, u)
+def complementarity_residual(problem: LviProblem, u: DofVector) -> float:
+    """Largest |min(u_K - psi_K, residual_K)| over the cells.
+
+    Zero exactly when u satisfies the discrete complementarity system.
+    """
+    feas, mult = _cell_residuals(problem, u)
     per_cell = np.minimum(feas, mult)
-    worst = int(np.argmax(np.abs(per_cell))) if per_cell.size else 0
-    return ComplementarityReport(per_cell=per_cell,
-                                 max_abs=float(np.max(np.abs(per_cell))) if per_cell.size else 0.0,
-                                 worst_cell=worst)
+    return float(np.max(np.abs(per_cell))) if per_cell.size else 0.0
 
 
-def _linear_solve(gd, problem, partition):
+def _linear_solve(problem, partition):
     """Solve the linear system for a fixed partition.
 
     The balance cells are condensed out and only the interior-edge Schur
     complement is factorised.  Returns (u, residual, factorisation seconds),
     the residual measured on the uncondensed free system.
     """
+    gd = problem.forms.gd
     nc = gd.n_cells
     bdofs = gd.boundary_edge_dofs
     if problem.boundary_values is not None:
@@ -262,7 +257,7 @@ def _linear_solve(gd, problem, partition):
     try:
         if edofs.size == 0:
             x = np.zeros(0)
-        elif free_ids.size <= problem.direct_limit:
+        elif free_ids.size <= DIRECT_LIMIT:
             start = time.perf_counter()
             lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
@@ -270,7 +265,7 @@ def _linear_solve(gd, problem, partition):
             x = lu.solve(rhs_e)
         else:
             precond = sp.diags(1.0 / schur.diagonal())
-            x, info = spla.cg(schur, rhs_e, M=precond, rtol=problem.linear_tol,
+            x, info = spla.cg(schur, rhs_e, M=precond, rtol=LINEAR_TOL,
                               atol=0.0, maxiter=20 * free_ids.size)
             if info != 0:
                 raise SingularSystemError(
@@ -288,22 +283,21 @@ def _linear_solve(gd, problem, partition):
     rhs = g[free_ids]
     r = (problem.apply(u) - b)[free_ids]
     resid = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(rhs)))
-    if not np.isfinite(resid) or resid > 1e3 * problem.linear_tol:
+    if not np.isfinite(resid) or resid > 1e3 * LINEAR_TOL:
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)
     return DofVector(u, nc), resid, factor_s
 
 
-def solve_lvi(gd: GradientDiscretisation, problem: LviProblem,
-              warm: Optional[ActiveSetPartition] = None):
+def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     """Solve one variational inequality by the monotone active-set iteration.
 
     Starts from the warm-start partition when given (all cells in the balance
     set otherwise), and returns (u, partition, stats) where the partition is
     a fixed point of the set-update rule.
     """
-    nc = gd.n_cells
+    nc = problem.forms.gd.n_cells
     partition = warm.copy() if warm is not None else ActiveSetPartition.all_pde(nc)
     if partition.n_cells != nc:
         raise SolverError(
@@ -318,21 +312,20 @@ def solve_lvi(gd: GradientDiscretisation, problem: LviProblem,
     timings = stats.timings
     for it in range(1, nc + 2):
         start = time.perf_counter()
-        u, lin_resid, factor_s = _linear_solve(gd, problem, partition)
+        u, lin_resid, factor_s = _linear_solve(problem, partition)
         mid = time.perf_counter()
         timings["factor_s"] += factor_s
         timings["linear_s"] += mid - start
         stats.iterations = it
         stats.linear_residuals.append(lin_resid)
         stats.contact_sizes.append(partition.n_contact)
-        new = update_partition(gd, problem, u, partition)
+        new = update_partition(problem, u, partition)
         timings["update_s"] += time.perf_counter() - mid
         changed = int(np.count_nonzero(new.contact != partition.contact))
         stats.set_changes.append(changed)
         if changed == 0:
-            report = complementarity_residual(gd, problem, u)
-            stats.complementarity_max = report.max_abs
-            stats.conservation_defect = flux_conservation_defect(gd, problem.forms, u)
+            stats.complementarity_max = complementarity_residual(problem, u)
+            stats.conservation_defect = flux_conservation_defect(problem.forms, u)
             return u, partition, stats
         if new.key() in seen:
             raise IterationLimitError(

@@ -133,7 +133,6 @@ def _check_finite(values: np.ndarray, name: str, t: float) -> None:
 
 
 def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
-                  warm_start: bool = True,
                   on_step: Optional[Callable] = None) -> TransientSolution:
     """March the obstacle problem over the time grid.
 
@@ -174,12 +173,11 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
         rhs = areas * f_cells + alpha * areas * u.cells
         problem = LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
                              boundary_values=bvals)
-        u, partition, stats = solve_lvi(gd, problem, warm=warm)
+        u, partition, stats = solve_lvi(problem, warm=warm)
         vectors.append(u)
         all_stats.append(stats)
         partitions.append(partition)
-        if warm_start:
-            warm = partition
+        warm = partition
         if on_step is not None:
             on_step(n + 1, t_b, u, partition, stats)
 

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hmmvi import solver
 from hmmvi.discretisation import DofVector
 from hmmvi.solver import SingularSystemError, SolverError
 
@@ -125,11 +126,11 @@ def full_linear_solve(gd, problem, partition):
     Sff = S[free_ids][:, free_ids].tocsc()
 
     try:
-        if free_ids.size <= problem.direct_limit:
+        if free_ids.size <= solver.DIRECT_LIMIT:
             x = spla.splu(Sff).solve(rhs)
         else:
             precond = sp.diags(1.0 / Sff.diagonal())
-            x, info = spla.cg(Sff, rhs, M=precond, rtol=problem.linear_tol,
+            x, info = spla.cg(Sff, rhs, M=precond, rtol=solver.LINEAR_TOL,
                               atol=0.0, maxiter=20 * free_ids.size)
             if info != 0:
                 raise SingularSystemError(
@@ -143,7 +144,7 @@ def full_linear_solve(gd, problem, partition):
             partition=partition) from exc
 
     resid = float(np.linalg.norm(Sff @ x - rhs) / max(1.0, np.linalg.norm(rhs)))
-    if not np.isfinite(resid) or resid > 1e3 * problem.linear_tol:
+    if not np.isfinite(resid) or resid > 1e3 * solver.LINEAR_TOL:
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)

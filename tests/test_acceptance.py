@@ -109,7 +109,7 @@ def test_a3_active_set_matches_references():
                     psi=ObstacleVector(psi),
                     boundary_values=rng.standard_normal(
                         len(gd.boundary_edge_dofs)) * 0.3)
-                u, partition, stats = solve_lvi(gd, problem)
+                u, partition, stats = solve_lvi(problem)
                 reference = enumerate_lvi(gd, problem)
                 assert reference is not None
                 gauss = projected_gauss_seidel(gd, problem)

@@ -50,6 +50,7 @@ def test_validate_missing_file_is_usage_error(tmp_path):
     ("cells", [[0, 1, 2, [3]]]),
     ("cells", [[0, 1, 2.7, 3]]),
     ("vertices", [[0, 0], [1, "x"], [1, 1], [0, 1]]),
+    ("metadata", 5),
 ])
 def test_validate_rejects_malformed_native_json(tmp_path, field, value):
     doc = {"format": "polytopal-mesh", "version": 1,
@@ -199,6 +200,8 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
                  {"case.json": {**_GOOD_CASE,
                                 "recommended": {"dt_rule": {"fixed": [0.1]}}}},
                  "recommended.dt_rule.fixed", id="dt-rule-fixed-list"),
+    pytest.param(["--case", "test1", "--level", "2", "--dt-exp", "-3000"], {},
+                 "dt rule", id="dt-rule-overflow"),
 ])
 def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field):
     for name, doc in files.items():
@@ -212,6 +215,24 @@ def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field
     assert len(proc.stderr.strip().splitlines()) == 1
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_generated_mesh_box_is_flag_or_config_then_case(tmp_path):
+    (tmp_path / "case.json").write_text(json.dumps({**_GOOD_CASE, "bbox": [0, 1, 0, 1]}))
+    (tmp_path / "config.json").write_text(json.dumps({"bbox": [0, 2, 0, 1]}))
+    boxes = {}
+    for name, extra in (("case", []), ("flag", ["--bbox=0,3,0,1"]),
+                        ("config", ["--config", str(tmp_path / "config.json")])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file",
+             str(tmp_path / "case.json"), "--family", "cartesian", "--level", "2",
+             "--dt", "0.05", "--formats", "json", "--out", str(tmp_path / name), *extra],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        run = json.loads((tmp_path / name / "run.json").read_text())
+        boxes[name] = run["mesh"]["metadata"]["bbox"]
+    assert boxes == {"case": [0.0, 1.0, 0.0, 1.0], "flag": [0.0, 3.0, 0.0, 1.0],
+                     "config": [0.0, 2.0, 0.0, 1.0]}
 
 
 # Each bad option, given once as flags and once as a config key: (config key,
@@ -320,6 +341,108 @@ def test_validate_rejects_nonfinite_mesh_data(tmp_path, field, value, culprit):
     assert f"{culprit} has non-finite coordinates" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+# Two unit squares, in both mesh formats.
+_MESH_DOC = {"format": "polytopal-mesh", "version": 1,
+             "vertices": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
+             "cells": [[0, 1, 4, 3], [1, 2, 5, 4]],
+             "cell_points": [[0.5, 0.5], [1.5, 0.5]],
+             "metadata": {"family": "cartesian", "level": 1}}
+_MESH_TEXT = "6\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n2\n4 1 2 5 4\n4 2 3 6 5\n"
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    pytest.param("m.txt", "-1\n0 0\n", EXIT_USAGE, "expected vertex count, got '-1'",
+                 id="fvca-negative-vertex-count"),
+    pytest.param("m.txt", _MESH_TEXT.replace("\n2\n", "\n-2\n"), EXIT_USAGE,
+                 "expected cell count, got '-2'", id="fvca-negative-cell-count"),
+    pytest.param("m.txt", _MESH_TEXT.replace("6 5\n", "6 99999999999999999999\n"),
+                 EXIT_NUMERICAL, "cell 1 references an unknown vertex",
+                 id="fvca-id-beyond-int64"),
+    pytest.param("m.json", json.dumps({**_MESH_DOC, "cells": [[0, 1, 4, 3],
+                                                               [1, 2, 5, 2**70]]}),
+                 EXIT_NUMERICAL, "cell 1 references an unknown vertex",
+                 id="json-id-beyond-int64"),
+])
+def test_validate_bad_mesh_file_is_one_line(tmp_path, name, text, code, message):
+    path = tmp_path / name
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "hmmvi.cli", "validate", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert message in proc.stderr
+
+
+_MESH_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+# Counts stay at most 50, so no mutation asks for a large array.
+_MESH_TOKENS = (st.integers(-3, 50).map(str)
+                | st.sampled_from(["0.5", "-0", "+2", "1e3", "nan", "inf", "x", "#"]))
+
+
+def _mutate_json(data, doc):
+    """Replace or delete one node of ``doc`` at a path drawn from ``data``."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        if (isinstance(node[key], (dict, list)) and node[key]
+                and data.draw(st.integers(0, 3)) > 0):
+            node = node[key]
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(_MESH_VALUES)
+            return
+
+
+def _mutate_text(data, lines):
+    """Change one token, or delete, repeat or insert one line."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["token", "delete", "repeat", "insert"]))
+    if op == "token":
+        tokens = lines[i].split() or [""]
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_MESH_TOKENS)
+        lines[i] = " ".join(tokens)
+    elif op == "delete":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines.insert(i, " ".join(data.draw(st.lists(_MESH_TOKENS, max_size=4))))
+
+
+def _validate_exit_code(name, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        return run_cli("validate", str(path))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_native_mesh_fuzz_ends_in_an_exit_code(data):
+    doc = json.loads(json.dumps(_MESH_DOC))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_json(data, doc)
+    code = _validate_exit_code("mesh.json", json.dumps(doc))
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fvca_mesh_fuzz_ends_in_an_exit_code(data):
+    lines = _MESH_TEXT.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_text(data, lines)
+    code = _validate_exit_code("mesh.txt", "\n".join(lines) + "\n")
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
 
 
 def test_vtk_snapshot_is_wellformed(tmp_path):

@@ -221,9 +221,9 @@ def test_fan3_flattening_calls_cell_rule_once_per_cell(monkeypatch):
     seen = []
     cell_rule = hmmvi.quadrature.cell_rule
 
-    def counting_rule(m, k, rule="fan3"):
+    def counting_rule(m, k):
         seen.append(k)
-        return cell_rule(m, k, rule)
+        return cell_rule(m, k)
 
     monkeypatch.setattr(hmmvi.quadrature, "cell_rule", counting_rule)
     got = _cell_quad_flat(mesh, "fan3")

@@ -166,7 +166,7 @@ def test_conservation_defect_vanishes_at_discrete_solutions():
     S = forms.stiffness.tocsc()
     u = np.zeros(gd.n_dofs)
     u[free] = spla.spsolve(S[free][:, free], b[free])
-    defect = flux_conservation_defect(gd, forms, DofVector(u, m.n_cells))
+    defect = flux_conservation_defect(forms, DofVector(u, m.n_cells))
     assert defect < 1e-12
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmvi.mesh
 from hmmvi import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
                    mesh_size, save_mesh, validate)
@@ -81,7 +82,7 @@ def test_custom_cell_point_must_be_inside_star_region():
         [[0, 1, 2, 3]],
         cell_points=[[2.0, 0.5]])
     with pytest.raises(MeshValidationError, match="cell 0"):
-        validate(bad, require_bbox_cover=False)
+        validate(bad)
 
 
 def test_nonconforming_interface_is_rejected():
@@ -116,9 +117,10 @@ def test_more_than_two_owners_is_rejected():
         PolytopalMesh(verts, [[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 1, 2]])
 
 
-def test_generation_cell_budget():
+def test_generation_cell_budget(monkeypatch):
+    monkeypatch.setattr(hmmvi.mesh, "MAX_CELLS", 10)
     with pytest.raises(MeshGenerationError):
-        generate_mesh("cartesian", 2, max_cells=10)
+        generate_mesh("cartesian", 2)
 
 
 def test_unknown_family():

@@ -11,6 +11,7 @@ from hmmvi import (MESH_FAMILIES, ActiveSetPartition, LviProblem,
                    SingularSystemError, assemble_forms, build_gd,
                    complementarity_residual, contact_tolerance, generate_mesh,
                    solve_lvi, update_partition)
+from hmmvi import solver
 from hmmvi.discretisation import ObstacleVector
 from hmmvi.solver import _linear_solve
 
@@ -26,7 +27,7 @@ def _problem(gd, rhs, psi, alpha=1.0, bvals=None):
 def test_inactive_obstacle_is_one_unconstrained_solve(unit_square_gd):
     gd = unit_square_gd
     prob = _problem(gd, rhs=[1.0], psi=[-1e9])
-    u, part, stats = solve_lvi(gd, prob)
+    u, part, stats = solve_lvi(prob)
     assert stats.iterations == 1
     assert part.n_contact == 0
     # sanity: the single free equation is (alpha*|K| + A_KK) u_K = f_K
@@ -37,11 +38,10 @@ def test_inactive_obstacle_is_one_unconstrained_solve(unit_square_gd):
 def test_single_cell_pulled_onto_obstacle(unit_square_gd):
     gd = unit_square_gd
     prob = _problem(gd, rhs=[-4.0], psi=[0.0])
-    u, part, stats = solve_lvi(gd, prob)
+    u, part, stats = solve_lvi(prob)
     assert part.contact.tolist() == [True]
     assert u.values == pytest.approx(np.zeros(5))
-    rep = complementarity_residual(gd, prob, u)
-    assert rep.max_abs < 1e-14
+    assert complementarity_residual(prob, u) < 1e-14
 
 
 def test_solution_is_feasible_and_complementary():
@@ -50,10 +50,10 @@ def test_solution_is_feasible_and_complementary():
     rng = np.random.default_rng(11)
     prob = _problem(gd, rhs=rng.standard_normal(m.n_cells),
                     psi=rng.standard_normal(m.n_cells) * 0.2, alpha=2.0)
-    u, part, stats = solve_lvi(gd, prob)
+    u, part, stats = solve_lvi(prob)
     tau = contact_tolerance(prob)
     assert np.all(u.cells - prob.psi.values >= -tau)
-    assert complementarity_residual(gd, prob, u).max_abs <= 1e-10
+    assert complementarity_residual(prob, u) <= 1e-10
     assert stats.conservation_defect < 1e-10
 
 
@@ -66,7 +66,7 @@ def test_matches_reference_solvers(seed):
     psi = rng.standard_normal(m.n_cells) * 0.5
     bvals = rng.standard_normal(len(gd.boundary_edge_dofs)) * 0.3
     prob = _problem(gd, rhs, psi, alpha=float(rng.uniform(0.5, 4.0)), bvals=bvals)
-    u, part, stats = solve_lvi(gd, prob)
+    u, part, stats = solve_lvi(prob)
     ue = enumerate_lvi(gd, prob)
     assert ue is not None
     assert np.abs(u.values - ue).max() < 1e-9
@@ -80,8 +80,8 @@ def test_warm_start_from_converged_partition_takes_one_iteration():
     rng = np.random.default_rng(4)
     prob = _problem(gd, rhs=rng.standard_normal(m.n_cells) * 3.0,
                     psi=np.zeros(m.n_cells))
-    u, part, stats = solve_lvi(gd, prob)
-    u2, part2, stats2 = solve_lvi(gd, prob, warm=part)
+    u, part, stats = solve_lvi(prob)
+    u2, part2, stats2 = solve_lvi(prob, warm=part)
     assert stats2.iterations == 1
     assert part2 == part
     assert np.array_equal(u2.values, u.values)
@@ -91,10 +91,10 @@ def test_update_rule_moves_infeasible_cells_to_contact(unit_square_gd):
     gd = unit_square_gd
     prob = _problem(gd, rhs=[-4.0], psi=[0.0])
     part = ActiveSetPartition.all_pde(1)
-    u, _, _ = solve_lvi(gd, prob)  # converged vector, contact everywhere
+    u, _, _ = solve_lvi(prob)  # converged vector, contact everywhere
     # state a vector that dips below the obstacle
     bad = gd.vector(cells=[-1.0])
-    new = update_partition(gd, prob, bad, part)
+    new = update_partition(prob, bad, part)
     assert new.contact.tolist() == [True]
 
 
@@ -104,7 +104,7 @@ def test_update_rule_releases_negative_multipliers(unit_square_gd):
     prob = _problem(gd, rhs=[4.0], psi=[0.0])
     part = ActiveSetPartition(np.array([True]))
     pinned = gd.vector(cells=[0.0])
-    new = update_partition(gd, prob, pinned, part)
+    new = update_partition(prob, pinned, part)
     assert new.contact.tolist() == [False]
 
 
@@ -114,8 +114,8 @@ def test_update_is_a_fixed_point_at_the_solution():
     rng = np.random.default_rng(9)
     prob = _problem(gd, rhs=rng.standard_normal(m.n_cells) * 2.0,
                     psi=rng.standard_normal(m.n_cells) * 0.5)
-    u, part, _ = solve_lvi(gd, prob)
-    again = update_partition(gd, prob, u, part)
+    u, part, _ = solve_lvi(prob)
+    again = update_partition(prob, u, part)
     assert again == part
 
 
@@ -134,8 +134,8 @@ def test_update_depends_only_on_inputs(bits_contact, bits_vector):
                       for i in range(m.n_cells)])
     part = ActiveSetPartition(contact)
     v = gd.vector(cells=cells)
-    first = update_partition(gd, prob, v, part)
-    second = update_partition(gd, prob, v, part)
+    first = update_partition(prob, v, part)
+    second = update_partition(prob, v, part)
     assert first == second
     assert np.array_equal(part.contact, contact), "input partition mutated"
 
@@ -153,7 +153,7 @@ def test_stats_record_the_iteration_history():
     m = generate_mesh("cartesian", 2)
     gd = build_gd(m)
     prob = _problem(gd, rhs=np.full(m.n_cells, -4.0), psi=np.zeros(m.n_cells))
-    u, part, stats = solve_lvi(gd, prob)
+    u, part, stats = solve_lvi(prob)
     assert stats.iterations == len(stats.set_changes) == len(stats.contact_sizes)
     assert stats.set_changes[-1] == 0
     assert stats.contact_sizes[-1] == part.n_contact
@@ -165,7 +165,7 @@ def test_stats_record_the_iteration_history():
     assert 0.0 < d["timings"]["factor_s"] <= d["timings"]["linear_s"]
 
 
-def test_unreachable_linear_tolerance_is_reported():
+def test_unreachable_linear_tolerance_is_reported(monkeypatch):
     # a tolerance below machine precision cannot be certified, and the solver
     # must refuse rather than return a silently unverified solution
     m = generate_mesh("cartesian", 2)
@@ -173,10 +173,10 @@ def test_unreachable_linear_tolerance_is_reported():
     rng = np.random.default_rng(8)
     prob = LviProblem(forms=assemble_forms(gd),
                       rhs=rng.standard_normal(m.n_cells),
-                      alpha=1.0, psi=ObstacleVector(np.full(m.n_cells, -1e9)),
-                      linear_tol=1e-30)
+                      alpha=1.0, psi=ObstacleVector(np.full(m.n_cells, -1e9)))
+    monkeypatch.setattr(solver, "LINEAR_TOL", 1e-30)
     with pytest.raises(SingularSystemError):
-        solve_lvi(gd, prob)
+        solve_lvi(prob)
 
 
 def test_obstacle_must_be_finite():
@@ -184,25 +184,23 @@ def test_obstacle_must_be_finite():
         ObstacleVector(np.array([np.nan]))
 
 
-def test_iterative_path_matches_direct():
+def test_iterative_path_matches_direct(monkeypatch):
     m = generate_mesh("cartesian", 3)
     gd = build_gd(m)
     rng = np.random.default_rng(21)
     rhs = rng.standard_normal(m.n_cells)
     psi = np.zeros(m.n_cells)
-    forms = assemble_forms(gd)
-    direct = LviProblem(forms=forms, rhs=rhs, alpha=1.0,
-                        psi=ObstacleVector(psi))
-    iterative = LviProblem(forms=forms, rhs=rhs, alpha=1.0,
-                           psi=ObstacleVector(psi), direct_limit=0)
-    ud, _, _ = solve_lvi(gd, direct)
-    ui, _, _ = solve_lvi(gd, iterative)
+    prob = LviProblem(forms=assemble_forms(gd), rhs=rhs, alpha=1.0,
+                      psi=ObstacleVector(psi))
+    ud, _, _ = solve_lvi(prob)
+    monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+    ui, _, _ = solve_lvi(prob)
     assert np.abs(ud.values - ui.values).max() < 1e-8
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
 @pytest.mark.parametrize("level", [1, 2])
-def test_condensed_solve_matches_full_system_reference(family, level):
+def test_condensed_solve_matches_full_system_reference(monkeypatch, family, level):
     m = generate_mesh(family, level)
     gd = build_gd(m)
     nc = m.n_cells
@@ -222,11 +220,12 @@ def test_condensed_solve_matches_full_system_reference(family, level):
                       boundary_values=bvals)
             want, _ = full_linear_solve(gd, LviProblem(**kw), part)
             scale = max(np.linalg.norm(want.values), 1e-300)
-            got, resid, _ = _linear_solve(gd, LviProblem(**kw), part)
+            got, resid, _ = _linear_solve(LviProblem(**kw), part)
             assert np.linalg.norm(got.values - want.values) <= 1e-12 * scale
             assert resid <= 1e-12
-            cg, _, factor_s = _linear_solve(
-                gd, LviProblem(**kw, direct_limit=0), part)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "DIRECT_LIMIT", 0)
+                cg, _, factor_s = _linear_solve(LviProblem(**kw), part)
             assert factor_s == 0.0
             assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 
