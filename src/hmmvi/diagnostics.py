@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .discretisation import (AssembledForms, GradientDiscretisation,
                              ObstacleVector, assemble_forms,
                              interpolate_exact, interpolate_initial,
                              reconstruct_gradient_flat)
+from .solver import factorise_spd
 from .timeloop import TransientSolution
 
 
@@ -192,15 +192,14 @@ def eoc(errors, sizes) -> np.ndarray:
 def _plain_factorisation(forms: AssembledForms):
     """(A0, its factorisation), A0 the plain form on the free unknowns.
 
-    A0 is symmetric positive definite, so it is factorised with a symmetric
-    ordering and diagonal pivots, once per forms object.
+    A0 is symmetric positive definite, so it goes through the solver's SPD
+    factorisation, once per forms object.
     """
     if forms._plain_factor is None:
         free = forms.gd.free_dofs
         A0 = forms.plain_stiffness[free][:, free].tocsc()
         try:
-            lu = spla.splu(A0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            lu = factorise_spd(A0)
         except RuntimeError as exc:
             raise DiagnosticsError(f"gradient form is singular: {exc}") from exc
         forms._plain_factor = (A0, lu)

@@ -93,18 +93,21 @@ class AssembledForms:
 
     @property
     def split(self) -> tuple:
-        """(s_cc, B, Aee, edofs): the stiffness blocks of the condensed solve.
+        """(s_cc, B, Aee, edofs, Bt): the stiffness blocks of the condensed solve.
 
         s_cc is the diagonal of the cell-cell block (diagonal in HMM), B the
-        cell x interior-edge block, Aee the interior-edge block and edofs the
-        interior-edge unknowns.  None of them depends on alpha.
+        cell x interior-edge block, Aee the interior-edge block, edofs the
+        interior-edge unknowns and Bt the transpose of B, stored as CSR so
+        that each solve scales its columns in place of a diagonal product.
+        None of them depends on alpha.
         """
         if self._split is None:
             nc = self.gd.n_cells
             edofs = self.gd.free_dofs[nc:]
             cell_rows = self.stiffness[:nc]
-            self._split = (cell_rows.diagonal(), cell_rows[:, edofs],
-                           self.stiffness[edofs][:, edofs], edofs)
+            B = cell_rows[:, edofs]
+            self._split = (cell_rows.diagonal(), B, self.stiffness[edofs][:, edofs],
+                           edofs, B.T.tocsr())
         return self._split
 
     @property

@@ -483,6 +483,23 @@ def _round10(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _snap_to_corner_column(a: float, bbox) -> tuple:
+    """The box with its right line moved onto a nearby column of corners.
+
+    The lattice is centred on the box, so corner columns lie m a/2 from the
+    centre for every m not divisible by 3.  A box line within 1e-6 a of one,
+    but not on it, would cut triangles of area below the generator's floor
+    of 1e-12 a^2 (or corners within its 1e-10 rounding): they are dropped
+    and leave a crack.  Such a box keeps xmin and gets xmax = xmin + m a.
+    """
+    xmin, xmax, ymin, ymax = bbox
+    half = 0.5 * (xmax - xmin)
+    m = round(half / (0.5 * a))
+    if m % 3 != 0 and 0.0 < abs(half - 0.5 * a * m) <= 1e-6 * a:
+        xmax = xmin + m * a
+    return (xmin, xmax, ymin, ymax)
+
+
 def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     """Flat-top hexagon tiling clipped to the box.
 
@@ -559,7 +576,8 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     * ``triangular``: n x n squares each split into two right triangles, so
       the level is the subdivision count and the size can be tuned finely.
     * ``hexagonal``: hexagons of circumradius 0.5 / 2^(n-1), boundary cells
-      clipped to the box.
+      clipped to the box; a right box line within 1e-6 of the circumradius
+      of a column of corners is moved onto it (and so recorded).
     * ``kershaw``: 2^(n+2) x 2^(n+2) quadrilaterals from a smoothly sheared
       grid; the shear amplitude actually used is recorded in the metadata.
     """
@@ -596,6 +614,7 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     elif family == "kershaw":
         mesh = _generate_kershaw(m, bbox)
     else:
+        bbox = _snap_to_corner_column(a, bbox)
         mesh = _generate_hexagonal(a, bbox)
 
     mesh.metadata.setdefault("family", family)

@@ -31,9 +31,15 @@ cells and the Dirichlet values), the interior edges solve
 
     (A_ee - B^T diag(w) B) u_e = g_e - B^T (w g_cells),
 
-and the cells follow as u_K = w_K (g_K - B_K u_e).  The Schur complement is
-SPD because S is SPD on the free unknowns, so it is factorised with a
-symmetric minimum-degree ordering of A^T + A and diagonal pivots.
+and the cells follow as u_K = w_K (g_K - B_K u_e).  B^T is kept as CSR with
+the split, and diag(w) is applied by scaling its entries column by column.
+
+The Schur complement is SPD because S is SPD on the free unknowns.  Every SPD
+factorisation of the package, this one and the plain form of the quality
+measures, goes through ``factorise_spd``: SuperLU with a symmetric
+minimum-degree ordering of A^T + A, diagonal pivots, and relaxed supernodes
+and panels switched off, which on these 2-D mesh graphs cost more than they
+save.
 """
 
 from __future__ import annotations
@@ -53,6 +59,15 @@ from .discretisation import (AssembledForms, DofVector, ObstacleVector,
 LINEAR_TOL = 1e-12
 # Free unknowns up to which a system is factorised rather than solved by CG.
 DIRECT_LIMIT = 200_000
+# SuperLU's relaxed supernodes and panels, both off.  With them off, a
+# factorisation of the solver's Schur complements (6,816 to 32,512 unknowns:
+# triangular 48, 64 and 96, Cartesian 6 and 7, kershaw 4, hexagonal 6) takes
+# 0.61-0.79 of the time it takes with scipy's defaults, for the same fill, and
+# breaks even on Cartesian 8 (130,560 unknowns); median ratios, scipy 1.17 on
+# a 2-vCPU Xeon.  Try other values on every mesh family before changing them:
+# relax 100 with panel 30 aborted the process inside SuperLU.
+RELAX = 1
+PANEL_SIZE = 1
 
 
 class SolverError(Exception):
@@ -214,6 +229,13 @@ def complementarity_residual(problem: LviProblem, u: DofVector) -> float:
     return float(np.max(np.abs(per_cell))) if per_cell.size else 0.0
 
 
+def factorise_spd(A: sp.csc_matrix):
+    """SuperLU factors of a sparse SPD matrix: the package's one splu call."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     relax=RELAX, panel_size=PANEL_SIZE,
+                     options=dict(SymmetricMode=True))
+
+
 def _linear_solve(problem, partition):
     """Solve the linear system for a fixed partition.
 
@@ -232,7 +254,7 @@ def _linear_solve(problem, partition):
     else:
         bvals = np.zeros(bdofs.size)
 
-    s_cc, B, Aee, edofs = problem.forms.split
+    s_cc, B, Aee, edofs, Bt = problem.forms.split
     d = s_cc + problem.alpha * problem.forms.mass_diag[:nc]
     contact = partition.contact
     balance = ~contact
@@ -249,8 +271,11 @@ def _linear_solve(problem, partition):
     w = np.zeros(nc)
     w[balance] = 1.0 / d[balance]
     wg = w * g[:nc]
-    Bt = B.T
-    schur = (Aee - Bt @ sp.diags(w) @ B).tocsc()
+    # B^T diag(w) B with the diagonal applied to B^T's column entries: the
+    # same products and sums as the triple product, without forming diag(w).
+    BtW = Bt.copy()
+    BtW.data *= w[Bt.indices]
+    schur = (Aee - BtW @ B).tocsc()
     rhs_e = g[edofs] - Bt @ wg
 
     factor_s = 0.0
@@ -259,8 +284,7 @@ def _linear_solve(problem, partition):
             x = np.zeros(0)
         elif free_ids.size <= DIRECT_LIMIT:
             start = time.perf_counter()
-            lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            lu = factorise_spd(schur)
             factor_s = time.perf_counter() - start
             x = lu.solve(rhs_e)
         else:

@@ -54,8 +54,8 @@ class TimeGrid:
     @classmethod
     def uniform_from_dt(cls, final_time: float, dt: float) -> "TimeGrid":
         """Uniform grid with the largest step not exceeding dt."""
-        if not dt > 0.0:
-            raise TimeGridError(f"time step must be positive, got {dt!r}")
+        if not 0.0 < dt < math.inf:
+            raise TimeGridError(f"time step must be positive and finite, got {dt!r}")
         return cls.uniform(final_time, max(1, math.ceil(final_time / dt - 1e-12)))
 
     @property

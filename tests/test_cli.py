@@ -181,6 +181,17 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
                   "--vtk-every", "-1"], {}, "vtk_every", id="vtk-every-negative"),
     pytest.param(["--case", "test2", "--level", "2", "--dt", "nan"], {},
                  "time step", id="dt-nan"),
+    pytest.param(["--case", "test2", "--level", "2", "--dt", "inf"], {},
+                 "time step", id="dt-inf"),
+    pytest.param(["--case", "test2", "--level", "2", "--dt-coef", "inf"], {},
+                 "time step", id="dt-coef-inf"),
+    pytest.param(["--case", "test2", "--level", "2", "--config", "config.json"],
+                 {"config.json": {"dt": "inf"}}, "time step", id="dt-inf-config"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE,
+                                "recommended": {"dt_rule": {"coefficient": 1e308,
+                                                            "exponent": -2}}}},
+                 "time step", id="dt-rule-infinite"),
     pytest.param(["--case-file", "case.json", "--level", "2"],
                  {"case.json": {**_GOOD_CASE, "recommended": [1, 2]}},
                  "recommended must be an object", id="recommended-list"),

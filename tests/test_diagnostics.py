@@ -211,8 +211,9 @@ def test_quality_report_factorises_the_plain_form_once(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     gd_quality_report(build_gd(generate_mesh("hexagonal", 2)))
-    assert len(calls) == 1
-    assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A"
+    # The solver's SPD factorisation: the same options reach SuperLU.
+    assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          relax=1, panel_size=1, options=dict(SymmetricMode=True))]
 
 
 def test_fan3_flattening_calls_cell_rule_once_per_cell(monkeypatch):

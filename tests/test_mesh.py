@@ -425,3 +425,20 @@ def test_hexagonal_slivers_match_per_hexagon_reference_bitwise(level, bbox):
     ref = meshref._generate_hexagonal(a, bbox)
     for name in ("vertices", "cell_offsets", "corner_vertices"):
         assert getattr(mesh, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("rel_gap", [2e-10, 3e-8, 6e-7])
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("level", [1, 3])
+def test_hexagonal_box_line_near_a_corner_column_is_snapped_onto_it(level, centred, rel_gap):
+    # A right box line just past a column of corners cut triangles below the
+    # area floor, or corners within the 1e-10 rounding, and validation failed
+    # on the crack or the missing area; the line now moves onto the column.
+    a = 0.5 / 2 ** (level - 1)
+    gap = rel_gap * a
+    bbox = (-1.0 - gap, 1.0 + gap, -1.0, 1.0) if centred else (-1.0, 1.0 + gap, -1.0, 1.0 + gap)
+    mesh = generate_mesh("hexagonal", level, bbox)
+    snapped = mesh.metadata["bbox"]
+    assert snapped[0] == bbox[0] and snapped[2:] == list(bbox[2:])
+    assert 0.0 < abs(snapped[1] - bbox[1]) <= 2e-6 * a
+    assert mesh.vertices[:, 0].max() == round(snapped[1], 10)

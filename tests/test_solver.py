@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,3 +231,49 @@ def test_condensed_solve_matches_full_system_reference(monkeypatch, family, leve
             assert factor_s == 0.0
             assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 
+
+def _recording_splu(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def recording(A, **kwargs):
+        calls.append((A, kwargs))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls
+
+
+def test_solver_factorises_through_the_spd_path(monkeypatch):
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh("hexagonal", 2))
+    rng = np.random.default_rng(5)
+    _, _, stats = solve_lvi(_problem(gd, rhs=rng.standard_normal(gd.n_cells) - 2.0,
+                                     psi=np.zeros(gd.n_cells)))
+    assert stats.iterations > 1
+    # Relaxed supernodes and panels are off: measured faster on these meshes.
+    assert [kw for _, kw in calls] == stats.iterations * [dict(
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+        options=dict(SymmetricMode=True))]
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family):
+    # Scaling B^T's entries by w[column] does the triple product's multiplies
+    # and sums in its order; exact zeros (contact cells, cancellation on
+    # Cartesian meshes) are dropped by both.
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh(family, 3))
+    nc = gd.n_cells
+    rng = np.random.default_rng(11)
+    prob = _problem(gd, rhs=rng.standard_normal(nc), psi=np.zeros(nc), alpha=7.0)
+    s_cc, B, Aee, _, _ = prob.forms.split
+    d = s_cc + prob.alpha * prob.forms.mass_diag[:nc]
+    for contact in (np.zeros(nc, dtype=bool), rng.random(nc) < 0.3,
+                    np.ones(nc, dtype=bool)):
+        _linear_solve(prob, ActiveSetPartition(contact))
+        got = calls.pop()[0]
+        want = (Aee - B.T @ sp.diags(np.where(contact, 0.0, 1.0 / d)) @ B).tocsc()
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
