@@ -178,6 +178,21 @@ def resolve_dt(args, case: AnalyticCase, h: float) -> float:
                           f"for h = {h:.6g}") from None
 
 
+def check_mesh_box(mesh, case: AnalyticCase, tag: str) -> None:
+    """Warn when the mesh's box is not inside the case's box.
+
+    The slack is relative, 1e-9, because hexagonal vertices are rounded to
+    10 decimals.  It stays a warning: ``--bbox`` may move a generated mesh
+    off the case's box on purpose.
+    """
+    (x0, x1, y0, y1), (c0, c1, d0, d1) = mesh.bbox, case.bbox
+    slack = 1e-9 * max(1.0, *map(abs, case.bbox))
+    if x0 < c0 - slack or x1 > c1 + slack or y0 < d0 - slack or y1 > d1 + slack:
+        log.warning("mesh %s spans the box %s, which is not inside the box %s of "
+                    "case %s; its fields are evaluated outside their domain",
+                    tag, list(mesh.bbox), list(case.bbox), case.name)
+
+
 def resolve_meshes(args, case=None):
     """Yield (tag, mesh) pairs from files or a generated family."""
     if args.mesh:
@@ -230,6 +245,7 @@ def cmd_solve(args) -> int:
     if len(meshes) != 1:
         raise ConfigError(f"solve expects exactly one mesh, got {len(meshes)}")
     tag, mesh = meshes[0]
+    check_mesh_box(mesh, case, tag)
     gd = build_gd(mesh, case.spec.diffusion)
     h = mesh_size(mesh)
     dt = resolve_dt(args, case, h)
@@ -259,6 +275,7 @@ def cmd_solve(args) -> int:
 
     record = {
         "case": case.name,
+        "case_bbox": list(case.bbox),
         "mesh": {
             "cells": mesh.n_cells,
             "edges": mesh.n_edges,
@@ -267,6 +284,7 @@ def cmd_solve(args) -> int:
         },
         "time_nodes": solution.grid.nodes.tolist(),
         "iterations": solution.iterations,
+        "steps": [s.to_dict() for s in solution.stats],
         "contact_cells": [int(p.n_contact) for p in solution.partitions],
         "complementarity_max": max(s.complementarity_max for s in solution.stats),
         "conservation_defect": max(s.conservation_defect for s in solution.stats),
@@ -303,6 +321,7 @@ def cmd_converge(args) -> int:
 
     rows = []
     for tag, mesh in resolve_meshes(args, case):
+        check_mesh_box(mesh, case, tag)
         gd = build_gd(mesh, case.spec.diffusion)
         h = mesh_size(mesh)
         dt = resolve_dt(args, case, h)
@@ -340,6 +359,7 @@ def cmd_converge(args) -> int:
               "rel_l2", "rate_l2", "rel_grad", "rate_grad"]
     write_csv(out / "convergence.csv", header, [[r[k] for r in rows] for k in header])
     write_json(out / "convergence.json", {"case": case.name,
+                                          "case_bbox": list(case.bbox),
                                           "quadrature": args.quadrature,
                                           "levels": rows})
     write_csv(out / "convergence_loglog.dat", ["h", "rel_l2", "rel_grad"],

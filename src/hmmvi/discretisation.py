@@ -13,8 +13,7 @@ The stabilised gradient is exact for affine functions sampled at cell points
 and edge midpoints.  It is one linear map, stored as a sparse matrix G with
 two rows per subcell and one column per unknown.  Every form of the scheme is
 that map weighted and squared: the stiffness is G^T W G with W = |D| Lambda_K
-on each subcell, the plain stiffness uses W = |D|, and the local form of a
-cell is the same product over the rows of its subcells.
+on each subcell, and the plain stiffness uses W = |D|.
 
 Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
 non-homogeneous data the same unknowns are pinned to the boundary values
@@ -201,9 +200,8 @@ class GradientDiscretisation:
         self.subcell_centroids = (xk + verts + nxt) / 3.0
         self.subcell_triangles = np.stack((xk, verts, nxt), axis=1)
         self.n_subcells = cell.size
-        self._first_subcell = first
 
-        self._grad_matrix = self._build_gradient_matrix(normals, dists, lengths)
+        self._grad_matrix = self._build_gradient_matrix(first, normals, dists, lengths)
 
         bdofs = self.n_cells + mesh.boundary_edges
         self.boundary_edge_dofs = bdofs
@@ -211,7 +209,7 @@ class GradientDiscretisation:
         free[bdofs] = False
         self.free_dofs = np.nonzero(free)[0]
 
-    def _build_gradient_matrix(self, normals, dists, lengths) -> sp.csr_matrix:
+    def _build_gradient_matrix(self, first, normals, dists, lengths) -> sp.csr_matrix:
         """Rows 2s, 2s+1 hold the gradient on subcell s as a map of the dofs.
 
         For subcells s and t of cell K, with g_t = |sigma_t| n_t / |K| and
@@ -224,7 +222,7 @@ class GradientDiscretisation:
         counts = np.bincount(cell, minlength=self.n_cells)[cell]
         s = np.repeat(np.arange(self.n_subcells), counts)
         pair_first = np.cumsum(counts) - counts
-        t = self._first_subcell[cell[s]] + np.arange(s.size) - pair_first[s]
+        t = first[cell[s]] + np.arange(s.size) - pair_first[s]
 
         g = normals * lengths[:, None] / mesh.cell_areas[cell][:, None]
         c = (math.sqrt(2.0) / dists)[:, None] * normals
@@ -247,31 +245,11 @@ class GradientDiscretisation:
     def zeros(self) -> DofVector:
         return DofVector(np.zeros(self.n_dofs), self.n_cells)
 
-    def vector(self, cells=None, edges=None) -> DofVector:
-        v = self.zeros()
-        if cells is not None:
-            v.cells[:] = cells
-        if edges is not None:
-            v.edges[:] = edges
-        return v
-
     def check_vector(self, v: DofVector) -> None:
         if v.values.shape != (self.n_dofs,) or v.n_cells != self.n_cells:
             raise DiscretisationError(
                 f"vector has {v.values.shape[0]} entries for {v.n_cells} cells, "
                 f"expected {self.n_dofs} and {self.n_cells}")
-
-    # -- local forms -----------------------------------------------------
-
-    def local_stiffness(self, k: int) -> np.ndarray:
-        """Dense local form on (v_K, v_sigma1, ..., v_sigmam) of cell k."""
-        eids = self.mesh.cell_edges[k]
-        first, m = self._first_subcell[k], eids.size
-        dofs = np.concatenate(([k], self.n_cells + eids))
-        maps = self._grad_matrix[2 * first:2 * (first + m)][:, dofs].toarray()
-        W = np.kron(np.diag(self.subcell_volumes[first:first + m]), self.diffusion[k])
-        A = maps.T @ W @ maps
-        return 0.5 * (A + A.T)
 
 
 def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
@@ -285,12 +263,6 @@ def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
 
 
 # -- reconstructions ---------------------------------------------------------
-
-
-def reconstruct_function(gd: GradientDiscretisation, v: DofVector) -> np.ndarray:
-    """Cell values of the piecewise-constant reconstruction."""
-    gd.check_vector(v)
-    return v.cells.copy()
 
 
 def reconstruct_gradient_flat(gd: GradientDiscretisation, v: DofVector) -> np.ndarray:
@@ -318,20 +290,6 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     mass = np.zeros(gd.n_dofs)
     mass[:gd.n_cells] = gd.mesh.cell_areas
     return AssembledForms(gd=gd, stiffness=0.5 * (stiffness + stiffness.T), mass_diag=mass)
-
-
-def fluxes(gd: GradientDiscretisation, v: DofVector, k: int) -> np.ndarray:
-    """Numerical normal fluxes F_{K,sigma}(v) across the edges of cell k.
-
-    They are defined through the local gradient form by
-    sum_sigma |sigma| F_{K,sigma}(v) (w_K - w_sigma) = int_K Lambda grad_D v . grad_D w
-    for every test vector w, which pins them down uniquely.
-    """
-    gd.check_vector(v)
-    eids = gd.mesh.cell_edges[k]
-    loc = np.concatenate(([v.cells[k]], v.edges[eids]))
-    Av = gd.local_stiffness(k) @ loc
-    return -Av[1:] / gd.mesh.edge_lengths[eids]
 
 
 def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:

@@ -120,12 +120,12 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string")
+    names = frozenset(variables)
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+        _check(tree, names)
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: deep nesting
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
-    names = frozenset(variables)
-    _check(tree, names)
 
     def fn(**env):
         missing = names - env.keys()

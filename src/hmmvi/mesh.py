@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
@@ -97,31 +96,6 @@ def _number_by_first_appearance(keys: np.ndarray):
     return first[order], rank[inverse]
 
 
-class CellSlices(Sequence):
-    """Read-only per-cell views of a flat per-corner array.
-
-    Item k is ``flat[offsets[k]:offsets[k + 1]]``, made when it is read, so a
-    mesh holds no per-cell objects.
-    """
-
-    def __init__(self, flat: np.ndarray, offsets: np.ndarray):
-        self._flat = flat
-        self._bounds = offsets
-
-    def __len__(self) -> int:
-        return self._bounds.size - 1
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        k = range(len(self))[k]
-        return self._flat[self._bounds[k]:self._bounds[k + 1]]
-
-    def __iter__(self):
-        bounds = self._bounds.tolist()
-        return (self._flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
-
-
 class PolytopalMesh:
     """Conforming polygonal mesh with per-cell star points.
 
@@ -136,11 +110,11 @@ class PolytopalMesh:
     metadata : optional dict recorded verbatim (generator family, level,
         distortion caps and similar provenance of the construction).
 
-    Cells are stored flat: corner j of cell k is entry ``cell_offsets[k] + j``
-    of ``corner_vertices``, ``corner_edges``, ``corner_normals`` and
-    ``corner_edge_dists``, and pairs local vertex j with the edge from j to
-    j+1.  ``cell_vertices``, ``cell_edges``, ``cell_normals`` and
-    ``cell_edge_dists`` are the same arrays cut per cell.
+    Cells are stored only flat: corner j of cell k is entry
+    ``cell_offsets[k] + j`` of ``corner_vertices``, ``corner_edges``,
+    ``corner_normals`` and ``corner_edge_dists``, and pairs local vertex j
+    with the edge from j to j+1.  Cell k's slice of any of them is
+    ``[cell_offsets[k]:cell_offsets[k + 1]]``.
     """
 
     def __init__(self, vertices, cell_vertices, cell_points=None, metadata=None):
@@ -237,10 +211,6 @@ class PolytopalMesh:
                     self.cell_offsets, self.corner_vertices, self.corner_edges,
                     self.corner_normals, self.corner_edge_dists):
             arr.setflags(write=False)
-        self.cell_vertices = CellSlices(self.corner_vertices, offsets)
-        self.cell_edges = CellSlices(self.corner_edges, offsets)
-        self.cell_normals = CellSlices(self.corner_normals, offsets)
-        self.cell_edge_dists = CellSlices(self.corner_edge_dists, offsets)
 
     def _build_edges(self, cell, nxt):
         # Edges are numbered in the order the corners first reach them, and
@@ -332,9 +302,10 @@ def validate(mesh: PolytopalMesh) -> dict:
         if open_cells[k]:
             raise MeshValidationError(
                 f"cell {k}: edge normals do not close up (defect {closure[k]:.3e})")
-        j = int(np.argmin(mesh.cell_edge_dists[k]))
+        a, b = mesh.cell_offsets[k:k + 2]
+        j = a + int(np.argmin(mesh.corner_edge_dists[a:b]))
         raise MeshValidationError(
-            f"cell {k}: point x_K does not see edge {int(mesh.cell_edges[k][j])} "
+            f"cell {k}: point x_K does not see edge {int(mesh.corner_edges[j])} "
             f"from inside (d = {dmin[k]:.3e})")
 
     counts = np.sum(mesh.edge_cells >= 0, axis=1)
@@ -629,11 +600,12 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
 
 def save_mesh(mesh: PolytopalMesh, path) -> None:
     """Write the mesh in the native JSON format (see docs/formats.md)."""
+    ids, bounds = mesh.corner_vertices.tolist(), mesh.cell_offsets.tolist()
     doc = {
         "format": "polytopal-mesh",
         "version": 1,
         "vertices": mesh.vertices.tolist(),
-        "cells": [loc.tolist() for loc in mesh.cell_vertices],
+        "cells": [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
         "cell_points": mesh.cell_points.tolist(),
         "metadata": mesh.metadata,
     }

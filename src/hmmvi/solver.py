@@ -102,12 +102,6 @@ class ActiveSetPartition:
     def all_pde(cls, n_cells: int) -> "ActiveSetPartition":
         return cls(np.zeros(n_cells, dtype=bool))
 
-    @classmethod
-    def from_contact(cls, n_cells: int, ids) -> "ActiveSetPartition":
-        contact = np.zeros(n_cells, dtype=bool)
-        contact[np.asarray(ids, dtype=int)] = True
-        return cls(contact)
-
     @property
     def n_cells(self) -> int:
         return self.contact.size

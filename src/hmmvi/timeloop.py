@@ -22,6 +22,9 @@ from .discretisation import (DiscretisationError, GradientDiscretisation,
 from .solver import (TIMING_KEYS, ActiveSetPartition, LviProblem, SolveStats,
                      solve_lvi)
 
+# Largest step count a uniform grid accepts.
+MAX_STEPS = 1_000_000
+
 
 class TimeGridError(Exception):
     """Invalid time grid data."""
@@ -45,9 +48,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, final_time: float, n_steps: int) -> "TimeGrid":
-        if n_steps < 1 or final_time <= 0.0:
+        if not 1 <= n_steps <= MAX_STEPS or final_time <= 0.0:
             raise TimeGridError(
-                f"need a positive horizon and at least one step, "
+                f"need a positive horizon and 1 to {MAX_STEPS} steps, "
                 f"got T={final_time!r}, n={n_steps!r}")
         return cls(np.linspace(0.0, final_time, n_steps + 1))
 
@@ -56,7 +59,11 @@ class TimeGrid:
         """Uniform grid with the largest step not exceeding dt."""
         if not 0.0 < dt < math.inf:
             raise TimeGridError(f"time step must be positive and finite, got {dt!r}")
-        return cls.uniform(final_time, max(1, math.ceil(final_time / dt - 1e-12)))
+        steps = final_time / dt - 1e-12
+        if not steps <= MAX_STEPS:
+            raise TimeGridError(f"T={final_time!r} in steps of dt={dt!r} takes more "
+                                f"than {MAX_STEPS} steps")
+        return cls.uniform(final_time, max(1, math.ceil(steps)))
 
     @property
     def steps(self) -> np.ndarray:
@@ -69,10 +76,6 @@ class TimeGrid:
     @property
     def final_time(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def max_step(self) -> float:
-        return float(np.max(self.steps))
 
 
 @dataclass

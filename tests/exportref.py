@@ -3,7 +3,7 @@
 These are the writers the bulk-pass ``hmmvi.export.write_vtk`` and
 ``write_csv`` replaced, kept frozen so the new ones can be checked against
 them byte for byte.  ``write_vtk`` formats one line per vertex, per cell (read
-through ``mesh.cell_vertices``) and per field value, joins them and writes
+through ``cellref.cell_slices``) and per field value, joins them and writes
 them at the end; it writes the title as given, line breaks included.
 ``write_csv_rows`` formats one row at a time through ``csv.writer``.
 """
@@ -11,6 +11,8 @@ them at the end; it writes the title as given, line breaks included.
 import csv
 
 import numpy as np
+
+from cellref import cell_slices
 
 VTK_POLYGON = 7
 
@@ -25,9 +27,9 @@ def write_vtk(path, mesh, cell_fields, title="polytopal cell data"):
     lines.append(f"POINTS {mesh.n_vertices} double")
     for p in mesh.vertices:
         lines.append(f"{p[0]:.17g} {p[1]:.17g} 0")
-    size = sum(loc.size + 1 for loc in mesh.cell_vertices)
+    size = sum(loc.size + 1 for loc in cell_slices(mesh, mesh.corner_vertices))
     lines.append(f"CELLS {mesh.n_cells} {size}")
-    for loc in mesh.cell_vertices:
+    for loc in cell_slices(mesh, mesh.corner_vertices):
         lines.append(" ".join([str(loc.size)] + [str(int(v)) for v in loc]))
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines.extend([str(VTK_POLYGON)] * mesh.n_cells)

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from cellref import cell_slice
+
 
 def cell_gradient_maps(mesh, k):
     """Gradient maps (m, 2, m+1) and subcell volumes (m,) of cell k.
@@ -19,11 +21,11 @@ def cell_gradient_maps(mesh, k):
     ``maps[j]`` takes the local vector (v_K, v_sigma1, ..., v_sigmam) to the
     reconstructed gradient on subcell j.
     """
-    eids = mesh.cell_edges[k]
+    eids = cell_slice(mesh, mesh.corner_edges, k)
     m = eids.size
     lengths = mesh.edge_lengths[eids]
-    normals = mesh.cell_normals[k]
-    dists = mesh.cell_edge_dists[k]
+    normals = cell_slice(mesh, mesh.corner_normals, k)
+    dists = cell_slice(mesh, mesh.corner_edge_dists, k)
     xk = mesh.cell_points[k]
     mids = mesh.edge_centers[eids]
 
@@ -40,7 +42,7 @@ def cell_gradient_maps(mesh, k):
 
 
 def local_dofs(mesh, k):
-    return np.concatenate(([k], mesh.n_cells + mesh.cell_edges[k]))
+    return np.concatenate(([k], mesh.n_cells + cell_slice(mesh, mesh.corner_edges, k)))
 
 
 def gradient_matrix(mesh):

@@ -7,6 +7,8 @@ checked against it point for point and weight for weight.
 
 import numpy as np
 
+from cellref import cell_slice
+
 
 def _triangle_midpoint_rule(tri: np.ndarray):
     pts = 0.5 * (tri + np.roll(tri, -1, axis=0))
@@ -26,7 +28,7 @@ def cell_rule(mesh, k: int, rule: str = "fan3"):
     xk = mesh.cell_points[k]
     pts_list = []
     w_list = []
-    loc = mesh.cell_vertices[k]
+    loc = cell_slice(mesh, mesh.corner_vertices, k)
     verts = mesh.vertices[loc]
     for j in range(loc.size):
         tri = np.array([xk, verts[j], verts[(j + 1) % loc.size]])

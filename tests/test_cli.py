@@ -5,12 +5,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmvi.timeloop
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
 
 
@@ -82,6 +84,9 @@ def test_solve_writes_outputs(tmp_path):
     assert record["case"] == "test2"
     assert record["mesh"]["cells"] == 64
     assert len(record["iterations"]) == 5
+    n_steps = len(record["time_nodes"]) - 1
+    assert len(record["steps"]) == n_steps
+    assert [s["iterations"] for s in record["steps"]] == record["iterations"]
     assert record["complementarity_max"] <= 1e-8
     timings = record["solver_timings"]
     assert set(timings) == {"factor_s", "linear_s", "update_s"}
@@ -213,6 +218,20 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
                  "recommended.dt_rule.fixed", id="dt-rule-fixed-list"),
     pytest.param(["--case", "test1", "--level", "2", "--dt-exp", "-3000"], {},
                  "dt rule", id="dt-rule-overflow"),
+    # These fail in the run, after its first log line, hence --quiet.
+    pytest.param(["--case-file", "case.json", "--level", "2", "--quiet"],
+                 {"case.json": {**_GOOD_CASE, "source": "2**-1"}},
+                 "source: cannot evaluate '2**-1'", id="source-fails-when-evaluated"),
+    pytest.param(["--case-file", "case.json", "--level", "2", "--quiet"],
+                 {"case.json": {**_GOOD_CASE, "initial": "where(x)"}},
+                 "initial: cannot evaluate", id="initial-has-the-wrong-shape"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "final_time": 1e300}},
+                 "more than 1000000 steps", id="final-time-too-many-steps"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE,
+                                "recommended": {"dt_rule": {"fixed": 1e-300}}}},
+                 "more than 1000000 steps", id="dt-rule-too-many-steps"),
 ])
 def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field):
     for name, doc in files.items():
@@ -244,6 +263,56 @@ def test_generated_mesh_box_is_flag_or_config_then_case(tmp_path):
         boxes[name] = run["mesh"]["metadata"]["bbox"]
     assert boxes == {"case": [0.0, 1.0, 0.0, 1.0], "flag": [0.0, 3.0, 0.0, 1.0],
                      "config": [0.0, 2.0, 0.0, 1.0]}
+
+
+def _solve_case(tmp_path, name, case, *argv):
+    (tmp_path / "case.json").write_text(json.dumps(case))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file",
+         str(tmp_path / "case.json"), "--dt", "0.05", "--formats", "json",
+         "--out", str(tmp_path / name), *argv],
+        capture_output=True, text=True)
+    box_lines = [line for line in proc.stderr.splitlines() if "is not inside" in line]
+    return proc, box_lines, json.loads((tmp_path / name / "run.json").read_text())
+
+
+def test_mesh_file_outside_the_case_box_is_reported(tmp_path):
+    # The case lives on [0, 1]^2, the mesh file covers [-1, 1]^2.
+    assert run_cli("meshgen", "--family", "cartesian", "--levels", "2",
+                   "--out", str(tmp_path)) == EXIT_OK
+    proc, box_lines, run = _solve_case(
+        tmp_path, "run", {**_GOOD_CASE, "bbox": [0, 1, 0, 1]},
+        "--mesh", str(tmp_path / "cartesian_l02.json"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(box_lines) == 1
+    assert "[-1.0, 1.0, -1.0, 1.0]" in box_lines[0]
+    assert "[0.0, 1.0, 0.0, 1.0]" in box_lines[0]
+    assert run["case_bbox"] == [0.0, 1.0, 0.0, 1.0]
+    assert run["mesh"]["metadata"]["bbox"] == [-1.0, 1.0, -1.0, 1.0]
+
+
+def test_hexagonal_mesh_on_the_case_box_is_not_reported(tmp_path):
+    # Hexagonal vertices are rounded to 10 decimals, so on this box the mesh's
+    # box lies 3.3e-11 outside the case's on every side: inside the slack.
+    box = [-2 / 3, 2 / 3, -2 / 3, 2 / 3]
+    proc, box_lines, run = _solve_case(tmp_path, "run", {**_GOOD_CASE, "bbox": box},
+                                       "--family", "hexagonal", "--level", "2")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert box_lines == []
+    assert run["case_bbox"] == box
+
+
+def test_converge_reports_a_mesh_outside_the_case_box(tmp_path):
+    out = tmp_path / "conv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "converge", "--case", "test1",
+         "--family", "triangular", "--levels", "2,3", "--bbox=0,2,0,2",
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    box_lines = [line for line in proc.stderr.splitlines() if "is not inside" in line]
+    assert len(box_lines) == 2
+    doc = json.loads((out / "convergence.json").read_text())
+    assert doc["case_bbox"] == [-1.0, 1.0, -1.0, 1.0]
 
 
 # Each bad option, given once as flags and once as a config key: (config key,
@@ -313,6 +382,46 @@ def test_config_fuzz_ends_in_an_exit_code(config, junk):
         code = run_cli("solve", "--case", "test2", "--family", "cartesian",
                        "--level", "2", "--dt", "0.05", "--out", str(Path(tmp) / "run"),
                        "--config", str(path))
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
+
+
+# Per case field, values near valid ones (some fail only when evaluated) or
+# any JSON.  The fuzz run caps the step count, so that a long horizon ends
+# quickly in the budget's usage error.
+_EXPRESSIONS = ["0*x", "x*y - t", "sin(pi*x) * exp(-t)", "max(x, r)", "2**-1",
+                "min()", "where(x)", "atan2(x)", "log(x)", "1/0", "", "x +"]
+_NEAR_VALID_FIELDS = {
+    "name": ["plane", 5],
+    "final_time": [0.1, 1, 1e-300, 1e300, -1, True, "0.1"],
+    **{key: _EXPRESSIONS for key in ("source", "obstacle", "initial", "dirichlet")},
+    "diffusion": [2.0, [[1, 0], [0, 2]], [[1, 0], [0, -1]], [[1, 0.5], [0, 1]], [1, 2]],
+    "exact": [{"u": "x", "grad": ["1", "0"]}, {"u": "2**-1", "grad": ["0", "0"]},
+              {"u": "x", "grad": "1"}, {"u": "x"}],
+    "bbox": [[0, 1, 0, 1], [-1, 1, -1, 1], [1, 0, 0, 1], [0, 1e-300, 0, 1], [0, 1]],
+    "recommended": [{"dt_rule": {"fixed": 0.05}}, {"dt_rule": {"fixed": 1e-300}},
+                    {"dt_rule": {"coefficient": 0.5, "exponent": 1}},
+                    {"dt_rule": {"exponent": "x"}}, {"levels": "abc"}],
+}
+
+
+def _case_field(key):
+    """A (key, value) pair: a near-valid value three times in four."""
+    near = st.sampled_from(_NEAR_VALID_FIELDS[key])
+    return st.tuples(st.just(key), st.integers(0, 3).flatmap(
+        lambda i: _JSON_VALUES if i == 0 else near))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(fields=st.lists(st.sampled_from(sorted(_NEAR_VALID_FIELDS)).flatmap(_case_field),
+                       max_size=3))
+def test_case_file_fuzz_ends_in_an_exit_code(fields):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(hmmvi.timeloop, "MAX_STEPS", 100):
+        path = Path(tmp) / "case.json"
+        path.write_text(json.dumps({**_GOOD_CASE, **dict(fields)}))
+        code = run_cli("solve", "--case-file", str(path), "--family", "cartesian",
+                       "--level", "2", "--out", str(Path(tmp) / "run"),
+                       "--formats", "json")
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
 
 
@@ -544,6 +653,8 @@ def test_flag_equal_to_its_default_beats_the_config(tmp_path, monkeypatch, key,
         assert run_cli(*argv, *extra) == EXIT_OK
         rec = json.loads(Path("out", "run.json").read_text())
         del rec["wall_seconds"], rec["solver_timings"]
+        for step in rec["steps"]:
+            del step["timings"]
         outputs.append((sorted(map(str, Path().rglob("*"))), rec))
     assert outputs[0] == outputs[1]
 

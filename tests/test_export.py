@@ -7,6 +7,7 @@ from hmmvi import MESH_FAMILIES, PolytopalMesh, generate_mesh
 from hmmvi.export import write_csv, write_vtk
 
 import exportref
+from cellref import cell_slices
 
 
 def _fields(mesh):
@@ -28,7 +29,7 @@ def _meshes():
         for level in (1, 2):
             yield f"{family}-{level}", generate_mesh(family, level)
     mesh = generate_mesh("hexagonal", 2)
-    reversed_cells = [c[::-1].tolist() for c in mesh.cell_vertices]
+    reversed_cells = [c[::-1].tolist() for c in cell_slices(mesh, mesh.corner_vertices)]
     yield "hexagonal-2-reversed", PolytopalMesh(mesh.vertices, reversed_cells,
                                                 mesh.cell_points)
 
@@ -96,7 +97,7 @@ def test_vtk_round_trips_every_float(tmp_path, name):
     points, cells, parsed = _parse_vtk(path.read_text())
     assert all(p[2] == "0" for p in points)
     _assert_bitwise_equal([[float(p[0]), float(p[1])] for p in points], mesh.vertices)
-    assert cells == [[c.size] + c.tolist() for c in mesh.cell_vertices]
+    assert cells == [[c.size] + c.tolist() for c in cell_slices(mesh, mesh.corner_vertices)]
     assert list(parsed) == list(fields)
     for key, values in fields.items():
         _assert_bitwise_equal(parsed[key], values)

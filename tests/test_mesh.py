@@ -12,6 +12,7 @@ from hmmvi import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
 from hmmvi.mesh import _generate_hexagonal, _round10
 
 import meshref
+from cellref import cell_slice, cell_slices
 
 
 def test_cartesian_level_one_counts():
@@ -31,7 +32,7 @@ def test_triangular_counts_and_size():
 
 def test_hexagonal_has_polygon_mix():
     m = generate_mesh("hexagonal", 2)
-    sides = {len(cv) for cv in m.cell_vertices}
+    sides = set(np.diff(m.cell_offsets).tolist())
     assert 6 in sides
     assert any(s < 6 for s in sides), "clipping at the box should cut some cells"
     assert np.sum(m.cell_areas) == pytest.approx(4.0)
@@ -60,10 +61,10 @@ def test_generated_meshes_validate(family):
 def test_outward_normals_close_up(family):
     m = generate_mesh(family, 2)
     for k in range(m.n_cells):
-        lengths = m.edge_lengths[m.cell_edges[k]]
-        total = lengths @ m.cell_normals[k]
+        lengths = m.edge_lengths[cell_slice(m, m.corner_edges, k)]
+        total = lengths @ cell_slice(m, m.corner_normals, k)
         assert np.abs(total).max() < 1e-13 * lengths.sum()
-        assert np.all(m.cell_edge_dists[k] > 0)
+        assert np.all(cell_slice(m, m.corner_edge_dists, k) > 0)
 
 
 def test_clockwise_cells_are_normalized():
@@ -71,9 +72,9 @@ def test_clockwise_cells_are_normalized():
         np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
         [[0, 3, 2, 1]])
     assert cw.cell_areas[0] == pytest.approx(1.0)
-    for j, e in enumerate(cw.cell_edges[0]):
+    for j, e in enumerate(cell_slice(cw, cw.corner_edges, 0)):
         mid = cw.edge_centers[e]
-        assert (mid - cw.cell_points[0]) @ cw.cell_normals[0][j] > 0
+        assert (mid - cw.cell_points[0]) @ cw.corner_normals[j] > 0
 
 
 def test_custom_cell_point_must_be_inside_star_region():
@@ -134,8 +135,8 @@ def test_json_roundtrip_is_exact(tmp_path):
     save_mesh(m, path)
     m2 = load_mesh(path)
     assert np.array_equal(m.vertices, m2.vertices)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(m.cell_vertices, m2.cell_vertices))
+    assert np.array_equal(m.cell_offsets, m2.cell_offsets)
+    assert np.array_equal(m.corner_vertices, m2.corner_vertices)
     assert np.array_equal(m.cell_points, m2.cell_points)
     assert m2.metadata["family"] == "hexagonal"
 
@@ -192,19 +193,6 @@ def test_nonfinite_vertices_and_cell_points_are_rejected():
         PolytopalMesh(square, [[0, 1, 2, 3]], cell_points=[[np.nan, 0.5]])
 
 
-def test_cell_lists_are_read_only_views_of_the_corner_arrays():
-    m = generate_mesh("hexagonal", 2)
-    assert len(m.cell_vertices) == m.n_cells
-    off = m.cell_offsets
-    assert np.array_equal(m.cell_edges[-1], m.corner_edges[off[-2]:])
-    assert np.array_equal(m.cell_normals[3], m.corner_normals[off[3]:off[4]])
-    assert [c.size for c in m.cell_edge_dists[1:4]] == list(np.diff(off)[1:4])
-    with pytest.raises(IndexError):
-        m.cell_vertices[m.n_cells]
-    with pytest.raises(ValueError):
-        m.cell_vertices[0][0] = 5
-
-
 # -- parity with the frozen per-cell construction ------------------------------
 
 
@@ -216,8 +204,9 @@ def _rel(a, b) -> float:
 def _assert_same_mesh(mesh, ref):
     """Topology bitwise, geometry to 1e-14 relative."""
     assert (mesh.n_cells, mesh.n_edges) == (ref.n_cells, ref.n_edges)
-    for name in ("cell_vertices", "cell_edges"):
-        got, want = getattr(mesh, name), getattr(ref, name)
+    for name, flat in (("cell_vertices", mesh.corner_vertices),
+                       ("cell_edges", mesh.corner_edges)):
+        got, want = cell_slices(mesh, flat), getattr(ref, name)
         assert len(got) == len(want)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
     for name in ("edge_vertices", "edge_cells"):
@@ -225,9 +214,9 @@ def _assert_same_mesh(mesh, ref):
     for name in ("cell_areas", "cell_diameters", "cell_points", "edge_centers",
                  "edge_lengths"):
         assert _rel(getattr(mesh, name), getattr(ref, name)) <= 1e-14, name
-    for name in ("cell_normals", "cell_edge_dists"):
-        assert _rel(np.concatenate(list(getattr(mesh, name))),
-                    np.concatenate(getattr(ref, name))) <= 1e-14, name
+    for name, flat in (("cell_normals", mesh.corner_normals),
+                       ("cell_edge_dists", mesh.corner_edge_dists)):
+        assert _rel(flat, np.concatenate(getattr(ref, name))) <= 1e-14, name
     assert mesh.bbox == ref.bbox
 
 
@@ -275,7 +264,7 @@ def _assert_same_outcome(mesh, report, ref, ref_report):
 def test_mesh_matches_per_cell_reference(family, level, layout):
     generated = generate_mesh(family, level)
     vertices = generated.vertices
-    cells = [c.tolist() for c in generated.cell_vertices]
+    cells = [c.tolist() for c in cell_slices(generated, generated.corner_vertices)]
     if layout == "reversed":
         cells = [c[::-1] for c in cells]
     elif layout == "alternate":

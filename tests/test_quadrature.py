@@ -7,6 +7,7 @@ from hmmvi import MESH_FAMILIES, PolytopalMesh, generate_mesh
 from hmmvi.quadrature import cell_rule
 
 import quadref
+from cellref import cell_slices
 
 
 def _same_bits(a, b):
@@ -18,7 +19,7 @@ def _meshes():
         for level in (1, 2):
             yield f"{family}-{level}", generate_mesh(family, level)
     hexagons = generate_mesh("hexagonal", 2)
-    loops = [loc.tolist() for loc in hexagons.cell_vertices]
+    loops = [loc.tolist() for loc in cell_slices(hexagons, hexagons.corner_vertices)]
     # Reversed lists are put back in counterclockwise order by the mesh;
     # rotating them as well moves the first corner of every cell.
     yield "hexagonal-2-reversed", PolytopalMesh(hexagons.vertices, [c[::-1] for c in loops])

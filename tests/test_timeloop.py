@@ -15,7 +15,15 @@ def test_uniform_grid():
     assert g.n_steps == 4
     assert g.final_time == 1.0
     assert np.allclose(g.steps, 0.25)
-    assert g.max_step == pytest.approx(0.25)
+
+
+def test_step_budget_is_checked_before_the_grid_is_built():
+    with pytest.raises(TimeGridError, match="1 to 1000000 steps"):
+        TimeGrid.uniform(1.0, hmmvi.timeloop.MAX_STEPS + 1)
+    # T / dt overflows to inf here
+    with pytest.raises(TimeGridError, match="more than 1000000 steps"):
+        TimeGrid.uniform_from_dt(1e300, 1e-300)
+    assert TimeGrid.uniform_from_dt(1.0, 1e-6).n_steps == hmmvi.timeloop.MAX_STEPS
 
 
 def test_uniform_from_dt_rounds_up():
