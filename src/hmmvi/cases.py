@@ -308,7 +308,14 @@ def _spacetime_fn(expr_text, what):
     return lambda points, t: evaluate(points, t=t)
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _numbers(value, what) -> np.ndarray:
+    # numpy reads true as 1.0, so a mistyped flag would become a number.
+    if _has_bool(value):
+        raise CaseError(f"{what} must be numeric, got {value!r}")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

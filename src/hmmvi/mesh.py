@@ -25,6 +25,8 @@ import numpy as np
 GEOM_TOL = 1e-12
 # Largest estimated cell count generate_mesh accepts.
 MAX_CELLS = 2_000_000
+# A hexagon corner this close to a box line, in circumradii, lies on it.
+ON_LINE_TOL = 1e-6
 
 MESH_FAMILIES = ("cartesian", "triangular", "hexagonal", "kershaw")
 
@@ -43,12 +45,6 @@ class MeshValidationError(MeshError):
 
 class MeshGenerationError(MeshError):
     """A generator was asked for something it cannot produce."""
-
-
-def _polygon_signed_area(pts: np.ndarray) -> float:
-    x = pts[:, 0]
-    y = pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 # Per-cell defects in the order they are checked; a mesh error names the
@@ -411,34 +407,6 @@ def _generate_kershaw(m: int, bbox, target_amplitude: float = 0.3,
         f"no valid distortion amplitude found for kershaw mesh with m={m}")
 
 
-def _clip_to_box(pts: np.ndarray, bbox) -> np.ndarray:
-    """Sutherland-Hodgman clipping of a convex polygon against a box."""
-    xmin, xmax, ymin, ymax = bbox
-    halfplanes = (
-        lambda p: p[0] - xmin,
-        lambda p: xmax - p[0],
-        lambda p: p[1] - ymin,
-        lambda p: ymax - p[1],
-    )
-    poly = [p for p in pts]
-    for inside in halfplanes:
-        if not poly:
-            return np.empty((0, 2))
-        out = []
-        n = len(poly)
-        for i in range(n):
-            a, b = poly[i], poly[(i + 1) % n]
-            da, db = inside(a), inside(b)
-            if da >= 0.0:
-                out.append(a)
-                if db < 0.0:
-                    out.append(a + (b - a) * (da / (da - db)))
-            elif db >= 0.0:
-                out.append(a + (b - a) * (da / (da - db)))
-        poly = out
-    return np.array(poly) if poly else np.empty((0, 2))
-
-
 def _round10(x: np.ndarray) -> np.ndarray:
     """``round(value, 10)`` of every entry, bit for bit.
 
@@ -454,88 +422,108 @@ def _round10(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snap_to_corner_column(a: float, bbox) -> tuple:
-    """The box with its right line moved onto a nearby column of corners.
-
-    The lattice is centred on the box, so corner columns lie m a/2 from the
-    centre for every m not divisible by 3.  A box line within 1e-6 a of one,
-    but not on it, would cut triangles of area below the generator's floor
-    of 1e-12 a^2 (or corners within its 1e-10 rounding): they are dropped
-    and leave a crack.  Such a box keeps xmin and gets xmax = xmin + m a.
-    """
-    xmin, xmax, ymin, ymax = bbox
-    half = 0.5 * (xmax - xmin)
-    m = round(half / (0.5 * a))
-    if m % 3 != 0 and 0.0 < abs(half - 0.5 * a * m) <= 1e-6 * a:
-        xmax = xmin + m * a
-    return (xmin, xmax, ymin, ymax)
-
-
 def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     """Flat-top hexagon tiling clipped to the box.
 
-    Boundary hexagons are cut to pentagons, quadrilaterals or triangles; the
-    cut keeps the tiling conforming because neighbouring cells are clipped
-    against the same box lines.  Corners are rounded to 10 decimals, equal
-    rounded corners are one vertex, and vertices are numbered in the order
-    the lattice sweep (i, then j) first reaches them.  Only the hexagons that
-    cross the box are clipped, one by one.
+    Vertices are named by topology: a lattice corner by its integer id, a
+    cut point by its lattice edge and box line, a box corner by its two
+    lines.  Lattice corner (c, r) lies at (cx0 + c a/2, cy0 + r sqrt(3) a/2)
+    from the box centre, and its side of each box line is decided there,
+    once; within ON_LINE_TOL a of a line it lies on the line and takes the
+    line's coordinate.  Hexagons inside the box keep their six corners; the
+    others are clipped one by one against xmin, xmax, ymin and ymax
+    (Sutherland-Hodgman) on those decisions.  A cut point is interpolated
+    along its hexagon's edge and takes its line's coordinate with the sign
+    of the interpolated value, so a cut just below y = 0 reads -0.0.
+    Vertices are numbered in the order the lattice sweep (i, then j) first
+    reaches them, with that reach's coordinates rounded to 10 decimals; a
+    hexagon that only touches the box reaches the points it touches.
     """
-    xmin, xmax, ymin, ymax = bbox
+    xmin, xmax, ymin, ymax = map(float, bbox)
     a = circumradius
     dy = math.sqrt(3.0) * a
-    offsets = np.array([(math.cos(t), math.sin(t))
-                        for t in np.arange(6) * math.pi / 3.0]) * a
-    cx0 = 0.5 * (xmin + xmax)
-    cy0 = 0.5 * (ymin + ymax)
-
+    cx0, cy0 = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
     ni = int(math.ceil((xmax - xmin) / (3.0 * a))) + 2
     nj = int(math.ceil((ymax - ymin) / dy)) + 2
     i, j = (g.ravel() for g in np.meshgrid(np.arange(-ni, ni + 1), np.arange(-nj, nj + 1),
                                            indexing="ij"))
+    c = 3 * i[:, None] + np.array([2, 1, -1, -2, -1, 1])
+    r = 2 * j[:, None] + (i % 2)[:, None] + np.array([0, 1, 1, 0, -1, -1])
+    ids = (c + 3 * ni + 2) * (4 * nj + 5) + (r + 2 * nj + 2)  # >= 0; cut points < 0
+    lattice = (cx0 + 0.5 * a * c, cy0 + 0.5 * dy * r)
+    # (axis, value, inward sign) of xmin, xmax, ymin, ymax
+    lines = ((0, xmin, 1.0), (0, xmax, -1.0), (1, ymin, 1.0), (1, ymax, -1.0))
+    dist = np.stack([s * (lattice[axis] - v) for axis, v, s in lines], axis=-1)
+    side = np.where(np.abs(dist) <= ON_LINE_TOL * a, 0, np.sign(dist)).astype(np.int8)
+    # Each hexagon computes its own corners, centre plus offset.
     centers = np.column_stack((cx0 + 1.5 * a * i,
                                cy0 + dy * j + np.where(i % 2 == 1, 0.5 * dy, 0.0)))
-    corners = centers[:, None, :] + offsets
-    x, y = corners[..., 0], corners[..., 1]
-    dist = np.stack((x - xmin, xmax - x, y - ymin, ymax - y), axis=-1)
-    inside = (dist >= 0.0).all(axis=(1, 2))
-    # Clipping computes points within rounding of the corners' hull, so a
-    # hexagon whose corners all lie clearly beyond one box line clips to nothing.
-    margin = 1e-9 * (a + max(abs(v) for v in bbox))
-    crossing = np.flatnonzero(~inside & ~(dist < -margin).all(axis=1).any(axis=1))
-    cut = [_clip_to_box(corners[k], bbox) for k in crossing]
+    offsets = np.array([(math.cos(t), math.sin(t)) for t in np.arange(6) * math.pi / 3.0]) * a
+    xy = centers[:, None, :] + offsets
+    for k, (axis, v, _) in enumerate(lines):
+        xy[..., axis][side[..., k] == 0] = v
 
-    # A clip to fewer than 3 points adds no vertex; every other cell does,
-    # even if it is dropped below.
+    inside = (side >= 0).all(axis=(1, 2))
+    crossing = np.flatnonzero(~inside & ~(side < 0).all(axis=1).any(axis=1))
+    known = {}  # name of a cut point or box corner -> (vertex key, sides)
+
+    def cut(p, q, k):
+        """Where segment p q crosses line k; a point is (key, x, y, sides, edge)."""
+        axis, v, s = lines[k]
+        dp, dq = s * (p[1 + axis] - v), s * (q[1 + axis] - v)
+        t = dp / (dp - dq)
+        pt = [p[1] + (q[1] - p[1]) * t, p[2] + (q[2] - p[2]) * t]
+        shared = [n for n in range(4) if p[3][n] == q[3][n] == 0]
+        edge = p[4] or q[4] or (min(p[0], q[0]), max(p[0], q[0]))
+        name = ("box", *sorted(shared + [k])) if shared else (edge, k)
+        if name not in known:
+            # On every other line the point lies on the side p and q share;
+            # where they lie on opposite sides, on the side it is computed on.
+            sides = []
+            for n, (ax, vl, sl) in enumerate(lines):
+                d = p[3][n] + q[3][n] if p[3][n] * q[3][n] >= 0 else sl * (pt[ax] - vl)
+                sides.append(0 if n == k else (d > 0) - (d < 0))
+            on = [n for n in range(4) if sides[n] == 0]
+            key = (-1 - len(known), tuple(sides))
+            # A point on two lines is their box corner, however it is reached.
+            known[name] = known.setdefault(("box", *on), key) if len(on) > 1 else key
+        key, sides = known[name]
+        for n, (ax, vl, _) in enumerate(lines):
+            if sides[n] == 0:
+                pt[ax] = math.copysign(vl, pt[ax])
+        return key, pt[0], pt[1], sides, None if shared else edge
+
     count = np.where(inside, 6, 0)
-    count[crossing] = [p.shape[0] if p.shape[0] >= 3 else 0 for p in cut]
+    clipped = []
+    for h in crossing.tolist():
+        poly = [(key, x, y, sides, None) for key, (x, y), sides in
+                zip(ids[h].tolist(), xy[h].tolist(), map(tuple, side[h].tolist()))]
+        for k in range(4):
+            out = []
+            for p, q in zip(poly, poly[1:] + poly[:1]):
+                if p[3][k] >= 0:
+                    out.append(p)
+                if p[3][k] * q[3][k] < 0:
+                    out.append(cut(p, q, k))
+            poly = out
+        if poly:
+            count[h] = len(poly)
+            clipped.append((h, poly))
+
     start = np.cumsum(count) - count
-    pts = np.empty((int(count.sum()), 2))
-    pts[start[inside][:, None] + np.arange(6)] = corners[inside]
-    for k, p in zip(crossing.tolist(), cut):
-        if p.shape[0] >= 3:
-            pts[start[k]:start[k] + p.shape[0]] = p
-    rounded = _round10(pts)
-    _, ix = np.unique(rounded[:, 0], return_inverse=True)
-    uy, iy = np.unique(rounded[:, 1], return_inverse=True)
-    first, ids = _number_by_first_appearance(ix * uy.size + iy)
-    verts = rounded[first]
-
-    # Interior hexagons keep their six corners; a clipped cell drops repeated
-    # vertices and is dropped itself if fewer than 3 remain or its area is tiny.
-    flat = ids.tolist()
-    cells = [flat[s:s + c] for s, c in zip(start.tolist(), count.tolist())]
-    for k in crossing.tolist():
-        ids_k = []
-        for v in cells[k]:
-            if not ids_k or (v != ids_k[-1] and v != ids_k[0]):
-                ids_k.append(v)
-        if len(ids_k) < 3 or abs(_polygon_signed_area(verts[ids_k])) < 1e-12 * a * a:
-            ids_k = []
-        cells[k] = ids_k
-    cells = [loc for loc in cells if loc]
-
-    return PolytopalMesh(verts, cells)
+    keys = np.empty(int(count.sum()), dtype=int)
+    pts = np.empty((keys.size, 2))
+    at = start[inside][:, None] + np.arange(6)
+    keys[at] = ids[inside]
+    pts[at] = xy[inside]
+    for h, poly in clipped:
+        keys[start[h]:start[h] + count[h]] = [p[0] for p in poly]
+        pts[start[h]:start[h] + count[h]] = [p[1:3] for p in poly]
+    first, vids = _number_by_first_appearance(keys)
+    flat = vids.tolist()
+    # Fewer than 3 points only touch the box: they are reached, not a cell.
+    cells = [flat[s:s + m] for s, m in zip(start.tolist(), count.tolist()) if m >= 3]
+    return PolytopalMesh(_round10(pts[first]), cells)
 
 
 def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> PolytopalMesh:
@@ -547,8 +535,8 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     * ``triangular``: n x n squares each split into two right triangles, so
       the level is the subdivision count and the size can be tuned finely.
     * ``hexagonal``: hexagons of circumradius 0.5 / 2^(n-1), boundary cells
-      clipped to the box; a right box line within 1e-6 of the circumradius
-      of a column of corners is moved onto it (and so recorded).
+      clipped to the box; a hexagon corner within ON_LINE_TOL circumradii of
+      a box line is moved onto it, and the box itself is kept.
     * ``kershaw``: 2^(n+2) x 2^(n+2) quadrilaterals from a smoothly sheared
       grid; the shear amplitude actually used is recorded in the metadata.
     """
@@ -558,7 +546,7 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     if n < 1:
         raise MeshGenerationError("refinement level must be >= 1")
     xmin, xmax, ymin, ymax = bbox
-    if not (xmax > xmin and ymax > ymin):
+    if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
         raise MeshGenerationError(f"degenerate bounding box {bbox!r}")
 
     if family == "cartesian":
@@ -585,7 +573,6 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     elif family == "kershaw":
         mesh = _generate_kershaw(m, bbox)
     else:
-        bbox = _snap_to_corner_column(a, bbox)
         mesh = _generate_hexagonal(a, bbox)
 
     mesh.metadata.setdefault("family", family)

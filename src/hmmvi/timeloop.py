@@ -20,7 +20,7 @@ from .discretisation import (DiscretisationError, GradientDiscretisation,
                              DofVector, ObstacleVector, assemble_forms,
                              interpolate_initial, interpolate_obstacle)
 from .solver import (TIMING_KEYS, ActiveSetPartition, LviProblem, SolveStats,
-                     solve_lvi)
+                     SolverError, solve_lvi)
 
 # Largest step count a uniform grid accepts.
 MAX_STEPS = 1_000_000
@@ -140,7 +140,8 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
     """March the obstacle problem over the time grid.
 
     ``on_step(step, t, u, partition, stats)`` is called after every accepted
-    step (used by the command line driver to export snapshots).
+    step (used by the command line driver to export snapshots).  A
+    SolverError leaves with its step number, t and dt in front of its message.
     """
     forms = assemble_forms(gd)
     # Case data is checked where it is evaluated; non-finite values raise
@@ -176,7 +177,11 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
         rhs = areas * f_cells + alpha * areas * u.cells
         problem = LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=psi,
                              boundary_values=bvals)
-        u, partition, stats = solve_lvi(problem, warm=warm)
+        try:
+            u, partition, stats = solve_lvi(problem, warm=warm)
+        except SolverError as exc:  # same error, its message names the step
+            exc.args = (f"step {n + 1} of {grid.n_steps} (t = {t_b!r}, dt = {dt!r}): {exc}",)
+            raise
         vectors.append(u)
         all_stats.append(stats)
         partitions.append(partition)

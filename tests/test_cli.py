@@ -232,6 +232,16 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
                  {"case.json": {**_GOOD_CASE,
                                 "recommended": {"dt_rule": {"fixed": 1e-300}}}},
                  "more than 1000000 steps", id="dt-rule-too-many-steps"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "final_time": True}},
+                 "final_time must be numeric", id="final-time-boolean"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE,
+                                "recommended": {"dt_rule": {"fixed": True}}}},
+                 "recommended.dt_rule.fixed must be numeric", id="dt-rule-fixed-boolean"),
+    pytest.param(["--case-file", "case.json", "--level", "2", "--dt", "0.05"],
+                 {"case.json": {**_GOOD_CASE, "bbox": [0, 1e308, -1e308, 1e308]}},
+                 "degenerate bounding box", id="case-bbox-overflows"),
 ])
 def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field):
     for name, doc in files.items():
@@ -244,6 +254,30 @@ def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field
     assert proc.returncode == EXIT_USAGE
     assert len(proc.stderr.strip().splitlines()) == 1
     assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_meshgen_box_whose_width_overflows_is_a_usage_error(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "meshgen", "--family", "cartesian",
+         "--levels", "2", "--bbox=0,1e308,-1e308,1e308", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "degenerate bounding box" in proc.stderr
+
+
+def test_solver_failure_names_the_step(tmp_path):
+    # dt = 1e-300 makes alpha overflow the system: the active set cycles.
+    case = {**_GOOD_CASE, "final_time": 1e-300, "source": "1+x*x", "initial": "1-x*x"}
+    (tmp_path / "case.json").write_text(json.dumps(case))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file",
+         str(tmp_path / "case.json"), "--family", "cartesian", "--level", "2",
+         "--out", str(tmp_path / "run"), "--formats", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "step 1 of 1 (t = 1e-300, dt = 1e-300): active-set iteration" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

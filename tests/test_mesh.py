@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmmvi.mesh
@@ -400,34 +400,87 @@ def test_vertex_rounding_equals_python_round_bitwise():
     assert _round10(x).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bbox", [(-1.0, 1.0 + 1e-10, -1.0, 1.0 + 1e-10),
-                                  (-1.0 - 4e-11, 1.0 + 4e-11, -1.0, 1.0),
-                                  (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5)])
+@pytest.mark.parametrize("bbox, ref_bbox", [
+    pytest.param((-1.0, 1.0 + 1e-10, -1.0, 1.0 + 1e-10), None, id="bbox0"),
+    pytest.param((-1.0 - 4e-11, 1.0 + 4e-11, -1.0, 1.0), (-1.0, 1.0, -1.0, 1.0), id="bbox1"),
+    pytest.param((0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5), (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5),
+                 id="bbox2"),
+])
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_hexagonal_slivers_match_per_hexagon_reference_bitwise(level, bbox):
-    # Box lines within 1e-10 of a row or column of corners cut slivers whose
-    # corners round together: clipped cells repeat a vertex (the last one can
-    # repeat the first), fall below 3 vertices or below the area floor, and
-    # are dropped after their vertices are numbered.
+def test_hexagonal_slivers_match_per_hexagon_reference_bitwise(level, bbox, ref_bbox):
+    # Box lines within 1e-10 of a row or column of corners.  The reference
+    # mesh of bbox0 fails validation.  On bbox1 the reference keeps cut
+    # points 7e-11 above and below the corners of the column 4e-11 inside the
+    # box, some 1e-10 apart from them after rounding; here those corners lie
+    # on the line, and the mesh is the reference mesh of the box bbox1 rounds
+    # to.  On bbox2 at level 3 a hexagon below the box touches it only at
+    # (0, 0), which the reference computed 6e-17 outside, so the vertex
+    # numbers differ there: cells are compared by their corner coordinates.
     a = 0.5 / 2 ** (level - 1)
     mesh = _generate_hexagonal(a, bbox)
-    ref = meshref._generate_hexagonal(a, bbox)
-    for name in ("vertices", "cell_offsets", "corner_vertices"):
-        assert getattr(mesh, name).tobytes() == getattr(ref, name).tobytes(), name
+    report = validate(mesh)
+    assert mesh.bbox == tuple(_round10(np.array(bbox)))
+    if ref_bbox is None:
+        return
+    ref = meshref._generate_hexagonal(a, ref_bbox)
+    assert report["n_vertices"] == ref.n_vertices
+    assert mesh.cell_offsets.tobytes() == ref.cell_offsets.tobytes()
+    corners = mesh.vertices[mesh.corner_vertices]
+    assert corners.tobytes() == ref.vertices[ref.corner_vertices].tobytes()
 
 
 @pytest.mark.parametrize("rel_gap", [2e-10, 3e-8, 6e-7])
 @pytest.mark.parametrize("centred", [False, True])
 @pytest.mark.parametrize("level", [1, 3])
 def test_hexagonal_box_line_near_a_corner_column_is_snapped_onto_it(level, centred, rel_gap):
-    # A right box line just past a column of corners cut triangles below the
-    # area floor, or corners within the 1e-10 rounding, and validation failed
-    # on the crack or the missing area; the line now moves onto the column.
+    # A right box line just past a column of corners: the corners move onto
+    # the line, and the box is kept.
     a = 0.5 / 2 ** (level - 1)
     gap = rel_gap * a
     bbox = (-1.0 - gap, 1.0 + gap, -1.0, 1.0) if centred else (-1.0, 1.0 + gap, -1.0, 1.0 + gap)
     mesh = generate_mesh("hexagonal", level, bbox)
-    snapped = mesh.metadata["bbox"]
-    assert snapped[0] == bbox[0] and snapped[2:] == list(bbox[2:])
-    assert 0.0 < abs(snapped[1] - bbox[1]) <= 2e-6 * a
-    assert mesh.vertices[:, 0].max() == round(snapped[1], 10)
+    assert mesh.metadata["bbox"] == list(bbox)
+    assert mesh.bbox == tuple(_round10(np.array(bbox)))
+    # every corner of the column is a vertex on the line, none 1e-10 beside it
+    on_line = mesh.vertices[:, 0] == mesh.bbox[1]
+    assert np.all(np.abs(mesh.vertices[~on_line, 0] - mesh.bbox[1]) > 0.1 * a)
+
+
+@st.composite
+def boxes_near_corner_lines(draw):
+    """A level and a box whose lines lie near columns and rows of corners.
+
+    The lattice is centred on the box, so columns of corners lie m a/2 from
+    the centre (m not a multiple of 3) and rows n sqrt(3) a/2.  Each line
+    lies on such a line or 1e-12 a to 1e-6 a to either side of it, and the
+    centre is drawn anywhere or on a tie of the 1e-10 grid.
+    """
+    level = draw(st.integers(1, 3))
+    a = 0.5 / 2 ** (level - 1)
+
+    def gap():
+        return draw(st.sampled_from([-a, 0.0, a])) * 10.0 ** draw(st.floats(-12.0, -6.0))
+
+    def centre():
+        return draw(st.one_of(st.floats(-2.0, 2.0),
+                              st.integers(-10**10, 10**10).map(lambda k: (k + 0.5) * 1e-10)))
+
+    half_x = 0.5 * a * draw(st.integers(2, 12)) + gap()
+    half_y = 0.25 * np.sqrt(3.0) * a * draw(st.integers(1, 8)) + gap()
+    cx, cy = centre(), centre()
+    return level, (cx - half_x, cx + half_x, cy - half_y, cy + half_y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=boxes_near_corner_lines())
+@example(case=(1, (-1.0, 0.9999999999, -1.0, 0.9999999999)))
+@example(case=(2, (-1.0, 0.9999999999, -1.0, 0.9999999999)))
+@example(case=(1, (-0.3, 2.1 + 1e-10, -1.7, 0.4)))
+@example(case=(3, (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5 + 1e-8)))
+@example(case=(3, (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5 + 1e-10)))
+@example(case=(1, (0.0, 1.0, -1e-8, 0.5 * 3.0 ** 0.5 - 1e-8)))
+def test_hexagonal_meshes_validate_and_keep_the_box(case):
+    level, bbox = case
+    mesh = generate_mesh("hexagonal", level, bbox)  # validates
+    assert mesh.metadata["bbox"] == list(bbox)
+    assert mesh.bbox == tuple(_round10(np.array(bbox)))

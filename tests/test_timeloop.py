@@ -8,6 +8,7 @@ from hmmvi import (ProblemSpec, TimeGrid, TimeGridError, build_gd, builtin_case,
                    generate_mesh, interpolate_obstacle, run_transient,
                    solve_lvi, time_average_source)
 from hmmvi.discretisation import AssembledForms
+from hmmvi.solver import IterationLimitError
 
 
 def test_uniform_grid():
@@ -97,6 +98,28 @@ def test_warm_start_reduces_iterations_after_the_first_step(monkeypatch):
     assert sum(warm.iterations[1:]) <= sum(cold[1:])
     # the interesting transient: the first step works, later steps coast
     assert warm.iterations[0] > warm.iterations[-1]
+
+
+def test_solver_error_names_the_step_and_keeps_its_class(monkeypatch):
+    case = builtin_case("test2")
+    gd = build_gd(generate_mesh("cartesian", 2))
+    grid = TimeGrid.uniform(case.spec.final_time, 4)
+    raised = IterationLimitError("cycled", last_partitions=["p", "q"])
+    calls = []
+
+    def fail_third(problem, warm=None):
+        calls.append(1)
+        if len(calls) == 3:
+            raise raised
+        return solve_lvi(problem, warm=warm)
+
+    monkeypatch.setattr(hmmvi.timeloop, "solve_lvi", fail_third)
+    with pytest.raises(IterationLimitError) as info:
+        run_transient(gd, case.spec, grid)
+    assert info.value is raised
+    assert info.value.last_partitions == ("p", "q")
+    t, dt = float(grid.nodes[3]), float(grid.nodes[3] - grid.nodes[2])
+    assert str(info.value) == f"step 3 of 4 (t = {t!r}, dt = {dt!r}): cycled"
 
 
 def test_unconstrained_case_needs_one_iteration_per_step():
