@@ -309,7 +309,9 @@ def _spacetime_fn(expr_text, what):
 
 
 def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+    if isinstance(value, list):
+        return any(_has_bool(item) for item in value)
+    return isinstance(value, bool)
 
 
 def _numbers(value, what) -> np.ndarray:

@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -423,26 +424,29 @@ def _round10(x: np.ndarray) -> np.ndarray:
 
 
 def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
-    """Flat-top hexagon tiling clipped to the box.
+    """Flat-top hexagon tiling clipped to the box (contract: docs/formats.md).
 
     Vertices are named by topology: a lattice corner by its integer id, a
     cut point by its lattice edge and box line, a box corner by its two
-    lines.  Lattice corner (c, r) lies at (cx0 + c a/2, cy0 + r sqrt(3) a/2)
-    from the box centre, and its side of each box line is decided there,
-    once; within ON_LINE_TOL a of a line it lies on the line and takes the
-    line's coordinate.  Hexagons inside the box keep their six corners; the
-    others are clipped one by one against xmin, xmax, ymin and ymax
-    (Sutherland-Hodgman) on those decisions.  A cut point is interpolated
-    along its hexagon's edge and takes its line's coordinate with the sign
-    of the interpolated value, so a cut just below y = 0 reads -0.0.
-    Vertices are numbered in the order the lattice sweep (i, then j) first
-    reaches them, with that reach's coordinates rounded to 10 decimals; a
-    hexagon that only touches the box reaches the points it touches.
+    lines.  Every point decides its side of each box line once, from its
+    lattice position (c a/2, r sqrt(3) a/2 from the box centre) or, for a
+    cut point, its interpolated one; within ON_LINE_TOL a of a line it lies
+    on the line and takes its coordinate (a cut point with its interpolated
+    sign, so a cut just below y = 0 reads -0.0).  Hexagons inside the box
+    keep their six corners; the others are clipped one by one
+    (Sutherland-Hodgman) on those decisions.  Vertices are numbered by first
+    reach in the (i, then j) sweep, with that reach's coordinates rounded to
+    10 decimals.  A hexagon that only touches the box reaches the points it
+    touches, unless it computes one of them, centre plus offset, outside.
     """
     xmin, xmax, ymin, ymax = map(float, bbox)
     a = circumradius
     dy = math.sqrt(3.0) * a
-    cx0, cy0 = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    offsets = np.array([(math.cos(t), math.sin(t))
+                        for t in np.arange(6) * math.pi / 3.0]) * a
+    cx0 = 0.5 * (xmin + xmax)
+    cy0 = 0.5 * (ymin + ymax)
+
     ni = int(math.ceil((xmax - xmin) / (3.0 * a))) + 2
     nj = int(math.ceil((ymax - ymin) / dy)) + 2
     i, j = (g.ravel() for g in np.meshgrid(np.arange(-ni, ni + 1), np.arange(-nj, nj + 1),
@@ -458,31 +462,34 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     # Each hexagon computes its own corners, centre plus offset.
     centers = np.column_stack((cx0 + 1.5 * a * i,
                                cy0 + dy * j + np.where(i % 2 == 1, 0.5 * dy, 0.0)))
-    offsets = np.array([(math.cos(t), math.sin(t)) for t in np.arange(6) * math.pi / 3.0]) * a
     xy = centers[:, None, :] + offsets
+    outside = ((xy < (xmin, ymin)) | (xy > (xmax, ymax))).any(axis=-1)
     for k, (axis, v, _) in enumerate(lines):
         xy[..., axis][side[..., k] == 0] = v
 
     inside = (side >= 0).all(axis=(1, 2))
     crossing = np.flatnonzero(~inside & ~(side < 0).all(axis=1).any(axis=1))
+    # A point of a clipped hexagon; edge is the lattice edge of a cut point.
+    Point = collections.namedtuple("Point", "key x y sides edge")
     known = {}  # name of a cut point or box corner -> (vertex key, sides)
 
     def cut(p, q, k):
-        """Where segment p q crosses line k; a point is (key, x, y, sides, edge)."""
+        """The point where segment p q crosses line k."""
         axis, v, s = lines[k]
-        dp, dq = s * (p[1 + axis] - v), s * (q[1 + axis] - v)
+        dp, dq = s * ((p.x, p.y)[axis] - v), s * ((q.x, q.y)[axis] - v)
         t = dp / (dp - dq)
-        pt = [p[1] + (q[1] - p[1]) * t, p[2] + (q[2] - p[2]) * t]
-        shared = [n for n in range(4) if p[3][n] == q[3][n] == 0]
-        edge = p[4] or q[4] or (min(p[0], q[0]), max(p[0], q[0]))
+        pt = [p.x + (q.x - p.x) * t, p.y + (q.y - p.y) * t]
+        shared = [n for n in range(4) if p.sides[n] == q.sides[n] == 0]
+        edge = p.edge or q.edge or (min(p.key, q.key), max(p.key, q.key))
         name = ("box", *sorted(shared + [k])) if shared else (edge, k)
         if name not in known:
-            # On every other line the point lies on the side p and q share;
-            # where they lie on opposite sides, on the side it is computed on.
+            # On every other line the point lies on the side p and q share.
+            # Where they lie on opposite sides, it is decided like a corner.
             sides = []
             for n, (ax, vl, sl) in enumerate(lines):
-                d = p[3][n] + q[3][n] if p[3][n] * q[3][n] >= 0 else sl * (pt[ax] - vl)
-                sides.append(0 if n == k else (d > 0) - (d < 0))
+                opposite = p.sides[n] * q.sides[n] < 0
+                d = sl * (pt[ax] - vl) if opposite else p.sides[n] + q.sides[n]
+                sides.append(0 if n == k or abs(d) <= ON_LINE_TOL * a else (d > 0) - (d < 0))
             on = [n for n in range(4) if sides[n] == 0]
             key = (-1 - len(known), tuple(sides))
             # A point on two lines is their box corner, however it is reached.
@@ -491,22 +498,25 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
         for n, (ax, vl, _) in enumerate(lines):
             if sides[n] == 0:
                 pt[ax] = math.copysign(vl, pt[ax])
-        return key, pt[0], pt[1], sides, None if shared else edge
+        return Point(key, pt[0], pt[1], sides, None if shared else edge)
 
     count = np.where(inside, 6, 0)
     clipped = []
     for h in crossing.tolist():
-        poly = [(key, x, y, sides, None) for key, (x, y), sides in
+        poly = [Point(key, x, y, sides, None) for key, (x, y), sides in
                 zip(ids[h].tolist(), xy[h].tolist(), map(tuple, side[h].tolist()))]
         for k in range(4):
             out = []
             for p, q in zip(poly, poly[1:] + poly[:1]):
-                if p[3][k] >= 0:
+                if p.sides[k] >= 0:
                     out.append(p)
-                if p[3][k] * q[3][k] < 0:
+                if p.sides[k] * q.sides[k] < 0:
                     out.append(cut(p, q, k))
             poly = out
-        if poly:
+        # A hexagon that only touches the box reaches the points it touches,
+        # unless it computes one of them outside the box.
+        off = ids[h][outside[h]].tolist() if len(poly) < 3 else []
+        if poly and not any(p.key in off for p in poly):
             count[h] = len(poly)
             clipped.append((h, poly))
 
@@ -517,8 +527,8 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     keys[at] = ids[inside]
     pts[at] = xy[inside]
     for h, poly in clipped:
-        keys[start[h]:start[h] + count[h]] = [p[0] for p in poly]
-        pts[start[h]:start[h] + count[h]] = [p[1:3] for p in poly]
+        keys[start[h]:start[h] + count[h]] = [p.key for p in poly]
+        pts[start[h]:start[h] + count[h]] = [(p.x, p.y) for p in poly]
     first, vids = _number_by_first_appearance(keys)
     flat = vids.tolist()
     # Fewer than 3 points only touch the box: they are reached, not a cell.
@@ -549,32 +559,20 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
         raise MeshGenerationError(f"degenerate bounding box {bbox!r}")
 
-    if family == "cartesian":
-        m = 2**n
-        estimate = m * m
-    elif family == "triangular":
-        m = n
-        estimate = 2 * m * m
-    elif family == "kershaw":
-        m = 2 ** (n + 2)
-        estimate = m * m
-    else:
-        a = 0.5 / 2 ** (n - 1)
-        estimate = int((xmax - xmin) * (ymax - ymin) / (1.5 * math.sqrt(3.0) * a * a)) + 1
+    if family == "hexagonal":
+        m = 0.5 / 2 ** (n - 1)  # the circumradius
+        estimate = int((xmax - xmin) * (ymax - ymin) / (1.5 * math.sqrt(3.0) * m * m)) + 1
+    else:  # m x m squares, each split in two when triangular
+        m = {"cartesian": 2**n, "triangular": n, "kershaw": 2 ** (n + 2)}[family]
+        estimate = m * m * (2 if family == "triangular" else 1)
     if estimate > MAX_CELLS:
         raise MeshGenerationError(
             f"level {n} of family {family!r} would create about {estimate} cells, "
             f"more than the budget of {MAX_CELLS}")
 
-    if family == "cartesian":
-        mesh = _generate_cartesian(m, bbox)
-    elif family == "triangular":
-        mesh = _generate_triangular(m, bbox)
-    elif family == "kershaw":
-        mesh = _generate_kershaw(m, bbox)
-    else:
-        mesh = _generate_hexagonal(a, bbox)
-
+    generate = {"cartesian": _generate_cartesian, "triangular": _generate_triangular,
+                "hexagonal": _generate_hexagonal, "kershaw": _generate_kershaw}[family]
+    mesh = generate(m, bbox)
     mesh.metadata.setdefault("family", family)
     mesh.metadata["level"] = n
     mesh.metadata["bbox"] = list(bbox)

@@ -409,24 +409,21 @@ def test_vertex_rounding_equals_python_round_bitwise():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_hexagonal_slivers_match_per_hexagon_reference_bitwise(level, bbox, ref_bbox):
     # Box lines within 1e-10 of a row or column of corners.  The reference
-    # mesh of bbox0 fails validation.  On bbox1 the reference keeps cut
-    # points 7e-11 above and below the corners of the column 4e-11 inside the
-    # box, some 1e-10 apart from them after rounding; here those corners lie
-    # on the line, and the mesh is the reference mesh of the box bbox1 rounds
-    # to.  On bbox2 at level 3 a hexagon below the box touches it only at
-    # (0, 0), which the reference computed 6e-17 outside, so the vertex
-    # numbers differ there: cells are compared by their corner coordinates.
+    # mesh of bbox0 fails validation.  bbox1 puts the corner columns x = +-1
+    # 4e-11 inside the box at levels 1 and 3; they lie on its lines, so no
+    # edge is cut next to them, while the reference keeps cut points 7e-11
+    # above and below each of those corners (36 and 260 vertices against 24
+    # and 232).  The mesh is the reference mesh of the box bbox1 rounds to,
+    # which at level 2 is its own.
     a = 0.5 / 2 ** (level - 1)
     mesh = _generate_hexagonal(a, bbox)
-    report = validate(mesh)
+    validate(mesh)
     assert mesh.bbox == tuple(_round10(np.array(bbox)))
     if ref_bbox is None:
         return
     ref = meshref._generate_hexagonal(a, ref_bbox)
-    assert report["n_vertices"] == ref.n_vertices
-    assert mesh.cell_offsets.tobytes() == ref.cell_offsets.tobytes()
-    corners = mesh.vertices[mesh.corner_vertices]
-    assert corners.tobytes() == ref.vertices[ref.corner_vertices].tobytes()
+    for name in ("vertices", "cell_offsets", "corner_vertices"):
+        assert getattr(mesh, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("rel_gap", [2e-10, 3e-8, 6e-7])
@@ -447,13 +444,14 @@ def test_hexagonal_box_line_near_a_corner_column_is_snapped_onto_it(level, centr
 
 
 @st.composite
-def boxes_near_corner_lines(draw):
-    """A level and a box whose lines lie near columns and rows of corners.
+def boxes_near_the_lattice(draw):
+    """A level and a box whose lines or corners lie near the lattice.
 
     The lattice is centred on the box, so columns of corners lie m a/2 from
-    the centre (m not a multiple of 3) and rows n sqrt(3) a/2.  Each line
-    lies on such a line or 1e-12 a to 1e-6 a to either side of it, and the
-    centre is drawn anywhere or on a tie of the 1e-10 grid.
+    the centre (m not a multiple of 3) and rows n sqrt(3) a/2.  Either each
+    line lies on such a line, or the box corners lie on slanted lattice
+    edges; then each is moved 1e-12 a to 1e-6 a to either side, or not at
+    all.  The centre is drawn anywhere or on a tie of the 1e-10 grid.
     """
     level = draw(st.integers(1, 3))
     a = 0.5 / 2 ** (level - 1)
@@ -465,20 +463,32 @@ def boxes_near_corner_lines(draw):
         return draw(st.one_of(st.floats(-2.0, 2.0),
                               st.integers(-10**10, 10**10).map(lambda k: (k + 0.5) * 1e-10)))
 
-    half_x = 0.5 * a * draw(st.integers(2, 12)) + gap()
-    half_y = 0.25 * np.sqrt(3.0) * a * draw(st.integers(1, 8)) + gap()
+    if draw(st.booleans()):
+        half_x = 0.5 * a * draw(st.integers(2, 12)) + gap()
+        half_y = 0.5 * np.sqrt(3.0) * a * draw(st.integers(1, 4)) + gap()
+    else:
+        # A box corner on or near the slanted edge from corner (m, n) to
+        # (m + 1, n - 1) or (m + 1, n + 1): m = 1 mod 3 and m + n even.
+        m = 3 * draw(st.integers(0, 3)) + 1
+        n = 2 - m % 2 + 2 * draw(st.integers(0, 3))
+        t = draw(st.floats(0.05, 0.95))
+        half_x = 0.5 * a * (m + t) + gap()
+        half_y = 0.5 * np.sqrt(3.0) * a * (n + draw(st.sampled_from([-t, t]))) + gap()
     cx, cy = centre(), centre()
     return level, (cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=boxes_near_corner_lines())
+@given(case=boxes_near_the_lattice())
 @example(case=(1, (-1.0, 0.9999999999, -1.0, 0.9999999999)))
 @example(case=(2, (-1.0, 0.9999999999, -1.0, 0.9999999999)))
 @example(case=(1, (-0.3, 2.1 + 1e-10, -1.7, 0.4)))
 @example(case=(3, (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5 + 1e-8)))
 @example(case=(3, (0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5 + 1e-10)))
 @example(case=(1, (0.0, 1.0, -1e-8, 0.5 * 3.0 ** 0.5 - 1e-8)))
+@example(case=(1, (-0.375, 0.375, -(3.0 ** 0.5 / 8 + 1e-11), 3.0 ** 0.5 / 8 + 1e-11)))
+@example(case=(2, (-0.375, 0.375, -(3.0 ** 0.5 / 8 + 1e-11), 3.0 ** 0.5 / 8 + 1e-11)))
+@example(case=(3, (-0.375, 0.375, -(3.0 ** 0.5 / 8 + 1e-11), 3.0 ** 0.5 / 8 + 1e-11)))
 def test_hexagonal_meshes_validate_and_keep_the_box(case):
     level, bbox = case
     mesh = generate_mesh("hexagonal", level, bbox)  # validates
