@@ -308,15 +308,16 @@ def _spacetime_fn(expr_text, what):
     return lambda points, t: evaluate(points, t=t)
 
 
-def _has_bool(value) -> bool:
+def _has_bool_or_str(value) -> bool:
     if isinstance(value, list):
-        return any(_has_bool(item) for item in value)
-    return isinstance(value, bool)
+        return any(_has_bool_or_str(item) for item in value)
+    return isinstance(value, (bool, str))
 
 
 def _numbers(value, what) -> np.ndarray:
-    # numpy reads true as 1.0, so a mistyped flag would become a number.
-    if _has_bool(value):
+    # numpy reads true as 1.0 and "0.1" as 0.1, so a mistyped flag or a
+    # quoted number would become a number.
+    if _has_bool_or_str(value):
         raise CaseError(f"{what} must be numeric, got {value!r}")
     try:
         return np.asarray(value, dtype=float)

@@ -54,12 +54,6 @@ class DofVector:
     def edges(self) -> np.ndarray:
         return self.values[self.n_cells:]
 
-    def copy(self) -> "DofVector":
-        return DofVector(self.values.copy(), self.n_cells)
-
-    def __len__(self) -> int:
-        return self.values.size
-
 
 @dataclass
 class ObstacleVector:

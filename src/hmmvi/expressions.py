@@ -57,59 +57,50 @@ _COMPARE = {
 }
 
 
-def _check(node: ast.AST, variables: frozenset) -> None:
+def _compile(node: ast.AST, names: frozenset) -> Callable:
+    """Check a node against the grammar and return its ``env -> value``."""
     if isinstance(node, ast.Expression):
-        _check(node.body, variables)
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ExpressionError(f"constant {node.value!r} is not a number")
-    elif isinstance(node, ast.Name):
-        if node.id not in variables and node.id not in _CONSTANTS:
-            raise ExpressionError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.BinOp):
+        return _compile(node.body, names)
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if not isinstance(value, (int, float)):
+            raise ExpressionError(f"constant {value!r} is not a number")
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name in names:
+            return lambda env: env[name]
+        if name not in _CONSTANTS:
+            raise ExpressionError(f"unknown name {name!r}")
+        value = _CONSTANTS[name]
+        return lambda env: value
+    if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _check(node.left, variables)
-        _check(node.right, variables)
-    elif isinstance(node, ast.UnaryOp):
+        op = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, names), _compile(node.right, names)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
         if type(node.op) not in _UNARY:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _check(node.operand, variables)
-    elif isinstance(node, ast.Call):
+        op = _UNARY[type(node.op)]
+        operand = _compile(node.operand, names)
+        return lambda env: op(operand(env))
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only the documented functions can be called")
         if node.keywords:
             raise ExpressionError("keyword arguments are not part of the grammar")
-        for a in node.args:
-            _check(a, variables)
-    elif isinstance(node, ast.Compare):
+        function = _FUNCTIONS[node.func.id]
+        args = [_compile(a, names) for a in node.args]
+        return lambda env: function(*[arg(env) for arg in args])
+    if isinstance(node, ast.Compare):
         if len(node.ops) != 1 or type(node.ops[0]) not in _COMPARE:
             raise ExpressionError("only single comparisons are allowed")
-        _check(node.left, variables)
-        _check(node.comparators[0], variables)
-    else:
-        raise ExpressionError(f"{type(node).__name__} is not part of the grammar")
-
-
-def _evaluate(node: ast.AST, env: dict):
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTANTS[node.id]
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env),
-                                      _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        return _UNARY[type(node.op)](_evaluate(node.operand, env))
-    if isinstance(node, ast.Call):
-        args = [_evaluate(a, env) for a in node.args]
-        return _FUNCTIONS[node.func.id](*args)
-    if isinstance(node, ast.Compare):
-        return _COMPARE[type(node.ops[0])](_evaluate(node.left, env),
-                                           _evaluate(node.comparators[0], env))
-    raise ExpressionError(f"cannot evaluate {type(node).__name__}")
+        op = _COMPARE[type(node.ops[0])]
+        left, right = _compile(node.left, names), _compile(node.comparators[0], names)
+        return lambda env: op(left(env), right(env))
+    raise ExpressionError(f"{type(node).__name__} is not part of the grammar")
 
 
 def compile_expression(text: str, variables: Sequence[str]) -> Callable:
@@ -122,8 +113,7 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
         raise ExpressionError("expression must be a non-empty string")
     names = frozenset(variables)
     try:
-        tree = ast.parse(text, mode="eval")
-        _check(tree, names)
+        evaluate = _compile(ast.parse(text, mode="eval"), names)
     except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: deep nesting
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
 
@@ -131,7 +121,7 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
         missing = names - env.keys()
         if missing:
             raise ExpressionError(f"missing variables {sorted(missing)}")
-        return _evaluate(tree, env)
+        return evaluate(env)
 
     fn.source = text
     return fn

@@ -561,6 +561,12 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
 
     if family == "hexagonal":
         m = 0.5 / 2 ** (n - 1)  # the circumradius
+        # In a thinner box a point would lie on two parallel box lines.
+        limit = 2 * ON_LINE_TOL * m
+        if min(xmax - xmin, ymax - ymin) <= limit:
+            raise MeshGenerationError(
+                f"hexagonal box {bbox!r} must be wider and taller than "
+                f"2 * ON_LINE_TOL * circumradius = {limit:.3g} at level {n}")
         estimate = int((xmax - xmin) * (ymax - ymin) / (1.5 * math.sqrt(3.0) * m * m)) + 1
     else:  # m x m squares, each split in two when triangular
         m = {"cartesian": 2**n, "triangular": n, "kershaw": 2 ** (n + 2)}[family]

@@ -300,7 +300,8 @@ def _linear_solve(problem, partition):
     u[:nc] = np.where(contact, u[:nc], wg - w * (B @ x))
     rhs = g[free_ids]
     r = (problem.apply(u) - b)[free_ids]
-    resid = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(rhs)))
+    with np.errstate(all="ignore"):  # the check below refuses a non-finite residual
+        resid = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(rhs)))
     if not np.isfinite(resid) or resid > 1e3 * LINEAR_TOL:
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "

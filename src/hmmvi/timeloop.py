@@ -73,10 +73,6 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def final_time(self) -> float:
-        return float(self.nodes[-1])
-
 
 @dataclass
 class ProblemSpec:

@@ -236,6 +236,12 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
                  {"case.json": {**_GOOD_CASE, "final_time": True}},
                  "final_time must be numeric", id="final-time-boolean"),
     pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "final_time": "0.1"}},
+                 "final_time must be numeric", id="final-time-string"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "bbox": [0, "1", 0, 1]}},
+                 "bbox must be numeric", id="case-bbox-string-entry"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
                  {"case.json": {**_GOOD_CASE,
                                 "recommended": {"dt_rule": {"fixed": True}}}},
                  "recommended.dt_rule.fixed must be numeric", id="dt-rule-fixed-boolean"),
@@ -267,16 +273,30 @@ def test_meshgen_box_whose_width_overflows_is_a_usage_error(tmp_path):
     assert "degenerate bounding box" in proc.stderr
 
 
+@pytest.mark.parametrize("bbox", ["0,1,0,1e-7", f"0,1,0.1,{0.1 + 1e-7!r}",
+                                  f"0.1,{0.1 + 1e-7!r},0,1"])
+def test_meshgen_hexagonal_box_thinner_than_the_on_line_tolerance_exits_2(tmp_path, bbox):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "meshgen", "--family", "hexagonal",
+         "--levels", "1", f"--bbox={bbox}", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "hexagonal box" in proc.stderr
+
+
 def test_solver_failure_names_the_step(tmp_path):
-    # dt = 1e-300 makes alpha overflow the system: the active set cycles.
+    # dt = 1e-300 makes alpha overflow the system: the active set cycles, and
+    # the overflowing residual norms print no numpy warning.
     case = {**_GOOD_CASE, "final_time": 1e-300, "source": "1+x*x", "initial": "1-x*x"}
     (tmp_path / "case.json").write_text(json.dumps(case))
     proc = subprocess.run(
-        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file",
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--quiet", "--case-file",
          str(tmp_path / "case.json"), "--family", "cartesian", "--level", "2",
          "--out", str(tmp_path / "run"), "--formats", "json"],
         capture_output=True, text=True)
     assert proc.returncode == EXIT_NUMERICAL
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "step 1 of 1 (t = 1e-300, dt = 1e-300): active-set iteration" in proc.stderr
     assert "Traceback" not in proc.stderr
 

@@ -124,6 +124,18 @@ def test_generation_cell_budget(monkeypatch):
         generate_mesh("cartesian", 2)
 
 
+# Within 2 * ON_LINE_TOL circumradii a point would lie on both parallel lines.
+_THIN_HEXAGONAL_BOXES = [(0.0, 1.0, 0.0, 1e-7), (0.0, 1.0, 0.1, 0.1 + 1e-7),
+                         (0.1, 0.1 + 1e-7, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("bbox", _THIN_HEXAGONAL_BOXES)
+@pytest.mark.parametrize("level", [1, 3])
+def test_hexagonal_box_thinner_than_the_on_line_tolerance_is_refused(level, bbox):
+    with pytest.raises(MeshGenerationError, match=r"hexagonal box .* wider and taller"):
+        generate_mesh("hexagonal", level, bbox)
+
+
 def test_unknown_family():
     with pytest.raises(MeshGenerationError):
         generate_mesh("voronoi", 2)

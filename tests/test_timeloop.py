@@ -14,7 +14,7 @@ from hmmvi.solver import IterationLimitError
 def test_uniform_grid():
     g = TimeGrid.uniform(1.0, 4)
     assert g.n_steps == 4
-    assert g.final_time == 1.0
+    assert g.nodes[-1] == 1.0
     assert np.allclose(g.steps, 0.25)
 
 
@@ -30,7 +30,7 @@ def test_step_budget_is_checked_before_the_grid_is_built():
 def test_uniform_from_dt_rounds_up():
     g = TimeGrid.uniform_from_dt(0.1, 0.03)
     assert g.n_steps == 4
-    assert g.final_time == pytest.approx(0.1)
+    assert g.nodes[-1] == pytest.approx(0.1)
     # a step larger than the horizon still gives one step
     assert TimeGrid.uniform_from_dt(0.1, 0.5).n_steps == 1
     # dt that divides T exactly must not gain a spurious extra step
