@@ -254,18 +254,22 @@ def cmd_solve(args) -> int:
              case.name, tag, mesh.n_cells, h, grid.n_steps, grid.steps[0])
 
     snapshots = []
+    snapshot_seconds = 0.0
     with np.errstate(all="ignore"):  # run_transient rejects non-finite values
         psi = case.spec.obstacle(mesh.cell_points)
 
     def on_step(step, t, u, partition, stats):
+        nonlocal snapshot_seconds
         if "vtk" in args.formats and (step % args.vtk_every == 0
                                       or step == grid.n_steps):
             path = out / f"snapshot_{step:04d}.vtk"
+            start = time.perf_counter()
             write_vtk(path, mesh, {
                 "u": u.cells,
                 "gap": u.cells - psi,
                 "contact": partition.contact.astype(float),
             }, title=f"{case.name} t={t:.6g}")
+            snapshot_seconds += time.perf_counter() - start
             snapshots.append(str(path))
 
     start = time.perf_counter()
@@ -291,6 +295,7 @@ def cmd_solve(args) -> int:
         "solver_timings": solution.solver_timings,
         "wall_seconds": elapsed,
         "snapshots": snapshots,
+        "snapshot_seconds": snapshot_seconds,
     }
 
     if "csv" in args.formats:

@@ -107,6 +107,9 @@ class PolytopalMesh:
     metadata : optional dict recorded verbatim (generator family, level,
         distortion caps and similar provenance of the construction).
 
+    The mesh keeps read-only copies of the given arrays, so no caller can
+    change its geometry after construction.
+
     Cells are stored only flat: corner j of cell k is entry
     ``cell_offsets[k] + j`` of ``corner_vertices``, ``corner_edges``,
     ``corner_normals`` and ``corner_edge_dists``, and pairs local vertex j
@@ -115,7 +118,7 @@ class PolytopalMesh:
     """
 
     def __init__(self, vertices, cell_vertices, cell_points=None, metadata=None):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshValidationError("vertex array must have shape (nv, 2)")
         _require_finite(self.vertices, "vertex {}")
@@ -189,7 +192,7 @@ class PolytopalMesh:
         if cell_points is None:
             self.cell_points = centroids
         else:
-            self.cell_points = np.asarray(cell_points, dtype=float).reshape(n, 2)
+            self.cell_points = np.array(cell_points, dtype=float).reshape(n, 2)
             _require_finite(self.cell_points, "cell {}: point x_K")
 
         self.cell_offsets = offsets
@@ -313,6 +316,12 @@ def validate(mesh: PolytopalMesh) -> dict:
     area_sum = float(np.sum(mesh.cell_areas))
     bbox_area = (xmax - xmin) * (ymax - ymin)
     area_defect = abs(area_sum - bbox_area) / bbox_area
+    if area_defect > GEOM_TOL:
+        # cell_areas carry round-off of order eps |x| |y| per corner, more
+        # than a thin box away from the origin allows.  The subcell triangles
+        # (x_K, edge) tile the same cells to eps times the cell size.
+        area_sum = 0.5 * float(np.sum(lengths * mesh.corner_edge_dists))
+        area_defect = abs(area_sum - bbox_area) / bbox_area
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
 
     if area_defect > GEOM_TOL:

@@ -94,6 +94,24 @@ def test_solve_writes_outputs(tmp_path):
     assert timings["factor_s"] <= timings["linear_s"]
 
 
+@pytest.mark.parametrize("formats, snapshots", [("vtk,json", 2), ("json", 0)])
+def test_run_record_has_the_snapshot_time(tmp_path, formats, snapshots):
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--quiet", "--case", "test2",
+         "--family", "cartesian", "--level", "2", "--dt", "0.05",
+         "--formats", formats, "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    record = json.loads((out / "run.json").read_text())
+    assert len(record["snapshots"]) == snapshots
+    assert isinstance(record["snapshot_seconds"], float)
+    if snapshots:
+        assert 0.0 < record["snapshot_seconds"] < record["wall_seconds"]
+    else:
+        assert record["snapshot_seconds"] == 0.0
+
+
 @pytest.mark.parametrize("field,expr", [("source", "log(x)"),
                                         ("initial", "log(x)"),
                                         ("dirichlet", "sqrt(x-2)+t")])
@@ -283,6 +301,19 @@ def test_meshgen_hexagonal_box_thinner_than_the_on_line_tolerance_exits_2(tmp_pa
     assert proc.returncode == EXIT_USAGE
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "hexagonal box" in proc.stderr
+
+
+def test_meshgen_hexagonal_box_just_above_the_thin_limit_meshes(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "meshgen", "--family", "hexagonal",
+         "--levels", "1..3", "--bbox=0,1,0.1,0.100003", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    files = sorted(str(p) for p in tmp_path.glob("hexagonal_l0*.json"))
+    assert len(files) == 3
+    proc = subprocess.run([sys.executable, "-m", "hmmvi.cli", "validate", *files],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_solver_failure_names_the_step(tmp_path):
@@ -706,7 +737,7 @@ def test_flag_equal_to_its_default_beats_the_config(tmp_path, monkeypatch, key,
         monkeypatch.chdir(tmp_path / name)
         assert run_cli(*argv, *extra) == EXIT_OK
         rec = json.loads(Path("out", "run.json").read_text())
-        del rec["wall_seconds"], rec["solver_timings"]
+        del rec["wall_seconds"], rec["snapshot_seconds"], rec["solver_timings"]
         for step in rec["steps"]:
             del step["timings"]
         outputs.append((sorted(map(str, Path().rglob("*"))), rec))

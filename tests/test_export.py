@@ -1,9 +1,13 @@
 """VTK snapshot writer against the frozen line-by-line reference."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from hmmvi import MESH_FAMILIES, PolytopalMesh, generate_mesh
+from hmmvi import export
 from hmmvi.export import write_csv, write_vtk
 
 import exportref
@@ -45,15 +49,19 @@ def test_mixed_cell_sizes_are_covered():
     assert sizes == {3, 4, 5, 6}
 
 
+def _assert_matches_reference(tmp_path, mesh, fields, title):
+    new, ref = tmp_path / "new.vtk", tmp_path / "ref.vtk"
+    write_vtk(new, mesh, fields, title=title)
+    exportref.write_vtk(ref, mesh, fields, title=title)
+    assert new.read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(MESHES))
 @pytest.mark.parametrize("with_fields", [True, False])
 def test_vtk_matches_line_by_line_reference(tmp_path, name, with_fields):
     mesh = MESHES[name]
-    fields = _fields(mesh) if with_fields else {}
-    new, ref = tmp_path / "new.vtk", tmp_path / "ref.vtk"
-    write_vtk(new, mesh, fields, title=f"{name} t=0.05")
-    exportref.write_vtk(ref, mesh, fields, title=f"{name} t=0.05")
-    assert new.read_bytes() == ref.read_bytes()
+    _assert_matches_reference(tmp_path, mesh, _fields(mesh) if with_fields else {},
+                              f"{name} t=0.05")
 
 
 def _parse_vtk(text):
@@ -111,6 +119,47 @@ def test_field_shape_error_matches_reference(tmp_path):
     with pytest.raises(ValueError) as ref:
         exportref.write_vtk(tmp_path / "ref.vtk", mesh, fields)
     assert str(new.value) == str(ref.value) == "field 'bad' has shape (5,), expected (4,)"
+    assert not (tmp_path / "new.vtk").exists()
+
+
+def test_second_write_of_a_mesh_reuses_its_geometry(tmp_path):
+    mesh = generate_mesh("hexagonal", 2)
+    _assert_matches_reference(tmp_path, mesh, _fields(mesh), "first t=0.01")
+    geometry = export._geometry_text[mesh]
+    fields = {"gap": -_fields(mesh)["u"], "contact": np.ones(mesh.n_cells)}
+    _assert_matches_reference(tmp_path, mesh, fields, "second t=0.02")
+    assert export._geometry_text[mesh] is geometry
+
+
+def test_writes_alternating_between_meshes_match_their_references(tmp_path):
+    meshes = [generate_mesh("cartesian", 2), generate_mesh("triangular", 3)]
+    for step in range(4):
+        mesh = meshes[step % 2]
+        fields = {"u": np.full(mesh.n_cells, step + 0.5)}
+        _assert_matches_reference(tmp_path, mesh, fields, f"t={step}")
+    assert all(mesh in export._geometry_text for mesh in meshes)
+
+
+def test_geometry_goes_with_its_mesh(tmp_path):
+    gc.collect()
+    before = len(export._geometry_text)
+    mesh = generate_mesh("kershaw", 1)
+    write_vtk(tmp_path / "mesh.vtk", mesh, {})
+    assert len(export._geometry_text) == before + 1
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert alive() is None
+    assert len(export._geometry_text) == before
+
+
+def test_field_shape_error_on_a_cached_mesh_writes_no_file(tmp_path):
+    mesh = MESHES["cartesian-2"]
+    write_vtk(tmp_path / "first.vtk", mesh, {"u": np.zeros(mesh.n_cells)})
+    assert mesh in export._geometry_text
+    with pytest.raises(ValueError, match=r"field 'bad' has shape \(3,\), expected \(16,\)"):
+        write_vtk(tmp_path / "new.vtk", mesh, {"u": np.zeros(mesh.n_cells),
+                                               "bad": np.zeros(3)})
     assert not (tmp_path / "new.vtk").exists()
 
 

@@ -9,7 +9,7 @@ import hmmvi.mesh
 from hmmvi import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
                    mesh_size, save_mesh, validate)
-from hmmvi.mesh import _generate_hexagonal, _round10
+from hmmvi.mesh import GEOM_TOL, _generate_hexagonal, _round10
 
 import meshref
 from cellref import cell_slice, cell_slices
@@ -136,6 +136,30 @@ def test_hexagonal_box_thinner_than_the_on_line_tolerance_is_refused(level, bbox
         generate_mesh("hexagonal", level, bbox)
 
 
+# Just above that limit, and away from the origin: the cell areas from
+# absolute coordinates miss the box area by more than GEOM_TOL.
+_THIN_HEXAGONAL_BOXES_ABOVE_THE_LIMIT = [(0.0, 1.0, 0.1, 0.1 + 3e-6),
+                                         (0.1, 0.1 + 3e-6, 0.0, 1.0),
+                                         (-1.5, 0.5, 1.7, 1.7 + 1e-5)]
+
+
+@pytest.mark.parametrize("bbox", _THIN_HEXAGONAL_BOXES_ABOVE_THE_LIMIT)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_thin_hexagonal_box_above_the_limit_meshes_and_validates(level, bbox):
+    mesh = generate_mesh("hexagonal", level, bbox)  # validates
+    assert validate(mesh)["area_defect"] <= GEOM_TOL
+    assert mesh.bbox == tuple(_round10(np.array(bbox)).tolist())
+
+
+@pytest.mark.parametrize("bbox", _THIN_HEXAGONAL_BOXES_ABOVE_THE_LIMIT)
+def test_thin_hexagonal_box_with_a_cell_missing_fails_the_area_check(bbox):
+    mesh = generate_mesh("hexagonal", 3, bbox)
+    cells = [c.tolist() for c in cell_slices(mesh, mesh.corner_vertices)]
+    del cells[len(cells) // 2]
+    with pytest.raises(MeshValidationError, match="cell areas sum to"):
+        validate(PolytopalMesh(mesh.vertices, cells))
+
+
 def test_unknown_family():
     with pytest.raises(MeshGenerationError):
         generate_mesh("voronoi", 2)
@@ -193,6 +217,17 @@ def test_arrays_are_read_only():
         m.vertices[0, 0] = 99.0
     with pytest.raises(ValueError):
         m.cell_areas[0] = -1.0
+
+
+def test_mesh_keeps_copies_of_the_given_arrays():
+    # Views of writable arrays: writing through them must not reach the mesh.
+    table = np.array([[0.0, 0.0, 0.5, 0.5], [1.0, 0.0, 0.5, 0.5],
+                      [1.0, 1.0, 0.5, 0.5], [0.0, 1.0, 0.5, 0.5]])
+    m = PolytopalMesh(table[:, :2], [[0, 1, 2, 3]], cell_points=table[:1, 2:])
+    table[:] = 7.0
+    assert m.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    assert m.cell_points.tolist() == [[0.5, 0.5]]
+    assert table.flags.writeable
 
 
 def test_nonfinite_vertices_and_cell_points_are_rejected():
