@@ -74,7 +74,8 @@ class AssembledForms:
     One object serves every time step of a run; the mass is kept as its
     diagonal.  ``split`` and ``plain_stiffness`` (only the quality
     diagnostics use it, and keep its factorisation in ``_plain_factor``) are
-    built when first read.
+    built when first read.  The solver keeps the fill-reducing ordering of
+    the last Schur complement it factorised in ``_ordering``.
     """
 
     gd: GradientDiscretisation = field(repr=False, compare=False)
@@ -83,6 +84,7 @@ class AssembledForms:
     _plain: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
     _plain_factor: Optional[tuple] = field(default=None, init=False, repr=False)
     _split: Optional[tuple] = field(default=None, init=False, repr=False)
+    _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def split(self) -> tuple:

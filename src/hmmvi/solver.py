@@ -40,6 +40,23 @@ measures, goes through ``factorise_spd``: SuperLU with a symmetric
 minimum-degree ordering of A^T + A, diagonal pivots, and relaxed supernodes
 and panels switched off, which on these 2-D mesh graphs cost more than they
 save.
+
+The Schur complement's sparsity pattern is A_ee's on triangular, hexagonal
+and Kershaw meshes, whatever the partition (all 298 of the triangular-48
+march share it).  On Cartesian meshes some couplings of A_ee are exact zeros
+that B^T diag(w) B fills in, so there the pattern follows the partition.  The
+forms object holds the CSC pattern of the last Schur complement ordered by
+minimum degree, and that ordering perm_c.  A Schur complement with exactly
+that pattern is factorised in natural order after the held ordering is
+applied by one gather: column perm_c[j] of the permuted matrix is column j,
+with its rows renamed by perm_c.  Each permuted column keeps its entries in
+their original order, unsorted in the new row numbering.  SuperLU's symbolic
+factorisation visits a column's entries in stored order, and in symmetric
+mode it does not postorder the elimination tree, so it then repeats the
+operations of the minimum-degree factorisation exactly: the factors and the
+solutions are bit for bit the same, only the ordering is not recomputed.
+With the rows sorted, the solutions differ in the last bits.  A new pattern
+is ordered afresh and becomes the held one.
 """
 
 from __future__ import annotations
@@ -160,6 +177,7 @@ class SolveStats:
     """Record of one active-set solve."""
 
     iterations: int = 0
+    orderings: int = 0
     set_changes: list = field(default_factory=list)
     contact_sizes: list = field(default_factory=list)
     linear_residuals: list = field(default_factory=list)
@@ -170,6 +188,7 @@ class SolveStats:
     def to_dict(self) -> dict:
         return {
             "iterations": self.iterations,
+            "orderings": self.orderings,
             "set_changes": list(self.set_changes),
             "contact_sizes": list(self.contact_sizes),
             "linear_residuals": list(self.linear_residuals),
@@ -223,19 +242,64 @@ def complementarity_residual(problem: LviProblem, u: DofVector) -> float:
     return float(np.max(np.abs(per_cell))) if per_cell.size else 0.0
 
 
-def factorise_spd(A: sp.csc_matrix):
-    """SuperLU factors of a sparse SPD matrix: the package's one splu call."""
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+def factorise_spd(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
+    """SuperLU factors of a sparse SPD matrix: the package's one splu call.
+
+    ``permc_spec="NATURAL"`` is for a matrix already in a fill-reducing order.
+    """
+    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                      relax=RELAX, panel_size=PANEL_SIZE,
                      options=dict(SymmetricMode=True))
+
+
+def _factorise_schur(forms: AssembledForms, A: sp.csc_matrix):
+    """Factorise a Schur complement in the held ordering when its pattern is held.
+
+    Returns (solve, ordered): a function solving with A, and whether this
+    factorisation computed a minimum-degree ordering.
+    """
+    held = forms._ordering
+    if (held is None or not np.array_equal(held[0], A.indptr)
+            or not np.array_equal(held[1], A.indices)):
+        lu = factorise_spd(A)
+        # perm_c is a view into the factor object: a copy lets the factors go.
+        forms._ordering = (A.indptr, A.indices, lu.perm_c.copy())
+        return lu.solve, True
+    if len(held) == 3:
+        # The pattern came back: build the gather once.  Column k of the
+        # permuted matrix is column q[k] of A, its entries in A's order.
+        indptr, indices, perm_c = held
+        q = np.argsort(perm_c)
+        counts = np.diff(indptr)[q]
+        new_indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=new_indptr[1:])
+        gather = (np.repeat(indptr[q] - new_indptr[:-1], counts)
+                  + np.arange(indices.size, dtype=indptr.dtype))
+        held = forms._ordering = (indptr, indices, perm_c, q, gather, new_indptr,
+                                  perm_c[indices[gather]])
+    q, gather, new_indptr, new_indices = held[3:]
+    P = sp.csc_matrix((A.data[gather], new_indices, new_indptr), shape=A.shape)
+    # splu sorts the rows of a matrix not marked canonical, and sorted rows
+    # change SuperLU's order of operations.  P has no duplicate entries, only
+    # rows out of order, which SuperLU accepts.
+    P.has_canonical_format = True
+    lu = factorise_spd(P, "NATURAL")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[q] = lu.solve(b[q])
+        return x
+
+    return solve, False
 
 
 def _linear_solve(problem, partition):
     """Solve the linear system for a fixed partition.
 
     The balance cells are condensed out and only the interior-edge Schur
-    complement is factorised.  Returns (u, residual, factorisation seconds),
-    the residual measured on the uncondensed free system.
+    complement is factorised.  Returns (u, residual, factorisation seconds,
+    whether the factorisation computed an ordering), the residual measured on
+    the uncondensed free system.
     """
     gd = problem.forms.gd
     nc = gd.n_cells
@@ -245,6 +309,8 @@ def _linear_solve(problem, partition):
         if bvals.shape != (bdofs.size,):
             raise SolverError(
                 f"{bvals.size} boundary values for {bdofs.size} boundary edges")
+        if not np.all(np.isfinite(bvals)):
+            raise SolverError("boundary values have non-finite entries")
     else:
         bvals = np.zeros(bdofs.size)
 
@@ -257,7 +323,7 @@ def _linear_solve(problem, partition):
     u[bdofs] = bvals
     free_ids = np.concatenate((np.nonzero(balance)[0], edofs))
     if free_ids.size == 0:
-        return DofVector(u, nc), 0.0, 0.0
+        return DofVector(u, nc), 0.0, 0.0, False
 
     b = np.zeros(gd.n_dofs)
     b[:nc] = problem.rhs
@@ -273,14 +339,15 @@ def _linear_solve(problem, partition):
     rhs_e = g[edofs] - Bt @ wg
 
     factor_s = 0.0
+    ordered = False
     try:
         if edofs.size == 0:
             x = np.zeros(0)
         elif free_ids.size <= DIRECT_LIMIT:
             start = time.perf_counter()
-            lu = factorise_spd(schur)
+            solve, ordered = _factorise_schur(problem.forms, schur)
             factor_s = time.perf_counter() - start
-            x = lu.solve(rhs_e)
+            x = solve(rhs_e)
         else:
             precond = sp.diags(1.0 / schur.diagonal())
             x, info = spla.cg(schur, rhs_e, M=precond, rtol=LINEAR_TOL,
@@ -306,7 +373,7 @@ def _linear_solve(problem, partition):
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)
-    return DofVector(u, nc), resid, factor_s
+    return DofVector(u, nc), resid, factor_s, ordered
 
 
 def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
@@ -324,6 +391,13 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     if problem.psi.values.shape != (nc,):
         raise SolverError(
             f"obstacle vector has {problem.psi.values.shape} values for {nc} cells")
+    rhs = np.asarray(problem.rhs)
+    if rhs.shape != (nc,):
+        raise SolverError(f"rhs has shape {rhs.shape}, expected ({nc},) for {nc} cells")
+    if not np.all(np.isfinite(rhs)):
+        raise SolverError("rhs has non-finite values")
+    if not (np.isfinite(problem.alpha) and problem.alpha >= 0.0):
+        raise SolverError(f"alpha must be finite and non-negative, got {problem.alpha}")
 
     stats = SolveStats()
     seen = {partition.key()}
@@ -331,9 +405,10 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     timings = stats.timings
     for it in range(1, nc + 2):
         start = time.perf_counter()
-        u, lin_resid, factor_s = _linear_solve(problem, partition)
+        u, lin_resid, factor_s, ordered = _linear_solve(problem, partition)
         mid = time.perf_counter()
         timings["factor_s"] += factor_s
+        stats.orderings += ordered
         timings["linear_s"] += mid - start
         stats.iterations = it
         stats.linear_residuals.append(lin_resid)

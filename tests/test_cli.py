@@ -87,6 +87,10 @@ def test_solve_writes_outputs(tmp_path):
     n_steps = len(record["time_nodes"]) - 1
     assert len(record["steps"]) == n_steps
     assert [s["iterations"] for s in record["steps"]] == record["iterations"]
+    # The first step's two Schur complements differ in pattern and are both
+    # ordered; every later one has the pattern of the last and reuses it.
+    assert [s["orderings"] for s in record["steps"]] == [2, 0, 0, 0, 0]
+    assert record["iterations"][0] == 2
     assert record["complementarity_max"] <= 1e-8
     timings = record["solver_timings"]
     assert set(timings) == {"factor_s", "linear_s", "update_s"}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmmvi import (MESH_FAMILIES, ActiveSetPartition, LviProblem,
-                   SingularSystemError, assemble_forms, build_gd,
+                   SingularSystemError, SolverError, assemble_forms, build_gd,
                    complementarity_residual, contact_tolerance, generate_mesh,
                    solve_lvi, update_partition)
 from hmmvi import solver
@@ -182,6 +182,40 @@ def test_unreachable_linear_tolerance_is_reported(monkeypatch):
         solve_lvi(prob)
 
 
+@pytest.mark.parametrize("rhs", [np.zeros(3), np.zeros((4, 1)),
+                                 np.array([0.0, np.nan, 0.0, 0.0]),
+                                 np.array([0.0, 0.0, -np.inf, 0.0])])
+def test_rhs_must_be_one_finite_value_per_cell(rhs):
+    gd = build_gd(generate_mesh("cartesian", 1))
+    assert gd.n_cells == 4
+    prob = _problem(gd, rhs=np.zeros(4), psi=np.zeros(4))
+    prob.rhs = rhs
+    with pytest.raises(SolverError, match="rhs"):
+        solve_lvi(prob)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_alpha_must_be_finite_and_non_negative(alpha):
+    gd = build_gd(generate_mesh("cartesian", 1))
+    with pytest.raises(SolverError, match="alpha"):
+        solve_lvi(_problem(gd, rhs=np.ones(4), psi=np.full(4, -1.0), alpha=alpha))
+
+
+def test_boundary_values_must_be_finite():
+    gd = build_gd(generate_mesh("cartesian", 1))
+    bvals = np.zeros(gd.boundary_edge_dofs.size)
+    bvals[0] = np.nan
+    with pytest.raises(SolverError, match="boundary values"):
+        solve_lvi(_problem(gd, rhs=np.ones(4), psi=np.full(4, -1.0), bvals=bvals))
+
+
+def test_steady_problem_alpha_zero_is_allowed():
+    gd = build_gd(generate_mesh("cartesian", 2))
+    nc = gd.n_cells
+    u, _, stats = solve_lvi(_problem(gd, rhs=np.ones(nc), psi=np.full(nc, -1e9), alpha=0.0))
+    assert stats.iterations == 1 and np.all(u.cells > 0.0)
+
+
 def test_obstacle_must_be_finite():
     with pytest.raises(Exception):
         ObstacleVector(np.array([np.nan]))
@@ -223,12 +257,12 @@ def test_condensed_solve_matches_full_system_reference(monkeypatch, family, leve
                       boundary_values=bvals)
             want, _ = full_linear_solve(gd, LviProblem(**kw), part)
             scale = max(np.linalg.norm(want.values), 1e-300)
-            got, resid, _ = _linear_solve(LviProblem(**kw), part)
+            got, resid, _, _ = _linear_solve(LviProblem(**kw), part)
             assert np.linalg.norm(got.values - want.values) <= 1e-12 * scale
             assert resid <= 1e-12
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "DIRECT_LIMIT", 0)
-                cg, _, factor_s = _linear_solve(LviProblem(**kw), part)
+                cg, _, factor_s, _ = _linear_solve(LviProblem(**kw), part)
             assert factor_s == 0.0
             assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 
@@ -238,11 +272,18 @@ def _recording_splu(monkeypatch):
     splu = spla.splu
 
     def recording(A, **kwargs):
-        calls.append((A, kwargs))
-        return splu(A, **kwargs)
+        lu = splu(A, **kwargs)
+        calls.append((A, kwargs, lu))
+        return lu
 
     monkeypatch.setattr(spla, "splu", recording)
     return calls
+
+
+# SuperLU's settings for every SPD factorisation: relaxed supernodes and
+# panels are off, measured faster on these meshes.
+SPD_SETTINGS = dict(diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                    options=dict(SymmetricMode=True))
 
 
 def test_solver_factorises_through_the_spd_path(monkeypatch):
@@ -252,17 +293,41 @@ def test_solver_factorises_through_the_spd_path(monkeypatch):
     _, _, stats = solve_lvi(_problem(gd, rhs=rng.standard_normal(gd.n_cells) - 2.0,
                                      psi=np.zeros(gd.n_cells)))
     assert stats.iterations > 1
-    # Relaxed supernodes and panels are off: measured faster on these meshes.
-    assert [kw for _, kw in calls] == stats.iterations * [dict(
-        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-        options=dict(SymmetricMode=True))]
+    assert len(calls) == stats.iterations
+    # The first Schur complement is ordered by minimum degree; one with the
+    # held pattern comes in that order and is factorised in natural order.
+    held = None
+    for A, kw, lu in calls:
+        if kw["permc_spec"] == "MMD_AT_PLUS_A":
+            held = (A, lu.perm_c)
+        else:
+            back = _unpermute(A, held[1])
+            assert back.indptr.tobytes() == held[0].indptr.tobytes()
+            assert back.indices.tobytes() == held[0].indices.tobytes()
+        assert kw == dict(permc_spec=kw["permc_spec"], **SPD_SETTINGS)
+    kinds = [kw["permc_spec"] for _, kw, _ in calls]
+    assert kinds[0] == "MMD_AT_PLUS_A" and "NATURAL" in kinds
+    assert stats.orderings == kinds.count("MMD_AT_PLUS_A")
+    assert stats.to_dict()["orderings"] == stats.orderings
+
+
+def _unpermute(P, perm_c):
+    """The matrix whose column perm_c[j] with rows renamed by perm_c is P's."""
+    q = np.argsort(perm_c)
+    cols = [slice(P.indptr[k], P.indptr[k + 1]) for k in perm_c]
+    indptr = np.zeros_like(P.indptr)
+    np.cumsum([c.stop - c.start for c in cols], out=indptr[1:])
+    data = np.concatenate([P.data[c] for c in cols])
+    indices = np.concatenate([q[P.indices[c]] for c in cols]).astype(P.indices.dtype)
+    return sp.csc_matrix((data, indices, indptr), shape=P.shape)
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
 def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family):
     # Scaling B^T's entries by w[column] does the triple product's multiplies
     # and sums in its order; exact zeros (contact cells, cancellation on
-    # Cartesian meshes) are dropped by both.
+    # Cartesian meshes) are dropped by both.  A matrix factorised in the held
+    # order is mapped back through it: its columns keep their entry order.
     calls = _recording_splu(monkeypatch)
     gd = build_gd(generate_mesh(family, 3))
     nc = gd.n_cells
@@ -270,11 +335,65 @@ def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family)
     prob = _problem(gd, rhs=rng.standard_normal(nc), psi=np.zeros(nc), alpha=7.0)
     s_cc, B, Aee, _, _ = prob.forms.split
     d = s_cc + prob.alpha * prob.forms.mass_diag[:nc]
-    for contact in (np.zeros(nc, dtype=bool), rng.random(nc) < 0.3,
-                    np.ones(nc, dtype=bool)):
+    kinds = []
+    some = rng.random(nc) < 0.3
+    for contact in (np.zeros(nc, dtype=bool), some, some, np.ones(nc, dtype=bool)):
         _linear_solve(prob, ActiveSetPartition(contact))
-        got = calls.pop()[0]
+        got, kw, _ = calls.pop()
+        kinds.append(kw["permc_spec"])
+        if kinds[-1] == "NATURAL":
+            got = _unpermute(got, prob.forms._ordering[2])
         want = (Aee - B.T @ sp.diags(np.where(contact, 0.0, 1.0 / d)) @ B).tocsc()
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert kinds[0] == "MMD_AT_PLUS_A" and "NATURAL" in kinds
+
+
+def _problem_on(forms, rhs, psi, alpha):
+    return LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=ObstacleVector(psi))
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_held_ordering_solves_bitwise_as_a_fresh_ordering(family):
+    # One forms object orders the Schur complement at alpha = 3 and solves at
+    # alpha = 7, same pattern, in the held ordering; a fresh forms object
+    # orders the alpha = 7 complement itself.
+    gd = build_gd(generate_mesh(family, 4))
+    nc = gd.n_cells
+    rng = np.random.default_rng(17)
+    partition = ActiveSetPartition(rng.random(nc) < 0.3)
+    rhs, psi = rng.standard_normal(nc), np.zeros(nc)
+    held = assemble_forms(gd)
+    solves = [_linear_solve(_problem_on(forms, rhs, psi, alpha), partition)
+              for forms, alpha in ((held, 3.0), (held, 7.0), (assemble_forms(gd), 7.0))]
+    assert [ordered for *_, ordered in solves] == [True, False, True]
+    assert solves[1][0].values.tobytes() == solves[2][0].values.tobytes()
+
+
+def test_new_pattern_is_ordered_and_becomes_the_held_one(monkeypatch):
+    # On Cartesian meshes the Schur complement's pattern depends on the
+    # partition: with every cell in contact it is A_ee, some of whose edge
+    # couplings are exact zeros, and with none B^T diag(w) B fills them in.
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh("cartesian", 4))
+    nc = gd.n_cells
+    rng = np.random.default_rng(23)
+    rhs, psi = rng.standard_normal(nc), np.zeros(nc)
+    forms = assemble_forms(gd)
+    none, every = (ActiveSetPartition(np.full(nc, flag)) for flag in (False, True))
+    ordered = []
+    for partition in (none, every, every, none):
+        u, _, _, was_ordered = _linear_solve(_problem_on(forms, rhs, psi, 5.0), partition)
+        ordered.append(was_ordered)
+        if was_ordered:
+            A = calls[-1][0]
+            assert forms._ordering[0] is A.indptr and forms._ordering[1] is A.indices
+        # The held state owns its arrays: a view of the factor object's
+        # perm_c would keep the factors alive.
+        assert all(a.base is None or type(a.base) is np.ndarray for a in forms._ordering)
+        fresh, _, _, _ = _linear_solve(
+            _problem_on(assemble_forms(gd), rhs, psi, 5.0), partition)
+        assert u.values.tobytes() == fresh.values.tobytes()
+    assert ordered == [True, True, False, True]
+    assert [kw["permc_spec"] for _, kw, _ in calls].count("NATURAL") == 1
