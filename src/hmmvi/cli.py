@@ -237,6 +237,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
+    """One run on one mesh: box check, scheme, time grid, march and error norms.
+
+    ``on_step(n_steps, step, t, u, partition, stats)`` is called after each
+    step.  Returns gd, the solution, the error report (None when the case has
+    no exact solution) and the wall time of the march."""
+    check_mesh_box(mesh, case, tag)
+    gd = build_gd(mesh, case.spec.diffusion)
+    h = mesh_size(mesh)
+    grid = TimeGrid.uniform_from_dt(case.spec.final_time, resolve_dt(args, case, h))
+    log.info("case %s on %s: %d cells, h = %.5g, %d steps of dt = %.5g",
+             case.name, tag, mesh.n_cells, h, grid.n_steps, grid.steps[0])
+    start = time.perf_counter()
+    solution = run_transient(gd, case.spec, grid, on_step=on_step and (
+        lambda *step: on_step(grid.n_steps, *step)))
+    elapsed = time.perf_counter() - start
+    report = error_norms(gd, solution, case.u_exact, case.grad_exact,
+                         rule=args.quadrature) if case.has_exact else None
+    return gd, solution, report, elapsed
+
+
 def cmd_solve(args) -> int:
     case = resolve_case(args)
     out = resolve_out_dir(args)
@@ -245,23 +266,15 @@ def cmd_solve(args) -> int:
     if len(meshes) != 1:
         raise ConfigError(f"solve expects exactly one mesh, got {len(meshes)}")
     tag, mesh = meshes[0]
-    check_mesh_box(mesh, case, tag)
-    gd = build_gd(mesh, case.spec.diffusion)
-    h = mesh_size(mesh)
-    dt = resolve_dt(args, case, h)
-    grid = TimeGrid.uniform_from_dt(case.spec.final_time, dt)
-    log.info("case %s on %s: %d cells, h = %.5g, %d steps of dt = %.5g",
-             case.name, tag, mesh.n_cells, h, grid.n_steps, grid.steps[0])
 
     snapshots = []
     snapshot_seconds = 0.0
     with np.errstate(all="ignore"):  # run_transient rejects non-finite values
         psi = case.spec.obstacle(mesh.cell_points)
 
-    def on_step(step, t, u, partition, stats):
+    def on_step(n_steps, step, t, u, partition, stats):
         nonlocal snapshot_seconds
-        if "vtk" in args.formats and (step % args.vtk_every == 0
-                                      or step == grid.n_steps):
+        if "vtk" in args.formats and (step % args.vtk_every == 0 or step == n_steps):
             path = out / f"snapshot_{step:04d}.vtk"
             start = time.perf_counter()
             write_vtk(path, mesh, {
@@ -272,20 +285,14 @@ def cmd_solve(args) -> int:
             snapshot_seconds += time.perf_counter() - start
             snapshots.append(str(path))
 
-    start = time.perf_counter()
-    solution = run_transient(gd, case.spec, grid, on_step=on_step)
-    elapsed = time.perf_counter() - start
+    gd, solution, report, elapsed = run_level(args, case, tag, mesh, on_step)
     log.info("iterations per step: %s", solution.iterations)
 
     record = {
         "case": case.name,
         "case_bbox": list(case.bbox),
-        "mesh": {
-            "cells": mesh.n_cells,
-            "edges": mesh.n_edges,
-            "h": h,
-            "metadata": mesh.metadata,
-        },
+        "mesh": {"cells": mesh.n_cells, "edges": mesh.n_edges,
+                 "h": mesh_size(mesh), "metadata": mesh.metadata},
         "time_nodes": solution.grid.nodes.tolist(),
         "iterations": solution.iterations,
         "steps": [s.to_dict() for s in solution.stats],
@@ -304,9 +311,7 @@ def cmd_solve(args) -> int:
                   ["cell", "x", "y", "area", "u", "obstacle", "contact"],
                   [range(mesh.n_cells), x, y, mesh.cell_areas, solution.final.cells,
                    solution.psi.values, solution.partitions[-1].contact.astype(int)])
-    if case.has_exact:
-        report = error_norms(gd, solution, case.u_exact, case.grad_exact,
-                             rule=args.quadrature)
+    if report is not None:
         record["errors"] = {key: getattr(report, key) for key in (
             "rel_l2_final", "rel_grad_final", "linf_l2", "spacetime_grad",
             "quadrature")}
@@ -326,28 +331,20 @@ def cmd_converge(args) -> int:
 
     rows = []
     for tag, mesh in resolve_meshes(args, case):
-        check_mesh_box(mesh, case, tag)
-        gd = build_gd(mesh, case.spec.diffusion)
-        h = mesh_size(mesh)
-        dt = resolve_dt(args, case, h)
-        grid = TimeGrid.uniform_from_dt(case.spec.final_time, dt)
-        log.info("level %s: %d cells, h = %.5g, %d steps", tag, mesh.n_cells,
-                 h, grid.n_steps)
-        solution = run_transient(gd, case.spec, grid)
-        report = error_norms(gd, solution, case.u_exact, case.grad_exact,
-                             rule=args.quadrature)
+        gd, solution, report, elapsed = run_level(args, case, tag, mesh)
         rows.append({
             "tag": tag,
-            "h": h,
+            "h": mesh_size(mesh),
             "n_cells": mesh.n_cells,
             "n_dofs": gd.n_dofs,
-            "dt": float(grid.steps[0]),
-            "n_steps": grid.n_steps,
+            "dt": float(solution.grid.steps[0]),
+            "n_steps": solution.grid.n_steps,
             "rel_l2": report.rel_l2_final,
             "rel_grad": report.rel_grad_final,
             "linf_l2": report.linf_l2,
             "spacetime_grad": report.spacetime_grad,
             "max_iterations": max(s.iterations for s in solution.stats),
+            "wall_seconds": elapsed,
         })
 
     hs = [r["h"] for r in rows]

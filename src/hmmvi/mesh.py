@@ -108,7 +108,10 @@ class PolytopalMesh:
         distortion caps and similar provenance of the construction).
 
     The mesh keeps read-only copies of the given arrays, so no caller can
-    change its geometry after construction.
+    change its geometry after construction.  Each cell's signed area, which
+    gives its orientation and ``cell_areas``, and its centroid come from one
+    pass of shoelace cross terms relative to the cell's first vertex, so their
+    round-off scales with the cell, not with its distance from the origin.
 
     Cells are stored only flat: corner j of cell k is entry
     ``cell_offsets[k] + j`` of ``corner_vertices``, ``corner_edges``,
@@ -147,16 +150,19 @@ class PolytopalMesh:
         for r in range(1, half + 1):
             repeated[cell[(flat == flat[ahead(r)]) & (r % size != 0)]] = True
 
-        # Areas of the cells before the first id defect, the only ones whose
-        # geometry can be read and the only ones that can fail first.
+        # Cross terms of the cells before the first id defect, the only ones
+        # whose geometry can be read and the only ones that can fail first,
+        # relative to each cell's first vertex to limit cancellation.
         id_bad = np.flatnonzero(small | unknown | repeated)
         stop = int(id_bad[0]) if id_bad.size else n
         c = offsets[stop]
-        nxt = ahead(1)
+        nxt = ahead(1)[:c]
         pts = self.vertices[flat[:c]]
-        x, y = pts[:, 0], pts[:, 1]
-        signed = 0.5 * np.bincount(cell[:c], x * y[nxt[:c]] - x[nxt[:c]] * y,
-                                   minlength=stop)
+        p0 = pts[offsets[:stop]]
+        rel = pts - p0[cell[:c]]
+        x, y = rel[:, 0], rel[:, 1]
+        cross = x * y[nxt] - x[nxt] * y
+        signed = 0.5 * np.bincount(cell[:c], cross, minlength=stop)
         zero_area = np.zeros(n, dtype=bool)
         zero_area[:stop] = ~(np.abs(signed) > 0.0)
         defects = (small, unknown, repeated, zero_area)
@@ -166,22 +172,18 @@ class PolytopalMesh:
             reason = next(text for flags, text in zip(defects, _CELL_DEFECTS) if flags[k])
             raise MeshValidationError(f"cell {k} {reason}")
 
+        # The centroid formula is unchanged when a cell is reversed.
+        six_area = 6.0 * signed
+        centroids = p0 + np.column_stack(
+            (np.bincount(cell, (x + x[nxt]) * cross, minlength=n) / six_area,
+             np.bincount(cell, (y + y[nxt]) * cross, minlength=n) / six_area))
+        self.cell_areas = np.abs(signed)
+
         # Reverse clockwise cells: local vertex j takes vertex m - 1 - j.
         reverse = (signed < 0.0)[cell]
         perm = np.where(reverse, first + size - 1 - local, np.arange(flat.size))
         flat = flat[perm]
         pts = pts[perm]
-        self.cell_areas = np.abs(signed)
-
-        # Centroids relative to the first vertex to limit cancellation.
-        p0 = pts[offsets[:-1]]
-        rel = pts - p0[cell]
-        x, y = rel[:, 0], rel[:, 1]
-        cross = x * y[nxt] - x[nxt] * y
-        six_area = 6.0 * self.cell_areas
-        centroids = p0 + np.column_stack(
-            (np.bincount(cell, (x + x[nxt]) * cross, minlength=n) / six_area,
-             np.bincount(cell, (y + y[nxt]) * cross, minlength=n) / six_area))
 
         # Diameters: every vertex pair of a cell is r <= m/2 corners apart.
         far = np.zeros(flat.size)
@@ -278,9 +280,10 @@ def validate(mesh: PolytopalMesh) -> dict:
     """Check the mesh invariants and return a report of the worst defects.
 
     Raises MeshValidationError naming the offending cell or edge on the first
-    violated invariant.  The cells must tile the bounding box exactly: total
-    area, Euler characteristic and the position of boundary edges are all
-    checked, which catches cracks and hanging nodes.
+    violated invariant.  The cells must tile the bounding box exactly: the
+    sum of ``cell_areas`` (to ``GEOM_TOL`` relative), the Euler characteristic
+    and the position of boundary edges are all checked, which catches cracks
+    and hanging nodes.
     """
     xmin, xmax, ymin, ymax = mesh.bbox
     scale = max(xmax - xmin, ymax - ymin)
@@ -316,12 +319,6 @@ def validate(mesh: PolytopalMesh) -> dict:
     area_sum = float(np.sum(mesh.cell_areas))
     bbox_area = (xmax - xmin) * (ymax - ymin)
     area_defect = abs(area_sum - bbox_area) / bbox_area
-    if area_defect > GEOM_TOL:
-        # cell_areas carry round-off of order eps |x| |y| per corner, more
-        # than a thin box away from the origin allows.  The subcell triangles
-        # (x_K, edge) tile the same cells to eps times the cell size.
-        area_sum = 0.5 * float(np.sum(lengths * mesh.corner_edge_dists))
-        area_defect = abs(area_sum - bbox_area) / bbox_area
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_cells
 
     if area_defect > GEOM_TOL:

@@ -62,7 +62,9 @@ class ReferenceMesh:
             if len(set(loc.tolist())) != loc.size:
                 raise MeshValidationError(f"cell {k} repeats a vertex")
             pts = self.vertices[loc]
-            area = _polygon_signed_area(pts)
+            # Relative to the first vertex, as the centroid below; the
+            # absolute form stays only in the generator's sliver floor.
+            area = _polygon_signed_area(pts - pts[0])
             if area < 0.0:
                 loc = loc[::-1].copy()
                 pts = self.vertices[loc]

@@ -682,6 +682,11 @@ def test_converge_produces_table_and_rates(tmp_path):
     doc = json.loads((out / "convergence.json").read_text())
     assert len(doc["levels"]) == 2
     assert doc["levels"][1]["rate_grad"] == pytest.approx(1.0, abs=0.25)
+    # the march's wall time per level, so error against time can be plotted
+    assert all(level["wall_seconds"] > 0.0 for level in doc["levels"])
+    header = (out / "convergence.csv").read_text().splitlines()[0].split(",")
+    assert header == ["tag", "h", "n_cells", "n_dofs", "dt", "n_steps",
+                      "rel_l2", "rate_l2", "rel_grad", "rate_grad"]
     dat = (out / "convergence_loglog.dat").read_text().splitlines()
     assert dat[0].split(",")[0] == "h"
     assert len(dat) == 3

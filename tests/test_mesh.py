@@ -1,5 +1,7 @@
 """Mesh generation, validation and file IO."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,6 +126,24 @@ def test_generation_cell_budget(monkeypatch):
         generate_mesh("cartesian", 2)
 
 
+def _exact_area_error(mesh) -> float:
+    """Worst relative error of ``cell_areas`` against the shoelace areas of
+    the mesh's own float vertices, summed exactly in rationals."""
+    worst = Fraction(0)
+    for ids, area in zip(cell_slices(mesh, mesh.corner_vertices), mesh.cell_areas):
+        p = [(Fraction(x), Fraction(y)) for x, y in mesh.vertices[ids].tolist()]
+        exact = abs(sum(x0 * y1 - x1 * y0
+                        for (x0, y0), (x1, y1) in zip(p, p[1:] + p[:1]))) / 2
+        worst = max(worst, abs(Fraction(float(area)) - exact) / exact)
+    return float(worst)
+
+
+@pytest.mark.parametrize("family, level", [("kershaw", 2), ("kershaw", 3),
+                                           ("hexagonal", 3)])
+def test_cell_areas_match_exact_rational_areas(family, level):
+    assert _exact_area_error(generate_mesh(family, level)) <= 1e-15
+
+
 # Within 2 * ON_LINE_TOL circumradii a point would lie on both parallel lines.
 _THIN_HEXAGONAL_BOXES = [(0.0, 1.0, 0.0, 1e-7), (0.0, 1.0, 0.1, 0.1 + 1e-7),
                          (0.1, 0.1 + 1e-7, 0.0, 1.0)]
@@ -136,8 +156,8 @@ def test_hexagonal_box_thinner_than_the_on_line_tolerance_is_refused(level, bbox
         generate_mesh("hexagonal", level, bbox)
 
 
-# Just above that limit, and away from the origin: the cell areas from
-# absolute coordinates miss the box area by more than GEOM_TOL.
+# Just above that limit, and away from the origin, where cell areas from
+# absolute coordinates would miss the box area by more than GEOM_TOL.
 _THIN_HEXAGONAL_BOXES_ABOVE_THE_LIMIT = [(0.0, 1.0, 0.1, 0.1 + 3e-6),
                                          (0.1, 0.1 + 3e-6, 0.0, 1.0),
                                          (-1.5, 0.5, 1.7, 1.7 + 1e-5)]
@@ -148,6 +168,7 @@ _THIN_HEXAGONAL_BOXES_ABOVE_THE_LIMIT = [(0.0, 1.0, 0.1, 0.1 + 3e-6),
 def test_thin_hexagonal_box_above_the_limit_meshes_and_validates(level, bbox):
     mesh = generate_mesh("hexagonal", level, bbox)  # validates
     assert validate(mesh)["area_defect"] <= GEOM_TOL
+    assert _exact_area_error(mesh) <= 1e-15
     assert mesh.bbox == tuple(_round10(np.array(bbox)).tolist())
 
 
