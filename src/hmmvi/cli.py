@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
     h = mesh_size(mesh)
     grid = TimeGrid.uniform_from_dt(case.spec.final_time, resolve_dt(args, case, h))
     log.info("case %s on %s: %d cells, h = %.5g, %d steps of dt = %.5g",
-             case.name, tag, mesh.n_cells, h, grid.n_steps, grid.steps[0])
+             case.name, tag, mesh.n_cells, h, grid.n_steps, grid.step)
     start = time.perf_counter()
     solution = run_transient(gd, case.spec, grid, on_step=on_step and (
         lambda *step: on_step(grid.n_steps, *step)))
@@ -295,7 +296,7 @@ def cmd_solve(args) -> int:
                  "h": mesh_size(mesh), "metadata": mesh.metadata},
         "time_nodes": solution.grid.nodes.tolist(),
         "iterations": solution.iterations,
-        "steps": [s.to_dict() for s in solution.stats],
+        "steps": [asdict(s) for s in solution.stats],
         "contact_cells": [int(p.n_contact) for p in solution.partitions],
         "complementarity_max": max(s.complementarity_max for s in solution.stats),
         "conservation_defect": max(s.conservation_defect for s in solution.stats),
@@ -337,7 +338,7 @@ def cmd_converge(args) -> int:
             "h": mesh_size(mesh),
             "n_cells": mesh.n_cells,
             "n_dofs": gd.n_dofs,
-            "dt": float(solution.grid.steps[0]),
+            "dt": solution.grid.step,
             "n_steps": solution.grid.n_steps,
             "rel_l2": report.rel_l2_final,
             "rel_grad": report.rel_grad_final,
@@ -384,7 +385,7 @@ def cmd_diagnose(args) -> int:
     for tag, mesh in resolve_meshes(args):
         gd = build_gd(mesh)
         report = gd_quality_report(gd)
-        entry = {"tag": tag, **report.to_dict()}
+        entry = {"tag": tag, **asdict(report)}
         rows.append(entry)
         log.info("%s: h = %.5g, C_D = %.5g, W_D = %.5g, S_D = %.5g, I_D0 = %.5g",
                  tag, report.h, report.c_d,

@@ -134,7 +134,7 @@ def error_norms(gd: GradientDiscretisation, solution: TransientSolution,
         l2_per_node=l2,
         grad_per_step=grad,
         linf_l2=float(np.max(l2)),
-        spacetime_grad=math.sqrt(float(np.sum(solution.grid.steps * grad**2))),
+        spacetime_grad=math.sqrt(solution.grid.step * float(np.sum(grad**2))),
         rel_l2_final=float(l2[-1]) / exact_l2,
         rel_grad_final=float(grad[-1]) / exact_grad,
         quadrature=rule,
@@ -277,17 +277,6 @@ class GdQualityReport:
     w_d: dict = field(default_factory=dict)
     s_d: dict = field(default_factory=dict)
     i_d0: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "n_cells": self.n_cells,
-            "n_edges": self.n_edges,
-            "c_d": self.c_d,
-            "w_d": dict(self.w_d),
-            "s_d": dict(self.s_d),
-            "i_d0": dict(self.i_d0),
-        }
 
 
 def standard_probes(bbox):

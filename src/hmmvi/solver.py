@@ -185,18 +185,6 @@ class SolveStats:
     conservation_defect: float = 0.0
     timings: dict = field(default_factory=lambda: dict.fromkeys(TIMING_KEYS, 0.0))
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "orderings": self.orderings,
-            "set_changes": list(self.set_changes),
-            "contact_sizes": list(self.contact_sizes),
-            "linear_residuals": list(self.linear_residuals),
-            "complementarity_max": self.complementarity_max,
-            "conservation_defect": self.conservation_defect,
-            "timings": dict(self.timings),
-        }
-
 
 def contact_tolerance(problem: LviProblem) -> float:
     """Comparison tolerance for the set updates, scaled by the data."""

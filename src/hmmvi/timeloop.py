@@ -1,6 +1,7 @@
 """Implicit Euler time stepping for the parabolic obstacle problem.
 
-Each step solves one elliptic variational inequality with reciprocal time
+The time grid is uniform: N steps of the one length dt = T/N.  Each step
+solves one elliptic variational inequality with the run's one reciprocal time
 step alpha = 1/dt: the bilinear part is alpha (Pi u, Pi v) + (Lambda grad u,
 grad v) and the right-hand side combines the time-averaged source with the
 previous cell values.  The active-set partition of a converged step is the
@@ -11,7 +12,7 @@ balance set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,46 +33,40 @@ class TimeGridError(Exception):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time nodes starting at zero."""
+    """Uniform time grid: ``n_steps`` steps of length ``step`` up to ``final_time``.
 
-    nodes: np.ndarray
+    ``step`` is final_time / n_steps, the one step length of the scheme;
+    ``nodes`` are the n_steps + 1 points of ``np.linspace(0, final_time,
+    n_steps + 1)``, the times at which data are sampled.
+    """
+
+    final_time: float
+    n_steps: int
+    step: float = field(init=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise TimeGridError("a time grid needs at least two nodes")
-        if nodes[0] != 0.0:
-            raise TimeGridError(f"time grid must start at 0, got {nodes[0]!r}")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise TimeGridError("time nodes must be strictly increasing")
-
-    @classmethod
-    def uniform(cls, final_time: float, n_steps: int) -> "TimeGrid":
-        if not 1 <= n_steps <= MAX_STEPS or final_time <= 0.0:
+        if not (1 <= self.n_steps <= MAX_STEPS and 0.0 < self.final_time < math.inf):
             raise TimeGridError(
-                f"need a positive horizon and 1 to {MAX_STEPS} steps, "
-                f"got T={final_time!r}, n={n_steps!r}")
-        return cls(np.linspace(0.0, final_time, n_steps + 1))
+                f"need a positive finite horizon and 1 to {MAX_STEPS} steps, "
+                f"got T={self.final_time!r}, n={self.n_steps!r}")
+        object.__setattr__(self, "step", self.final_time / self.n_steps)
+        object.__setattr__(self, "nodes",
+                           np.linspace(0.0, self.final_time, self.n_steps + 1))
 
     @classmethod
     def uniform_from_dt(cls, final_time: float, dt: float) -> "TimeGrid":
-        """Uniform grid with the largest step not exceeding dt."""
+        """Uniform grid with the largest step not exceeding dt.
+
+        A dt within 1e-12 relative of dividing final_time gives exactly
+        final_time / dt steps."""
         if not 0.0 < dt < math.inf:
             raise TimeGridError(f"time step must be positive and finite, got {dt!r}")
-        steps = final_time / dt - 1e-12
+        steps = final_time / dt * (1.0 - 1e-12)
         if not steps <= MAX_STEPS:
             raise TimeGridError(f"T={final_time!r} in steps of dt={dt!r} takes more "
                                 f"than {MAX_STEPS} steps")
-        return cls.uniform(final_time, max(1, math.ceil(steps)))
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
-    def n_steps(self) -> int:
-        return self.nodes.size - 1
+        return cls(final_time, max(1, math.ceil(steps)))
 
 
 @dataclass
@@ -156,12 +151,11 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
     all_stats: list[SolveStats] = []
     partitions: list[ActiveSetPartition] = []
     warm = None
+    alpha = 1.0 / grid.step
 
     for n in range(grid.n_steps):
         t_a = float(grid.nodes[n])
         t_b = float(grid.nodes[n + 1])
-        dt = t_b - t_a
-        alpha = 1.0 / dt
         with np.errstate(all="ignore"):
             f_cells = time_average_source(spec.source, t_a, t_b, cell_pts)
             bvals = None
@@ -176,7 +170,8 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
         try:
             u, partition, stats = solve_lvi(problem, warm=warm)
         except SolverError as exc:  # same error, its message names the step
-            exc.args = (f"step {n + 1} of {grid.n_steps} (t = {t_b!r}, dt = {dt!r}): {exc}",)
+            exc.args = (f"step {n + 1} of {grid.n_steps} "
+                        f"(t = {t_b!r}, dt = {grid.step!r}): {exc}",)
             raise
         vectors.append(u)
         all_stats.append(stats)

@@ -1,6 +1,7 @@
 """Active-set solver for the per-step obstacle problem."""
 
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_stats_record_the_iteration_history():
     assert stats.set_changes[-1] == 0
     assert stats.contact_sizes[-1] == part.n_contact
     assert len(stats.linear_residuals) == stats.iterations
-    d = stats.to_dict()
+    d = asdict(stats)
     assert d["iterations"] == stats.iterations
     assert set(d["timings"]) == {"factor_s", "linear_s", "update_s"}
     assert all(v >= 0.0 for v in d["timings"].values())
@@ -308,7 +309,7 @@ def test_solver_factorises_through_the_spd_path(monkeypatch):
     kinds = [kw["permc_spec"] for _, kw, _ in calls]
     assert kinds[0] == "MMD_AT_PLUS_A" and "NATURAL" in kinds
     assert stats.orderings == kinds.count("MMD_AT_PLUS_A")
-    assert stats.to_dict()["orderings"] == stats.orderings
+    assert asdict(stats)["orderings"] == stats.orderings
 
 
 def _unpermute(P, perm_c):

@@ -4,23 +4,28 @@ import numpy as np
 import pytest
 
 import hmmvi.timeloop
-from hmmvi import (ProblemSpec, TimeGrid, TimeGridError, build_gd, builtin_case,
-                   generate_mesh, interpolate_obstacle, run_transient,
-                   solve_lvi, time_average_source)
+from hmmvi import (LviProblem, ProblemSpec, TimeGrid, TimeGridError, assemble_forms,
+                   build_gd, builtin_case, generate_mesh, interpolate_initial,
+                   interpolate_obstacle, run_transient, solve_lvi,
+                   time_average_source)
 from hmmvi.discretisation import AssembledForms
 from hmmvi.solver import IterationLimitError
 
 
 def test_uniform_grid():
-    g = TimeGrid.uniform(1.0, 4)
+    g = TimeGrid(1.0, 4)
     assert g.n_steps == 4
     assert g.nodes[-1] == 1.0
-    assert np.allclose(g.steps, 0.25)
+    assert g.step == 0.25
+    # the nodes are linspace's, bit for bit, and the step is T / N
+    g = TimeGrid(0.1, 7)
+    assert g.step == 0.1 / 7
+    assert np.array_equal(g.nodes, np.linspace(0.0, 0.1, 8))
 
 
 def test_step_budget_is_checked_before_the_grid_is_built():
     with pytest.raises(TimeGridError, match="1 to 1000000 steps"):
-        TimeGrid.uniform(1.0, hmmvi.timeloop.MAX_STEPS + 1)
+        TimeGrid(1.0, hmmvi.timeloop.MAX_STEPS + 1)
     # T / dt overflows to inf here
     with pytest.raises(TimeGridError, match="more than 1000000 steps"):
         TimeGrid.uniform_from_dt(1e300, 1e-300)
@@ -35,13 +40,17 @@ def test_uniform_from_dt_rounds_up():
     assert TimeGrid.uniform_from_dt(0.1, 0.5).n_steps == 1
     # dt that divides T exactly must not gain a spurious extra step
     assert TimeGrid.uniform_from_dt(0.1, 0.025).n_steps == 4
+    # ... nor when T / dt lands one ulp above an integer of many steps
+    assert TimeGrid.uniform_from_dt(0.1, 4e-6).n_steps == 25_000
+    assert TimeGrid.uniform_from_dt(0.1, 1e-6).n_steps == 100_000
 
 
-@pytest.mark.parametrize("nodes", [
-    [0.0], [0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.0, 0.1], [0.0, float("nan")]])
-def test_bad_grids_are_rejected(nodes):
+@pytest.mark.parametrize("final_time, n_steps", [
+    (0.0, 4), (-1.0, 4), (float("inf"), 4), (float("nan"), 4),
+    (1.0, 0), (1.0, hmmvi.timeloop.MAX_STEPS + 1)])
+def test_bad_grids_are_rejected(final_time, n_steps):
     with pytest.raises(TimeGridError):
-        TimeGrid(np.array(nodes))
+        TimeGrid(final_time, n_steps)
 
 
 def test_source_is_sampled_at_midpoint():
@@ -51,7 +60,7 @@ def test_source_is_sampled_at_midpoint():
         seen.append(t)
         return np.zeros(len(points))
 
-    grid = TimeGrid.uniform(1.0, 2)
+    grid = TimeGrid(1.0, 2)
     m = generate_mesh("cartesian", 1)
     gd = build_gd(m)
     spec = ProblemSpec(source=f, obstacle=lambda p: np.full(len(p), -1e9),
@@ -103,7 +112,7 @@ def test_warm_start_reduces_iterations_after_the_first_step(monkeypatch):
 def test_solver_error_names_the_step_and_keeps_its_class(monkeypatch):
     case = builtin_case("test2")
     gd = build_gd(generate_mesh("cartesian", 2))
-    grid = TimeGrid.uniform(case.spec.final_time, 4)
+    grid = TimeGrid(case.spec.final_time, 4)
     raised = IterationLimitError("cycled", last_partitions=["p", "q"])
     calls = []
 
@@ -118,15 +127,33 @@ def test_solver_error_names_the_step_and_keeps_its_class(monkeypatch):
         run_transient(gd, case.spec, grid)
     assert info.value is raised
     assert info.value.last_partitions == ("p", "q")
-    t, dt = float(grid.nodes[3]), float(grid.nodes[3] - grid.nodes[2])
-    assert str(info.value) == f"step 3 of 4 (t = {t!r}, dt = {dt!r}): cycled"
+    t = float(grid.nodes[3])
+    assert grid.step == 0.025
+    assert str(info.value) == f"step 3 of 4 (t = {t!r}, dt = {grid.step!r}): cycled"
+
+
+def test_every_step_solves_with_the_runs_one_alpha(monkeypatch):
+    alphas = []
+
+    def spy(problem, warm=None):
+        alphas.append(problem.alpha)
+        return solve_lvi(problem, warm=warm)
+
+    monkeypatch.setattr(hmmvi.timeloop, "solve_lvi", spy)
+    case = builtin_case("test2")
+    gd = build_gd(generate_mesh("cartesian", 3))
+    grid = TimeGrid.uniform_from_dt(case.spec.final_time, 0.01)
+    run_transient(gd, case.spec, grid)
+    # the node differences of linspace take 5 distinct values here
+    assert len(alphas) == grid.n_steps == 10
+    assert all(alpha == 1.0 / grid.step for alpha in alphas)
 
 
 def test_unconstrained_case_needs_one_iteration_per_step():
     case = builtin_case("smooth_baseline")
     m = generate_mesh("triangular", 6)
     gd = build_gd(m)
-    sol = run_transient(gd, case.spec, TimeGrid.uniform(case.spec.final_time, 5))
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 5))
     assert sol.iterations == [1] * 5
     assert all(p.n_contact == 0 for p in sol.partitions)
 
@@ -135,7 +162,7 @@ def test_dirichlet_values_enter_the_boundary_edges():
     case = builtin_case("test1")
     m = generate_mesh("cartesian", 3)
     gd = build_gd(m)
-    grid = TimeGrid.uniform(case.spec.final_time, 3)
+    grid = TimeGrid(case.spec.final_time, 3)
     sol = run_transient(gd, case.spec, grid)
     bdofs = gd.boundary_edge_dofs
     centers = m.edge_centers[m.is_boundary_edge]
@@ -148,7 +175,7 @@ def test_on_step_callback_sees_every_step():
     case = builtin_case("smooth_baseline")
     m = generate_mesh("cartesian", 2)
     gd = build_gd(m)
-    grid = TimeGrid.uniform(case.spec.final_time, 4)
+    grid = TimeGrid(case.spec.final_time, 4)
     log = []
     run_transient(gd, case.spec, grid,
                   on_step=lambda step, t, u, part, stats: log.append((step, t)))
@@ -160,7 +187,7 @@ def test_solution_exposes_final_state():
     case = builtin_case("smooth_baseline")
     m = generate_mesh("cartesian", 2)
     gd = build_gd(m)
-    sol = run_transient(gd, case.spec, TimeGrid.uniform(case.spec.final_time, 2))
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 2))
     assert sol.final is sol.vectors[-1]
     assert sol.grid.n_steps == 2
     assert len(sol.stats) == 2
@@ -194,8 +221,8 @@ def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
 
 
 def test_run_builds_the_operator_split_once(monkeypatch):
-    # Every step has its own alpha, and all of them share the run's one
-    # forms object: its alpha-free split is built on the first solve only.
+    # Problems with different alpha share one forms object, as the steps of a
+    # run do: its alpha-free split is built on the first solve only.
     split = AssembledForms.split
     reads = []
 
@@ -206,8 +233,13 @@ def test_run_builds_the_operator_split_once(monkeypatch):
     monkeypatch.setattr(AssembledForms, "split", property(counting))
     case = builtin_case("test2")
     gd = build_gd(generate_mesh("cartesian", 3))
-    grid = TimeGrid(np.array([0.0, 0.01, 0.03, 0.06, 0.1]))
-    assert np.unique(grid.steps).size == grid.n_steps
-    sol = run_transient(gd, case.spec, grid)
-    assert len(reads) == sum(sol.iterations) > grid.n_steps
+    forms = assemble_forms(gd)
+    psi = interpolate_obstacle(gd, case.spec.obstacle)
+    u0 = interpolate_initial(gd, case.spec.initial, psi)
+    iterations = []
+    for alpha in (10.0, 25.0):
+        problem = LviProblem(forms=forms, rhs=alpha * gd.mesh.cell_areas * u0.cells,
+                             alpha=alpha, psi=psi)
+        iterations.append(solve_lvi(problem)[2].iterations)
+    assert len(reads) == sum(iterations) > 2
     assert len({id(r) for r in reads}) == 1
