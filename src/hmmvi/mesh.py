@@ -9,8 +9,8 @@ needs to split cells into well-defined edge subcells.
 
 All geometric quantities (areas, centroids, normals, edge lengths) are
 recomputed from the vertex coordinates; files are never trusted for derived
-geometry.  Cell vertex lists are normalised to counterclockwise order on
-construction.
+geometry, and an area, centroid or edge length that overflows is refused.
+Cell vertex lists are normalised to counterclockwise order on construction.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ GEOM_TOL = 1e-12
 MAX_CELLS = 2_000_000
 # A hexagon corner this close to a box line, in circumradii, lies on it.
 ON_LINE_TOL = 1e-6
+# Shear amplitude A of kershaw meshes.  The shear stretches every vertical
+# segment by a factor of at least 1 - 4A, so 4A < 1 keeps every cell's height
+# positive; the grid folds at A = 0.25.
+KERSHAW_AMPLITUDE = 0.21
 
 MESH_FAMILIES = ("cartesian", "triangular", "hexagonal", "kershaw")
 
@@ -51,7 +55,7 @@ class MeshGenerationError(MeshError):
 # Per-cell defects in the order they are checked; a mesh error names the
 # first defective cell and its first defect.
 _CELL_DEFECTS = ("has fewer than 3 vertices", "references an unknown vertex",
-                 "repeats a vertex", "has zero area")
+                 "repeats a vertex", "has zero area", "has a non-finite area")
 
 
 def _require_finite(points: np.ndarray, label: str) -> None:
@@ -105,7 +109,7 @@ class PolytopalMesh:
     cell_points : optional (nc, 2) array of declared cell points x_K.  When
         omitted the centroid is used.
     metadata : optional dict recorded verbatim (generator family, level,
-        distortion caps and similar provenance of the construction).
+        distortion amplitude and similar provenance of the construction).
 
     The mesh keeps read-only copies of the given arrays, so no caller can
     change its geometry after construction.  Each cell's signed area, which
@@ -120,6 +124,7 @@ class PolytopalMesh:
     ``[cell_offsets[k]:cell_offsets[k + 1]]``.
     """
 
+    @np.errstate(all="ignore")
     def __init__(self, vertices, cell_vertices, cell_points=None, metadata=None):
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -163,9 +168,10 @@ class PolytopalMesh:
         x, y = rel[:, 0], rel[:, 1]
         cross = x * y[nxt] - x[nxt] * y
         signed = 0.5 * np.bincount(cell[:c], cross, minlength=stop)
-        zero_area = np.zeros(n, dtype=bool)
-        zero_area[:stop] = ~(np.abs(signed) > 0.0)
-        defects = (small, unknown, repeated, zero_area)
+        zero_area, overflow = np.zeros((2, n), dtype=bool)
+        zero_area[:stop] = signed == 0.0
+        overflow[:stop] = ~np.isfinite(signed)
+        defects = (small, unknown, repeated, zero_area, overflow)
         bad = np.flatnonzero(np.logical_or.reduce(defects))
         if bad.size:
             k = int(bad[0])
@@ -192,6 +198,7 @@ class PolytopalMesh:
         self.cell_diameters = np.sqrt(np.maximum.reduceat(far, offsets[:-1]))
 
         if cell_points is None:
+            _require_finite(centroids, "cell {}: centroid")
             self.cell_points = centroids
         else:
             self.cell_points = np.array(cell_points, dtype=float).reshape(n, 2)
@@ -242,9 +249,11 @@ class PolytopalMesh:
         pb = self.vertices[self.edge_vertices[:, 1]]
         self.edge_centers = 0.5 * (pa + pb)
         self.edge_lengths = np.sqrt(np.sum((pb - pa) ** 2, axis=1))
-        if np.any(~(self.edge_lengths > 0.0)):
-            e = int(np.argmin(self.edge_lengths))
-            raise MeshValidationError(f"edge {e} has zero length")
+        ok = (0.0 < self.edge_lengths) & (self.edge_lengths < math.inf)
+        if not ok.all():
+            e = int(np.argmin(ok))
+            what = "zero" if self.edge_lengths[e] == 0.0 else "non-finite"
+            raise MeshValidationError(f"edge {e} has {what} length")
         self.is_boundary_edge = self.edge_cells[:, 1] < 0
 
     def _build_cell_geometry(self, cell, nxt, pts):
@@ -353,10 +362,10 @@ def validate(mesh: PolytopalMesh) -> dict:
 # -- generators -------------------------------------------------------------
 
 
-def _grid_vertices(m_x: int, m_y: int, bbox) -> np.ndarray:
+def _grid_vertices(m: int, bbox) -> np.ndarray:
     xmin, xmax, ymin, ymax = bbox
-    xs = np.linspace(xmin, xmax, m_x + 1)
-    ys = np.linspace(ymin, ymax, m_y + 1)
+    xs = np.linspace(xmin, xmax, m + 1)
+    ys = np.linspace(ymin, ymax, m + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack((X.ravel(), Y.ravel()))
 
@@ -368,50 +377,32 @@ def _cartesian_cells(m: int) -> np.ndarray:
 
 
 def _generate_cartesian(m: int, bbox) -> PolytopalMesh:
-    return PolytopalMesh(_grid_vertices(m, m, bbox), _cartesian_cells(m))
+    return PolytopalMesh(_grid_vertices(m, bbox), _cartesian_cells(m))
 
 
 def _generate_triangular(m: int, bbox) -> PolytopalMesh:
     # Each square (v, v+m+1, v+m+2, v+1) is cut along its diagonal.
     sq = _cartesian_cells(m)
     cells = np.stack((sq[:, [0, 1, 2]], sq[:, [0, 2, 3]]), axis=1).reshape(-1, 3)
-    return PolytopalMesh(_grid_vertices(m, m, bbox), cells)
+    return PolytopalMesh(_grid_vertices(m, bbox), cells)
 
 
-def _generate_kershaw(m: int, bbox, target_amplitude: float = 0.3,
-                      waves: int = 2) -> PolytopalMesh:
-    """Cartesian grid with a smooth sinusoidal vertical shear.
+def _generate_kershaw(m: int, bbox) -> PolytopalMesh:
+    """Cartesian grid under a smooth vertical shear.
 
-    The vertical displacement is amplitude * height * 4 ty (1 - ty) *
-    sin(2 pi waves tx) in normalised coordinates, so it vanishes on the whole
-    boundary.  The amplitude is reduced geometrically until every cell sees
-    all of its edges from the centroid; the value actually used is recorded in
-    the metadata.
+    In normalised coordinates tx, ty the shear moves y by KERSHAW_AMPLITUDE *
+    height * 4 ty (1 - ty) sin(4 pi tx): two sine waves across the box,
+    vanishing on the whole boundary.
     """
     xmin, xmax, ymin, ymax = bbox
     height = ymax - ymin
-    base = _grid_vertices(m, m, bbox)
-    tx = (base[:, 0] - xmin) / (xmax - xmin)
-    ty = (base[:, 1] - ymin) / height
-    shape = 4.0 * ty * (1.0 - ty) * np.sin(2.0 * math.pi * waves * tx)
-    cells = _cartesian_cells(m)
-
-    amplitude = target_amplitude
-    while amplitude > 1e-3:
-        verts = base.copy()
-        verts[:, 1] += amplitude * height * shape
-        try:
-            mesh = PolytopalMesh(verts, cells,
-                                 metadata={"family": "kershaw",
-                                           "distortion_amplitude": amplitude,
-                                           "distortion_waves": waves,
-                                           "target_amplitude": target_amplitude})
-            validate(mesh)
-            return mesh
-        except MeshValidationError:
-            amplitude *= 0.7
-    raise MeshGenerationError(
-        f"no valid distortion amplitude found for kershaw mesh with m={m}")
+    verts = _grid_vertices(m, bbox)
+    tx = (verts[:, 0] - xmin) / (xmax - xmin)
+    ty = (verts[:, 1] - ymin) / height
+    verts[:, 1] += KERSHAW_AMPLITUDE * height * (4.0 * ty * (1.0 - ty) * np.sin(4.0 * math.pi * tx))
+    return PolytopalMesh(verts, _cartesian_cells(m),
+                         metadata={"family": "kershaw", "distortion_amplitude": KERSHAW_AMPLITUDE,
+                                   "distortion_waves": 2})
 
 
 def _round10(x: np.ndarray) -> np.ndarray:
@@ -553,8 +544,9 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     * ``hexagonal``: hexagons of circumradius 0.5 / 2^(n-1), boundary cells
       clipped to the box; a hexagon corner within ON_LINE_TOL circumradii of
       a box line is moved onto it, and the box itself is kept.
-    * ``kershaw``: 2^(n+2) x 2^(n+2) quadrilaterals from a smoothly sheared
-      grid; the shear amplitude actually used is recorded in the metadata.
+    * ``kershaw``: 2^(n+2) x 2^(n+2) quadrilaterals from a grid under a smooth
+      vertical shear of fixed amplitude KERSHAW_AMPLITUDE = 0.21, below the
+      0.25 at which it would fold a cell; the metadata records it.
     """
     if family not in MESH_FAMILIES:
         raise MeshGenerationError(

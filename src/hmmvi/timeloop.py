@@ -46,13 +46,12 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (1 <= self.n_steps <= MAX_STEPS and 0.0 < self.final_time < math.inf):
-            raise TimeGridError(
-                f"need a positive finite horizon and 1 to {MAX_STEPS} steps, "
-                f"got T={self.final_time!r}, n={self.n_steps!r}")
-        object.__setattr__(self, "step", self.final_time / self.n_steps)
-        object.__setattr__(self, "nodes",
-                           np.linspace(0.0, self.final_time, self.n_steps + 1))
+        _check_horizon(self.final_time)
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_STEPS:
+            raise TimeGridError(f"need an integer count of 1 to {MAX_STEPS} steps, got n={n!r}")
+        object.__setattr__(self, "step", self.final_time / n)
+        object.__setattr__(self, "nodes", np.linspace(0.0, self.final_time, n + 1))
 
     @classmethod
     def uniform_from_dt(cls, final_time: float, dt: float) -> "TimeGrid":
@@ -60,6 +59,7 @@ class TimeGrid:
 
         A dt within 1e-12 relative of dividing final_time gives exactly
         final_time / dt steps."""
+        _check_horizon(final_time)
         if not 0.0 < dt < math.inf:
             raise TimeGridError(f"time step must be positive and finite, got {dt!r}")
         steps = final_time / dt * (1.0 - 1e-12)
@@ -67,6 +67,11 @@ class TimeGrid:
             raise TimeGridError(f"T={final_time!r} in steps of dt={dt!r} takes more "
                                 f"than {MAX_STEPS} steps")
         return cls(final_time, max(1, math.ceil(steps)))
+
+
+def _check_horizon(final_time: float) -> None:
+    if not 0.0 < final_time < math.inf:
+        raise TimeGridError(f"need a positive finite horizon, got T={final_time!r}")
 
 
 @dataclass
@@ -87,8 +92,8 @@ class ProblemSpec:
     dirichlet: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.final_time <= 0.0:
-            raise ValueError(f"final time must be positive, got {self.final_time!r}")
+        if not 0.0 < self.final_time < math.inf:
+            raise ValueError(f"final time must be positive and finite, got {self.final_time!r}")
 
 
 @dataclass

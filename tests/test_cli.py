@@ -295,6 +295,20 @@ def test_meshgen_box_whose_width_overflows_is_a_usage_error(tmp_path):
     assert "degenerate bounding box" in proc.stderr
 
 
+@pytest.mark.parametrize("family, bbox, message", [
+    ("cartesian", "0,1e200,0,1", "cell 0: centroid has non-finite coordinates"),
+    ("kershaw", "0,1,0,1e-300", "edge 1 has zero length")])
+def test_meshgen_box_that_cannot_be_meshed_is_one_numerical_error(tmp_path, family, bbox,
+                                                                   message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "meshgen", "--family", family,
+         "--levels", "1", f"--bbox={bbox}", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert message in proc.stderr
+
+
 @pytest.mark.parametrize("bbox", ["0,1,0,1e-7", f"0,1,0.1,{0.1 + 1e-7!r}",
                                   f"0.1,{0.1 + 1e-7!r},0,1"])
 def test_meshgen_hexagonal_box_thinner_than_the_on_line_tolerance_exits_2(tmp_path, bbox):

@@ -49,6 +49,50 @@ def test_kershaw_is_distorted_but_valid():
     assert np.sum(m.cell_areas) == pytest.approx(4.0)
 
 
+def test_kershaw_mesh_is_built_and_validated_once(monkeypatch):
+    calls = {"build": 0, "validate": 0}
+    init, check = PolytopalMesh.__init__, hmmvi.mesh.validate
+
+    def counting_init(self, *args, **kwargs):
+        calls["build"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_validate(mesh):
+        calls["validate"] += 1
+        return check(mesh)
+
+    monkeypatch.setattr(PolytopalMesh, "__init__", counting_init)
+    monkeypatch.setattr(hmmvi.mesh, "validate", counting_validate)
+    generate_mesh("kershaw", 3)
+    assert calls == {"build": 1, "validate": 1}
+
+
+@pytest.mark.parametrize("bbox", [(-1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 0.01),
+                                  (1e6, 1e6 + 1.0, -3.0, 7.0)])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_kershaw_amplitude_is_fixed(level, bbox):
+    m = generate_mesh("kershaw", level, bbox)
+    assert m.metadata["distortion_amplitude"] == hmmvi.mesh.KERSHAW_AMPLITUDE == 0.21
+    assert m.metadata["distortion_waves"] == 2
+    assert "target_amplitude" not in m.metadata
+
+
+def test_kershaw_box_too_thin_to_mesh_fails_like_cartesian():
+    for family in ("cartesian", "kershaw"):
+        with pytest.raises(MeshValidationError, match="edge 1 has zero length"):
+            generate_mesh(family, 1, (0.0, 1.0, 0.0, 1e-300))
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([[0, 0], [1e200, 0], [0, 1]], r"cell 0: centroid has non-finite coordinates \[inf"),
+    ([[0, 0], [1e200, 0], [0, 1e200]], "cell 0 has a non-finite area"),
+    ([[0, 0], [1e160, 0], [0, 1e-160]], "edge 0 has non-finite length")])
+def test_geometry_that_overflows_is_refused_without_warnings(vertices, message):
+    # RuntimeWarnings are errors under this suite's warning filter.
+    with pytest.raises(MeshValidationError, match=message):
+        PolytopalMesh(vertices, [[0, 1, 2]])
+
+
 @pytest.mark.parametrize("family", MESH_FAMILIES)
 def test_generated_meshes_validate(family):
     for n in (1, 2):

@@ -21,6 +21,8 @@ def test_uniform_grid():
     g = TimeGrid(0.1, 7)
     assert g.step == 0.1 / 7
     assert np.array_equal(g.nodes, np.linspace(0.0, 0.1, 8))
+    # a numpy integer is a step count too
+    assert TimeGrid(0.1, np.int64(7)) == g
 
 
 def test_step_budget_is_checked_before_the_grid_is_built():
@@ -47,10 +49,18 @@ def test_uniform_from_dt_rounds_up():
 
 @pytest.mark.parametrize("final_time, n_steps", [
     (0.0, 4), (-1.0, 4), (float("inf"), 4), (float("nan"), 4),
-    (1.0, 0), (1.0, hmmvi.timeloop.MAX_STEPS + 1)])
+    (1.0, 0), (1.0, hmmvi.timeloop.MAX_STEPS + 1), (1.0, 2.5), (1.0, 3.0), (1.0, True)])
 def test_bad_grids_are_rejected(final_time, n_steps):
     with pytest.raises(TimeGridError):
         TimeGrid(final_time, n_steps)
+
+
+@pytest.mark.parametrize("final_time", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_horizon_is_not_reported_as_a_step_budget(final_time):
+    with pytest.raises(TimeGridError, match="positive finite horizon"):
+        TimeGrid.uniform_from_dt(final_time, 0.1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ProblemSpec(source=None, obstacle=None, initial=None, final_time=final_time)
 
 
 def test_source_is_sampled_at_midpoint():
