@@ -15,6 +15,12 @@ two rows per subcell and one column per unknown.  Every form of the scheme is
 that map weighted and squared: the stiffness is G^T W G with W = |D| Lambda_K
 on each subcell, and the plain stiffness uses W = |D|.
 
+G is written straight into CSR arrays.  The cells are grouped by corner
+count, and each group is one broadcast pass: rows 2s and 2s+1 of subcell s
+hold the cell column first, then the cell's edge columns by ascending edge
+number, with exact zeros dropped.  That is scipy's canonical order, so G is
+bit for bit the matrix a COO build and ``tocsr`` would give.
+
 Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
 non-homogeneous data the same unknowns are pinned to the boundary values
 instead.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,7 +130,7 @@ def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
         out[:, 1, 1] = 1.0
         return out
     if callable(diffusion):
-        out = np.asarray(diffusion(mesh.cell_points), dtype=float)
+        out = np.array(diffusion(mesh.cell_points), dtype=float)
         if out.shape != (nc, 2, 2):
             raise DiscretisationError(
                 f"diffusion callable returned shape {out.shape}, expected {(nc, 2, 2)}")
@@ -167,7 +174,9 @@ class GradientDiscretisation:
 
     Unknown ordering is all cells first, then all edges: edge e is unknown
     n_cells + e.  Instances are immutable after construction and can be
-    shared between solves.
+    shared between solves: every array, the gradient matrix's included, is
+    read-only.  ``subcell_triangles`` and ``subcell_centroids`` are built on
+    first read; only the diagnostics use them.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None):
@@ -179,25 +188,13 @@ class GradientDiscretisation:
         self.n_dofs = self.n_cells + self.n_edges
 
         counts = np.diff(mesh.cell_offsets)
-        first = mesh.cell_offsets[:-1]
-        cell = np.repeat(np.arange(self.n_cells), counts)
-        local = np.arange(cell.size) - first[cell]
-        edges = mesh.corner_edges
-        normals = mesh.corner_normals
-        dists = mesh.corner_edge_dists
-        lengths = mesh.edge_lengths[edges]
-        xk = mesh.cell_points[cell]
-        verts = mesh.vertices[mesh.corner_vertices]
-        nxt = verts[first[cell] + (local + 1) % counts[cell]]
+        lengths = mesh.edge_lengths[mesh.corner_edges]
+        self.subcell_cell = np.repeat(np.arange(self.n_cells), counts)
+        self.subcell_edge = mesh.corner_edges
+        self.subcell_volumes = 0.5 * lengths * mesh.corner_edge_dists
+        self.n_subcells = self.subcell_cell.size
 
-        self.subcell_cell = cell
-        self.subcell_edge = edges
-        self.subcell_volumes = 0.5 * lengths * dists
-        self.subcell_centroids = (xk + verts + nxt) / 3.0
-        self.subcell_triangles = np.stack((xk, verts, nxt), axis=1)
-        self.n_subcells = cell.size
-
-        self._grad_matrix = self._build_gradient_matrix(first, normals, dists, lengths)
+        self._grad_matrix = G = self._build_gradient_matrix(counts, lengths)
 
         bdofs = self.n_cells + mesh.boundary_edges
         self.boundary_edge_dofs = bdofs
@@ -205,36 +202,78 @@ class GradientDiscretisation:
         free[bdofs] = False
         self.free_dofs = np.nonzero(free)[0]
 
-    def _build_gradient_matrix(self, first, normals, dists, lengths) -> sp.csr_matrix:
+        for arr in (self.diffusion, self.subcell_cell, self.subcell_volumes,
+                    self.boundary_edge_dofs, self.free_dofs, G.data, G.indices, G.indptr):
+            arr.setflags(write=False)
+
+    def _build_gradient_matrix(self, counts, lengths) -> sp.csr_matrix:
         """Rows 2s, 2s+1 hold the gradient on subcell s as a map of the dofs.
 
         For subcells s and t of cell K, with g_t = |sigma_t| n_t / |K| and
         c_s = sqrt(2) / d_s n_s, the edge-t column is
         g_t + c_s (delta_st - (x_sigma_s - x_K) . g_t) and the cell column
         is -c_s.
+
+        The CSR arrays are written directly, one broadcast pass per corner
+        count m: the cells with m corners give an (n_m, m, 2, m+1) block of
+        rows, the columns of each row being the cell first, then the cell's
+        edges by ascending number (scipy's canonical order).  Exact zeros are
+        dropped, and the row lengths give ``indptr``.  With more than one
+        cell size the rows are put back in subcell order at the end.
         """
         mesh = self.mesh
-        cell = self.subcell_cell
-        counts = np.bincount(cell, minlength=self.n_cells)[cell]
-        s = np.repeat(np.arange(self.n_subcells), counts)
-        pair_first = np.cumsum(counts) - counts
-        t = first[cell[s]] + np.arange(s.size) - pair_first[s]
+        cell, edges, first = self.subcell_cell, self.subcell_edge, mesh.cell_offsets[:-1]
+        g = mesh.corner_normals * lengths[:, None] / mesh.cell_areas[cell][:, None]
+        c = (math.sqrt(2.0) / mesh.corner_edge_dists)[:, None] * mesh.corner_normals
+        dx = mesh.edge_centers[edges] - mesh.cell_points[cell]
 
-        g = normals * lengths[:, None] / mesh.cell_areas[cell][:, None]
-        c = (math.sqrt(2.0) / dists)[:, None] * normals
-        dx = mesh.edge_centers[self.subcell_edge] - mesh.cell_points[cell]
-        stab = (s == t) - (dx[s, 0] * g[t, 0] + dx[s, 1] * g[t, 1])
-        edge_vals = g[t] + c[s] * stab[:, None]
+        data, indices, row_nnz, rows = [], [], [], []
+        for m in np.unique(counts):
+            cells = np.flatnonzero(counts == m)
+            corners = first[cells][:, None] + np.arange(m)     # subcell s, row order
+            order = np.argsort(edges[corners], axis=1)
+            ranked = np.take_along_axis(corners, order, axis=1)  # subcell t, column order
+            gt, ds, cs = g[ranked], dx[corners], c[corners]
+            stab = (np.arange(m)[:, None] == order[:, None, :]) - (
+                ds[:, :, None, 0] * gt[:, None, :, 0] + ds[:, :, None, 1] * gt[:, None, :, 1])
+            vals = np.empty((cells.size, m, 2, m + 1))
+            vals[..., 0] = -cs
+            vals[..., 1:] = gt.transpose(0, 2, 1)[:, None] + cs[..., None] * stab[:, :, None]
+            cols = np.column_stack((cells, self.n_cells + edges[ranked]))[:, None, None]
+            keep = vals != 0.0
+            data.append(vals[keep])
+            indices.append(np.broadcast_to(cols, vals.shape)[keep])
+            row_nnz.append(keep.sum(axis=3).ravel())
+            rows.append((2 * corners[..., None] + np.arange(2)).ravel())
 
-        rows = np.concatenate((2 * s[:, None] + np.arange(2),
-                               2 * np.arange(self.n_subcells)[:, None] + np.arange(2)))
-        cols = np.concatenate((np.repeat(self.n_cells + self.subcell_edge[t], 2),
-                               np.repeat(cell, 2)))
-        vals = np.concatenate((edge_vals, -c)).ravel()
-        keep = vals != 0.0
-        mat = sp.coo_matrix((vals[keep], (rows.ravel()[keep], cols[keep])),
+        row_nnz = np.concatenate(row_nnz)
+        indptr = np.zeros(row_nnz.size + 1, dtype=row_nnz.dtype)
+        np.cumsum(row_nnz, out=indptr[1:])
+        mat = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
                             shape=(2 * self.n_subcells, self.n_dofs))
-        return mat.tocsr()
+        if len(rows) > 1:
+            mat = mat[np.argsort(np.concatenate(rows))]
+        return mat
+
+    @cached_property
+    def subcell_triangles(self) -> np.ndarray:
+        """(n_subcells, 3, 2): x_K, then the two ends of the subcell's edge."""
+        mesh = self.mesh
+        counts = np.diff(mesh.cell_offsets)[self.subcell_cell]
+        first = mesh.cell_offsets[:-1][self.subcell_cell]
+        nxt = first + (np.arange(self.n_subcells) - first + 1) % counts
+        verts = mesh.vertices[mesh.corner_vertices]
+        tri = np.stack((mesh.cell_points[self.subcell_cell], verts, verts[nxt]), axis=1)
+        tri.setflags(write=False)
+        return tri
+
+    @cached_property
+    def subcell_centroids(self) -> np.ndarray:
+        """(n_subcells, 2): the centroids of ``subcell_triangles``."""
+        tri = self.subcell_triangles
+        centroids = (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
+        centroids.setflags(write=False)
+        return centroids
 
     # -- unknown layout ------------------------------------------------------
 

@@ -90,3 +90,62 @@ def assemble(mesh, diffusion):
     stiffness = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
     plain = sp.coo_matrix((np.concatenate(vals0), (rows, cols)), shape=shape).tocsr()
     return stiffness, plain
+
+
+# -- the pair-index COO construction -----------------------------------------
+#
+# The batched construction the direct CSR build replaced, frozen as it was:
+# pair indices (s, t) over every two subcells of a cell, COO triplets with
+# exact zeros dropped, then ``tocsr``.  The subcell geometry is the eager
+# formula of the same code.
+
+
+def _subcell_inputs(mesh):
+    n_cells = mesh.n_cells
+    counts = np.diff(mesh.cell_offsets)
+    first = mesh.cell_offsets[:-1]
+    cell = np.repeat(np.arange(n_cells), counts)
+    local = np.arange(cell.size) - first[cell]
+    verts = mesh.vertices[mesh.corner_vertices]
+    nxt = verts[first[cell] + (local + 1) % counts[cell]]
+    return first, cell, verts, nxt
+
+
+def coo_gradient_matrix(mesh):
+    """The subcell gradient matrix G, built from COO triplets by ``tocsr``."""
+    n_cells = mesh.n_cells
+    n_dofs = n_cells + mesh.n_edges
+    first, cell, _, _ = _subcell_inputs(mesh)
+    n_subcells = cell.size
+    subcell_edge = mesh.corner_edges
+    normals = mesh.corner_normals
+    dists = mesh.corner_edge_dists
+    lengths = mesh.edge_lengths[subcell_edge]
+
+    counts = np.bincount(cell, minlength=n_cells)[cell]
+    s = np.repeat(np.arange(n_subcells), counts)
+    pair_first = np.cumsum(counts) - counts
+    t = first[cell[s]] + np.arange(s.size) - pair_first[s]
+
+    g = normals * lengths[:, None] / mesh.cell_areas[cell][:, None]
+    c = (math.sqrt(2.0) / dists)[:, None] * normals
+    dx = mesh.edge_centers[subcell_edge] - mesh.cell_points[cell]
+    stab = (s == t) - (dx[s, 0] * g[t, 0] + dx[s, 1] * g[t, 1])
+    edge_vals = g[t] + c[s] * stab[:, None]
+
+    rows = np.concatenate((2 * s[:, None] + np.arange(2),
+                           2 * np.arange(n_subcells)[:, None] + np.arange(2)))
+    cols = np.concatenate((np.repeat(n_cells + subcell_edge[t], 2),
+                           np.repeat(cell, 2)))
+    vals = np.concatenate((edge_vals, -c)).ravel()
+    keep = vals != 0.0
+    mat = sp.coo_matrix((vals[keep], (rows.ravel()[keep], cols[keep])),
+                        shape=(2 * n_subcells, n_dofs))
+    return mat.tocsr()
+
+
+def eager_subcell_geometry(mesh):
+    """(subcell_triangles, subcell_centroids) by the eager formulas."""
+    _, cell, verts, nxt = _subcell_inputs(mesh)
+    xk = mesh.cell_points[cell]
+    return np.stack((xk, verts, nxt), axis=1), (xk + verts + nxt) / 3.0

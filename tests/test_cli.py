@@ -110,6 +110,7 @@ def test_run_record_has_the_snapshot_time(tmp_path, formats, snapshots):
     record = json.loads((out / "run.json").read_text())
     assert len(record["snapshots"]) == snapshots
     assert isinstance(record["snapshot_seconds"], float)
+    assert record["build_gd_seconds"] > 0.0
     if snapshots:
         assert 0.0 < record["snapshot_seconds"] < record["wall_seconds"]
     else:
@@ -696,8 +697,10 @@ def test_converge_produces_table_and_rates(tmp_path):
     doc = json.loads((out / "convergence.json").read_text())
     assert len(doc["levels"]) == 2
     assert doc["levels"][1]["rate_grad"] == pytest.approx(1.0, abs=0.25)
-    # the march's wall time per level, so error against time can be plotted
+    # the march's wall time per level, so error against time can be plotted,
+    # and the set-up's
     assert all(level["wall_seconds"] > 0.0 for level in doc["levels"])
+    assert all(level["build_gd_seconds"] > 0.0 for level in doc["levels"])
     header = (out / "convergence.csv").read_text().splitlines()[0].split(",")
     assert header == ["tag", "h", "n_cells", "n_dofs", "dt", "n_steps",
                       "rel_l2", "rate_l2", "rel_grad", "rate_grad"]
@@ -760,7 +763,8 @@ def test_flag_equal_to_its_default_beats_the_config(tmp_path, monkeypatch, key,
         monkeypatch.chdir(tmp_path / name)
         assert run_cli(*argv, *extra) == EXIT_OK
         rec = json.loads(Path("out", "run.json").read_text())
-        del rec["wall_seconds"], rec["snapshot_seconds"], rec["solver_timings"]
+        del rec["wall_seconds"], rec["build_gd_seconds"], rec["snapshot_seconds"]
+        del rec["solver_timings"]
         for step in rec["steps"]:
             del step["timings"]
         outputs.append((sorted(map(str, Path().rglob("*"))), rec))

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hmmvi import (DiscretisationError, MESH_FAMILIES, assemble_forms, build_gd,
-                   flux_conservation_defect, generate_mesh, interpolate_exact,
-                   interpolate_initial, interpolate_obstacle,
-                   reconstruct_gradient_flat)
+from hmmvi import (DiscretisationError, MESH_FAMILIES, PolytopalMesh, assemble_forms,
+                   build_gd, flux_conservation_defect, generate_mesh,
+                   interpolate_exact, interpolate_initial, interpolate_obstacle,
+                   reconstruct_gradient_flat, validate)
 from hmmvi.discretisation import DofVector
 
 import gdref
@@ -126,6 +126,80 @@ def test_operators_match_per_cell_reference(level, family, diffusion):
     for k in range(m.n_cells):
         A, _ = gdref.local_forms(m, gd.diffusion, k)
         assert np.abs(local_stiffness(gd, k) - A).max() <= 1e-14 * np.abs(A).max()
+
+
+def _mixed_cell_mesh():
+    """A quad, a pentagon and a triangle on [0, 2] x [0, 1], in that order.
+
+    The pentagon's corner edges are (4, 3, 5, 6, 7) and the triangle's
+    (2, 8, 5), so neither cell meets its edges in increasing order, and
+    grouping the cells by size reorders them.
+    """
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0],
+                         [1.0, 1.0], [0.0, 1.0], [1.0, 0.5]])
+    return PolytopalMesh(vertices, [[1, 2, 3, 6], [0, 1, 6, 4, 5], [6, 3, 4]])
+
+
+def _assert_same_csr(A, B):
+    assert A.shape == B.shape
+    assert A.data.dtype == B.data.dtype and A.data.tobytes() == B.data.tobytes()
+    for name in ("indices", "indptr"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _assert_gradient_matrix_is_the_coo_one(m, gd):
+    G = gd._grad_matrix
+    _assert_same_csr(G, gdref.coo_gradient_matrix(m))
+    # canonical CSR: sorted columns, no duplicates, no stored zeros
+    for k in range(G.shape[0]):
+        cols = G.indices[G.indptr[k]:G.indptr[k + 1]]
+        assert np.all(np.diff(cols) > 0)
+    assert np.all(G.data != 0.0)
+    triangles, centroids = gdref.eager_subcell_geometry(m)
+    assert gd.subcell_triangles.tobytes() == triangles.tobytes()
+    assert gd.subcell_centroids.tobytes() == centroids.tobytes()
+
+
+@pytest.mark.parametrize("diffusion", ["identity", "per_cell"])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_gradient_matrix_is_bitwise_the_coo_construction(level, family, diffusion):
+    m = generate_mesh(family, level)
+    _assert_gradient_matrix_is_the_coo_one(m, build_gd(m, diffusion=_diffusion(diffusion, m)))
+
+
+def test_gradient_matrix_of_mixed_cells_is_bitwise_the_coo_construction():
+    m = _mixed_cell_mesh()
+    validate(m)
+    assert np.diff(m.cell_offsets).tolist() == [4, 5, 3]
+    assert cell_slice(m, m.corner_edges, 1).tolist() == [4, 3, 5, 6, 7]
+    assert cell_slice(m, m.corner_edges, 2).tolist() == [2, 8, 5]
+    gd = build_gd(m, diffusion=_diffusion("per_cell", m))
+    _assert_gradient_matrix_is_the_coo_one(m, gd)
+    v = vector(gd, cells=m.cell_points[:, 0] - 2 * m.cell_points[:, 1],
+               edges=m.edge_centers[:, 0] - 2 * m.edge_centers[:, 1])
+    assert np.allclose(reconstruct_gradient_flat(gd, v), [1.0, -2.0], rtol=0, atol=1e-13)
+
+
+def test_discretisation_arrays_are_read_only():
+    m = _mixed_cell_mesh()
+    gd = build_gd(m, diffusion=_diffusion("per_cell", m))
+    G = gd._grad_matrix
+    arrays = {"diffusion": gd.diffusion, "subcell_cell": gd.subcell_cell,
+              "subcell_edge": gd.subcell_edge, "subcell_volumes": gd.subcell_volumes,
+              "boundary_edge_dofs": gd.boundary_edge_dofs, "free_dofs": gd.free_dofs,
+              "subcell_triangles": gd.subcell_triangles,
+              "subcell_centroids": gd.subcell_centroids,
+              "G.data": G.data, "G.indices": G.indices, "G.indptr": G.indptr}
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+    # a diffusion array or callable result stays the caller's to change
+    field = _diffusion("per_cell", m)
+    build_gd(m, diffusion=field)
+    build_gd(m, diffusion=lambda points: field)
+    field[0, 0, 0] = 2.0
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
