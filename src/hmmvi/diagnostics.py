@@ -1,7 +1,8 @@
 """Quality measures of a discretisation and error norms of computed runs.
 
 The three quantities controlling the error bound of the scheme are estimated
-directly from the assembled forms:
+directly from the assembled forms, with A0 the stiffness of the identity
+scheme (Lambda = I) on the homogeneous unknowns:
 
 * C_D, the norm of the function reconstruction relative to the gradient
   reconstruction, is the square root of the largest eigenvalue of the pencil
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .discretisation import (AssembledForms, GradientDiscretisation,
-                             ObstacleVector, assemble_forms,
+                             ObstacleVector, assemble_forms, build_gd,
                              interpolate_exact, interpolate_initial,
                              reconstruct_gradient_flat)
 from .solver import factorise_spd
@@ -160,14 +161,22 @@ def eoc(errors, sizes) -> np.ndarray:
 
 
 def _plain_factorisation(forms: AssembledForms):
-    """(A0, its factorisation), A0 the plain form on the free unknowns.
+    """(A0, its factorisation), A0 the plain gradient form on the free unknowns.
 
-    A0 is symmetric positive definite, so it goes through the solver's SPD
-    factorisation, once per forms object.
+    The quality constants are taken in the unweighted gradient norm, whose
+    form is the stiffness of the identity scheme.  When every Lambda_K of
+    ``forms.gd`` is the identity that is ``forms.stiffness``; otherwise it is
+    assembled from the same mesh with identity diffusion.  A0 is symmetric
+    positive definite, so it goes through the solver's SPD factorisation,
+    once per forms object.
     """
     if forms._plain_factor is None:
-        free = forms.gd.free_dofs
-        A0 = forms.plain_stiffness[free][:, free].tocsc()
+        gd = forms.gd
+        stiffness = forms.stiffness
+        if not np.all(gd.diffusion == np.eye(2)):
+            stiffness = assemble_forms(build_gd(gd.mesh)).stiffness
+        free = gd.free_dofs
+        A0 = stiffness[free][:, free].tocsc()
         try:
             lu = factorise_spd(A0)
         except RuntimeError as exc:

@@ -11,9 +11,10 @@ D_{K,sigma} (the triangles spanned by an edge and the cell point x_K):
 
 The stabilised gradient is exact for affine functions sampled at cell points
 and edge midpoints.  It is one linear map, stored as a sparse matrix G with
-two rows per subcell and one column per unknown.  Every form of the scheme is
-that map weighted and squared: the stiffness is G^T W G with W = |D| Lambda_K
-on each subcell, and the plain stiffness uses W = |D|.
+two rows per subcell and one column per unknown.  The stiffness is that map
+weighted and squared, G^T W G with W = |D| Lambda_K on each subcell.  G does
+not depend on Lambda, so with Lambda = I the stiffness is the unweighted
+gradient form in which the quality measures are taken.
 
 G is written straight into CSR arrays.  The cells are grouped by corner
 count, and each group is one broadcast pass: rows 2s and 2s+1 of subcell s
@@ -79,21 +80,19 @@ class AssembledForms:
     """Global sparse forms over the full cell+edge unknown set.
 
     One object serves every time step of a run; the mass is kept as its
-    diagonal.  ``split`` and ``plain_stiffness`` (only the quality
-    diagnostics use it, and keep its factorisation in ``_plain_factor``) are
-    built when first read.  The solver keeps the fill-reducing ordering of
+    diagonal.  ``split`` is built when first read.  The quality diagnostics
+    keep their factorisation of the identity scheme's stiffness in
+    ``_plain_factor``, and the solver keeps the fill-reducing ordering of
     the last Schur complement it factorised in ``_ordering``.
     """
 
     gd: GradientDiscretisation = field(repr=False, compare=False)
     stiffness: sp.csr_matrix        # diffusion-weighted gradient form
     mass_diag: np.ndarray           # |K| on cell entries, zero on edges
-    _plain: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
     _plain_factor: Optional[tuple] = field(default=None, init=False, repr=False)
-    _split: Optional[tuple] = field(default=None, init=False, repr=False)
     _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    @property
+    @cached_property
     def split(self) -> tuple:
         """(s_cc, B, Aee, edofs, Bt): the stiffness blocks of the condensed solve.
 
@@ -103,23 +102,12 @@ class AssembledForms:
         that each solve scales its columns in place of a diagonal product.
         None of them depends on alpha.
         """
-        if self._split is None:
-            nc = self.gd.n_cells
-            edofs = self.gd.free_dofs[nc:]
-            cell_rows = self.stiffness[:nc]
-            B = cell_rows[:, edofs]
-            self._split = (cell_rows.diagonal(), B, self.stiffness[edofs][:, edofs],
-                           edofs, B.T.tocsr())
-        return self._split
-
-    @property
-    def plain_stiffness(self) -> sp.csr_matrix:
-        """The gradient form with identity diffusion."""
-        if self._plain is None:
-            G = self.gd._grad_matrix
-            plain = (G.T @ sp.diags(np.repeat(self.gd.subcell_volumes, 2)) @ G).tocsr()
-            self._plain = 0.5 * (plain + plain.T)
-        return self._plain
+        nc = self.gd.n_cells
+        edofs = self.gd.free_dofs[nc:]
+        cell_rows = self.stiffness[:nc]
+        B = cell_rows[:, edofs]
+        return (cell_rows.diagonal(), B, self.stiffness[edofs][:, edofs], edofs,
+                B.T.tocsr())
 
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
@@ -311,11 +299,10 @@ def reconstruct_gradient_flat(gd: GradientDiscretisation, v: DofVector) -> np.nd
 
 
 def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
-    """Assemble the global stiffness forms and the diagonal cell mass.
+    """Assemble the global stiffness and the diagonal cell mass.
 
-    Both forms are G^T W G of the subcell gradient matrix G, with W holding
-    |D| Lambda_K (or |D| alone for the plain form) on each subcell.  The
-    plain form is assembled on its first read.
+    The stiffness is G^T W G of the subcell gradient matrix G, with W holding
+    |D| Lambda_K on each subcell, symmetrised.
     """
     G = gd._grad_matrix
     n = gd.n_subcells

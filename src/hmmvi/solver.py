@@ -287,28 +287,20 @@ def _linear_solve(problem, partition):
     The balance cells are condensed out and only the interior-edge Schur
     complement is factorised.  Returns (u, residual, factorisation seconds,
     whether the factorisation computed an ordering), the residual measured on
-    the uncondensed free system.
+    the uncondensed free system.  ``solve_lvi`` has checked the boundary
+    values once for all its iterations.
     """
     gd = problem.forms.gd
     nc = gd.n_cells
     bdofs = gd.boundary_edge_dofs
-    if problem.boundary_values is not None:
-        bvals = np.asarray(problem.boundary_values, dtype=float)
-        if bvals.shape != (bdofs.size,):
-            raise SolverError(
-                f"{bvals.size} boundary values for {bdofs.size} boundary edges")
-        if not np.all(np.isfinite(bvals)):
-            raise SolverError("boundary values have non-finite entries")
-    else:
-        bvals = np.zeros(bdofs.size)
-
     s_cc, B, Aee, edofs, Bt = problem.forms.split
     d = s_cc + problem.alpha * problem.forms.mass_diag[:nc]
     contact = partition.contact
     balance = ~contact
     u = np.zeros(gd.n_dofs)
     u[:nc][contact] = problem.psi.values[contact]
-    u[bdofs] = bvals
+    if problem.boundary_values is not None:
+        u[bdofs] = problem.boundary_values
     free_ids = np.concatenate((np.nonzero(balance)[0], edofs))
     if free_ids.size == 0:
         return DofVector(u, nc), 0.0, 0.0, False
@@ -386,6 +378,13 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
         raise SolverError("rhs has non-finite values")
     if not (np.isfinite(problem.alpha) and problem.alpha >= 0.0):
         raise SolverError(f"alpha must be finite and non-negative, got {problem.alpha}")
+    if problem.boundary_values is not None:
+        bvals = np.asarray(problem.boundary_values, dtype=float)
+        nb = problem.forms.gd.boundary_edge_dofs.size
+        if bvals.shape != (nb,):
+            raise SolverError(f"{bvals.size} boundary values for {nb} boundary edges")
+        if not np.all(np.isfinite(bvals)):
+            raise SolverError("boundary values have non-finite entries")
 
     stats = SolveStats()
     seen = {partition.key()}

@@ -92,8 +92,7 @@ class ProblemSpec:
     dirichlet: Optional[Callable] = None
 
     def __post_init__(self):
-        if not 0.0 < self.final_time < math.inf:
-            raise ValueError(f"final time must be positive and finite, got {self.final_time!r}")
+        _check_horizon(self.final_time)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 ``estimate_CD`` and ``estimate_WD`` each factorised the plain gradient form
 on the free unknowns with ``splu``'s default column ordering and partial
 pivoting.  Kept frozen so the shared SPD factorisation in
-``hmmvi.diagnostics`` can be checked against them.
+``hmmvi.diagnostics`` can be checked against them.  A0 is read from
+``forms.stiffness``, the plain gradient form when the gd has identity
+diffusion, as every caller's has.
 """
 
 import math
@@ -28,7 +30,7 @@ def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = No
     if forms is None:
         forms = assemble_forms(gd)
     free = gd.free_dofs
-    A0 = forms.plain_stiffness[free][:, free].tocsc()
+    A0 = forms.stiffness[free][:, free].tocsc()
     mass = forms.mass_diag[free]
     try:
         lu = spla.splu(A0)
@@ -77,7 +79,7 @@ def estimate_WD(gd: GradientDiscretisation, omega: Callable, div_omega: Callable
 
     free = gd.free_dofs
     ell_f = ell[free]
-    A0 = forms.plain_stiffness[free][:, free].tocsc()
+    A0 = forms.stiffness[free][:, free].tocsc()
     try:
         x = spla.splu(A0).solve(ell_f)
     except RuntimeError as exc:

@@ -8,13 +8,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmvi.diagnostics
 import hmmvi.quadrature
 from hmmvi import (MESH_FAMILIES, DiagnosticsError, TimeGrid, assemble_forms, bound_SD,
                    build_gd, builtin_case, eoc, error_norms, estimate_CD, estimate_WD,
                    gd_quality_report, generate_mesh, initial_interp_error,
                    interpolate_obstacle, run_transient, standard_probes)
 from hmmvi.diagnostics import _cell_quad_flat, _subcell_quad_flat
-from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
+from hmmvi.discretisation import DofVector, ObstacleVector, reconstruct_gradient_flat
 
 import diagref
 
@@ -62,7 +63,7 @@ def test_dual_norm_dominates_sampled_ratios_and_is_attained():
         return ((sw[:, None] * om * g[sidx]).sum()
                 + (cw * dv * v.cells[cidx]).sum())
 
-    A0 = forms.plain_stiffness
+    A0 = forms.stiffness  # gd has identity diffusion: the plain gradient form
     free = gd.free_dofs
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -207,18 +208,65 @@ def test_shared_factorisation_matches_two_factorisation_reference(family, level)
 
 
 def test_quality_report_factorises_the_plain_form_once(monkeypatch):
-    calls = []
+    calls, built = [], []
     splu = spla.splu
+    assemble = hmmvi.diagnostics.assemble_forms
 
-    def counting_splu(*args, **kwargs):
-        calls.append(kwargs)
-        return splu(*args, **kwargs)
+    def counting_splu(A, **kwargs):
+        calls.append((A, kwargs))
+        return splu(A, **kwargs)
+
+    def counting_assemble(gd):
+        built.append(assemble(gd))
+        return built[-1]
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    gd_quality_report(build_gd(generate_mesh("hexagonal", 2)))
+    monkeypatch.setattr(hmmvi.diagnostics, "assemble_forms", counting_assemble)
+    gd = build_gd(generate_mesh("hexagonal", 2))
+    gd_quality_report(gd)
+    # With identity diffusion the plain form is the stiffness itself: no
+    # second assembly, and exactly its free block is factorised.
+    assert len(built) == 1 and len(calls) == 1
+    A, kwargs = calls[0]
+    free = gd.free_dofs
+    want = built[0].stiffness[free][:, free].tocsc()
+    for a, b in ((A.data, want.data), (A.indices, want.indices), (A.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     # The solver's SPD factorisation: the same options reach SuperLU.
-    assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                          relax=1, panel_size=1, options=dict(SymmetricMode=True))]
+    assert kwargs == dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          relax=1, panel_size=1, options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_quality_constants_are_taken_in_the_plain_form(family):
+    # C_D and W_D use the unweighted gradient norm whatever the scheme's
+    # diffusion: a gd with another Lambda gives the identity gd's bits.
+    mesh = generate_mesh(family, 2)
+    omega, div_omega = standard_probes(mesh.bbox)["sinusoidal_field"]
+    rng = np.random.default_rng(3)
+    per_cell = np.zeros((mesh.n_cells, 2, 2))
+    per_cell[:, 0, 0] = rng.uniform(0.5, 2.0, mesh.n_cells)
+    per_cell[:, 1, 1] = rng.uniform(0.5, 2.0, mesh.n_cells)
+    per_cell[:, 0, 1] = per_cell[:, 1, 0] = rng.uniform(-0.3, 0.3, mesh.n_cells)
+    identity = build_gd(mesh)
+    want = (estimate_CD(identity), estimate_WD(identity, omega, div_omega))
+    for diffusion in (np.array([[1.5, 0.2], [0.2, 3.0]]), per_cell):
+        gd = build_gd(mesh, diffusion)
+        forms = assemble_forms(gd)
+        got = (estimate_CD(gd, forms), estimate_WD(gd, omega, div_omega, forms))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_initial_interp_error_is_the_sd_function_part(family):
+    # The quality report's I_D0 repeats the function part of its S_D bound:
+    # both sample the bump at the cell points, clip at psi = 0 and integrate
+    # by fan3.
+    gd = build_gd(generate_mesh(family, 2))
+    bump, grad_bump = standard_probes(gd.mesh.bbox)["polynomial_bump"]
+    zero_psi = ObstacleVector(np.zeros(gd.n_cells))
+    sd = bound_SD(gd, bump, grad_bump, zero_psi)
+    assert initial_interp_error(gd, bump, zero_psi).hex() == sd.function_part.hex()
 
 
 def test_fan3_flattening_calls_cell_rule_once_per_cell(monkeypatch):

@@ -202,12 +202,24 @@ def test_alpha_must_be_finite_and_non_negative(alpha):
         solve_lvi(_problem(gd, rhs=np.ones(4), psi=np.full(4, -1.0), alpha=alpha))
 
 
-def test_boundary_values_must_be_finite():
+# Boundary values are checked once per solve, before the first factorisation.
+def test_boundary_values_must_be_finite(monkeypatch):
+    calls = _recording_splu(monkeypatch)
     gd = build_gd(generate_mesh("cartesian", 1))
     bvals = np.zeros(gd.boundary_edge_dofs.size)
     bvals[0] = np.nan
-    with pytest.raises(SolverError, match="boundary values"):
+    with pytest.raises(SolverError, match="^boundary values have non-finite entries$"):
         solve_lvi(_problem(gd, rhs=np.ones(4), psi=np.full(4, -1.0), bvals=bvals))
+    assert calls == []
+
+
+def test_boundary_values_must_match_the_boundary_edges(monkeypatch):
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh("cartesian", 1))
+    nb = gd.boundary_edge_dofs.size
+    with pytest.raises(SolverError, match=f"^{nb + 1} boundary values for {nb} boundary edges$"):
+        solve_lvi(_problem(gd, rhs=np.ones(4), psi=np.full(4, -1.0), bvals=np.zeros(nb + 1)))
+    assert calls == []
 
 
 def test_steady_problem_alpha_zero_is_allowed():

@@ -1,5 +1,7 @@
 """Time grids and the implicit Euler outer loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_bad_grids_are_rejected(final_time, n_steps):
 def test_bad_horizon_is_not_reported_as_a_step_budget(final_time):
     with pytest.raises(TimeGridError, match="positive finite horizon"):
         TimeGrid.uniform_from_dt(final_time, 0.1)
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(TimeGridError, match="positive finite horizon"):
         ProblemSpec(source=None, obstacle=None, initial=None, final_time=final_time)
 
 
@@ -204,11 +206,12 @@ def test_solution_exposes_final_state():
 
 
 def test_spec_validates_final_time():
-    with pytest.raises(Exception):
-        ProblemSpec(source=lambda p, t: np.zeros(len(p)),
-                    obstacle=lambda p: np.zeros(len(p)),
-                    initial=lambda p: np.zeros(len(p)),
-                    final_time=-1.0)
+    for final_time in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(TimeGridError, match="positive finite horizon"):
+            ProblemSpec(source=lambda p, t: np.zeros(len(p)),
+                        obstacle=lambda p: np.zeros(len(p)),
+                        initial=lambda p: np.zeros(len(p)),
+                        final_time=final_time)
 
 
 def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
@@ -224,23 +227,20 @@ def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
     gd = build_gd(generate_mesh("cartesian", 2))
     run_transient(gd, case.spec, TimeGrid.uniform_from_dt(case.spec.final_time, 0.05))
     assert len(built) == 1
-    assert built[0]._plain is None
     assert built[0]._plain_factor is None
-    plain = built[0].plain_stiffness
-    assert plain is not None and built[0]._plain is plain
 
 
 def test_run_builds_the_operator_split_once(monkeypatch):
     # Problems with different alpha share one forms object, as the steps of a
     # run do: its alpha-free split is built on the first solve only.
-    split = AssembledForms.split
-    reads = []
+    split = AssembledForms.split.func
+    builds = []
 
     def counting(forms):
-        reads.append(split.fget(forms))
-        return reads[-1]
+        builds.append(split(forms))
+        return builds[-1]
 
-    monkeypatch.setattr(AssembledForms, "split", property(counting))
+    monkeypatch.setattr(AssembledForms.split, "func", counting)
     case = builtin_case("test2")
     gd = build_gd(generate_mesh("cartesian", 3))
     forms = assemble_forms(gd)
@@ -251,5 +251,5 @@ def test_run_builds_the_operator_split_once(monkeypatch):
         problem = LviProblem(forms=forms, rhs=alpha * gd.mesh.cell_areas * u0.cells,
                              alpha=alpha, psi=psi)
         iterations.append(solve_lvi(problem)[2].iterations)
-    assert len(reads) == sum(iterations) > 2
-    assert len({id(r) for r in reads}) == 1
+    assert sum(iterations) > 2
+    assert len(builds) == 1 and forms.split is builds[0]
