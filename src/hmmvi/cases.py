@@ -55,7 +55,6 @@ class AnalyticCase:
     u_exact: Optional[Callable] = None
     grad_exact: Optional[Callable] = None
     recommended: dict = field(default_factory=dict)
-    description: str = ""
 
     @property
     def has_exact(self) -> bool:
@@ -176,8 +175,6 @@ def test1_case(variant: str = "derived_f") -> AnalyticCase:
             "levels": [11, 16, 32],
             "dt_rule": {"coefficient": 1.0, "exponent": 2.0},
         },
-        description=(f"rotating, pulsing contact disk; zero obstacle; "
-                     f"exact solution known; source variant {variant}"),
     )
 
 
@@ -216,7 +213,6 @@ def test2_case() -> AnalyticCase:
             "levels": [6],
             "dt_rule": {"fixed": 0.01},
         },
-        description="obstacle bump drained by a uniform sink; no exact solution",
     )
 
 
@@ -261,7 +257,6 @@ def smooth_baseline_case() -> AnalyticCase:
             # value convergence; h^2/8 keeps the implicit Euler error subdominant.
             "dt_rule": {"coefficient": 0.125, "exponent": 2.0},
         },
-        description="smooth unconstrained problem for textbook-order checks",
     )
 
 
@@ -399,5 +394,4 @@ def load_case_file(path) -> AnalyticCase:
         u_exact=u_exact,
         grad_exact=grad_exact,
         recommended=recommended,
-        description=str(doc.get("description", "user case")),
     )

@@ -320,11 +320,6 @@ def validate(mesh: PolytopalMesh) -> dict:
             f"cell {k}: point x_K does not see edge {int(mesh.corner_edges[j])} "
             f"from inside (d = {dmin[k]:.3e})")
 
-    counts = np.sum(mesh.edge_cells >= 0, axis=1)
-    if np.any(counts < 1):
-        e = int(np.nonzero(counts < 1)[0][0])
-        raise MeshValidationError(f"edge {e} has no owning cell")
-
     area_sum = float(np.sum(mesh.cell_areas))
     bbox_area = (xmax - xmin) * (ymax - ymin)
     area_defect = abs(area_sum - bbox_area) / bbox_area

@@ -19,6 +19,12 @@ complementarity conditions hold and the iteration stops; the iteration count
 is bounded by the number of cells, with a safeguard one step above that and
 detection of revisited partitions.
 
+A partition is a read-only boolean contact mask with its count of contact
+cells.  Each linear solve returns, next to u, the balance residual
+r = (S + alpha M) u - b over all unknowns that it forms for its own residual
+check.  The cell part of r is the multiplier: the set update and the
+complementarity measure read it from r and form no product of their own.
+
 Each linear solve condenses the cell unknowns out.  An HMM cell unknown
 couples only to its own edges, so the cell-cell block of S + alpha M is the
 diagonal d = s_cc + alpha |K|; the mass enters nowhere else.  The stiffness
@@ -108,41 +114,18 @@ class IterationLimitError(SolverError):
 
 
 class ActiveSetPartition:
-    """Disjoint split of the cells into balance (A) and contact (B) sets."""
+    """Disjoint split of the cells into balance (A) and contact (B) sets.
 
-    __slots__ = ("contact",)
+    ``contact`` is a read-only copy of the given mask, True on contact cells,
+    and ``n_contact`` the number of contact cells.
+    """
+
+    __slots__ = ("contact", "n_contact")
 
     def __init__(self, contact: np.ndarray):
-        self.contact = np.asarray(contact, dtype=bool)
-
-    @classmethod
-    def all_pde(cls, n_cells: int) -> "ActiveSetPartition":
-        return cls(np.zeros(n_cells, dtype=bool))
-
-    @property
-    def n_cells(self) -> int:
-        return self.contact.size
-
-    @property
-    def contact_cells(self) -> np.ndarray:
-        return np.nonzero(self.contact)[0]
-
-    @property
-    def n_contact(self) -> int:
-        return int(np.count_nonzero(self.contact))
-
-    def key(self) -> bytes:
-        return np.packbits(self.contact).tobytes()
-
-    def copy(self) -> "ActiveSetPartition":
-        return ActiveSetPartition(self.contact.copy())
-
-    def __eq__(self, other):
-        return (isinstance(other, ActiveSetPartition)
-                and np.array_equal(self.contact, other.contact))
-
-    def __repr__(self):
-        return f"ActiveSetPartition({self.n_contact}/{self.n_cells} contact cells)"
+        self.contact = np.array(contact, dtype=bool)
+        self.contact.setflags(write=False)
+        self.n_contact = int(np.count_nonzero(self.contact))
 
 
 @dataclass
@@ -194,39 +177,35 @@ def contact_tolerance(problem: LviProblem) -> float:
     return 1e-10 * scale
 
 
-def _cell_residuals(problem, u):
-    feas = u.cells - problem.psi.values
-    mult = problem.apply(u.values)[:problem.forms.gd.n_cells] - problem.rhs
-    return feas, mult
-
-
-def update_partition(problem: LviProblem, u: DofVector,
+def update_partition(problem: LviProblem, u: DofVector, r: np.ndarray,
                      current: ActiveSetPartition) -> ActiveSetPartition:
     """One exchange of cells between the balance and contact sets.
 
+    ``r`` is the balance residual (S + alpha M) u - b over all unknowns, as
+    ``_linear_solve`` returns it with u; its cell part is the multiplier.
     Balance cells at or below the obstacle move to contact (ties go to
     contact); contact cells move back when their multiplier turns strictly
     negative or their value falls strictly below the obstacle.  The function
-    is a pure map of (u, partition) and is idempotent at the solution.
+    is a pure map of (u, r, partition) and is idempotent at the solution.
     """
     n_cells = problem.forms.gd.n_cells
-    if current.n_cells != n_cells:
+    if current.contact.size != n_cells:
         raise SolverError(
-            f"partition covers {current.n_cells} cells, mesh has {n_cells}")
+            f"partition covers {current.contact.size} cells, mesh has {n_cells}")
     tau = contact_tolerance(problem)
-    feas, mult = _cell_residuals(problem, u)
+    feas = u.cells - problem.psi.values
+    mult = r[:n_cells]
     keep_contact = ~((mult < -tau) | (feas < -tau))
     enter_contact = feas <= tau
     return ActiveSetPartition(np.where(current.contact, keep_contact, enter_contact))
 
 
-def complementarity_residual(problem: LviProblem, u: DofVector) -> float:
-    """Largest |min(u_K - psi_K, residual_K)| over the cells.
+def complementarity_residual(problem: LviProblem, u: DofVector, r: np.ndarray) -> float:
+    """Largest |min(u_K - psi_K, r_K)| over the cells, r the balance residual.
 
     Zero exactly when u satisfies the discrete complementarity system.
     """
-    feas, mult = _cell_residuals(problem, u)
-    per_cell = np.minimum(feas, mult)
+    per_cell = np.minimum(u.cells - problem.psi.values, r[:problem.forms.gd.n_cells])
     return float(np.max(np.abs(per_cell))) if per_cell.size else 0.0
 
 
@@ -285,10 +264,13 @@ def _linear_solve(problem, partition):
     """Solve the linear system for a fixed partition.
 
     The balance cells are condensed out and only the interior-edge Schur
-    complement is factorised.  Returns (u, residual, factorisation seconds,
-    whether the factorisation computed an ordering), the residual measured on
-    the uncondensed free system.  ``solve_lvi`` has checked the boundary
-    values once for all its iterations.
+    complement is factorised.  Returns (u, r, relative residual,
+    factorisation seconds, whether the factorisation computed an ordering).
+    r = (S + alpha M) u - b is the balance residual over all unknowns; its
+    norm on the free unknowns, relative to the pinned right-hand side's, is
+    the relative residual, and its cell part is the multiplier of the set
+    update.  ``solve_lvi`` has checked the boundary values once for all its
+    iterations.
     """
     gd = problem.forms.gd
     nc = gd.n_cells
@@ -302,8 +284,6 @@ def _linear_solve(problem, partition):
     if problem.boundary_values is not None:
         u[bdofs] = problem.boundary_values
     free_ids = np.concatenate((np.nonzero(balance)[0], edofs))
-    if free_ids.size == 0:
-        return DofVector(u, nc), 0.0, 0.0, False
 
     b = np.zeros(gd.n_dofs)
     b[:nc] = problem.rhs
@@ -345,15 +325,15 @@ def _linear_solve(problem, partition):
 
     u[edofs] = x
     u[:nc] = np.where(contact, u[:nc], wg - w * (B @ x))
-    rhs = g[free_ids]
-    r = (problem.apply(u) - b)[free_ids]
+    r = problem.apply(u) - b
     with np.errstate(all="ignore"):  # the check below refuses a non-finite residual
-        resid = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(rhs)))
+        resid = float(np.linalg.norm(r[free_ids])
+                      / max(1.0, np.linalg.norm(g[free_ids])))
     if not np.isfinite(resid) or resid > 1e3 * LINEAR_TOL:
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)
-    return DofVector(u, nc), resid, factor_s, ordered
+    return DofVector(u, nc), r, resid, factor_s, ordered
 
 
 def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
@@ -364,10 +344,10 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     a fixed point of the set-update rule.
     """
     nc = problem.forms.gd.n_cells
-    partition = warm.copy() if warm is not None else ActiveSetPartition.all_pde(nc)
-    if partition.n_cells != nc:
+    partition = warm if warm is not None else ActiveSetPartition(np.zeros(nc, dtype=bool))
+    if partition.contact.size != nc:
         raise SolverError(
-            f"warm-start partition covers {partition.n_cells} cells, mesh has {nc}")
+            f"warm-start partition covers {partition.contact.size} cells, mesh has {nc}")
     if problem.psi.values.shape != (nc,):
         raise SolverError(
             f"obstacle vector has {problem.psi.values.shape} values for {nc} cells")
@@ -387,12 +367,12 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
             raise SolverError("boundary values have non-finite entries")
 
     stats = SolveStats()
-    seen = {partition.key()}
+    seen = {np.packbits(partition.contact).tobytes()}
     previous = partition
     timings = stats.timings
     for it in range(1, nc + 2):
         start = time.perf_counter()
-        u, lin_resid, factor_s, ordered = _linear_solve(problem, partition)
+        u, r, lin_resid, factor_s, ordered = _linear_solve(problem, partition)
         mid = time.perf_counter()
         timings["factor_s"] += factor_s
         stats.orderings += ordered
@@ -400,19 +380,20 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
         stats.iterations = it
         stats.linear_residuals.append(lin_resid)
         stats.contact_sizes.append(partition.n_contact)
-        new = update_partition(problem, u, partition)
+        new = update_partition(problem, u, r, partition)
         timings["update_s"] += time.perf_counter() - mid
         changed = int(np.count_nonzero(new.contact != partition.contact))
         stats.set_changes.append(changed)
         if changed == 0:
-            stats.complementarity_max = complementarity_residual(problem, u)
+            stats.complementarity_max = complementarity_residual(problem, u, r)
             stats.conservation_defect = flux_conservation_defect(problem.forms, u)
             return u, partition, stats
-        if new.key() in seen:
+        key = np.packbits(new.contact).tobytes()
+        if key in seen:
             raise IterationLimitError(
                 f"active-set iteration revisited a partition after {it} solves",
                 last_partitions=(partition, new))
-        seen.add(new.key())
+        seen.add(key)
         previous, partition = partition, new
     raise IterationLimitError(
         f"active-set iteration exceeded the safeguard of {nc + 1} solves",

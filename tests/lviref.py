@@ -4,7 +4,8 @@ The two obstacle solvers here are written for transparency, not speed, so the
 fast active-set solver can be checked against them on small meshes.  They
 work on dense copies of the system matrix.  ``full_linear_solve`` is the
 former fixed-partition solve on the whole free system, kept to check the
-condensed solve of ``hmmvi.solver``.
+condensed solve of ``hmmvi.solver``.  ``reference_march`` is the implicit
+Euler march with every step solved by projected Gauss-Seidel.
 """
 
 import itertools
@@ -14,8 +15,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hmmvi import solver
-from hmmvi.discretisation import DofVector
-from hmmvi.solver import SingularSystemError, SolverError
+from hmmvi.discretisation import DofVector, ObstacleVector, assemble_forms
+from hmmvi.solver import LviProblem, SingularSystemError, SolverError
 
 
 def _system_matrix(problem):
@@ -35,6 +36,15 @@ def _dense_system(gd, problem):
     else:
         bvals = np.asarray(problem.boundary_values, dtype=float)
     return S, b, bdofs, bvals
+
+
+def balance_residual(gd, problem, v):
+    """(S + alpha M) v - b over all unknowns, from the dense system.
+
+    Its cell part is the multiplier of the obstacle conditions.
+    """
+    S, b, _, _ = _dense_system(gd, problem)
+    return S @ v - b
 
 
 def enumerate_lvi(gd, problem, tol=1e-10):
@@ -107,7 +117,7 @@ def full_linear_solve(gd, problem, partition):
     else:
         bvals = np.zeros(bdofs.size)
 
-    contact_ids = partition.contact_cells
+    contact_ids = np.flatnonzero(partition.contact)
     pinned = np.concatenate((contact_ids, bdofs))
     pinned_vals = np.concatenate((problem.psi.values[contact_ids], bvals))
 
@@ -150,3 +160,34 @@ def full_linear_solve(gd, problem, partition):
             f"{partition.n_contact} contact cells", partition=partition)
     u[free_ids] = x
     return DofVector(u, gd.n_cells), resid
+
+
+def reference_march(gd, spec, grid):
+    """Implicit Euler march with every step solved by projected Gauss-Seidel.
+
+    Each step builds its own right-hand side |K| f(x_K, t_mid) + alpha |K|
+    u_prev, with alpha = 1 / grid.step, the Dirichlet data at the boundary
+    edge centres at the step's end, and solves on dense copies of its own
+    forms.  The initial cell values are u0(x_K) clipped at the obstacle, with
+    zero edge values.  Returns (psi, vectors, multipliers): the obstacle's
+    cell values, the N + 1 node vectors and, per step, the cell part of the
+    balance residual of the step's solution.
+    """
+    mesh, nc = gd.mesh, gd.n_cells
+    forms = assemble_forms(gd)
+    psi = ObstacleVector(np.asarray(spec.obstacle(mesh.cell_points), dtype=float))
+    u = np.zeros(gd.n_dofs)
+    u[:nc] = np.maximum(spec.initial(mesh.cell_points), psi.values)
+    alpha = 1.0 / grid.step
+    vectors, multipliers = [u], []
+    for t_a, t_b in zip(grid.nodes[:-1], grid.nodes[1:]):
+        f = np.asarray(spec.source(mesh.cell_points, 0.5 * (t_a + t_b)), dtype=float)
+        bvals = None
+        if spec.dirichlet is not None:
+            bvals = spec.dirichlet(mesh.edge_centers[mesh.boundary_edges], t_b)
+        problem = LviProblem(forms=forms, rhs=mesh.cell_areas * f + alpha * mesh.cell_areas * u[:nc],
+                             alpha=alpha, psi=psi, boundary_values=bvals)
+        u = projected_gauss_seidel(gd, problem)
+        vectors.append(u)
+        multipliers.append(balance_residual(gd, problem, u)[:nc])
+    return psi.values, vectors, multipliers

@@ -196,6 +196,12 @@ def test_case_file_roundtrip(tmp_path):
     assert case.spec.dirichlet(pts, 0.1) == pytest.approx([0.3, 0.0])
 
 
+def test_case_file_description_is_accepted_and_ignored(tmp_path):
+    case = load_case_file(_write_case(tmp_path, dict(BASE_DOC, description="free text")))
+    assert case.name == "tilted_plane"
+    assert not hasattr(case, "description")
+
+
 def test_case_file_with_exact_solution(tmp_path):
     doc = dict(BASE_DOC, exact={"u": "0.1*x + 0.2*y + 0*t",
                                 "grad": ["0.1 + 0*x", "0.2 + 0*x"]})
