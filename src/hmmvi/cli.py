@@ -207,7 +207,10 @@ def resolve_meshes(args, case=None):
     levels = args.levels or recommended.get("levels")
     if levels is None:
         raise ConfigError("no refinement levels given; use --levels")
-    for n in parse_levels(levels):
+    levels = parse_levels(levels)
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"levels {','.join(map(str, levels))} must strictly increase")
+    for n in levels:
         yield f"{family}_l{n}", generate_mesh(family, n, args.bbox or case.bbox)
 
 

@@ -23,8 +23,8 @@ accurate the cell values are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -49,11 +49,9 @@ class DiagnosticsError(Exception):
 
 
 def _cell_quad_flat(mesh, rule: str):
-    """Points, weights and owning cell for a whole-mesh cell quadrature."""
+    """Points, weights and owning cell for the "centroid" or "fan3" cell rule."""
     if rule == "centroid":
         return mesh.cell_points, mesh.cell_areas, np.arange(mesh.n_cells)
-    if rule != "fan3":
-        raise DiagnosticsError(f"unknown quadrature rule {rule!r}")
     from .quadrature import cell_rule
 
     rules = [cell_rule(mesh, k) for k in range(mesh.n_cells)]
@@ -63,11 +61,9 @@ def _cell_quad_flat(mesh, rule: str):
 
 
 def _subcell_quad_flat(gd, rule: str):
-    """Points, weights and owning subcell for a whole-mesh subcell quadrature."""
+    """Points, weights and owning subcell for the "centroid" or "fan3" rule."""
     if rule == "centroid":
         return gd.subcell_centroids, gd.subcell_volumes, np.arange(gd.n_subcells)
-    if rule != "fan3":
-        raise DiagnosticsError(f"unknown quadrature rule {rule!r}")
     tri = gd.subcell_triangles
     mids = 0.5 * (tri + np.roll(tri, -1, axis=1))
     pts = mids.reshape(-1, 2)
@@ -103,6 +99,8 @@ def error_norms(gd: GradientDiscretisation, solution: TransientSolution,
     """
     if u_exact is None or grad_exact is None:
         raise DiagnosticsError("error norms need both exact callables")
+    if rule not in ("centroid", "fan3"):
+        raise DiagnosticsError(f"unknown quadrature rule {rule!r}")
     times = solution.grid.nodes
     n_nodes = times.size
     if len(solution.vectors) != n_nodes:
@@ -185,16 +183,14 @@ def _plain_factorisation(forms: AssembledForms):
     return forms._plain_factor
 
 
-def estimate_CD(gd: GradientDiscretisation,
-                forms: Optional[AssembledForms] = None) -> float:
+def estimate_CD(forms: AssembledForms) -> float:
     """Largest ratio of function to gradient reconstruction norms.
 
     Power iteration on the pencil (M, A0) restricted to the homogeneous
-    unknowns, stopped when the eigenvalue is stable to ``CD_TOL`` relative.
+    unknowns of ``forms.gd``, stopped when the eigenvalue is stable to
+    ``CD_TOL`` relative.
     """
-    if forms is None:
-        forms = assemble_forms(gd)
-    free = gd.free_dofs
+    free = forms.gd.free_dofs
     A0, lu = _plain_factorisation(forms)
     mass = forms.mass_diag[free]
 
@@ -215,20 +211,16 @@ def estimate_CD(gd: GradientDiscretisation,
         f"power iteration did not stabilise within {CD_MAX_ITER} iterations")
 
 
-def estimate_WD(gd: GradientDiscretisation, omega: Callable, div_omega: Callable,
-                forms: Optional[AssembledForms] = None) -> float:
-    """Dual norm of the discrete Stokes defect for the field omega.
+def estimate_WD(forms: AssembledForms, omega: Callable, div_omega: Callable) -> float:
+    """Dual norm of the discrete Stokes defect for the field omega on ``forms.gd``.
 
     ``omega(points)`` returns an (n, 2) array and ``div_omega(points)`` its
     divergence.  The supremum over homogeneous vectors is reached by the
     Riesz representative, so the value is sqrt(l^T A0^{-1} l).
     """
-    if forms is None:
-        forms = assemble_forms(gd)
-    mesh = gd.mesh
-
+    gd = forms.gd
     ell = np.zeros(gd.n_dofs)
-    pts, w, cidx = _cell_quad_flat(mesh, "fan3")
+    pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
     np.add.at(ell, cidx, w * np.asarray(div_omega(pts), dtype=float))
 
     spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
@@ -283,9 +275,9 @@ class GdQualityReport:
     n_cells: int
     n_edges: int
     c_d: float
-    w_d: dict = field(default_factory=dict)
-    s_d: dict = field(default_factory=dict)
-    i_d0: dict = field(default_factory=dict)
+    w_d: dict
+    s_d: dict
+    i_d0: dict
 
 
 def standard_probes(bbox):
@@ -327,13 +319,12 @@ def gd_quality_report(gd: GradientDiscretisation) -> GdQualityReport:
     bump, grad_bump = probes["polynomial_bump"]
     zero_psi = ObstacleVector(np.zeros(gd.n_cells))
 
-    report = GdQualityReport(
+    return GdQualityReport(
         h=mesh_size(gd.mesh),
         n_cells=gd.n_cells,
         n_edges=gd.n_edges,
-        c_d=estimate_CD(gd, forms),
+        c_d=estimate_CD(forms),
+        w_d={"sinusoidal_field": estimate_WD(forms, omega, div_omega)},
+        s_d={"polynomial_bump": bound_SD(gd, bump, grad_bump, zero_psi).total},
+        i_d0={"polynomial_bump": initial_interp_error(gd, bump, zero_psi)},
     )
-    report.w_d["sinusoidal_field"] = estimate_WD(gd, omega, div_omega, forms)
-    report.s_d["polynomial_bump"] = bound_SD(gd, bump, grad_bump, zero_psi).total
-    report.i_d0["polynomial_bump"] = initial_interp_error(gd, bump, zero_psi)
-    return report

@@ -63,7 +63,7 @@ def _compile(node: ast.AST, names: frozenset) -> Callable:
         return _compile(node.body, names)
     if isinstance(node, ast.Constant):
         value = node.value
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ExpressionError(f"constant {value!r} is not a number")
         return lambda env: value
     if isinstance(node, ast.Name):

@@ -80,10 +80,10 @@ def test_a2_unit_cell_hand_values():
         F = fluxes(gd, vector(gd, cells=[1.0]), 0)
         assert np.abs(F - 2.0).max() < 1e-12
         forms = assemble_forms(gd)
-        assert abs(estimate_CD(gd, forms) - 1.0 / np.sqrt(8.0)) < 1e-12
+        assert abs(estimate_CD(forms) - 1.0 / np.sqrt(8.0)) < 1e-12
         wd = estimate_WD(
-            gd, lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
-            lambda p: np.zeros(len(p)), forms)
+            forms, lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
+            lambda p: np.zeros(len(p)))
         assert abs(wd) < 1e-12
 
 

@@ -154,6 +154,9 @@ def test_expression_comparison_and_where():
     "x < y < 1",
     "unknown_fn(x)",
     "q + 1",
+    # bool is a subclass of int, but True and False are not numbers
+    "x + True",
+    "False",
     # the parser runs out of stack; ast construction exceeds the recursion limit
     pytest.param("-" * 100_000 + "x", id="deep-unary-minus"),
     pytest.param("x" + "+x" * 100_000, id="deep-sum"),

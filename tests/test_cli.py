@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmvi.cli
 import hmmvi.timeloop
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
 
@@ -271,6 +272,9 @@ _GOOD_CASE = {"name": "plane", "final_time": 0.1, "source": "0*x",
     pytest.param(["--case-file", "case.json", "--level", "2", "--dt", "0.05"],
                  {"case.json": {**_GOOD_CASE, "bbox": [0, 1e308, -1e308, 1e308]}},
                  "degenerate bounding box", id="case-bbox-overflows"),
+    pytest.param(["--case-file", "case.json", "--level", "2"],
+                 {"case.json": {**_GOOD_CASE, "source": "0*x + True"}},
+                 "source: constant True is not a number", id="source-boolean-constant"),
 ])
 def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field):
     for name, doc in files.items():
@@ -284,6 +288,66 @@ def test_bad_solve_inputs_are_one_line_usage_errors(tmp_path, argv, files, field
     assert len(proc.stderr.strip().splitlines()) == 1
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, levels", [
+    (["converge", "--case", "test1", "--family", "triangular", "--levels", "3,2"], "3,2"),
+    (["diagnose", "--family", "cartesian", "--levels", "2,2"], "2,2"),
+    (["solve", "--case", "test2", "--family", "cartesian", "--levels", "4,3"], "4,3"),
+])
+def test_levels_that_do_not_strictly_increase_build_no_mesh(tmp_path, monkeypatch,
+                                                            capsys, argv, levels):
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "generate_mesh", lambda *a: built.append(a))
+    code = run_cli(*argv, "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.splitlines() == [f"levels {levels} must strictly increase"]
+    assert "Traceback" not in err
+    assert built == []
+
+
+def test_config_levels_must_strictly_increase(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "generate_mesh", lambda *a: built.append(a))
+    (tmp_path / "config.json").write_text(json.dumps({"levels": [2, 1]}))
+    code = run_cli("diagnose", "--family", "cartesian", "--config",
+                   str(tmp_path / "config.json"), "--out", str(tmp_path / "run"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["levels 2,1 must strictly increase"]
+    assert built == []
+
+
+def test_meshgen_takes_levels_in_any_order(tmp_path):
+    code = run_cli("meshgen", "--family", "cartesian", "--levels", "2,1,1",
+                   "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cartesian_l01.json",
+                                                          "cartesian_l02.json"]
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--case-file", "[1, 2]", "{path}: case file must hold a JSON object"),
+    ("--config", "[1]", "{path}: config must be a JSON object"),
+])
+def test_json_file_that_is_not_an_object_is_one_usage_line(tmp_path, capsys, flag, text,
+                                                           message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    case = ["--case", "test2"] if flag == "--config" else []
+    code = run_cli("solve", *case, "--family", "cartesian", "--level", "2",
+                   flag, str(path), "--out", str(tmp_path / "run"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [message.format(path=path)]
+
+
+def test_missing_config_file_is_one_usage_line(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code = run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "2",
+                   "--config", str(path), "--out", str(tmp_path / "run"))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1
+    assert lines[0].startswith(f"cannot read config file {path}: ")
 
 
 def test_meshgen_box_whose_width_overflows_is_a_usage_error(tmp_path):

@@ -1,6 +1,6 @@
 """Quality measures, error norms and observed convergence orders."""
 
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import hmmvi.diagnostics
 import hmmvi.quadrature
-from hmmvi import (MESH_FAMILIES, DiagnosticsError, TimeGrid, assemble_forms, bound_SD,
-                   build_gd, builtin_case, eoc, error_norms, estimate_CD, estimate_WD,
-                   gd_quality_report, generate_mesh, initial_interp_error,
-                   interpolate_obstacle, run_transient, standard_probes)
+from hmmvi import (MESH_FAMILIES, DiagnosticsError, GdQualityReport, TimeGrid,
+                   assemble_forms, bound_SD, build_gd, builtin_case, eoc, error_norms,
+                   estimate_CD, estimate_WD, gd_quality_report, generate_mesh,
+                   initial_interp_error, interpolate_obstacle, run_transient,
+                   standard_probes)
 from hmmvi.diagnostics import _cell_quad_flat, _subcell_quad_flat
 from hmmvi.discretisation import DofVector, ObstacleVector, reconstruct_gradient_flat
 
@@ -22,12 +23,12 @@ import diagref
 
 def test_unit_square_poincare_constant(unit_square_gd):
     forms = assemble_forms(unit_square_gd)
-    cd = estimate_CD(unit_square_gd, forms)
+    cd = estimate_CD(forms)
     assert cd == pytest.approx(1.0 / np.sqrt(8.0), abs=1e-12)
 
 
 def test_constant_field_has_zero_dual_norm(unit_square_gd):
-    wd = estimate_WD(unit_square_gd,
+    wd = estimate_WD(assemble_forms(unit_square_gd),
                      lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
                      lambda p: np.zeros(len(p)))
     assert wd == pytest.approx(0.0, abs=1e-13)
@@ -37,7 +38,7 @@ def test_poincare_constant_stays_bounded_under_refinement():
     values = []
     for n in (2, 3, 4, 5):
         gd = build_gd(generate_mesh("cartesian", n))
-        values.append(estimate_CD(gd))
+        values.append(estimate_CD(assemble_forms(gd)))
     assert max(values) < 1.0
     # refinement changes the constant less and less
     diffs = np.abs(np.diff(values))
@@ -49,7 +50,7 @@ def test_dual_norm_dominates_sampled_ratios_and_is_attained():
     gd = build_gd(m)
     forms = assemble_forms(gd)
     omega, div_omega = standard_probes(m.bbox)["sinusoidal_field"]
-    wd = estimate_WD(gd, omega, div_omega, forms)
+    wd = estimate_WD(forms, omega, div_omega)
 
     # rebuild the linear functional v -> int(omega . grad v + div omega v)
     spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
@@ -172,6 +173,14 @@ def test_error_norms_reject_zero_exact_solution():
                     lambda p, t: np.zeros((len(p), 2)))
 
 
+def test_error_norms_reject_an_unknown_rule():
+    case = builtin_case("smooth_baseline")
+    gd = build_gd(generate_mesh("cartesian", 2))
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 1))
+    with pytest.raises(DiagnosticsError, match="^unknown quadrature rule 'gauss'$"):
+        error_norms(gd, sol, case.u_exact, case.grad_exact, rule="gauss")
+
+
 def test_spacetime_norms_accumulate_steps():
     case = builtin_case("smooth_baseline")
     m = generate_mesh("triangular", 6)
@@ -190,6 +199,20 @@ def test_quality_report_serializes():
     assert set(d) >= {"h", "n_cells", "n_edges", "c_d", "w_d", "s_d", "i_d0"}
     assert d["n_cells"] == 64
     assert d["c_d"] == pytest.approx(rep.c_d)
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in fields(GdQualityReport))
+
+
+def test_estimators_take_the_discretisation_from_the_forms(monkeypatch):
+    gd = build_gd(generate_mesh("hexagonal", 2))
+    forms = assemble_forms(gd)
+    omega, div_omega = standard_probes(gd.mesh.bbox)["sinusoidal_field"]
+    want = gd_quality_report(gd)
+    # Identity diffusion: neither estimator assembles anything of its own.
+    monkeypatch.setattr(hmmvi.diagnostics, "assemble_forms", None)
+    assert estimate_CD(forms).hex() == want.c_d.hex()
+    assert (estimate_WD(forms, omega, div_omega).hex()
+            == want.w_d["sinusoidal_field"].hex())
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
@@ -198,8 +221,8 @@ def test_shared_factorisation_matches_two_factorisation_reference(family, level)
     gd = build_gd(generate_mesh(family, level))
     forms = assemble_forms(gd)
     omega, div_omega = standard_probes(gd.mesh.bbox)["sinusoidal_field"]
-    cd = estimate_CD(gd, forms)
-    wd = estimate_WD(gd, omega, div_omega, forms)
+    cd = estimate_CD(forms)
+    wd = estimate_WD(forms, omega, div_omega)
     ref_forms = assemble_forms(gd)
     ref_cd = diagref.estimate_CD(gd, ref_forms)
     ref_wd = diagref.estimate_WD(gd, omega, div_omega, ref_forms)
@@ -248,12 +271,11 @@ def test_quality_constants_are_taken_in_the_plain_form(family):
     per_cell[:, 0, 0] = rng.uniform(0.5, 2.0, mesh.n_cells)
     per_cell[:, 1, 1] = rng.uniform(0.5, 2.0, mesh.n_cells)
     per_cell[:, 0, 1] = per_cell[:, 1, 0] = rng.uniform(-0.3, 0.3, mesh.n_cells)
-    identity = build_gd(mesh)
+    identity = assemble_forms(build_gd(mesh))
     want = (estimate_CD(identity), estimate_WD(identity, omega, div_omega))
     for diffusion in (np.array([[1.5, 0.2], [0.2, 3.0]]), per_cell):
-        gd = build_gd(mesh, diffusion)
-        forms = assemble_forms(gd)
-        got = (estimate_CD(gd, forms), estimate_WD(gd, omega, div_omega, forms))
+        forms = assemble_forms(build_gd(mesh, diffusion))
+        got = (estimate_CD(forms), estimate_WD(forms, omega, div_omega))
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 

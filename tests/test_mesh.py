@@ -134,15 +134,30 @@ def test_custom_cell_point_must_be_inside_star_region():
 
 def test_nonconforming_interface_is_rejected():
     # The lower cell spans the full width with a single top edge while two
-    # upper cells each cover half of it, so three edges overlap pairwise and
-    # each ends up with a single owner away from the domain boundary.
+    # upper cells each cover half of it.  The hanging vertex (1, 1) is listed
+    # by the upper cells only, so the mesh has 8 vertices, 10 edges and 3
+    # cells, and the Euler check stops it before the boundary-edge check.
     verts = np.array([
         [0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0],
         [0.0, 2.0], [1.0, 2.0], [2.0, 2.0]])
     cells = [[0, 1, 2, 4], [4, 3, 6, 5], [3, 2, 7, 6]]
     m = PolytopalMesh(verts, cells)
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="Euler characteristic"):
         validate(m)
+
+
+def test_slit_between_two_cells_is_rejected():
+    # Four unit squares on [0, 2]^2, but vertex 9 is a second copy of (1, 0)
+    # and the lower right cell uses it: the two lower cells do not share
+    # their edge up to (1, 1).  The areas tile the box and V - E + F =
+    # 10 - 13 + 4 = 1, so only the boundary-edge check sees the slit.
+    verts = np.array([[x, y] for y in (0.0, 1.0, 2.0) for x in (0.0, 1.0, 2.0)]
+                     + [[1.0, 0.0]])
+    cells = [[0, 1, 4, 3], [9, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]
+    with pytest.raises(MeshValidationError,
+                       match=r"^edge 1 has one owning cell but does not lie on the "
+                             r"domain boundary \(possible hanging node or crack\)$"):
+        validate(PolytopalMesh(verts, cells))
 
 
 def test_pentagon_with_straight_vertex_is_conforming():

@@ -1,6 +1,7 @@
-"""Every public name has a caller in the library itself."""
+"""Every public name has a caller in the library itself, and holds the scheme once."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import hmmvi
@@ -29,3 +30,15 @@ def _names_read_by_the_library() -> set:
 def test_every_exported_name_is_used_inside_the_library():
     exported = {name for name in hmmvi.__all__ if not name.startswith("__")}
     assert sorted(exported - _names_read_by_the_library()) == []
+
+
+def test_no_public_function_takes_the_discretisation_twice():
+    # Assembled forms hold their gd, and a problem holds its forms.
+    twice = []
+    for name in hmmvi.__all__:
+        obj = getattr(hmmvi, name)
+        if inspect.isfunction(obj):
+            params = set(inspect.signature(obj).parameters)
+            if "gd" in params and params & {"forms", "problem"}:
+                twice.append(name)
+    assert twice == []

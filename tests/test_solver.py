@@ -261,6 +261,35 @@ def test_boundary_values_must_match_the_boundary_edges(monkeypatch):
     assert calls == []
 
 
+# Cartesian level 2 has 16 cells; sizes are checked before any factorisation.
+def test_obstacle_vector_must_have_one_value_per_cell(monkeypatch):
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh("cartesian", 2))
+    with pytest.raises(SolverError,
+                       match=r"^obstacle vector has \(17,\) values for 16 cells$"):
+        solve_lvi(_problem(gd, rhs=np.ones(16), psi=np.full(17, -1.0)))
+    assert calls == []
+
+
+def test_warm_start_must_cover_the_mesh(monkeypatch):
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh("cartesian", 2))
+    warm = ActiveSetPartition(np.zeros(15, dtype=bool))
+    with pytest.raises(SolverError,
+                       match="^warm-start partition covers 15 cells, mesh has 16$"):
+        solve_lvi(_problem(gd, rhs=np.ones(16), psi=np.full(16, -1.0)), warm)
+    assert calls == []
+
+
+def test_update_refuses_a_partition_of_another_size():
+    gd = build_gd(generate_mesh("cartesian", 2))
+    prob = _problem(gd, rhs=np.ones(16), psi=np.full(16, -1.0))
+    u = gd.zeros()
+    with pytest.raises(SolverError, match="^partition covers 18 cells, mesh has 16$"):
+        update_partition(prob, u, balance_residual(gd, prob, u.values),
+                         ActiveSetPartition(np.zeros(18, dtype=bool)))
+
+
 def test_steady_problem_alpha_zero_is_allowed():
     gd = build_gd(generate_mesh("cartesian", 2))
     nc = gd.n_cells
