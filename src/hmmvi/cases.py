@@ -325,7 +325,7 @@ def load_case_file(path) -> AnalyticCase:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8
         raise CaseError(f"cannot read case file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CaseError(f"{path}: case file must hold a JSON object")

@@ -18,10 +18,10 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,7 @@ def config_argv(parser: argparse.ArgumentParser, path,
     try:
         with open(path) as f:
             config = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -194,12 +194,11 @@ def check_mesh_box(mesh, case: AnalyticCase, tag: str) -> None:
                     tag, list(mesh.bbox), list(case.bbox), case.name)
 
 
-def resolve_meshes(args, case=None):
-    """Yield (tag, mesh) pairs from files or a generated family."""
+def resolve_meshes(args, case=None) -> list:
+    """(tag, build) pairs from files or a generated family, checked before any
+    mesh is built; ``build()`` makes the mesh."""
     if args.mesh:
-        for f in args.mesh:
-            yield Path(f).stem, load_mesh(f, args.mesh_format)
-        return
+        return [(Path(f).stem, partial(load_mesh, f)) for f in args.mesh]
     recommended = case.recommended if case is not None else {}
     family = args.family or recommended.get("mesh_family")
     if family is None:
@@ -210,8 +209,8 @@ def resolve_meshes(args, case=None):
     levels = parse_levels(levels)
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"levels {','.join(map(str, levels))} must strictly increase")
-    for n in levels:
-        yield f"{family}_l{n}", generate_mesh(family, n, args.bbox or case.bbox)
+    bbox = args.bbox or case.bbox
+    return [(f"{family}_l{n}", partial(generate_mesh, family, n, bbox)) for n in levels]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -232,7 +231,7 @@ def cmd_meshgen(args) -> int:
 
 def cmd_validate(args) -> int:
     for path in args.files:
-        mesh = load_mesh(path, args.mesh_format)
+        mesh = load_mesh(path)
         report = validate(mesh)
         log.info("%s: %d cells, %d edges, h = %.5g, worst closure defect %.2e, "
                  "min edge distance %.3e",
@@ -270,10 +269,11 @@ def cmd_solve(args) -> int:
     case = resolve_case(args)
     out = resolve_out_dir(args)
 
-    meshes = list(resolve_meshes(args, case))
+    meshes = resolve_meshes(args, case)
     if len(meshes) != 1:
         raise ConfigError(f"solve expects exactly one mesh, got {len(meshes)}")
-    tag, mesh = meshes[0]
+    tag, build = meshes[0]
+    mesh = build()
 
     snapshots = []
     snapshot_seconds = 0.0
@@ -338,7 +338,8 @@ def cmd_converge(args) -> int:
     out = resolve_out_dir(args)
 
     rows = []
-    for tag, mesh in resolve_meshes(args, case):
+    for tag, build in resolve_meshes(args, case):
+        mesh = build()
         gd, solution, report, seconds = run_level(args, case, tag, mesh)
         rows.append({
             "tag": tag,
@@ -389,8 +390,8 @@ def cmd_converge(args) -> int:
 def cmd_diagnose(args) -> int:
     out = resolve_out_dir(args)
     rows = []
-    for tag, mesh in resolve_meshes(args):
-        gd = build_gd(mesh)
+    for tag, build in resolve_meshes(args):
+        gd = build_gd(build())
         report = gd_quality_report(gd)
         entry = {"tag": tag, **asdict(report)}
         rows.append(entry)
@@ -426,8 +427,7 @@ def cmd_diagnose(args) -> int:
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", default=os.environ.get("HMMVI_OUTDIR", "out"),
-                   help="output directory (default 'out' or HMMVI_OUTDIR)")
+    p.add_argument("--out", default="out", help="output directory (default 'out')")
     p.add_argument("--quiet", action="store_true", help="only warnings and errors")
     mesh = p.add_mutually_exclusive_group()
     mesh.add_argument("--family", choices=MESH_FAMILIES, help="generated mesh family")
@@ -436,8 +436,6 @@ def _add_common(p):
                    help="refinement level(s), e.g. '3', '1..4', '2,5'")
     p.add_argument("--bbox", type=parse_bbox, default=(-1.0, 1.0, -1.0, 1.0),
                    help="domain box xmin,xmax,ymin,ymax (default: the case's, else -1,1,-1,1)")
-    p.add_argument("--mesh-format", choices=("native_json", "fvca_text"),
-                   help="mesh file format (default: by extension)")
 
 
 def _add_case_options(p):
@@ -470,7 +468,6 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("validate", help="validate mesh files")
     p.add_argument("files", nargs="+", help="mesh files to check")
-    p.add_argument("--mesh-format", choices=("native_json", "fvca_text"))
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_validate)
 

@@ -112,23 +112,18 @@ class AssembledForms:
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
     nc = mesh.n_cells
-    if diffusion is None:
-        out = np.zeros((nc, 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        return out
-    if callable(diffusion):
-        out = np.array(diffusion(mesh.cell_points), dtype=float)
-        if out.shape != (nc, 2, 2):
-            raise DiscretisationError(
-                f"diffusion callable returned shape {out.shape}, expected {(nc, 2, 2)}")
-        return out
-    arr = np.asarray(diffusion, dtype=float)
-    if arr.shape == (2, 2):
-        return np.broadcast_to(arr, (nc, 2, 2)).copy()
-    if arr.shape == (nc, 2, 2):
-        return arr.copy()
-    raise DiscretisationError(f"diffusion array has shape {arr.shape}")
+    try:
+        arr = np.asarray(np.eye(2) if diffusion is None else diffusion, dtype=float)
+    except (TypeError, ValueError):
+        got = f"a {type(diffusion).__name__}"
+    else:
+        if arr.shape == (2, 2):
+            return np.broadcast_to(arr, (nc, 2, 2)).copy()
+        if arr.shape == (nc, 2, 2):
+            return arr.copy()
+        got = f"shape {arr.shape}"
+    raise DiscretisationError(f"diffusion must be None, a 2x2 array or a "
+                              f"({nc}, 2, 2) array of numbers, got {got}")
 
 
 def _check_diffusion(field: np.ndarray) -> None:
@@ -278,9 +273,10 @@ class GradientDiscretisation:
 def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
     """Build the discretisation for a mesh and an optional diffusion field.
 
-    ``diffusion`` may be None (identity), a constant 2x2 array, a per-cell
-    (n_cells, 2, 2) array, or a callable evaluated at the cell points.  Each
-    tensor must be symmetric with eigenvalues inside ``EIG_BOUNDS``.
+    ``diffusion`` is None (identity), a constant 2x2 array or a per-cell
+    (n_cells, 2, 2) array; for a field ``f`` of the position, pass
+    ``f(mesh.cell_points)``.  Each tensor must be symmetric with eigenvalues
+    inside ``EIG_BOUNDS``.
     """
     return GradientDiscretisation(mesh, diffusion)
 

@@ -123,5 +123,4 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
             raise ExpressionError(f"missing variables {sorted(missing)}")
         return evaluate(env)
 
-    fn.source = text
     return fn

@@ -19,7 +19,6 @@ import collections
 import itertools
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -598,13 +597,10 @@ def save_mesh(mesh: PolytopalMesh, path) -> None:
         f.write("\n")
 
 
-def _load_native_json(path) -> PolytopalMesh:
+def _load_native_json(path, text: str) -> PolytopalMesh:
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also a too long integer, deep nesting
         raise MeshFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != "polytopal-mesh":
         raise MeshFormatError(f"{path}: missing 'format': 'polytopal-mesh' marker")
@@ -644,12 +640,10 @@ def _native_points(path, value, name: str) -> np.ndarray:
     return pts
 
 
-def _load_fvca_text(path) -> PolytopalMesh:
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as exc:
-        raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
+def _load_fvca_text(path, text: str) -> PolytopalMesh:
+    # split at "\n" only, so that the line numbers are the file's; a final
+    # newline does not start a line of its own
+    lines = text.removesuffix("\n").split("\n")
     pos = 0
 
     def next_tokens():
@@ -663,9 +657,12 @@ def _load_fvca_text(path) -> PolytopalMesh:
 
     def next_count(what):
         tokens, ln = next_tokens()
-        if not tokens[0].isdecimal():
-            raise MeshFormatError(f"{path}:{ln}: expected {what} count, got {tokens[0]!r}")
-        return int(tokens[0])
+        try:
+            if tokens[0].isdecimal():
+                return int(tokens[0])
+        except ValueError:  # more digits than int() converts
+            pass
+        raise MeshFormatError(f"{path}:{ln}: expected {what} count, got {tokens[0]!r}")
 
     nv = next_count("vertex")
     verts = []  # grown line by line: a count beyond the file is an end-of-file error
@@ -693,20 +690,19 @@ def _load_fvca_text(path) -> PolytopalMesh:
     return PolytopalMesh(np.array(verts, dtype=float).reshape(nv, 2), cells)
 
 
-def load_mesh(path, fmt: Optional[str] = None) -> PolytopalMesh:
-    """Load a mesh file in ``native_json`` or ``fvca_text`` format.
+def load_mesh(path) -> PolytopalMesh:
+    """Load a mesh file; its content names its format.
 
-    When ``fmt`` is omitted it is inferred from the extension (.json means
-    native JSON, anything else the text format).  The loaded mesh goes
-    through the same validation as generated meshes.
+    Text whose first non-blank character is ``{`` is native JSON, any other
+    text the vertex/cell text format.  The loaded mesh goes through the same
+    validation as generated meshes.
     """
-    if fmt is None:
-        fmt = "native_json" if str(path).endswith(".json") else "fvca_text"
-    if fmt == "native_json":
-        mesh = _load_native_json(path)
-    elif fmt == "fvca_text":
-        mesh = _load_fvca_text(path)
-    else:
-        raise MeshFormatError(f"unknown mesh format {fmt!r}")
+    try:
+        with open(path) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
+    load = _load_native_json if text.lstrip().startswith("{") else _load_fvca_text
+    mesh = load(path, text)
     validate(mesh)
     return mesh

@@ -80,8 +80,9 @@ class ProblemSpec:
 
     All callables are vectorised: ``source(points, t)``, ``obstacle(points)``,
     ``initial(points)`` and ``dirichlet(points, t)`` take an (n, 2) array and
-    return an (n,) array.  ``diffusion`` follows the conventions of
-    ``build_gd``; ``dirichlet=None`` means homogeneous boundary data.
+    return an (n,) array.  ``diffusion`` is not a callable: it is None
+    (identity), a 2x2 array or an (n_cells, 2, 2) array, as ``build_gd``
+    takes it.  ``dirichlet=None`` means homogeneous boundary data.
     """
 
     source: Callable

@@ -166,11 +166,6 @@ def test_bad_expressions_are_rejected(text):
         compile_expression(text, ("x", "y"))
 
 
-def test_expression_keeps_source():
-    f = compile_expression("x + 1", ("x",))
-    assert f.source == "x + 1"
-
-
 # -- case files ----------------------------------------------------------------
 
 

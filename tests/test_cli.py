@@ -307,6 +307,26 @@ def test_levels_that_do_not_strictly_increase_build_no_mesh(tmp_path, monkeypatc
     assert built == []
 
 
+@pytest.mark.parametrize("argv, count", [
+    # test1 recommends triangular levels 11, 16 and 32
+    pytest.param(["--case", "test1"], 3, id="recommended-levels"),
+    pytest.param(["--case", "test2", "--family", "cartesian", "--levels", "2,3"], 2,
+                 id="two-levels"),
+    pytest.param(["--case", "test2", "--mesh", "a.json", "--mesh", "b.json"], 2,
+                 id="two-files"),
+])
+def test_solve_on_more_than_one_mesh_builds_none(tmp_path, monkeypatch, capsys, argv,
+                                                 count):
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "generate_mesh", lambda *a: built.append(a))
+    monkeypatch.setattr(hmmvi.cli, "load_mesh", lambda *a: built.append(a))
+    code = run_cli("solve", *argv, "--out", str(tmp_path / "run"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"solve expects exactly one mesh, got {count}"]
+    assert built == []
+
+
 def test_config_levels_must_strictly_increase(tmp_path, monkeypatch, capsys):
     built = []
     monkeypatch.setattr(hmmvi.cli, "generate_mesh", lambda *a: built.append(a))
@@ -339,6 +359,23 @@ def test_json_file_that_is_not_an_object_is_one_usage_line(tmp_path, capsys, fla
                    flag, str(path), "--out", str(tmp_path / "run"))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [message.format(path=path)]
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b'{"dt": ' + b"1" * 5000 + b"}", id="integer-beyond-the-digit-limit"),
+    pytest.param(b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="nested-too-deep"),
+])
+@pytest.mark.parametrize("flag, kind", [("--case-file", "case"), ("--config", "config")])
+def test_unreadable_json_file_is_one_usage_line(tmp_path, capsys, data, flag, kind):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    case = ["--case", "test2"] if flag == "--config" else []
+    code = run_cli("solve", *case, "--family", "cartesian", "--level", "2",
+                   flag, str(path), "--out", str(tmp_path / "run"))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert lines[0].startswith(f"cannot read {kind} file {path}: ")
 
 
 def test_missing_config_file_is_one_usage_line(tmp_path, capsys):
@@ -526,16 +563,15 @@ def test_bad_options_exit_2_from_flags_and_config(tmp_path, key, flag, config,
 
 
 # Documented keys other than those the fuzz run fixes by flag.
-_FUZZ_KEYS = ["case_file", "variant", "levels", "mesh", "mesh_format", "bbox",
-              "dt_coefficient", "dt_exponent", "formats", "vtk_every", "quadrature",
-              "quiet"]
+_FUZZ_KEYS = ["case_file", "variant", "levels", "mesh", "bbox", "dt_coefficient",
+              "dt_exponent", "formats", "vtk_every", "quadrature", "quiet"]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
-_NEAR_VALID = st.sampled_from(["vtk", "csv,json", "fan3", "printed_f", "native_json",
-                               "2", "0", "-1,1,-1,1", "", "pdf", 2, 0.5, -1, True,
+_NEAR_VALID = st.sampled_from(["vtk", "csv,json", "fan3", "printed_f", "2", "0",
+                               "-1,1,-1,1", "", "pdf", 2, 0.5, -1, True,
                                [0, 1, 0, 1], ["json", "csv"]])
 
 
@@ -661,6 +697,56 @@ def test_validate_bad_mesh_file_is_one_line(tmp_path, name, text, code, message)
     assert proc.returncode == code
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("name, text", [
+    pytest.param("m.txt", json.dumps(_MESH_DOC), id="native-named-txt"),
+    pytest.param("mesh", json.dumps(_MESH_DOC), id="native-without-extension"),
+    pytest.param("m.json", _MESH_TEXT, id="text-named-json"),
+    pytest.param("m.json", "\n# two squares\n" + _MESH_TEXT, id="text-with-comment"),
+])
+def test_mesh_file_content_names_its_format(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("validate", str(path)) == EXIT_OK
+
+
+@pytest.mark.parametrize("name, data, message", [
+    pytest.param("m.json", b'{"format": ', "{path}: not valid JSON", id="truncated-json"),
+    pytest.param("m.json", b"[1, 2]", "{path}:1: expected vertex count, got '[1,'",
+                 id="json-list"),
+    pytest.param("m.txt", b"\xff\xfe6\n", "cannot read mesh file {path}: ", id="not-utf8"),
+    pytest.param("m.json", b'{"cells": [[' + b"1" * 5000 + b"]]}",
+                 "{path}: not valid JSON", id="json-integer-beyond-the-digit-limit"),
+    pytest.param("m.json", b'{"cells": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 "{path}: not valid JSON", id="json-nested-too-deep"),
+    pytest.param("m.txt", b"1" * 5000 + b"\n", "{path}:1: expected vertex count",
+                 id="text-count-beyond-the-digit-limit"),
+])
+def test_unreadable_mesh_file_is_one_usage_line(tmp_path, capsys, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = run_cli("validate", str(path))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert lines[0].startswith(message.format(path=path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--mesh-format", "fvca_text", "{mesh}"],
+    ["meshgen", "--family", "cartesian", "--levels", "1", "--mesh-format=native_json",
+     "--out", "{out}"],
+    ["diagnose", "--mesh", "{mesh}", "--config", "{config}", "--out", "{out}"],
+])
+def test_mesh_format_is_not_an_option(tmp_path, capsys, argv):
+    (tmp_path / "m.json").write_text(json.dumps(_MESH_DOC))
+    (tmp_path / "config.json").write_text(json.dumps({"mesh_format": "fvca_text"}))
+    code = run_cli(*[a.format(mesh=tmp_path / "m.json", config=tmp_path / "config.json",
+                              out=tmp_path / "run") for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert "mesh-format" in lines[0] or "'mesh_format'" in lines[0]
+    assert not (tmp_path / "run").exists()
 
 
 _MESH_VALUES = st.recursive(
@@ -816,7 +902,6 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
 ])
 def test_flag_equal_to_its_default_beats_the_config(tmp_path, monkeypatch, key,
                                                     value, flag):
-    monkeypatch.delenv("HMMVI_OUTDIR", raising=False)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
     argv = ["solve", "--case", "test1", "--family", "cartesian", "--level", "2",
@@ -883,7 +968,9 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "cartesian_l01.json").exists()
 
 
-def test_outdir_env_var(tmp_path, monkeypatch):
+def test_out_defaults_to_out_whatever_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("HMMVI_OUTDIR", str(tmp_path / "envout"))
+    monkeypatch.chdir(tmp_path)
     assert run_cli("meshgen", "--family", "cartesian", "--levels", "1") == EXIT_OK
-    assert (tmp_path / "envout" / "cartesian_l01.json").exists()
+    assert sorted(map(str, tmp_path.rglob("*"))) == [
+        str(tmp_path / "out"), str(tmp_path / "out" / "cartesian_l01.json")]

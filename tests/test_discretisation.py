@@ -195,10 +195,10 @@ def test_discretisation_arrays_are_read_only():
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
-    # a diffusion array or callable result stays the caller's to change
+    # a diffusion array, per cell or constant, stays the caller's to change
     field = _diffusion("per_cell", m)
     build_gd(m, diffusion=field)
-    build_gd(m, diffusion=lambda points: field)
+    build_gd(m, diffusion=field[0])
     field[0, 0, 0] = 2.0
 
 
@@ -214,8 +214,8 @@ def test_cell_cell_block_is_diagonal(family):
 
 def test_stiffness_is_symmetric_and_psd():
     m = generate_mesh("triangular", 3)
-    gd = build_gd(m, diffusion=lambda p: np.broadcast_to(
-        np.array([[2.0, -0.3], [-0.3, 0.8]]), (len(p), 2, 2)))
+    gd = build_gd(m, diffusion=np.broadcast_to(
+        np.array([[2.0, -0.3], [-0.3, 0.8]]), (m.n_cells, 2, 2)))
     forms = assemble_forms(gd)
     S = forms.stiffness.toarray()
     assert np.abs(S - S.T).max() < 1e-12 * np.abs(S).max()
@@ -286,6 +286,21 @@ def test_indefinite_diffusion_is_rejected():
     m = generate_mesh("cartesian", 1)
     with pytest.raises(DiscretisationError):
         build_gd(m, diffusion=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("diffusion, got", [
+    pytest.param(lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)), "a function",
+                 id="callable"),
+    pytest.param("identity", "a str", id="string"),
+    pytest.param([[1.0, 0.0], [0.0]], "a list", id="ragged-list"),
+    pytest.param(np.eye(3), "shape (3, 3)", id="3x3"),
+])
+def test_diffusion_that_is_not_an_accepted_array_is_refused(diffusion, got):
+    m = generate_mesh("cartesian", 1)
+    with pytest.raises(DiscretisationError) as info:
+        build_gd(m, diffusion=diffusion)
+    assert str(info.value) == ("diffusion must be None, a 2x2 array or a (4, 2, 2) "
+                               f"array of numbers, got {got}")
 
 
 def test_vector_shape_mismatch_is_reported():

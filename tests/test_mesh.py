@@ -279,6 +279,35 @@ def test_text_format_errors_carry_line_numbers(tmp_path):
         load_mesh(path)
 
 
+def test_mesh_format_comes_from_the_content(tmp_path):
+    native = tmp_path / "hex.json"
+    save_mesh(generate_mesh("hexagonal", 2), native)
+    (tmp_path / "two.typ2").write_text(
+        "# two unit squares\n6\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n2\n4 1 2 5 4\n4 2 3 6 5\n")
+    for usual, other in ((native, tmp_path / "hex.txt"), (native, tmp_path / "hex"),
+                         (tmp_path / "two.typ2", tmp_path / "two.json")):
+        other.write_text(usual.read_text())
+        a, b = load_mesh(usual), load_mesh(other)
+        for name in ("vertices", "cell_offsets", "corner_vertices", "cell_points"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.metadata == b.metadata
+
+
+def test_text_format_line_numbers_count_newlines_only(tmp_path):
+    # a form feed is not a line break: the short cell is on the file's line 6
+    path = tmp_path / "bad.typ2"
+    path.write_text("# page one\f page two\n2\n0 0\n1 0\n1\n3 1 2\n")
+    with pytest.raises(MeshFormatError, match=r"bad\.typ2:6: cell 0 announces 3"):
+        load_mesh(path)
+
+
+def test_text_format_end_of_file_names_the_last_line(tmp_path):
+    path = tmp_path / "short.typ2"
+    path.write_text("2\n0 0\n1 0\n")
+    with pytest.raises(MeshFormatError, match="unexpected end of file at line 3$"):
+        load_mesh(path)
+
+
 def test_json_loader_requires_marker(tmp_path):
     path = tmp_path / "plain.json"
     path.write_text('{"vertices": [], "cells": []}')
