@@ -32,7 +32,7 @@ from .discretisation import DiscretisationError, build_gd
 from .export import write_csv, write_json, write_vtk
 from .mesh import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, generate_mesh, load_mesh, mesh_size,
-                   save_mesh, validate)
+                   read_mesh, save_mesh, validate)
 from .solver import SolverError
 from .timeloop import TimeGrid, TimeGridError, run_transient
 
@@ -231,8 +231,7 @@ def cmd_meshgen(args) -> int:
 
 def cmd_validate(args) -> int:
     for path in args.files:
-        mesh = load_mesh(path)
-        report = validate(mesh)
+        report = validate(read_mesh(path))
         log.info("%s: %d cells, %d edges, h = %.5g, worst closure defect %.2e, "
                  "min edge distance %.3e",
                  path, report["n_cells"], report["n_edges"], report["h"],

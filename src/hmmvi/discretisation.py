@@ -75,15 +75,96 @@ class ObstacleVector:
             raise DiscretisationError("obstacle values must be finite")
 
 
+@dataclass(frozen=True)
+class SchurPlan:
+    """A_ee - B^T diag(w) B in one gather pass, on A_ee's own sparsity pattern.
+
+    For each stored entry (i, j) of A_ee in sorted CSC order the plan holds
+    a_ij and a cell K holding both edges with B[K,i] and B[K,j]; the entries
+    a second cell also holds (an interior edge's diagonal) are listed in
+    ``shared`` with that cell's K, B[K,i] and B[K,j].  Each term is formed
+    as (B[K,i] w_K) B[K,j], as scipy's product of the column-scaled B^T with
+    B forms it, and a sum of two terms does not depend on their order, so
+    ``complement`` returns scipy's matrix bit for bit, exact zeros dropped.
+    """
+
+    aee: np.ndarray
+    cell: np.ndarray
+    bt: np.ndarray
+    b: np.ndarray
+    shared: np.ndarray
+    cell2: np.ndarray
+    bt2: np.ndarray
+    b2: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def build(cls, B: sp.csr_matrix, Aee: sp.spmatrix) -> Optional["SchurPlan"]:
+        """The plan, or None unless A_ee stores every coupling B^T diag(w) B adds.
+
+        A cell with m interior edges couples them pairwise, and each interior
+        edge's diagonal is held by its two cells: the pattern has
+        sum m^2 - n_e entries unless two cells share two edges.  On Cartesian
+        meshes some of those couplings are exact zeros of A_ee, and this
+        O(cells) count already tells them apart.
+        """
+        n = B.shape[1]
+        m = np.diff(B.indptr)
+        if Aee.nnz == 0 or Aee.nnz != int(np.dot(m, m)) - n:
+            return None
+        A = Aee.tocsc()
+        A.sort_indices()
+        # One pair (first, second) of B entries per cell and pair of its edges.
+        row = np.repeat(np.arange(B.shape[0]), m)
+        reps = m[row]
+        first = np.repeat(np.arange(B.nnz), reps)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = B.indptr[row[first]] + offset
+        key = B.indices[second].astype(np.int64) * n + B.indices[first]
+        akey = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
+        pos = np.minimum(np.searchsorted(akey, key), akey.size - 1)
+        hits = np.bincount(pos, minlength=akey.size)
+        if not np.array_equal(akey[pos], key) or np.any((hits < 1) | (hits > 2)):
+            return None
+        order = np.argsort(pos, kind="stable")
+        lead = np.ones(order.size, dtype=bool)
+        lead[1:] = pos[order[1:]] != pos[order[:-1]]
+        one, two = order[lead], order[~lead]
+        return cls(A.data, row[first[one]], B.data[first[one]], B.data[second[one]],
+                   pos[two], row[first[two]], B.data[first[two]], B.data[second[two]],
+                   A.indices, A.indptr)
+
+    def complement(self, w: np.ndarray) -> sp.csc_matrix:
+        """A_ee - B^T diag(w) B as CSC, sorted, with exact zeros dropped."""
+        # (w_K B[K,i]) B[K,j] in place: a product of two doubles does not
+        # depend on their order either.
+        data = w[self.cell]
+        data *= self.bt
+        data *= self.b
+        second = w[self.cell2]
+        second *= self.bt2
+        second *= self.b2
+        data[self.shared] += second
+        np.subtract(self.aee, data, out=data)
+        n = self.indptr.size - 1
+        if data.all():
+            return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        # eliminate_zeros compacts the arrays in place: the plan's own stay.
+        S = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        S.eliminate_zeros()
+        return S
+
+
 @dataclass
 class AssembledForms:
     """Global sparse forms over the full cell+edge unknown set.
 
     One object serves every time step of a run; the mass is kept as its
-    diagonal.  ``split`` is built when first read.  The quality diagnostics
-    keep their factorisation of the identity scheme's stiffness in
-    ``_plain_factor``, and the solver keeps the fill-reducing ordering of
-    the last Schur complement it factorised in ``_ordering``.
+    diagonal.  ``split`` and ``schur_plan`` are built when first read.  The
+    quality diagnostics keep their factorisation of the identity scheme's
+    stiffness in ``_plain_factor``, and the solver keeps the fill-reducing
+    ordering of the last Schur complement it factorised in ``_ordering``.
     """
 
     gd: GradientDiscretisation = field(repr=False, compare=False)
@@ -108,6 +189,12 @@ class AssembledForms:
         B = cell_rows[:, edofs]
         return (cell_rows.diagonal(), B, self.stiffness[edofs][:, edofs], edofs,
                 B.T.tocsr())
+
+    @cached_property
+    def schur_plan(self) -> Optional[SchurPlan]:
+        """The one-pass Schur complement build of ``split``'s blocks, or None."""
+        _, B, Aee, _, _ = self.split
+        return SchurPlan.build(B, Aee)
 
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:

@@ -32,6 +32,9 @@ ON_LINE_TOL = 1e-6
 # positive; the grid folds at A = 0.25.
 KERSHAW_AMPLITUDE = 0.21
 
+# Characters of an offending token that a format error echoes at most.
+ECHO_CHARS = 40
+
 MESH_FAMILIES = ("cartesian", "triangular", "hexagonal", "kershaw")
 
 
@@ -597,6 +600,11 @@ def save_mesh(mesh: PolytopalMesh, path) -> None:
         f.write("\n")
 
 
+def _clip(text: str) -> str:
+    """An echo of file content for an error message, cut after ``ECHO_CHARS``."""
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def _load_native_json(path, text: str) -> PolytopalMesh:
     try:
         doc = json.loads(text)
@@ -616,7 +624,7 @@ def _load_native_json(path, text: str) -> PolytopalMesh:
         for v in ids:
             if type(v) is not int:
                 raise MeshFormatError(
-                    f"{path}: cell {k} has vertex id {v!r}, expected an integer")
+                    f"{path}: cell {k} has vertex id {_clip(repr(v))}, expected an integer")
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise MeshFormatError(f"{path}: 'metadata' must be a JSON object")
@@ -634,7 +642,8 @@ def _native_points(path, value, name: str) -> np.ndarray:
     try:
         pts = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise MeshFormatError(f"{path}: {name!r} must be a list of [x, y] pairs ({exc})") from exc
+        raise MeshFormatError(
+            f"{path}: {name!r} must be a list of [x, y] pairs ({_clip(str(exc))})") from exc
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise MeshFormatError(f"{path}: {name!r} must be a list of [x, y] pairs")
     return pts
@@ -662,7 +671,8 @@ def _load_fvca_text(path, text: str) -> PolytopalMesh:
                 return int(tokens[0])
         except ValueError:  # more digits than int() converts
             pass
-        raise MeshFormatError(f"{path}:{ln}: expected {what} count, got {tokens[0]!r}")
+        raise MeshFormatError(
+            f"{path}:{ln}: expected {what} count, got {_clip(repr(tokens[0]))}")
 
     nv = next_count("vertex")
     verts = []  # grown line by line: a count beyond the file is an end-of-file error
@@ -673,7 +683,8 @@ def _load_fvca_text(path, text: str) -> PolytopalMesh:
         try:
             verts.append((float(tokens[0]), float(tokens[1])))
         except ValueError:
-            raise MeshFormatError(f"{path}:{ln}: bad vertex coordinates {tokens!r}")
+            raise MeshFormatError(
+                f"{path}:{ln}: bad vertex coordinates {_clip(repr(tokens))}")
     nc = next_count("cell")
     cells = []
     for k in range(nc):
@@ -682,7 +693,8 @@ def _load_fvca_text(path, text: str) -> PolytopalMesh:
             count = int(tokens[0])
             ids = [int(t) - 1 for t in tokens[1:1 + count]]
         except ValueError:
-            raise MeshFormatError(f"{path}:{ln}: bad cell connectivity {tokens!r}")
+            raise MeshFormatError(
+                f"{path}:{ln}: bad cell connectivity {_clip(repr(tokens))}")
         if len(ids) != count:
             raise MeshFormatError(
                 f"{path}:{ln}: cell {k} announces {count} vertices, lists {len(ids)}")
@@ -690,12 +702,11 @@ def _load_fvca_text(path, text: str) -> PolytopalMesh:
     return PolytopalMesh(np.array(verts, dtype=float).reshape(nv, 2), cells)
 
 
-def load_mesh(path) -> PolytopalMesh:
-    """Load a mesh file; its content names its format.
+def read_mesh(path) -> PolytopalMesh:
+    """Read a mesh file without validating it; its content names its format.
 
     Text whose first non-blank character is ``{`` is native JSON, any other
-    text the vertex/cell text format.  The loaded mesh goes through the same
-    validation as generated meshes.
+    text the vertex/cell text format.
     """
     try:
         with open(path) as f:
@@ -703,6 +714,11 @@ def load_mesh(path) -> PolytopalMesh:
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
     load = _load_native_json if text.lstrip().startswith("{") else _load_fvca_text
-    mesh = load(path, text)
+    return load(path, text)
+
+
+def load_mesh(path) -> PolytopalMesh:
+    """Read a mesh file and validate it as generated meshes are validated."""
+    mesh = read_mesh(path)
     validate(mesh)
     return mesh

@@ -37,8 +37,22 @@ cells and the Dirichlet values), the interior edges solve
 
     (A_ee - B^T diag(w) B) u_e = g_e - B^T (w g_cells),
 
-and the cells follow as u_K = w_K (g_K - B_K u_e).  B^T is kept as CSR with
-the split, and diag(w) is applied by scaling its entries column by column.
+and the cells follow as u_K = w_K (g_K - B_K u_e).
+
+A cell couples its interior edges pairwise.  On triangular, hexagonal and
+Kershaw meshes none of those couplings is an exact zero of A_ee, so A_ee
+stores every entry B^T diag(w) B can add; a count of the couplings against
+the entries of A_ee, O(cells), tells these meshes apart.  There the forms
+object holds a plan (``AssembledForms.schur_plan``), built once: for each
+stored entry (i, j) of A_ee in sorted CSC order, a_ij and the one or two
+cells K holding both edges, with B[K,i] and B[K,j].  A solve forms every
+entry as a_ij - sum_K (B[K,i] w_K) B[K,j] in one gather pass and drops exact
+zeros.  Those are the products scipy forms when it multiplies B^T, its
+columns scaled by w, with B, and an entry has at most two terms, whose sum
+does not depend on their order: the matrix is scipy's bit for bit.  On
+Cartesian meshes some couplings of A_ee are exact zeros, and scipy builds
+the complement: B^T, kept as CSR with the split, is copied and scaled column
+by column by w, multiplied by B and subtracted from A_ee.
 
 The Schur complement is SPD because S is SPD on the free unknowns.  Every SPD
 factorisation of the package, this one and the plain form of the quality
@@ -150,9 +164,10 @@ class LviProblem:
         return self.forms.stiffness @ v + self.alpha * self.forms.mass_diag * v
 
 
-# Seconds summed over the iterations of one solve: the factorisation alone,
-# the whole linear solve including it, and the partition updates.
-TIMING_KEYS = ("factor_s", "linear_s", "update_s")
+# Seconds summed over the iterations of one solve: the Schur complement
+# build and the factorisation alone, the whole linear solve including both,
+# and the partition updates.
+TIMING_KEYS = ("schur_s", "factor_s", "linear_s", "update_s")
 
 
 @dataclass
@@ -260,12 +275,24 @@ def _factorise_schur(forms: AssembledForms, A: sp.csc_matrix):
     return solve, False
 
 
+def _schur_complement(forms: AssembledForms, w: np.ndarray) -> sp.csc_matrix:
+    """A_ee - B^T diag(w) B as CSC, by the forms' plan or else by scipy."""
+    if forms.schur_plan is not None:
+        return forms.schur_plan.complement(w)
+    _, B, Aee, _, Bt = forms.split
+    BtW = Bt.copy()
+    BtW.data *= w[Bt.indices]
+    return (Aee - BtW @ B).tocsc()
+
+
 def _linear_solve(problem, partition):
     """Solve the linear system for a fixed partition.
 
     The balance cells are condensed out and only the interior-edge Schur
-    complement is factorised.  Returns (u, r, relative residual,
-    factorisation seconds, whether the factorisation computed an ordering).
+    complement is factorised.  Returns (u, r, relative residual, the
+    seconds of the Schur complement build and of the factorisation as
+    ``{"schur_s": ..., "factor_s": ...}``, whether the factorisation computed
+    an ordering).
     r = (S + alpha M) u - b is the balance residual over all unknowns; its
     norm on the free unknowns, relative to the pinned right-hand side's, is
     the relative residual, and its cell part is the multiplier of the set
@@ -275,7 +302,7 @@ def _linear_solve(problem, partition):
     gd = problem.forms.gd
     nc = gd.n_cells
     bdofs = gd.boundary_edge_dofs
-    s_cc, B, Aee, edofs, Bt = problem.forms.split
+    s_cc, B, _, edofs, Bt = problem.forms.split
     d = s_cc + problem.alpha * problem.forms.mass_diag[:nc]
     contact = partition.contact
     balance = ~contact
@@ -291,14 +318,11 @@ def _linear_solve(problem, partition):
     w = np.zeros(nc)
     w[balance] = 1.0 / d[balance]
     wg = w * g[:nc]
-    # B^T diag(w) B with the diagonal applied to B^T's column entries: the
-    # same products and sums as the triple product, without forming diag(w).
-    BtW = Bt.copy()
-    BtW.data *= w[Bt.indices]
-    schur = (Aee - BtW @ B).tocsc()
+    start = time.perf_counter()
+    schur = _schur_complement(problem.forms, w)
+    seconds = {"schur_s": time.perf_counter() - start, "factor_s": 0.0}
     rhs_e = g[edofs] - Bt @ wg
 
-    factor_s = 0.0
     ordered = False
     try:
         if edofs.size == 0:
@@ -306,7 +330,7 @@ def _linear_solve(problem, partition):
         elif free_ids.size <= DIRECT_LIMIT:
             start = time.perf_counter()
             solve, ordered = _factorise_schur(problem.forms, schur)
-            factor_s = time.perf_counter() - start
+            seconds["factor_s"] = time.perf_counter() - start
             x = solve(rhs_e)
         else:
             precond = sp.diags(1.0 / schur.diagonal())
@@ -333,7 +357,7 @@ def _linear_solve(problem, partition):
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)
-    return DofVector(u, nc), r, resid, factor_s, ordered
+    return DofVector(u, nc), r, resid, seconds, ordered
 
 
 def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
@@ -372,9 +396,10 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     timings = stats.timings
     for it in range(1, nc + 2):
         start = time.perf_counter()
-        u, r, lin_resid, factor_s, ordered = _linear_solve(problem, partition)
+        u, r, lin_resid, seconds, ordered = _linear_solve(problem, partition)
         mid = time.perf_counter()
-        timings["factor_s"] += factor_s
+        for key, value in seconds.items():
+            timings[key] += value
         stats.orderings += ordered
         timings["linear_s"] += mid - start
         stats.iterations = it

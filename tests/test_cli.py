@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmvi.cli
+import hmmvi.mesh
 import hmmvi.timeloop
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
 
@@ -94,9 +95,10 @@ def test_solve_writes_outputs(tmp_path):
     assert record["iterations"][0] == 2
     assert record["complementarity_max"] <= 1e-8
     timings = record["solver_timings"]
-    assert set(timings) == {"factor_s", "linear_s", "update_s"}
+    assert set(timings) == {"schur_s", "factor_s", "linear_s", "update_s"}
     assert all(v >= 0.0 for v in timings.values())
     assert timings["factor_s"] <= timings["linear_s"]
+    assert timings["schur_s"] <= timings["linear_s"]
 
 
 @pytest.mark.parametrize("formats, snapshots", [("vtk,json", 2), ("json", 0)])
@@ -730,6 +732,46 @@ def test_unreadable_mesh_file_is_one_usage_line(tmp_path, capsys, name, data, me
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE and len(lines) == 1, lines
     assert lines[0].startswith(message.format(path=path))
+
+
+def test_validate_checks_each_mesh_file_once(tmp_path, monkeypatch):
+    (tmp_path / "a.json").write_text(json.dumps(_MESH_DOC))
+    (tmp_path / "b.txt").write_text(_MESH_TEXT)
+    checked = []
+    check = hmmvi.mesh.validate
+
+    def counting(mesh):
+        checked.append(mesh)
+        return check(mesh)
+
+    monkeypatch.setattr(hmmvi.mesh, "validate", counting)
+    monkeypatch.setattr(hmmvi.cli, "validate", counting)
+    assert run_cli("validate", str(tmp_path / "a.json"), str(tmp_path / "b.txt")) == EXIT_OK
+    assert len(checked) == 2 and checked[0] is not checked[1]
+
+
+_LONG = "[" * 100_000
+
+
+@pytest.mark.parametrize("name, text, message", [
+    pytest.param("m.txt", _LONG, "{path}:1: expected vertex count, got '[[[", id="count"),
+    pytest.param("m.txt", f"1\n0 {_LONG}\n", "{path}:2: bad vertex coordinates ['0', '[[",
+                 id="vertex"),
+    pytest.param("m.txt", f"1\n0 0\n1\n3 {' x' * 50_000}\n",
+                 "{path}:4: bad cell connectivity ['3', 'x', 'x'", id="cell"),
+    pytest.param("m.json", json.dumps({**_MESH_DOC, "cells": [[0, 1, 4, _LONG]]}),
+                 "{path}: cell 0 has vertex id '[[[", id="json-vertex-id"),
+    pytest.param("m.json", json.dumps({**_MESH_DOC, "vertices": [[0, _LONG]]}),
+                 "{path}: 'vertices' must be a list of [x, y] pairs (could not", id="json-points"),
+])
+def test_long_offending_token_is_echoed_short(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code = run_cli("validate", str(path))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert lines[0].startswith(message.format(path=path))
+    assert len(lines[0]) <= len(str(path)) + 120, len(lines[0])
 
 
 @pytest.mark.parametrize("argv", [

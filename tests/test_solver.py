@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hmmvi import (MESH_FAMILIES, ActiveSetPartition, LviProblem,
                    contact_tolerance, generate_mesh, run_transient, solve_lvi,
                    update_partition)
 from hmmvi import solver
-from hmmvi.discretisation import ObstacleVector
+from hmmvi.discretisation import ObstacleVector, SchurPlan
 from hmmvi.solver import _linear_solve
 
 from cellref import local_stiffness, vector
@@ -203,9 +204,10 @@ def test_stats_record_the_iteration_history():
     assert len(stats.linear_residuals) == stats.iterations
     d = asdict(stats)
     assert d["iterations"] == stats.iterations
-    assert set(d["timings"]) == {"factor_s", "linear_s", "update_s"}
+    assert set(d["timings"]) == {"schur_s", "factor_s", "linear_s", "update_s"}
     assert all(v >= 0.0 for v in d["timings"].values())
     assert 0.0 < d["timings"]["factor_s"] <= d["timings"]["linear_s"]
+    assert 0.0 < d["timings"]["schur_s"] <= d["timings"]["linear_s"]
 
 
 def test_unreachable_linear_tolerance_is_reported(monkeypatch):
@@ -346,8 +348,8 @@ def test_condensed_solve_matches_full_system_reference(monkeypatch, family, leve
             assert np.linalg.norm(r - dense_r) <= 1e-12 * max(1.0, np.linalg.norm(dense_r))
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "DIRECT_LIMIT", 0)
-                cg, _, _, factor_s, _ = _linear_solve(LviProblem(**kw), part)
-            assert factor_s == 0.0
+                cg, _, _, seconds, _ = _linear_solve(LviProblem(**kw), part)
+            assert seconds["factor_s"] == 0.0
             assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 
 
@@ -408,9 +410,10 @@ def _unpermute(P, perm_c):
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
 def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family):
-    # Scaling B^T's entries by w[column] does the triple product's multiplies
-    # and sums in its order; exact zeros (contact cells, cancellation on
-    # Cartesian meshes) are dropped by both.  A matrix factorised in the held
+    # The plan's gather (triangular, hexagonal, kershaw) and scipy's product
+    # of the column-scaled B^T with B (Cartesian) both do the triple
+    # product's multiplies and sums; exact zeros (contact cells, cancellation
+    # on Cartesian meshes) are dropped by all three.  A matrix factorised in the held
     # order is mapped back through it: its columns keep their entry order.
     calls = _recording_splu(monkeypatch)
     gd = build_gd(generate_mesh(family, 3))
@@ -481,3 +484,67 @@ def test_new_pattern_is_ordered_and_becomes_the_held_one(monkeypatch):
         assert u.values.tobytes() == fresh.values.tobytes()
     assert ordered == [True, True, False, True]
     assert [kw["permc_spec"] for _, kw, _ in calls].count("NATURAL") == 1
+
+
+def _scipy_schur(forms, w):
+    """A_ee - B^T diag(w) B by scipy: the column-scaled B^T times B."""
+    _, B, Aee, _, Bt = forms.split
+    BtW = Bt.copy()
+    BtW.data *= w[Bt.indices]
+    return (Aee - BtW @ B).tocsc()
+
+
+def _assert_same_csc(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("family, level", [("triangular", 7), ("hexagonal", 3),
+                                           ("kershaw", 2)])
+@pytest.mark.parametrize("case_name", ["test1", "test2"])
+def test_one_pass_schur_complement_is_scipys_bitwise(monkeypatch, family, level, case_name):
+    # Every solve of a march builds its Schur complement from the forms'
+    # plan; each must be scipy's matrix, exact zeros dropped, bit for bit.
+    built = []
+    schur = solver._schur_complement
+
+    def checked(forms, w):
+        got = schur(forms, w)
+        built.append(forms.schur_plan is not None)
+        _assert_same_csc(got, _scipy_schur(forms, w))
+        return got
+
+    monkeypatch.setattr(solver, "_schur_complement", checked)
+    case = builtin_case(case_name)
+    gd = build_gd(generate_mesh(family, level), case.spec.diffusion)
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 6))
+    assert len(built) == sum(sol.iterations) > 6 and all(built)
+    assert any(p.n_contact for p in sol.partitions)
+
+
+def test_one_pass_schur_complement_drops_an_entry_that_cancels():
+    # Three cells in a row, two interior edges: the middle cell holds both
+    # edges, the outer cells one each.  With w = 1 on the middle cell only,
+    # the off-diagonal coupling 1 - 1*1*1 is exactly 0.0 and is dropped.
+    B = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    Aee = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 4.0]]))
+    plan = SchurPlan.build(B, Aee)
+    assert plan is not None and plan.shared.tolist() == [0, 3]
+    forms = SimpleNamespace(split=(None, B, Aee, None, B.T.tocsr()))
+    for w, nnz in ((np.array([0.0, 1.0, 0.0]), 2), (np.array([0.5, 0.25, 3.0]), 4)):
+        got = plan.complement(w)
+        _assert_same_csc(got, _scipy_schur(forms, w))
+        assert got.nnz == nnz
+    assert got.toarray().tolist() == [[4.0 - 0.5 - 0.25, 1.0 - 0.25],
+                                      [1.0 - 0.25, 4.0 - 0.25 - 3.0]]
+
+
+def test_cartesian_forms_build_no_schur_plan():
+    # Some edge couplings of a Cartesian A_ee are exact zeros that
+    # B^T diag(w) B fills in, so those meshes keep scipy's build.
+    for level in (2, 3, 7):
+        assert assemble_forms(build_gd(generate_mesh("cartesian", level))).schur_plan is None
+    for family in ("triangular", "hexagonal", "kershaw"):
+        assert assemble_forms(build_gd(generate_mesh(family, 3))).schur_plan is not None
