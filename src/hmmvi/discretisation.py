@@ -77,75 +77,65 @@ class ObstacleVector:
 
 @dataclass(frozen=True)
 class SchurPlan:
-    """A_ee - B^T diag(w) B in one gather pass, on A_ee's own sparsity pattern.
+    """A_ee - B^T diag(w) B as one sparse product on a fixed union pattern.
 
-    For each stored entry (i, j) of A_ee in sorted CSC order the plan holds
-    a_ij and a cell K holding both edges with B[K,i] and B[K,j]; the entries
-    a second cell also holds (an interior edge's diagonal) are listed in
-    ``shared`` with that cell's K, B[K,i] and B[K,j].  Each term is formed
-    as (B[K,i] w_K) B[K,j], as scipy's product of the column-scaled B^T with
-    B forms it, and a sum of two terms does not depend on their order, so
-    ``complement`` returns scipy's matrix bit for bit, exact zeros dropped.
+    The pattern holds every stored entry of A_ee and every coupling of two
+    interior edges of one cell, in sorted CSC order: entry p = (i, j) is row
+    i of column j.  ``aee`` holds A_ee on it, 0.0 where A_ee stores nothing.
+    Row p of ``q`` holds B[K,j] at column t for each entry t = (K, i) of B
+    whose cell K also holds edge j.  With v_t = w_K B[K,i], entry p of q v is
+    sum_K (w_K B[K,i]) B[K,j], the cells in increasing order: the multiplies
+    and the sums of scipy's product of the column-scaled B^T with B.  So
+    ``complement`` returns scipy's matrix bit for bit, exact zeros dropped,
+    on every mesh.
     """
 
     aee: np.ndarray
+    q: sp.csr_matrix
     cell: np.ndarray
-    bt: np.ndarray
     b: np.ndarray
-    shared: np.ndarray
-    cell2: np.ndarray
-    bt2: np.ndarray
-    b2: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
     @classmethod
-    def build(cls, B: sp.csr_matrix, Aee: sp.spmatrix) -> Optional["SchurPlan"]:
-        """The plan, or None unless A_ee stores every coupling B^T diag(w) B adds.
-
-        A cell with m interior edges couples them pairwise, and each interior
-        edge's diagonal is held by its two cells: the pattern has
-        sum m^2 - n_e entries unless two cells share two edges.  On Cartesian
-        meshes some of those couplings are exact zeros of A_ee, and this
-        O(cells) count already tells them apart.
-        """
+    def build(cls, B: sp.csr_matrix, Aee: sp.spmatrix) -> "SchurPlan":
+        """The plan of the cell x interior-edge block B and the edge block A_ee."""
         n = B.shape[1]
         m = np.diff(B.indptr)
-        if Aee.nnz == 0 or Aee.nnz != int(np.dot(m, m)) - n:
-            return None
+        cell = np.repeat(np.arange(B.shape[0]), m)
+        # One pair (t, s) of entries of B per cell K and pair (i, j) of its
+        # edges: t = (K, i), s = (K, j), t in increasing order.
+        reps = m[cell]
+        t = np.repeat(np.arange(B.nnz), reps)
+        s = B.indptr[cell[t]] + np.arange(t.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        # The union's keys column * n + row, sorted, and each key's position.
         A = Aee.tocsc()
-        A.sort_indices()
-        # One pair (first, second) of B entries per cell and pair of its edges.
-        row = np.repeat(np.arange(B.shape[0]), m)
-        reps = m[row]
-        first = np.repeat(np.arange(B.nnz), reps)
-        offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        second = B.indptr[row[first]] + offset
-        key = B.indices[second].astype(np.int64) * n + B.indices[first]
         akey = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
-        pos = np.minimum(np.searchsorted(akey, key), akey.size - 1)
-        hits = np.bincount(pos, minlength=akey.size)
-        if not np.array_equal(akey[pos], key) or np.any((hits < 1) | (hits > 2)):
-            return None
-        order = np.argsort(pos, kind="stable")
-        lead = np.ones(order.size, dtype=bool)
-        lead[1:] = pos[order[1:]] != pos[order[:-1]]
-        one, two = order[lead], order[~lead]
-        return cls(A.data, row[first[one]], B.data[first[one]], B.data[second[one]],
-                   pos[two], row[first[two]], B.data[first[two]], B.data[second[two]],
-                   A.indices, A.indptr)
+        keys = np.concatenate((akey, B.indices[s].astype(np.int64) * n + B.indices[t]))
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        union = keys[new]
+        pos = np.empty_like(order)
+        pos[order] = np.cumsum(new) - 1
+        aee = np.zeros(union.size)
+        aee[pos[:A.nnz]] = A.data
+        # COO to CSR keeps the input order within a row: t increasing.
+        q = sp.csr_matrix((B.data[s], (pos[A.nnz:], t)), shape=(union.size, B.nnz))
+        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+        return cls(aee, q, cell, B.data, (union % n).astype(A.indices.dtype),
+                   indptr.astype(A.indptr.dtype))
 
     def complement(self, w: np.ndarray) -> sp.csc_matrix:
-        """A_ee - B^T diag(w) B as CSC, sorted, with exact zeros dropped."""
-        # (w_K B[K,i]) B[K,j] in place: a product of two doubles does not
-        # depend on their order either.
-        data = w[self.cell]
-        data *= self.bt
-        data *= self.b
-        second = w[self.cell2]
-        second *= self.bt2
-        second *= self.b2
-        data[self.shared] += second
+        """A_ee - B^T diag(w) B as CSC, sorted, with exact zeros dropped.
+
+        Only a complement with no zero to drop holds the plan's own
+        ``indptr``, and with it the plan's whole pattern.
+        """
+        v = w[self.cell]
+        v *= self.b
+        data = self.q @ v
         np.subtract(self.aee, data, out=data)
         n = self.indptr.size - 1
         if data.all():
@@ -175,26 +165,22 @@ class AssembledForms:
 
     @cached_property
     def split(self) -> tuple:
-        """(s_cc, B, Aee, edofs, Bt): the stiffness blocks of the condensed solve.
+        """(s_cc, B, edofs): the stiffness blocks of the condensed solve.
 
         s_cc is the diagonal of the cell-cell block (diagonal in HMM), B the
-        cell x interior-edge block, Aee the interior-edge block, edofs the
-        interior-edge unknowns and Bt the transpose of B, stored as CSR so
-        that each solve scales its columns in place of a diagonal product.
+        cell x interior-edge block and edofs the interior-edge unknowns.
         None of them depends on alpha.
         """
         nc = self.gd.n_cells
         edofs = self.gd.free_dofs[nc:]
         cell_rows = self.stiffness[:nc]
-        B = cell_rows[:, edofs]
-        return (cell_rows.diagonal(), B, self.stiffness[edofs][:, edofs], edofs,
-                B.T.tocsr())
+        return cell_rows.diagonal(), cell_rows[:, edofs], edofs
 
     @cached_property
-    def schur_plan(self) -> Optional[SchurPlan]:
-        """The one-pass Schur complement build of ``split``'s blocks, or None."""
-        _, B, Aee, _, _ = self.split
-        return SchurPlan.build(B, Aee)
+    def schur_plan(self) -> SchurPlan:
+        """The Schur complement build of B and the interior-edge block A_ee."""
+        _, B, edofs = self.split
+        return SchurPlan.build(B, self.stiffness[edofs][:, edofs])
 
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:

@@ -28,31 +28,26 @@ complementarity measure read it from r and form no product of their own.
 Each linear solve condenses the cell unknowns out.  An HMM cell unknown
 couples only to its own edges, so the cell-cell block of S + alpha M is the
 diagonal d = s_cc + alpha |K|; the mass enters nowhere else.  The stiffness
-diagonal s_cc, the cell x interior-edge block B and the interior-edge block
-A_ee are split off the stiffness once per forms object
-(``AssembledForms.split``) and serve every step of a run, so S + alpha M is
-never formed.  With w = 1/d on balance cells and 0 on contact cells and
-g = b - (S + alpha M) u_pinned (u_pinned holding the obstacle on contact
-cells and the Dirichlet values), the interior edges solve
+diagonal s_cc and the cell x interior-edge block B are split off the
+stiffness once per forms object (``AssembledForms.split``), and the
+interior-edge block A_ee goes into the plan below; they serve every step of
+a run, so S + alpha M is never formed.  With w = 1/d on balance cells and 0
+on contact cells and g = b - (S + alpha M) u_pinned (u_pinned holds the
+obstacle on contact cells and the Dirichlet values), the interior edges solve
 
     (A_ee - B^T diag(w) B) u_e = g_e - B^T (w g_cells),
 
 and the cells follow as u_K = w_K (g_K - B_K u_e).
 
-A cell couples its interior edges pairwise.  On triangular, hexagonal and
-Kershaw meshes none of those couplings is an exact zero of A_ee, so A_ee
-stores every entry B^T diag(w) B can add; a count of the couplings against
-the entries of A_ee, O(cells), tells these meshes apart.  There the forms
-object holds a plan (``AssembledForms.schur_plan``), built once: for each
-stored entry (i, j) of A_ee in sorted CSC order, a_ij and the one or two
-cells K holding both edges, with B[K,i] and B[K,j].  A solve forms every
-entry as a_ij - sum_K (B[K,i] w_K) B[K,j] in one gather pass and drops exact
-zeros.  Those are the products scipy forms when it multiplies B^T, its
-columns scaled by w, with B, and an entry has at most two terms, whose sum
-does not depend on their order: the matrix is scipy's bit for bit.  On
-Cartesian meshes some couplings of A_ee are exact zeros, and scipy builds
-the complement: B^T, kept as CSR with the split, is copied and scaled column
-by column by w, multiplied by B and subtracted from A_ee.
+A cell couples its interior edges pairwise.  The forms object holds a plan
+(``AssembledForms.schur_plan``), built once on every mesh: the union of A_ee's
+pattern and those couplings, A_ee's values on it, and a sparse matrix q
+with one row per entry (i, j) of the union, holding B[K,j] in the column of
+B's entry (K, i) for each cell K with both edges.  A solve scales B's
+entries by w, forms A_ee - q (w B) in one product and drops exact zeros.
+Those are the multiplies of scipy's product of B^T, its columns scaled by
+w, with B, summed over the cells in the same increasing order: the matrix
+is scipy's bit for bit.
 
 The Schur complement is SPD because S is SPD on the free unknowns.  Every SPD
 factorisation of the package, this one and the plain form of the quality
@@ -61,10 +56,11 @@ minimum-degree ordering of A^T + A, diagonal pivots, and relaxed supernodes
 and panels switched off, which on these 2-D mesh graphs cost more than they
 save.
 
-The Schur complement's sparsity pattern is A_ee's on triangular, hexagonal
-and Kershaw meshes, whatever the partition (all 298 of the triangular-48
-march share it).  On Cartesian meshes some couplings of A_ee are exact zeros
-that B^T diag(w) B fills in, so there the pattern follows the partition.  The
+On triangular, hexagonal and Kershaw meshes A_ee stores every coupling, so
+the Schur complement has the plan's whole pattern whatever the partition
+(all 298 of the triangular-48 march share it) and shares the plan's index
+arrays.  On Cartesian meshes some couplings are exact zeros of A_ee that
+B^T diag(w) B fills in, so there the pattern follows the partition.  The
 forms object holds the CSC pattern of the last Schur complement ordered by
 minimum degree, and that ordering perm_c.  A Schur complement with exactly
 that pattern is factorised in natural order after the held ordering is
@@ -241,8 +237,9 @@ def _factorise_schur(forms: AssembledForms, A: sp.csc_matrix):
     factorisation computed a minimum-degree ordering.
     """
     held = forms._ordering
-    if (held is None or not np.array_equal(held[0], A.indptr)
-            or not np.array_equal(held[1], A.indices)):
+    # Complements that share the plan's indptr share its whole pattern.
+    if held is None or not (held[0] is A.indptr or (
+            np.array_equal(held[0], A.indptr) and np.array_equal(held[1], A.indices))):
         lu = factorise_spd(A)
         # perm_c is a view into the factor object: a copy lets the factors go.
         forms._ordering = (A.indptr, A.indices, lu.perm_c.copy())
@@ -276,13 +273,8 @@ def _factorise_schur(forms: AssembledForms, A: sp.csc_matrix):
 
 
 def _schur_complement(forms: AssembledForms, w: np.ndarray) -> sp.csc_matrix:
-    """A_ee - B^T diag(w) B as CSC, by the forms' plan or else by scipy."""
-    if forms.schur_plan is not None:
-        return forms.schur_plan.complement(w)
-    _, B, Aee, _, Bt = forms.split
-    BtW = Bt.copy()
-    BtW.data *= w[Bt.indices]
-    return (Aee - BtW @ B).tocsc()
+    """A_ee - B^T diag(w) B as CSC, by the forms' plan."""
+    return forms.schur_plan.complement(w)
 
 
 def _linear_solve(problem, partition):
@@ -302,7 +294,7 @@ def _linear_solve(problem, partition):
     gd = problem.forms.gd
     nc = gd.n_cells
     bdofs = gd.boundary_edge_dofs
-    s_cc, B, _, edofs, Bt = problem.forms.split
+    s_cc, B, edofs = problem.forms.split
     d = s_cc + problem.alpha * problem.forms.mass_diag[:nc]
     contact = partition.contact
     balance = ~contact
@@ -321,7 +313,7 @@ def _linear_solve(problem, partition):
     start = time.perf_counter()
     schur = _schur_complement(problem.forms, w)
     seconds = {"schur_s": time.perf_counter() - start, "factor_s": 0.0}
-    rhs_e = g[edofs] - Bt @ wg
+    rhs_e = g[edofs] - B.T @ wg
 
     ordered = False
     try:
