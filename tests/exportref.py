@@ -1,14 +1,15 @@
-"""Line-by-line reference VTK and row-by-row reference CSV writers.
+"""Record-by-record reference VTK and row-by-row reference CSV writers.
 
-These are the writers the bulk-pass ``hmmvi.export.write_vtk`` and
-``write_csv`` replaced, kept frozen so the new ones can be checked against
-them byte for byte.  ``write_vtk`` formats one line per vertex, per cell (read
-through ``cellref.cell_slices``) and per field value, joins them and writes
-them at the end; it writes the title as given, line breaks included.
-``write_csv_rows`` formats one row at a time through ``csv.writer``.
+These check the bulk-pass ``hmmvi.export.write_vtk`` and ``write_csv`` byte
+for byte.  ``write_vtk`` packs one big-endian record per vertex, per cell
+(read through ``cellref.cell_slices``) and per field value with ``struct``,
+joins them and writes them at the end; it writes the title as given, line
+breaks included.  ``write_csv_rows`` is the former row-by-row CSV writer,
+kept frozen: it formats one row at a time through ``csv.writer``.
 """
 
 import csv
+import struct
 
 import numpy as np
 
@@ -18,35 +19,34 @@ VTK_POLYGON = 7
 
 
 def write_vtk(path, mesh, cell_fields, title="polytopal cell data"):
-    """Write the mesh and per-cell scalar fields as a legacy VTK file."""
-    lines = []
-    lines.append("# vtk DataFile Version 2.0")
-    lines.append(title[:255])
-    lines.append("ASCII")
-    lines.append("DATASET UNSTRUCTURED_GRID")
-    lines.append(f"POINTS {mesh.n_vertices} double")
-    for p in mesh.vertices:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} 0")
-    size = sum(loc.size + 1 for loc in cell_slices(mesh, mesh.corner_vertices))
-    lines.append(f"CELLS {mesh.n_cells} {size}")
-    for loc in cell_slices(mesh, mesh.corner_vertices):
-        lines.append(" ".join([str(loc.size)] + [str(int(v)) for v in loc]))
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend([str(VTK_POLYGON)] * mesh.n_cells)
+    """Write the mesh and per-cell scalar fields as a legacy binary VTK file."""
+    cells = cell_slices(mesh, mesh.corner_vertices)
+    out = [b"# vtk DataFile Version 2.0\n", title[:255].encode() + b"\n", b"BINARY\n",
+           b"DATASET UNSTRUCTURED_GRID\n", f"POINTS {mesh.n_vertices} double\n".encode()]
+    for x, y in mesh.vertices:
+        out.append(struct.pack(">3d", x, y, 0.0))
+    out.append(b"\n")
+    size = sum(loc.size + 1 for loc in cells)
+    out.append(f"CELLS {mesh.n_cells} {size}\n".encode())
+    for loc in cells:
+        out.append(struct.pack(f">{loc.size + 1}i", loc.size, *loc.tolist()))
+    out.append(b"\n")
+    out.append(f"CELL_TYPES {mesh.n_cells}\n".encode())
+    out.extend([struct.pack(">i", VTK_POLYGON)] * mesh.n_cells)
+    out.append(b"\n")
     if cell_fields:
-        lines.append(f"CELL_DATA {mesh.n_cells}")
+        out.append(f"CELL_DATA {mesh.n_cells}\n".encode())
         for name in cell_fields:
             values = np.asarray(cell_fields[name], dtype=float)
             if values.shape != (mesh.n_cells,):
                 raise ValueError(
                     f"field {name!r} has shape {values.shape}, "
                     f"expected ({mesh.n_cells},)")
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in values)
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+            out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode())
+            out.extend(struct.pack(">d", v) for v in values.tolist())
+            out.append(b"\n")
+    with open(path, "wb") as f:
+        f.write(b"".join(out))
 
 
 def write_csv_rows(path, header, rows):

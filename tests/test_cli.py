@@ -17,6 +17,8 @@ import hmmvi.mesh
 import hmmvi.timeloop
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
 
+from test_export import parse_vtk
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -480,22 +482,23 @@ def _solve_case(tmp_path, name, case, *argv):
          "--out", str(tmp_path / name), *argv],
         capture_output=True, text=True)
     box_lines = [line for line in proc.stderr.splitlines() if "is not inside" in line]
-    return proc, box_lines, json.loads((tmp_path / name / "run.json").read_text())
+    run = tmp_path / name / "run.json"
+    return proc, box_lines, json.loads(run.read_text()) if run.exists() else None
 
 
 def test_mesh_file_outside_the_case_box_is_reported(tmp_path):
-    # The case lives on [0, 1]^2, the mesh file covers [-1, 1]^2.
+    # The case lives on [0, 1]^2, the mesh file covers [-1, 1]^2: refused.
     assert run_cli("meshgen", "--family", "cartesian", "--levels", "2",
                    "--out", str(tmp_path)) == EXIT_OK
     proc, box_lines, run = _solve_case(
         tmp_path, "run", {**_GOOD_CASE, "bbox": [0, 1, 0, 1]},
         "--mesh", str(tmp_path / "cartesian_l02.json"))
-    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.splitlines() == box_lines
     assert len(box_lines) == 1
     assert "[-1.0, 1.0, -1.0, 1.0]" in box_lines[0]
     assert "[0.0, 1.0, 0.0, 1.0]" in box_lines[0]
-    assert run["case_bbox"] == [0.0, 1.0, 0.0, 1.0]
-    assert run["mesh"]["metadata"]["bbox"] == [-1.0, 1.0, -1.0, 1.0]
+    assert run is None
 
 
 def test_hexagonal_mesh_on_the_case_box_is_not_reported(tmp_path):
@@ -865,11 +868,11 @@ def test_vtk_snapshot_is_wellformed(tmp_path):
     out = tmp_path / "run"
     run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "2",
             "--dt", "0.05", "--out", str(out))
-    text = (out / "snapshot_0002.vtk").read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert any(line.startswith("POINTS") for line in text)
-    assert any(line.startswith("CELL_DATA 16") for line in text)
-    assert sum(line.startswith("SCALARS") for line in text) == 3
+    title, points, cells, fields = parse_vtk((out / "snapshot_0002.vtk").read_bytes())
+    assert title == "test2 t=0.1"
+    assert points.shape == (25, 3) and len(cells) == 16
+    assert list(fields) == ["u", "gap", "contact"]
+    assert set(fields["contact"].tolist()) <= {0.0, 1.0}
 
 
 def test_solve_reports_errors_for_exact_cases(tmp_path):

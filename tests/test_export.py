@@ -1,4 +1,5 @@
-"""VTK snapshot writer against the frozen line-by-line reference."""
+"""VTK snapshot writer against the record-by-record reference and the legacy
+format specification; CSV writer against the frozen row-by-row writer."""
 
 import gc
 import weakref
@@ -49,11 +50,94 @@ def test_mixed_cell_sizes_are_covered():
     assert sizes == {3, 4, 5, 6}
 
 
+class _Reader:
+    """Text lines and binary blocks of a legacy VTK file, in file order."""
+
+    def __init__(self, data):
+        self.data, self.pos = data, 0
+
+    def at_end(self):
+        return self.pos == len(self.data)
+
+    def line(self):
+        end = self.data.index(b"\n", self.pos)
+        line, self.pos = self.data[self.pos:end].decode(), end + 1
+        return line
+
+    def block(self, dtype, count):
+        """``count`` big-endian values of ``dtype``, then the closing newline."""
+        end = self.pos + np.dtype(dtype).itemsize * count
+        assert self.data[end:end + 1] == b"\n"
+        values = np.frombuffer(self.data[self.pos:end], dtype)
+        self.pos = end + 1
+        return values
+
+
+def parse_vtk(data):
+    """(title, points, cells, fields) of a legacy binary VTK unstructured grid.
+
+    Written from the legacy format specification: four header lines (version,
+    title, ``BINARY``, dataset), then each section as a keyword line with its
+    counts and a big-endian block ending in a newline.  Every byte of the
+    file must be read.
+    """
+    r = _Reader(data)
+    assert r.line() == "# vtk DataFile Version 2.0"
+    title = r.line()
+    assert r.line() == "BINARY"
+    assert r.line() == "DATASET UNSTRUCTURED_GRID"
+    keyword, n_points, kind = r.line().split(" ")
+    assert (keyword, kind) == ("POINTS", "double")
+    points = r.block(">f8", 3 * int(n_points)).reshape(-1, 3)
+    keyword, n_cells, size = r.line().split(" ")
+    assert keyword == "CELLS"
+    n_cells = int(n_cells)
+    records = r.block(">i4", int(size)).tolist()
+    cells, pos = [], 0
+    for _ in range(n_cells):
+        count = records[pos]
+        cells.append(records[pos + 1:pos + 1 + count])
+        pos += 1 + count
+    assert pos == len(records)
+    assert r.line() == f"CELL_TYPES {n_cells}"
+    assert r.block(">i4", n_cells).tolist() == [7] * n_cells
+    fields = {}
+    if not r.at_end():
+        assert r.line() == f"CELL_DATA {n_cells}"
+        while not r.at_end():
+            keyword, name, kind, components = r.line().split(" ")
+            assert (keyword, kind, components) == ("SCALARS", "double", "1")
+            assert r.line() == "LOOKUP_TABLE default"
+            fields[name] = r.block(">f8", n_cells)
+    return title, points, cells, fields
+
+
+def _assert_bitwise_equal(parsed, expected):
+    parsed = np.asarray(parsed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert np.array_equal(parsed.view(np.int64), expected.view(np.int64))
+
+
+def _assert_parses_back(path, mesh, fields, title):
+    parsed_title, points, cells, parsed = parse_vtk(path.read_bytes())
+    assert parsed_title == title
+    _assert_bitwise_equal(points[:, :2], mesh.vertices)
+    _assert_bitwise_equal(points[:, 2], np.zeros(mesh.n_vertices))
+    assert cells == [c.tolist() for c in cell_slices(mesh, mesh.corner_vertices)]
+    for cell in cells:  # counter-clockwise: a positive shoelace area
+        x, y = points[cell, 0], points[cell, 1]
+        assert np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) > 0
+    assert list(parsed) == list(fields)
+    for key, values in fields.items():
+        _assert_bitwise_equal(parsed[key], values)
+
+
 def _assert_matches_reference(tmp_path, mesh, fields, title):
     new, ref = tmp_path / "new.vtk", tmp_path / "ref.vtk"
     write_vtk(new, mesh, fields, title=title)
     exportref.write_vtk(ref, mesh, fields, title=title)
     assert new.read_bytes() == ref.read_bytes()
+    _assert_parses_back(new, mesh, fields, title)
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -64,51 +148,15 @@ def test_vtk_matches_line_by_line_reference(tmp_path, name, with_fields):
                               f"{name} t=0.05")
 
 
-def _parse_vtk(text):
-    lines = text.split("\n")
-    assert lines[-1] == ""
-    pos = 4
-    n_vertices = int(lines[pos].split()[1])
-    points = [line.split() for line in lines[pos + 1:pos + 1 + n_vertices]]
-    pos += 1 + n_vertices
-    header, n_cells, size = lines[pos].split()
-    assert header == "CELLS"
-    n_cells = int(n_cells)
-    cells = [[int(tok) for tok in line.split()] for line in lines[pos + 1:pos + 1 + n_cells]]
-    assert sum(len(c) for c in cells) == int(size)
-    pos += 1 + n_cells
-    assert lines[pos:pos + 1 + n_cells] == [f"CELL_TYPES {n_cells}"] + ["7"] * n_cells
-    pos += 1 + n_cells
-    fields = {}
-    if lines[pos]:
-        assert lines[pos] == f"CELL_DATA {n_cells}"
-        pos += 1
-        while lines[pos]:
-            name = lines[pos].split()[1]
-            fields[name] = [float(tok) for tok in lines[pos + 2:pos + 2 + n_cells]]
-            pos += 2 + n_cells
-    return points, cells, fields
-
-
-def _assert_bitwise_equal(parsed, expected):
-    parsed = np.asarray(parsed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    assert np.array_equal(parsed.view(np.int64), expected.view(np.int64))
-
-
 @pytest.mark.parametrize("name", sorted(MESHES))
 def test_vtk_round_trips_every_float(tmp_path, name):
+    # The file read back by the format specification: exact points with
+    # z = 0, each cell's corners in order, every field value bit for bit.
     mesh = MESHES[name]
-    fields = _fields(mesh)
     path = tmp_path / "mesh.vtk"
-    write_vtk(path, mesh, fields)
-    points, cells, parsed = _parse_vtk(path.read_text())
-    assert all(p[2] == "0" for p in points)
-    _assert_bitwise_equal([[float(p[0]), float(p[1])] for p in points], mesh.vertices)
-    assert cells == [[c.size] + c.tolist() for c in cell_slices(mesh, mesh.corner_vertices)]
-    assert list(parsed) == list(fields)
-    for key, values in fields.items():
-        _assert_bitwise_equal(parsed[key], values)
+    for fields in (_fields(mesh), {}):
+        write_vtk(path, mesh, fields)
+        _assert_parses_back(path, mesh, fields, "polytopal cell data")
 
 
 def test_field_shape_error_matches_reference(tmp_path):
@@ -125,10 +173,10 @@ def test_field_shape_error_matches_reference(tmp_path):
 def test_second_write_of_a_mesh_reuses_its_geometry(tmp_path):
     mesh = generate_mesh("hexagonal", 2)
     _assert_matches_reference(tmp_path, mesh, _fields(mesh), "first t=0.01")
-    geometry = export._geometry_text[mesh]
+    geometry = export._geometry[mesh]
     fields = {"gap": -_fields(mesh)["u"], "contact": np.ones(mesh.n_cells)}
     _assert_matches_reference(tmp_path, mesh, fields, "second t=0.02")
-    assert export._geometry_text[mesh] is geometry
+    assert export._geometry[mesh] is geometry
 
 
 def test_writes_alternating_between_meshes_match_their_references(tmp_path):
@@ -137,26 +185,26 @@ def test_writes_alternating_between_meshes_match_their_references(tmp_path):
         mesh = meshes[step % 2]
         fields = {"u": np.full(mesh.n_cells, step + 0.5)}
         _assert_matches_reference(tmp_path, mesh, fields, f"t={step}")
-    assert all(mesh in export._geometry_text for mesh in meshes)
+    assert all(mesh in export._geometry for mesh in meshes)
 
 
 def test_geometry_goes_with_its_mesh(tmp_path):
     gc.collect()
-    before = len(export._geometry_text)
+    before = len(export._geometry)
     mesh = generate_mesh("kershaw", 1)
     write_vtk(tmp_path / "mesh.vtk", mesh, {})
-    assert len(export._geometry_text) == before + 1
+    assert len(export._geometry) == before + 1
     alive = weakref.ref(mesh)
     del mesh
     gc.collect()
     assert alive() is None
-    assert len(export._geometry_text) == before
+    assert len(export._geometry) == before
 
 
 def test_field_shape_error_on_a_cached_mesh_writes_no_file(tmp_path):
     mesh = MESHES["cartesian-2"]
     write_vtk(tmp_path / "first.vtk", mesh, {"u": np.zeros(mesh.n_cells)})
-    assert mesh in export._geometry_text
+    assert mesh in export._geometry
     with pytest.raises(ValueError, match=r"field 'bad' has shape \(3,\), expected \(16,\)"):
         write_vtk(tmp_path / "new.vtk", mesh, {"u": np.zeros(mesh.n_cells),
                                                "bad": np.zeros(3)})
@@ -167,14 +215,11 @@ def test_field_shape_error_on_a_cached_mesh_writes_no_file(tmp_path):
 def test_title_stays_on_one_header_line(tmp_path, brk):
     mesh = MESHES["cartesian-1"]
     path = tmp_path / "mesh.vtk"
-    write_vtk(path, mesh, {"u": np.ones(mesh.n_cells)}, title=f"a{brk}b t=0.05")
-    lines = path.read_bytes().split(b"\n")
-    assert lines[1] == b"a" + b" " * len(brk) + b"b t=0.05"
-    assert lines[2] == b"ASCII"
+    fields = {"u": np.ones(mesh.n_cells)}
+    write_vtk(path, mesh, fields, title=f"a{brk}b t=0.05")
+    _assert_parses_back(path, mesh, fields, "a" + " " * len(brk) + "b t=0.05")
     write_vtk(path, mesh, {}, title=("x" * 254 + brk) * 2)
-    lines = path.read_bytes().split(b"\n")
-    assert lines[1] == b"x" * 254 + b" "
-    assert lines[2] == b"ASCII"
+    _assert_parses_back(path, mesh, {}, "x" * 254 + " ")
 
 
 @pytest.mark.parametrize("family, level", [("cartesian", 3), ("triangular", 8),

@@ -1,5 +1,6 @@
 """Time grids and the implicit Euler outer loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -257,23 +258,43 @@ def test_run_builds_the_operator_split_once(monkeypatch):
     assert len(builds) == 1 and forms.split is builds[0]
 
 
+def _rotated_anisotropy(angle, ratio):
+    """R(angle) diag(1, ratio) R(angle)^T."""
+    c, s = math.cos(angle), math.sin(angle)
+    rotation = np.array([[c, -s], [s, c]])
+    return rotation @ np.diag([1.0, ratio]) @ rotation.T
+
+
+def _march_cases(runs, diffusion=None, suffix=""):
+    return [pytest.param(*run, diffusion, id="-".join(map(str, run)) + suffix)
+            for run in runs]
+
+
 # Every time-node vector and every final partition of the march against a
 # march that builds each step on its own and solves it by projected
 # Gauss-Seidel.  A factorisation held across alpha, partitions or forms
 # objects would show here.  test1 has Dirichlet data and a moving contact
-# set; triangular 7 runs at two step lengths.
-@pytest.mark.parametrize("family, level, case_name, n_steps", [
-    ("triangular", 7, "test1", 4), ("triangular", 7, "test1", 9),
-    ("cartesian", 3, "test1", 4), ("hexagonal", 3, "test1", 4),
-    ("kershaw", 1, "test1", 4), ("triangular", 7, "test2", 10),
-    ("cartesian", 3, "test2", 10), ("hexagonal", 2, "test2", 10),
-    ("kershaw", 1, "test2", 10)])
-def test_march_matches_the_reference_march(family, level, case_name, n_steps):
-    case = builtin_case(case_name)
-    gd = build_gd(generate_mesh(family, level), case.spec.diffusion)
-    grid = TimeGrid(case.spec.final_time, n_steps)
-    sol = run_transient(gd, case.spec, grid)
-    psi, vectors, multipliers = reference_march(gd, case.spec, grid)
+# set; triangular 7 runs at two step lengths.  The anisotropic runs take
+# Lambda = R(pi/6) diag(1, 1e-2) R(pi/6)^T in place of the case's diffusion.
+@pytest.mark.parametrize("family, level, case_name, n_steps, diffusion", [
+    *_march_cases([
+        ("triangular", 7, "test1", 4), ("triangular", 7, "test1", 9),
+        ("cartesian", 3, "test1", 4), ("hexagonal", 3, "test1", 4),
+        ("kershaw", 1, "test1", 4), ("triangular", 7, "test2", 10),
+        ("cartesian", 3, "test2", 10), ("hexagonal", 2, "test2", 10),
+        ("kershaw", 1, "test2", 10)]),
+    *_march_cases([
+        ("kershaw", 1, "test1", 4), ("kershaw", 1, "test2", 10),
+        ("hexagonal", 2, "test2", 10), ("hexagonal", 3, "test1", 4)],
+        _rotated_anisotropy(math.pi / 6, 1e-2), "-anisotropic")])
+def test_march_matches_the_reference_march(family, level, case_name, n_steps, diffusion):
+    spec = builtin_case(case_name).spec
+    if diffusion is not None:
+        spec = dataclasses.replace(spec, diffusion=diffusion)
+    gd = build_gd(generate_mesh(family, level), spec.diffusion)
+    grid = TimeGrid(spec.final_time, n_steps)
+    sol = run_transient(gd, spec, grid)
+    psi, vectors, multipliers = reference_march(gd, spec, grid)
     assert len(sol.vectors) == len(vectors) == n_steps + 1
     for got, want in zip(sol.vectors, vectors):
         assert np.abs(got.values - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
