@@ -8,16 +8,14 @@ control the scheme's error estimates, so refinement studies can report both
 observed errors and the discrete norms behind them.
 """
 
-from .cases import (AnalyticCase, BUILTIN_CASES, CaseError, builtin_case,
-                    load_case_file, smooth_baseline_case, test1_case, test2_case)
+from .cases import AnalyticCase, BUILTIN_CASES, CaseError, builtin_case, load_case_file
 from .diagnostics import (DiagnosticsError, ErrorReport, GdQualityReport, SdBound,
                           bound_SD, eoc, error_norms, estimate_CD, estimate_WD,
                           gd_quality_report, initial_interp_error, standard_probes)
 from .discretisation import (AssembledForms, DiscretisationError, DofVector,
-                             GradientDiscretisation, ObstacleVector, assemble_forms,
-                             build_gd, flux_conservation_defect,
-                             interpolate_exact, interpolate_initial,
-                             interpolate_obstacle, reconstruct_gradient_flat)
+                             GradientDiscretisation, assemble_forms, build_gd,
+                             flux_conservation_defect, interpolate_exact,
+                             reconstruct_gradient_flat)
 from .expressions import ExpressionError, compile_expression
 from .mesh import (MESH_FAMILIES, MeshError, MeshFormatError, MeshGenerationError,
                    MeshValidationError, PolytopalMesh, generate_mesh, load_mesh,
@@ -32,15 +30,13 @@ from .timeloop import (ProblemSpec, TimeGrid, TimeGridError, TransientSolution,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticCase", "BUILTIN_CASES", "CaseError", "builtin_case",
-    "load_case_file", "smooth_baseline_case", "test1_case", "test2_case",
+    "AnalyticCase", "BUILTIN_CASES", "CaseError", "builtin_case", "load_case_file",
     "DiagnosticsError", "ErrorReport", "GdQualityReport", "SdBound",
     "bound_SD", "eoc", "error_norms", "estimate_CD", "estimate_WD",
     "gd_quality_report", "initial_interp_error", "standard_probes",
     "AssembledForms", "DiscretisationError", "DofVector",
-    "GradientDiscretisation", "ObstacleVector", "assemble_forms", "build_gd",
-    "flux_conservation_defect", "interpolate_exact", "interpolate_initial",
-    "interpolate_obstacle", "reconstruct_gradient_flat",
+    "GradientDiscretisation", "assemble_forms", "build_gd",
+    "flux_conservation_defect", "interpolate_exact", "reconstruct_gradient_flat",
     "ExpressionError", "compile_expression",
     "MESH_FAMILIES", "MeshError", "MeshFormatError",
     "MeshGenerationError", "MeshValidationError", "PolytopalMesh",

@@ -147,7 +147,7 @@ def _t1_f_derived(points, t):
     return np.where(r2 > s2, outside, _t1_f_contact(r2, t))
 
 
-def test1_case(variant: str = "derived_f") -> AnalyticCase:
+def _test1_case(variant: str = "derived_f") -> AnalyticCase:
     """Manufactured moving-contact problem on (-1,1)^2, horizon T = 0.25."""
     if variant == "printed_f":
         source = lambda points, t: _t1_f_printed(points, t)
@@ -190,7 +190,7 @@ def _t2_obstacle(points):
     ])
 
 
-def test2_case() -> AnalyticCase:
+def _test2_case() -> AnalyticCase:
     """Compactly supported obstacle, source -4, zero boundary data, T = 0.1.
 
     The initial datum is the obstacle itself, the smallest admissible start
@@ -232,7 +232,7 @@ def _baseline_grad(points, t):
     ))
 
 
-def smooth_baseline_case() -> AnalyticCase:
+def _smooth_baseline_case() -> AnalyticCase:
     """Unconstrained heat problem with exact solution sin sin exp(-t).
 
     The obstacle sits at -1e9 so the constraint never binds and the solver
@@ -263,11 +263,11 @@ def smooth_baseline_case() -> AnalyticCase:
 def builtin_case(name: str, variant: str = "derived_f") -> AnalyticCase:
     """Look up a built-in case by name."""
     if name == "test1":
-        return test1_case(variant)
+        return _test1_case(variant)
     if name == "test2":
-        return test2_case()
+        return _test2_case()
     if name == "smooth_baseline":
-        return smooth_baseline_case()
+        return _smooth_baseline_case()
     raise CaseError(f"unknown case {name!r}, expected one of {BUILTIN_CASES} "
                     f"or a case file path")
 

@@ -30,7 +30,7 @@ from .cases import BUILTIN_CASES, AnalyticCase, CaseError, builtin_case, load_ca
 from .diagnostics import DiagnosticsError, eoc, error_norms, gd_quality_report
 from .discretisation import DiscretisationError, build_gd
 from .export import write_csv, write_json, write_vtk
-from .mesh import (MESH_FAMILIES, MeshFormatError, MeshGenerationError,
+from .mesh import (MAX_LEVEL, MESH_FAMILIES, MeshFormatError, MeshGenerationError,
                    MeshValidationError, generate_mesh, load_mesh, mesh_size,
                    read_mesh, save_mesh, validate)
 from .solver import SolverError
@@ -60,16 +60,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_levels(text) -> list:
-    """Parse a level list: '3', '1..4', or '2,5,9'."""
+    """Parse a level list: '3', '1..4', or '2,5,9'.
+
+    Each level must lie in 1..MAX_LEVEL, the levels a mesh family can
+    generate; the ends of a range are checked before it is expanded."""
+
+    def checked(levels):
+        for n in levels:
+            if not 1 <= n <= MAX_LEVEL:
+                raise ConfigError(f"level {n} is outside 1..{MAX_LEVEL}, "
+                                  f"the levels a mesh family can generate")
+        return levels
+
     try:
         if isinstance(text, (list, tuple)):
-            return [int(v) for v in text]
+            return checked([int(v) for v in text])
         text = str(text).strip()
         if ".." in text:
-            lo, hi = map(int, text.split("..", 1))
+            lo, hi = checked(list(map(int, text.split("..", 1))))
             levels = list(range(lo, hi + 1))
         else:
-            levels = [int(tok) for tok in text.split(",") if tok.strip()]
+            levels = checked([int(tok) for tok in text.split(",") if tok.strip()])
         if not levels:
             raise ValueError
         return levels
@@ -318,7 +329,7 @@ def cmd_solve(args) -> int:
         write_csv(out / "cells_final.csv",
                   ["cell", "x", "y", "area", "u", "obstacle", "contact"],
                   [range(mesh.n_cells), x, y, mesh.cell_areas, solution.final.cells,
-                   solution.psi.values, solution.partitions[-1].contact.astype(int)])
+                   solution.psi, solution.partitions[-1].contact.astype(int)])
     if report is not None:
         record["errors"] = {key: getattr(report, key) for key in (
             "rel_l2_final", "rel_grad_final", "linf_l2", "spacetime_grad",

@@ -28,10 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .discretisation import (AssembledForms, GradientDiscretisation,
-                             ObstacleVector, assemble_forms, build_gd,
-                             interpolate_exact, interpolate_initial,
-                             reconstruct_gradient_flat)
+from .discretisation import (AssembledForms, GradientDiscretisation, assemble_forms,
+                             build_gd, interpolate_exact, reconstruct_gradient_flat)
 from .solver import factorise_spd
 from .timeloop import TransientSolution
 
@@ -244,8 +242,9 @@ class SdBound:
 
 
 def bound_SD(gd: GradientDiscretisation, phi: Callable, grad_phi: Callable,
-             psi: ObstacleVector) -> SdBound:
-    """Reconstruction errors of the admissible sampling interpolant of phi."""
+             psi: np.ndarray) -> SdBound:
+    """Reconstruction errors of the admissible sampling interpolant of phi,
+    its cell values clipped from below at the per-cell obstacle values psi."""
     v = interpolate_exact(gd, phi, psi)
     pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
     diff = v.cells[cidx] - np.asarray(phi(pts), dtype=float)
@@ -259,11 +258,12 @@ def bound_SD(gd: GradientDiscretisation, phi: Callable, grad_phi: Callable,
 
 
 def initial_interp_error(gd: GradientDiscretisation, u_ini: Callable,
-                         psi: ObstacleVector) -> float:
-    """Distance between the initial datum and its admissible interpolant."""
-    v = interpolate_initial(gd, u_ini, psi)
+                         psi: np.ndarray) -> float:
+    """Distance between the initial datum and its admissible interpolant, the
+    cell values max(u_ini(x_K), psi_K)."""
+    cells = np.maximum(np.asarray(u_ini(gd.mesh.cell_points), dtype=float), psi)
     pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
-    diff = v.cells[cidx] - np.asarray(u_ini(pts), dtype=float)
+    diff = cells[cidx] - np.asarray(u_ini(pts), dtype=float)
     return math.sqrt(float(w @ diff**2))
 
 
@@ -317,7 +317,7 @@ def gd_quality_report(gd: GradientDiscretisation) -> GdQualityReport:
     probes = standard_probes(gd.mesh.bbox)
     omega, div_omega = probes["sinusoidal_field"]
     bump, grad_bump = probes["polynomial_bump"]
-    zero_psi = ObstacleVector(np.zeros(gd.n_cells))
+    zero_psi = np.zeros(gd.n_cells)
 
     return GdQualityReport(
         h=mesh_size(gd.mesh),

@@ -63,18 +63,6 @@ class DofVector:
         return self.values[self.n_cells:]
 
 
-@dataclass
-class ObstacleVector:
-    """Per-cell obstacle values psi_K = psi(x_K)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise DiscretisationError("obstacle values must be finite")
-
-
 @dataclass(frozen=True)
 class SchurPlan:
     """A_ee - B^T diag(w) B as one sparse product on a fixed union pattern.
@@ -397,34 +385,16 @@ def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:
 # -- interpolants ------------------------------------------------------------
 
 
-def interpolate_obstacle(gd: GradientDiscretisation, psi: Callable) -> ObstacleVector:
-    """Per-cell obstacle values psi(x_K)."""
-    return ObstacleVector(np.asarray(psi(gd.mesh.cell_points), dtype=float))
-
-
-def interpolate_initial(gd: GradientDiscretisation, u_ini: Callable,
-                        psi: ObstacleVector) -> DofVector:
-    """Admissible initial vector: cell values u_ini(x_K) clipped at the obstacle.
-
-    Edge values are zero, which is harmless because only cell values of the
-    previous step enter the scheme.
-    """
-    v = gd.zeros()
-    v.cells[:] = u_ini(gd.mesh.cell_points)
-    np.maximum(v.cells, psi.values, out=v.cells)
-    return v
-
-
 def interpolate_exact(gd: GradientDiscretisation, fn: Callable,
-                      psi: Optional[ObstacleVector] = None) -> DofVector:
+                      psi: Optional[np.ndarray] = None) -> DofVector:
     """Sampling interpolant: cell values fn(x_K), edge values fn(x_sigma).
 
-    With an obstacle the cell values are clipped from below so the result is
-    admissible; edge values are never constrained.
+    With per-cell obstacle values psi the cell values are clipped from below
+    so the result is admissible; edge values are never constrained.
     """
     v = gd.zeros()
     v.cells[:] = fn(gd.mesh.cell_points)
     v.edges[:] = fn(gd.mesh.edge_centers)
     if psi is not None:
-        np.maximum(v.cells, psi.values, out=v.cells)
+        np.maximum(v.cells, psi, out=v.cells)
     return v

@@ -55,6 +55,8 @@ def write_vtk(path, mesh: PolytopalMesh, cell_fields: Mapping[str, np.ndarray],
     """Write the mesh and per-cell scalar fields as a legacy binary VTK file.
 
     The title goes on one header line, so line breaks in it become spaces.
+    A field name is one token: an empty name or one with whitespace in it is
+    refused, like a field of the wrong shape, before the file is opened.
     """
     n = mesh.n_cells
     title = title.replace("\r", " ").replace("\n", " ")[:255]
@@ -63,6 +65,8 @@ def write_vtk(path, mesh: PolytopalMesh, cell_fields: Mapping[str, np.ndarray],
     if cell_fields:
         parts.append(f"CELL_DATA {n}\n".encode())
         for name in cell_fields:
+            if name.split() != [name]:
+                raise ValueError(f"field name {name!r} is empty or holds whitespace")
             values = np.asarray(cell_fields[name], dtype=float)
             if values.shape != (n,):
                 raise ValueError(f"field {name!r} has shape {values.shape}, "

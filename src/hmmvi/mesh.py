@@ -25,6 +25,9 @@ import numpy as np
 GEOM_TOL = 1e-12
 # Largest estimated cell count generate_mesh accepts.
 MAX_CELLS = 2_000_000
+# Largest level any family can generate within MAX_CELLS: triangular, the
+# slowest-growing family, has 2 n^2 cells at level n.
+MAX_LEVEL = math.isqrt(MAX_CELLS // 2)
 # A hexagon corner this close to a box line, in circumradii, lies on it.
 ON_LINE_TOL = 1e-6
 # Shear amplitude A of kershaw meshes.  The shear stretches every vertical
@@ -548,8 +551,8 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
     if family not in MESH_FAMILIES:
         raise MeshGenerationError(
             f"unknown mesh family {family!r}, expected one of {MESH_FAMILIES}")
-    if n < 1:
-        raise MeshGenerationError("refinement level must be >= 1")
+    if not 1 <= n <= MAX_LEVEL:
+        raise MeshGenerationError(f"refinement level must be 1 to {MAX_LEVEL}, got {n}")
     xmin, xmax, ymin, ymax = bbox
     if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
         raise MeshGenerationError(f"degenerate bounding box {bbox!r}")
@@ -562,13 +565,14 @@ def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> Polytopal
             raise MeshGenerationError(
                 f"hexagonal box {bbox!r} must be wider and taller than "
                 f"2 * ON_LINE_TOL * circumradius = {limit:.3g} at level {n}")
-        estimate = int((xmax - xmin) * (ymax - ymin) / (1.5 * math.sqrt(3.0) * m * m)) + 1
+        # Divided by m twice: m * m underflows to zero from level 538 on.
+        estimate = (xmax - xmin) * (ymax - ymin) / (1.5 * math.sqrt(3.0) * m) / m + 1
     else:  # m x m squares, each split in two when triangular
         m = {"cartesian": 2**n, "triangular": n, "kershaw": 2 ** (n + 2)}[family]
         estimate = m * m * (2 if family == "triangular" else 1)
     if estimate > MAX_CELLS:
         raise MeshGenerationError(
-            f"level {n} of family {family!r} would create about {estimate} cells, "
+            f"level {n} of family {family!r} would create about {estimate:.3g} cells, "
             f"more than the budget of {MAX_CELLS}")
 
     generate = {"cartesian": _generate_cartesian, "triangular": _generate_triangular,

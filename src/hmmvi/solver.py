@@ -85,8 +85,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretisation import (AssembledForms, DofVector, ObstacleVector,
-                             flux_conservation_defect)
+from .discretisation import AssembledForms, DofVector, flux_conservation_defect
 
 # CG's relative tolerance; a linear residual above 1e3 times it is refused.
 LINEAR_TOL = 1e-12
@@ -145,15 +144,19 @@ class LviProblem:
     ``forms`` holds the operator, shared by every step of a run and free of
     alpha; ``rhs`` is the combined per-cell right-hand side (source plus previous
     step weighted by alpha |K|), ``alpha`` the reciprocal time step (zero for
-    a steady problem), and ``boundary_values`` the Dirichlet values on
-    boundary edges in ``mesh.boundary_edges`` order (None means homogeneous).
+    a steady problem), ``psi`` the obstacle values psi(x_K), one per cell, and
+    ``boundary_values`` the Dirichlet values on boundary edges in
+    ``mesh.boundary_edges`` order (None means homogeneous).
     """
 
     forms: AssembledForms
     rhs: np.ndarray
     alpha: float
-    psi: ObstacleVector
+    psi: np.ndarray
     boundary_values: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.psi = np.asarray(self.psi, dtype=float)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(S + alpha M) v, with the mass applied as its diagonal."""
@@ -204,7 +207,7 @@ def update_partition(problem: LviProblem, u: DofVector, r: np.ndarray,
         raise SolverError(
             f"partition covers {current.contact.size} cells, mesh has {n_cells}")
     tau = contact_tolerance(problem)
-    feas = u.cells - problem.psi.values
+    feas = u.cells - problem.psi
     mult = r[:n_cells]
     keep_contact = ~((mult < -tau) | (feas < -tau))
     enter_contact = feas <= tau
@@ -216,7 +219,7 @@ def complementarity_residual(problem: LviProblem, u: DofVector, r: np.ndarray) -
 
     Zero exactly when u satisfies the discrete complementarity system.
     """
-    per_cell = np.minimum(u.cells - problem.psi.values, r[:problem.forms.gd.n_cells])
+    per_cell = np.minimum(u.cells - problem.psi, r[:problem.forms.gd.n_cells])
     return float(np.max(np.abs(per_cell))) if per_cell.size else 0.0
 
 
@@ -294,7 +297,7 @@ def _linear_solve(problem, partition):
     contact = partition.contact
     balance = ~contact
     u = np.zeros(gd.n_dofs)
-    u[:nc][contact] = problem.psi.values[contact]
+    u[:nc][contact] = problem.psi[contact]
     if problem.boundary_values is not None:
         u[bdofs] = problem.boundary_values
     free_ids = np.concatenate((np.nonzero(balance)[0], edofs))
@@ -360,14 +363,16 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     if partition.contact.size != nc:
         raise SolverError(
             f"warm-start partition covers {partition.contact.size} cells, mesh has {nc}")
-    if problem.psi.values.shape != (nc,):
+    if problem.psi.shape != (nc,):
         raise SolverError(
-            f"obstacle vector has {problem.psi.values.shape} values for {nc} cells")
+            f"obstacle vector has {problem.psi.shape} values for {nc} cells")
     rhs = np.asarray(problem.rhs)
     if rhs.shape != (nc,):
         raise SolverError(f"rhs has shape {rhs.shape}, expected ({nc},) for {nc} cells")
     if not np.all(np.isfinite(rhs)):
         raise SolverError("rhs has non-finite values")
+    if not np.all(np.isfinite(problem.psi)):
+        raise SolverError("obstacle has non-finite values")
     if not (np.isfinite(problem.alpha) and problem.alpha >= 0.0):
         raise SolverError(f"alpha must be finite and non-negative, got {problem.alpha}")
     if problem.boundary_values is not None:

@@ -17,9 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .discretisation import (DiscretisationError, GradientDiscretisation,
-                             DofVector, ObstacleVector, assemble_forms,
-                             interpolate_initial, interpolate_obstacle)
+from .discretisation import (DiscretisationError, DofVector, GradientDiscretisation,
+                             assemble_forms)
 from .solver import (TIMING_KEYS, ActiveSetPartition, LviProblem, SolveStats,
                      SolverError, solve_lvi)
 
@@ -98,10 +97,13 @@ class ProblemSpec:
 
 @dataclass
 class TransientSolution:
-    """All time-node vectors of one run plus per-step solver records."""
+    """All time-node vectors of one run plus per-step solver records.
+
+    ``psi`` holds the obstacle values psi(x_K), one per cell.
+    """
 
     grid: TimeGrid
-    psi: ObstacleVector
+    psi: np.ndarray
     vectors: list
     stats: list
     partitions: list
@@ -140,15 +142,20 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
     SolverError leaves with its step number, t and dt in front of its message.
     """
     forms = assemble_forms(gd)
-    # Case data is checked where it is evaluated; non-finite values raise
-    # DiscretisationError instead of printing numpy warnings.
-    with np.errstate(all="ignore"):
-        psi = interpolate_obstacle(gd, spec.obstacle)
-        u = interpolate_initial(gd, spec.initial, psi)
-    _check_finite(u.cells, "initial", 0.0)
-
     areas = gd.mesh.cell_areas
     cell_pts = gd.mesh.cell_points
+    # Case data is checked where it is evaluated; non-finite values raise
+    # DiscretisationError instead of printing numpy warnings.  The initial
+    # vector is max(u_ini(x_K), psi_K) on the cells and zero on the edges:
+    # only the cell values of the previous step enter the scheme.
+    u = gd.zeros()
+    with np.errstate(all="ignore"):
+        psi = np.asarray(spec.obstacle(cell_pts), dtype=float)
+        u.cells[:] = spec.initial(cell_pts)
+        np.maximum(u.cells, psi, out=u.cells)
+    _check_finite(psi, "obstacle", 0.0)
+    _check_finite(u.cells, "initial", 0.0)
+
     bedges = gd.mesh.boundary_edges
     bcenters = gd.mesh.edge_centers[bedges]
 

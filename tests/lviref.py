@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hmmvi import solver
-from hmmvi.discretisation import DofVector, ObstacleVector, assemble_forms
+from hmmvi.discretisation import DofVector, assemble_forms
 from hmmvi.solver import LviProblem, SingularSystemError, SolverError
 
 
@@ -55,7 +55,7 @@ def enumerate_lvi(gd, problem, tol=1e-10):
     """
     S, b, bdofs, bvals = _dense_system(gd, problem)
     nc = gd.n_cells
-    psi = problem.psi.values
+    psi = problem.psi
     scale = tol * max(1.0, np.abs(problem.rhs).max())
     for mask in itertools.product((False, True), repeat=nc):
         contact = np.array(mask)
@@ -79,7 +79,7 @@ def projected_gauss_seidel(gd, problem, tol=1e-12, max_sweeps=100_000):
     """Lexicographic Gauss-Seidel with projection onto the cell constraints."""
     S, b, bdofs, bvals = _dense_system(gd, problem)
     nc = gd.n_cells
-    psi = problem.psi.values
+    psi = problem.psi
     u = np.zeros(gd.n_dofs)
     u[bdofs] = bvals
     fixed = np.zeros(gd.n_dofs, dtype=bool)
@@ -119,7 +119,7 @@ def full_linear_solve(gd, problem, partition):
 
     contact_ids = np.flatnonzero(partition.contact)
     pinned = np.concatenate((contact_ids, bdofs))
-    pinned_vals = np.concatenate((problem.psi.values[contact_ids], bvals))
+    pinned_vals = np.concatenate((problem.psi[contact_ids], bvals))
 
     u = np.zeros(n)
     u[pinned] = pinned_vals
@@ -175,9 +175,9 @@ def reference_march(gd, spec, grid):
     """
     mesh, nc = gd.mesh, gd.n_cells
     forms = assemble_forms(gd)
-    psi = ObstacleVector(np.asarray(spec.obstacle(mesh.cell_points), dtype=float))
+    psi = np.asarray(spec.obstacle(mesh.cell_points), dtype=float)
     u = np.zeros(gd.n_dofs)
-    u[:nc] = np.maximum(spec.initial(mesh.cell_points), psi.values)
+    u[:nc] = np.maximum(spec.initial(mesh.cell_points), psi)
     alpha = 1.0 / grid.step
     vectors, multipliers = [u], []
     for t_a, t_b in zip(grid.nodes[:-1], grid.nodes[1:]):
@@ -190,4 +190,4 @@ def reference_march(gd, spec, grid):
         u = projected_gauss_seidel(gd, problem)
         vectors.append(u)
         multipliers.append(balance_residual(gd, problem, u)[:nc])
-    return psi.values, vectors, multipliers
+    return psi, vectors, multipliers

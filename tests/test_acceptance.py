@@ -17,7 +17,6 @@ from hmmvi import (LviProblem, TimeGrid, assemble_forms, build_gd, builtin_case,
                    gd_quality_report, generate_mesh, interpolate_exact, mesh_size,
                    reconstruct_gradient_flat, run_transient, solve_lvi,
                    PolytopalMesh)
-from hmmvi.discretisation import ObstacleVector
 
 from cellref import fluxes, local_stiffness, vector
 from lviref import enumerate_lvi, projected_gauss_seidel
@@ -107,7 +106,7 @@ def test_a3_active_set_matches_references():
                 psi[rng.integers(mesh.n_cells)] = -10.0
                 problem = LviProblem(
                     forms=forms, rhs=rhs, alpha=float(rng.uniform(0.1, 10.0)),
-                    psi=ObstacleVector(psi),
+                    psi=psi,
                     boundary_values=rng.standard_normal(
                         len(gd.boundary_edge_dofs)) * 0.3)
                 u, partition, stats = solve_lvi(problem)

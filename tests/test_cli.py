@@ -31,6 +31,21 @@ def test_parse_levels_forms():
     assert parse_levels([1, 2]) == [1, 2]
 
 
+# A range is checked before it is expanded: the one below would otherwise
+# ask for a list of 10**18 levels.
+@pytest.mark.parametrize("levels, bad", [("1..1000000000000000000", 10**18),
+                                         ("-1000000000000000000..2", -10**18),
+                                         ("2,1001", 1001)])
+def test_level_no_family_generates_is_one_usage_line(tmp_path, capsys, levels, bad):
+    out = tmp_path / "meshes"
+    code = run_cli("meshgen", "--family", "cartesian", f"--levels={levels}",
+                   "--out", str(out))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert f"level {bad} is outside 1..{hmmvi.mesh.MAX_LEVEL}" in lines[0]
+    assert not out.exists()
+
+
 def test_meshgen_writes_levels(tmp_path):
     out = tmp_path / "meshes"
     code = run_cli("meshgen", "--family", "cartesian", "--levels", "1..2",
@@ -124,6 +139,7 @@ def test_run_record_has_the_snapshot_time(tmp_path, formats, snapshots):
 
 @pytest.mark.parametrize("field,expr", [("source", "log(x)"),
                                         ("initial", "log(x)"),
+                                        ("obstacle", "log(x)"),
                                         ("dirichlet", "sqrt(x-2)+t")])
 def test_nonfinite_case_data_is_named(tmp_path, field, expr):
     spec = {"name": "bad", "final_time": 0.1, "source": "0*x",

@@ -13,10 +13,9 @@ import hmmvi.quadrature
 from hmmvi import (MESH_FAMILIES, DiagnosticsError, GdQualityReport, TimeGrid,
                    assemble_forms, bound_SD, build_gd, builtin_case, eoc, error_norms,
                    estimate_CD, estimate_WD, gd_quality_report, generate_mesh,
-                   initial_interp_error, interpolate_obstacle, run_transient,
-                   standard_probes)
+                   initial_interp_error, run_transient, standard_probes)
 from hmmvi.diagnostics import _cell_quad_flat, _subcell_quad_flat
-from hmmvi.discretisation import DofVector, ObstacleVector, reconstruct_gradient_flat
+from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
 
 import diagref
 
@@ -102,8 +101,7 @@ def test_quality_measures_decay_first_order():
 
 def test_sd_bound_splits_into_parts(unit_square_gd):
     probe, grad = standard_probes(unit_square_gd.mesh.bbox)["polynomial_bump"]
-    psi = interpolate_obstacle(unit_square_gd, lambda p: np.zeros(len(p)))
-    sd = bound_SD(unit_square_gd, probe, grad, psi)
+    sd = bound_SD(unit_square_gd, probe, grad, np.zeros(unit_square_gd.n_cells))
     assert sd.total == pytest.approx(sd.function_part + sd.gradient_part)
     assert sd.total > 0
 
@@ -114,7 +112,7 @@ def test_initial_interp_error_decays():
     for n in (2, 3, 4):
         m = generate_mesh("cartesian", n)
         gd = build_gd(m)
-        psi = interpolate_obstacle(gd, case.spec.obstacle)
+        psi = case.spec.obstacle(m.cell_points)
         errs.append(initial_interp_error(gd, case.spec.initial, psi))
         hs.append(2.0 * np.sqrt(2.0) / 2 ** n)
     orders = eoc(errs, hs)
@@ -286,7 +284,7 @@ def test_initial_interp_error_is_the_sd_function_part(family):
     # by fan3.
     gd = build_gd(generate_mesh(family, 2))
     bump, grad_bump = standard_probes(gd.mesh.bbox)["polynomial_bump"]
-    zero_psi = ObstacleVector(np.zeros(gd.n_cells))
+    zero_psi = np.zeros(gd.n_cells)
     sd = bound_SD(gd, bump, grad_bump, zero_psi)
     assert initial_interp_error(gd, bump, zero_psi).hex() == sd.function_part.hex()
 

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hmmvi import (DiscretisationError, MESH_FAMILIES, PolytopalMesh, assemble_forms,
-                   build_gd, flux_conservation_defect, generate_mesh,
-                   interpolate_exact, interpolate_initial, interpolate_obstacle,
-                   reconstruct_gradient_flat, validate)
+from hmmvi import (DiscretisationError, MESH_FAMILIES, PolytopalMesh, ProblemSpec,
+                   TimeGrid, assemble_forms, build_gd, flux_conservation_defect,
+                   generate_mesh, interpolate_exact, reconstruct_gradient_flat,
+                   run_transient, validate)
 from hmmvi.discretisation import DofVector
 
 import gdref
@@ -248,32 +248,36 @@ def test_conservation_defect_vanishes_at_discrete_solutions():
     assert defect < 1e-12
 
 
+def _obstacle_spec(obstacle, initial):
+    return ProblemSpec(source=lambda p, t: np.zeros(len(p)), obstacle=obstacle,
+                       initial=initial, final_time=0.1)
+
+
 def test_obstacle_interpolation_and_clipping():
+    # run_transient samples psi at the cell points and lifts initial data
+    # below the obstacle onto it, with zero edge values.
     m = generate_mesh("cartesian", 3)
-    gd = build_gd(m)
-    psi = interpolate_obstacle(gd, lambda p: p[:, 0])
-    assert np.allclose(psi.values, m.cell_points[:, 0])
-    # initial data below the obstacle must be lifted onto it
-    u0 = interpolate_initial(gd, lambda p: np.full(len(p), -5.0), psi)
-    assert np.allclose(u0.cells, psi.values)
+    spec = _obstacle_spec(lambda p: p[:, 0], lambda p: np.full(len(p), -5.0))
+    sol = run_transient(build_gd(m), spec, TimeGrid(0.1, 1))
+    assert np.array_equal(sol.psi, m.cell_points[:, 0])
+    u0 = sol.vectors[0]
+    assert np.array_equal(u0.cells, sol.psi)
     assert np.all(u0.edges == 0.0)
 
 
 def test_exact_interpolation_clips_against_obstacle():
     m = generate_mesh("cartesian", 2)
     gd = build_gd(m)
-    psi = interpolate_obstacle(gd, lambda p: np.full(len(p), 0.25))
-    v = interpolate_exact(gd, lambda p: p[:, 0], psi=psi)
+    v = interpolate_exact(gd, lambda p: p[:, 0], psi=np.full(m.n_cells, 0.25))
     assert np.all(v.cells >= 0.25 - 1e-15)
     # edge values are not constrained
     assert v.edges.min() < 0.25
 
 
 def test_nonfinite_obstacle_is_rejected():
-    m = generate_mesh("cartesian", 1)
-    gd = build_gd(m)
-    with pytest.raises(DiscretisationError):
-        interpolate_obstacle(gd, lambda p: np.full(len(p), np.inf))
+    spec = _obstacle_spec(lambda p: np.full(len(p), np.inf), lambda p: np.zeros(len(p)))
+    with pytest.raises(DiscretisationError, match="^obstacle values are not finite at t = 0$"):
+        run_transient(build_gd(generate_mesh("cartesian", 1)), spec, TimeGrid(0.1, 1))
 
 
 def test_asymmetric_diffusion_is_rejected():

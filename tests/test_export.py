@@ -2,6 +2,7 @@
 format specification; CSV writer against the frozen row-by-row writer."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -167,6 +168,17 @@ def test_field_shape_error_matches_reference(tmp_path):
     with pytest.raises(ValueError) as ref:
         exportref.write_vtk(tmp_path / "ref.vtk", mesh, fields)
     assert str(new.value) == str(ref.value) == "field 'bad' has shape (5,), expected (4,)"
+    assert not (tmp_path / "new.vtk").exists()
+
+
+# Legacy VTK reads a field name as one token.
+@pytest.mark.parametrize("name", ["", "a b", "u\t", "\nu"])
+def test_field_name_that_is_not_one_token_writes_no_file(tmp_path, name):
+    mesh = MESHES["cartesian-2"]
+    write_vtk(tmp_path / "first.vtk", mesh, {"u": np.zeros(mesh.n_cells)})
+    with pytest.raises(ValueError, match=re.escape(f"field name {name!r} is empty")):
+        write_vtk(tmp_path / "new.vtk", mesh, {"u": np.zeros(mesh.n_cells),
+                                               name: np.zeros(mesh.n_cells)})
     assert not (tmp_path / "new.vtk").exists()
 
 

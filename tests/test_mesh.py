@@ -185,6 +185,26 @@ def test_generation_cell_budget(monkeypatch):
         generate_mesh("cartesian", 2)
 
 
+def test_max_level_is_the_last_triangular_level_within_the_budget():
+    n = hmmvi.mesh.MAX_LEVEL
+    assert 2 * n * n <= hmmvi.mesh.MAX_CELLS < 2 * (n + 1) ** 2
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_level_above_max_level_is_refused(family):
+    n = hmmvi.mesh.MAX_LEVEL + 1
+    with pytest.raises(MeshGenerationError,
+                       match=rf"^refinement level must be 1 to {n - 1}, got {n}$"):
+        generate_mesh(family, n)
+
+
+# From level 538 on the squared circumradius underflows to zero.
+@pytest.mark.parametrize("level", [538, hmmvi.mesh.MAX_LEVEL])
+def test_hexagonal_level_with_a_vanishing_circumradius_is_over_budget(level):
+    with pytest.raises(MeshGenerationError, match="more than the budget"):
+        generate_mesh("hexagonal", level)
+
+
 def _exact_area_error(mesh) -> float:
     """Worst relative error of ``cell_areas`` against the shoelace areas of
     the mesh's own float vertices, summed exactly in rationals."""

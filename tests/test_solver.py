@@ -18,7 +18,7 @@ from hmmvi import (MESH_FAMILIES, ActiveSetPartition, LviProblem,
                    contact_tolerance, generate_mesh, run_transient, solve_lvi,
                    update_partition)
 from hmmvi import solver
-from hmmvi.discretisation import ObstacleVector, SchurPlan
+from hmmvi.discretisation import SchurPlan
 from hmmvi.solver import _linear_solve
 
 from cellref import local_stiffness, vector
@@ -27,9 +27,9 @@ from lviref import (balance_residual, enumerate_lvi, full_linear_solve,
 
 
 def _problem(gd, rhs, psi, alpha=1.0, bvals=None):
+    # psi goes in as given: LviProblem makes a float array of a list too.
     return LviProblem(forms=assemble_forms(gd), rhs=np.asarray(rhs, dtype=float),
-                      alpha=alpha, psi=ObstacleVector(np.asarray(psi, dtype=float)),
-                      boundary_values=bvals)
+                      alpha=alpha, psi=psi, boundary_values=bvals)
 
 
 def test_inactive_obstacle_is_one_unconstrained_solve(unit_square_gd):
@@ -60,7 +60,7 @@ def test_solution_is_feasible_and_complementary():
                     psi=rng.standard_normal(m.n_cells) * 0.2, alpha=2.0)
     u, part, stats = solve_lvi(prob)
     tau = contact_tolerance(prob)
-    assert np.all(u.cells - prob.psi.values >= -tau)
+    assert np.all(u.cells - prob.psi >= -tau)
     assert complementarity_residual(prob, u, balance_residual(gd, prob, u.values)) <= 1e-10
     assert stats.complementarity_max <= 1e-10
     assert stats.conservation_defect < 1e-10
@@ -218,7 +218,7 @@ def test_unreachable_linear_tolerance_is_reported(monkeypatch):
     rng = np.random.default_rng(8)
     prob = LviProblem(forms=assemble_forms(gd),
                       rhs=rng.standard_normal(m.n_cells),
-                      alpha=1.0, psi=ObstacleVector(np.full(m.n_cells, -1e9)))
+                      alpha=1.0, psi=np.full(m.n_cells, -1e9))
     monkeypatch.setattr(solver, "LINEAR_TOL", 1e-30)
     with pytest.raises(SingularSystemError):
         solve_lvi(prob)
@@ -299,9 +299,15 @@ def test_steady_problem_alpha_zero_is_allowed():
     assert stats.iterations == 1 and np.all(u.cells > 0.0)
 
 
-def test_obstacle_must_be_finite():
-    with pytest.raises(Exception):
-        ObstacleVector(np.array([np.nan]))
+# A non-finite obstacle is refused before the first factorisation.
+def test_obstacle_must_be_finite(monkeypatch):
+    calls = _recording_splu(monkeypatch)
+    gd = build_gd(generate_mesh("cartesian", 1))
+    psi = np.full(4, -1.0)
+    psi[2] = np.nan
+    with pytest.raises(SolverError, match="^obstacle has non-finite values$"):
+        solve_lvi(_problem(gd, rhs=np.ones(4), psi=psi))
+    assert calls == []
 
 
 def test_iterative_path_matches_direct(monkeypatch):
@@ -310,8 +316,7 @@ def test_iterative_path_matches_direct(monkeypatch):
     rng = np.random.default_rng(21)
     rhs = rng.standard_normal(m.n_cells)
     psi = np.zeros(m.n_cells)
-    prob = LviProblem(forms=assemble_forms(gd), rhs=rhs, alpha=1.0,
-                      psi=ObstacleVector(psi))
+    prob = LviProblem(forms=assemble_forms(gd), rhs=rhs, alpha=1.0, psi=psi)
     ud, _, _ = solve_lvi(prob)
     monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
     ui, _, _ = solve_lvi(prob)
@@ -329,7 +334,7 @@ def test_condensed_solve_matches_full_system_reference(monkeypatch, family, leve
                   ActiveSetPartition(np.ones(nc, dtype=bool)),
                   ActiveSetPartition(rng.random(nc) < 0.3)]
     rhs = rng.standard_normal(nc)
-    psi = ObstacleVector(rng.standard_normal(nc) * 0.5)
+    psi = rng.standard_normal(nc) * 0.5
     boundary = (None, rng.standard_normal(gd.boundary_edge_dofs.size))
     # One forms object, and so one cached split, serves every alpha of an
     # order; the first alpha read must not leak into the later ones.
@@ -437,7 +442,7 @@ def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family)
 
 
 def _problem_on(forms, rhs, psi, alpha):
-    return LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=ObstacleVector(psi))
+    return LviProblem(forms=forms, rhs=rhs, alpha=alpha, psi=psi)
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)

@@ -8,8 +8,7 @@ import pytest
 
 import hmmvi.timeloop
 from hmmvi import (LviProblem, ProblemSpec, TimeGrid, TimeGridError, assemble_forms,
-                   build_gd, builtin_case, generate_mesh, interpolate_initial,
-                   interpolate_obstacle, run_transient, solve_lvi,
+                   build_gd, builtin_case, generate_mesh, run_transient, solve_lvi,
                    time_average_source)
 from hmmvi.discretisation import AssembledForms
 from hmmvi.solver import IterationLimitError
@@ -95,12 +94,12 @@ def test_every_step_is_feasible():
     case = builtin_case("test2")
     m = generate_mesh("cartesian", 4)
     gd = build_gd(m)
-    psi = interpolate_obstacle(gd, case.spec.obstacle)
+    psi = case.spec.obstacle(m.cell_points)
     grid = TimeGrid.uniform_from_dt(case.spec.final_time, 0.02)
     sol = run_transient(gd, case.spec, grid)
     assert len(sol.vectors) == grid.n_steps + 1
     for u in sol.vectors:
-        assert np.all(u.cells >= psi.values - 1e-10)
+        assert np.all(u.cells >= psi - 1e-10)
 
 
 def test_warm_start_reduces_iterations_after_the_first_step(monkeypatch):
@@ -247,11 +246,11 @@ def test_run_builds_the_operator_split_once(monkeypatch):
     case = builtin_case("test2")
     gd = build_gd(generate_mesh("cartesian", 3))
     forms = assemble_forms(gd)
-    psi = interpolate_obstacle(gd, case.spec.obstacle)
-    u0 = interpolate_initial(gd, case.spec.initial, psi)
+    psi = case.spec.obstacle(gd.mesh.cell_points)
+    u0 = np.maximum(case.spec.initial(gd.mesh.cell_points), psi)
     iterations = []
     for alpha in (10.0, 25.0):
-        problem = LviProblem(forms=forms, rhs=alpha * gd.mesh.cell_areas * u0.cells,
+        problem = LviProblem(forms=forms, rhs=alpha * gd.mesh.cell_areas * u0,
                              alpha=alpha, psi=psi)
         iterations.append(solve_lvi(problem)[2].iterations)
     assert sum(iterations) > 2
