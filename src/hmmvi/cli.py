@@ -402,9 +402,14 @@ def cmd_diagnose(args) -> int:
     out = resolve_out_dir(args)
     rows = []
     for tag, build in resolve_meshes(args):
-        gd = build_gd(build())
+        mesh = build()
+        start = time.perf_counter()
+        gd = build_gd(mesh)
+        build_seconds = time.perf_counter() - start
+        start = time.perf_counter()
         report = gd_quality_report(gd)
-        entry = {"tag": tag, **asdict(report)}
+        entry = {"tag": tag, **asdict(report), "build_gd_seconds": build_seconds,
+                 "report_seconds": time.perf_counter() - start}
         rows.append(entry)
         log.info("%s: h = %.5g, C_D = %.5g, W_D = %.5g, S_D = %.5g, I_D0 = %.5g",
                  tag, report.h, report.c_d,

@@ -3,6 +3,11 @@
 The fan rule splits the cell into triangles around x_K and applies the
 three-point edge-midpoint rule on each (exact for quadratics).  The
 one-point centroid rule needs no construction and is built by its callers.
+
+``cell_rule`` runs once per cell, on 3 to 6 corners.  On arrays that small
+numpy's fixed cost per operation outweighs the arithmetic, so the fan is
+built in Python floats, by the same IEEE operations as the per-triangle
+reference and so bit for bit its points and weights.
 """
 
 from __future__ import annotations
@@ -16,15 +21,13 @@ def cell_rule(mesh, k: int):
     The points come in triangle order (x_K, v_j, v_{j+1}), three edge
     midpoints per triangle, each weighted by |T|/3.
     """
-    start, stop = mesh.cell_offsets[k], mesh.cell_offsets[k + 1]
-    # Row j is the closed triangle (x_K, v_j, v_{j+1}, x_K).
-    tri = np.empty((stop - start, 4, 2))
-    tri[:, 0] = tri[:, 3] = mesh.cell_points[k]
-    tri[:, 1] = mesh.vertices[mesh.corner_vertices[start:stop]]
-    tri[:-1, 2] = tri[1:, 1]
-    tri[-1, 2] = tri[0, 1]
-    pts = 0.5 * (tri[:, :3] + tri[:, 1:])
-    e = tri[:, 1:3] - tri[:, :1]
-    area = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1])
-    return pts.reshape(-1, 2), np.repeat(area / 3.0, 3)
-
+    start, stop = mesh.cell_offsets[k:k + 2].tolist()
+    xk, yk = mesh.cell_points[k].tolist()
+    corners = mesh.vertices[mesh.corner_vertices[start:stop]].tolist()
+    pts, ws = [], []
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        pts += (0.5 * (xk + ax), 0.5 * (yk + ay), 0.5 * (ax + bx), 0.5 * (ay + by),
+                0.5 * (bx + xk), 0.5 * (by + yk))
+        w = 0.5 * abs((ax - xk) * (by - yk) - (bx - xk) * (ay - yk)) / 3.0
+        ws += (w, w, w)
+    return np.array(pts).reshape(-1, 2), np.array(ws)

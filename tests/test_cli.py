@@ -937,6 +937,21 @@ def test_diagnose_reports_quality(tmp_path):
     assert header.split(",")[:2] == ["tag", "h"]
 
 
+def test_diagnose_records_its_wall_times_per_level(tmp_path):
+    out = tmp_path / "diag"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "diagnose", "--quiet", "--family",
+         "hexagonal", "--levels", "1..2", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    levels = json.loads((out / "quality.json").read_text())["levels"]
+    assert len(levels) == 2
+    assert all(level["build_gd_seconds"] > 0.0 for level in levels)
+    assert all(level["report_seconds"] > 0.0 for level in levels)
+    header = (out / "quality.csv").read_text().splitlines()[0].split(",")
+    assert header == ["tag", "h", "n_cells", "n_edges", "c_d", "w_d", "s_d", "i_d0"]
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
