@@ -2,15 +2,13 @@
 
 Three cases ship with the package:
 
-* ``moving_contact`` (test1): a manufactured solution on (-1,1)^2 whose
-  contact disk rotates around the origin while its radius oscillates.  The
-  obstacle is zero, the boundary data follow the exact solution, and two
-  source variants exist: ``printed_f`` uses the closed-form expression the
-  benchmark is usually stated with, ``derived_f`` recomputes the source from
-  the exact solution by symbolic differentiation.  Both agree on the contact
-  region by construction; off it, the test suite compares them.
-* ``spreading_contact`` (test2): a compactly supported obstacle bump under a
-  uniform sink, homogeneous boundary data, no known closed-form solution.
+* ``test1``: a manufactured solution on (-1,1)^2 whose contact disk rotates
+  around the origin while its radius oscillates.  The obstacle is zero, the
+  boundary data follow the exact solution, and the source is the closed
+  form ``printed_f``.  ``derived_f`` differentiates the exact solution with
+  sympy; it is the reference the tests check the closed form against.
+* ``test2``: a compactly supported obstacle bump under a uniform sink,
+  homogeneous boundary data, no known closed-form solution.
 * ``smooth_baseline``: an unconstrained smooth problem used to check that the
   scheme reaches its textbook orders when the obstacle never binds.
 
@@ -147,18 +145,15 @@ def _t1_f_derived(points, t):
     return np.where(r2 > s2, outside, _t1_f_contact(r2, t))
 
 
-def _test1_case(variant: str = "derived_f") -> AnalyticCase:
+def _test1_case(variant: str = "printed_f") -> AnalyticCase:
     """Manufactured moving-contact problem on (-1,1)^2, horizon T = 0.25."""
-    if variant == "printed_f":
-        source = lambda points, t: _t1_f_printed(points, t)
-    elif variant == "derived_f":
-        _t1_f_derived_outside()
-        source = lambda points, t: _t1_f_derived(points, t)
-    else:
+    if variant == "derived_f":
+        _t1_f_derived_outside()  # sympy runs here, not in the first step
+    elif variant != "printed_f":
         raise CaseError(f"unknown source variant {variant!r} "
                         f"(expected 'printed_f' or 'derived_f')")
     spec = ProblemSpec(
-        source=source,
+        source=_t1_f_derived if variant == "derived_f" else _t1_f_printed,
         obstacle=lambda points: np.zeros(points.shape[0]),
         initial=lambda points: _t1_u(points, 0.0),
         final_time=0.25,
@@ -260,8 +255,8 @@ def _smooth_baseline_case() -> AnalyticCase:
     )
 
 
-def builtin_case(name: str, variant: str = "derived_f") -> AnalyticCase:
-    """Look up a built-in case by name."""
+def builtin_case(name: str, variant: str = "printed_f") -> AnalyticCase:
+    """Look up a built-in case by name; ``variant`` picks test1's source."""
     if name == "test1":
         return _test1_case(variant)
     if name == "test2":
@@ -386,6 +381,11 @@ def load_case_file(path) -> AnalyticCase:
             raise CaseError(f"{path}: recommended.dt_rule.{key} must be a finite "
                             f"number, got {rule[key]!r}")
         rule[key] = float(number)
+    levels = recommended.get("levels", "")  # int() would read true as 1, 2.7 as 2
+    if not (isinstance(levels, str) or type(levels) is list and levels
+            and all(type(n) is int for n in levels)):
+        raise CaseError(f"{path}: recommended.levels must be a level string such as "
+                        f"'1..4' or a list of integers, got {levels!r}")
 
     return AnalyticCase(
         name=str(doc["name"]),

@@ -169,7 +169,7 @@ def resolve_case(args) -> AnalyticCase:
     if not args.case:
         raise ConfigError(f"no case selected; use --case with one of "
                           f"{BUILTIN_CASES} or --case-file")
-    return builtin_case(args.case, variant=args.variant)
+    return builtin_case(args.case)
 
 
 def resolve_dt(args, case: AnalyticCase, h: float) -> float:
@@ -459,8 +459,6 @@ def _add_case_options(p):
     case.add_argument("--case",
                       help=f"built-in case: one of {', '.join(BUILTIN_CASES)}")
     case.add_argument("--case-file", help="user case JSON file")
-    p.add_argument("--variant", choices=("printed_f", "derived_f"), default="derived_f",
-                   help="source variant for the manufactured case")
     p.add_argument("--dt", type=float, help="fixed time step")
     p.add_argument("--dt-coef", dest="dt_coefficient", type=float,
                    help="c in the rule dt = c * h^p")

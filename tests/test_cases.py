@@ -11,7 +11,8 @@ from hmmvi.cases import _t1_f_derived, _t1_f_printed, _t1_r2, _t1_radius
 
 
 def compare_test1_sources() -> dict:
-    """Largest discrepancy between the two source variants off the contact set.
+    """Largest discrepancy between the closed-form source and its sympy
+    derivation off the contact set.
 
     Sampled on a 51 x 51 x 11 grid of (-1,1)^2 x [0,T]; the
     maximum of |printed - derived| over the sampled non-contact points is
@@ -93,6 +94,11 @@ def test_source_variants_agree():
     report = compare_test1_sources()
     assert report["points_sampled"] > 10_000
     assert report["max_discrepancy"] < 1e-10
+
+
+def test_test1_source_is_the_closed_form():
+    assert builtin_case("test1").spec.source is _t1_f_printed
+    assert builtin_case("test1", "derived_f").spec.source is _t1_f_derived
 
 
 def test_unknown_variant_is_rejected():

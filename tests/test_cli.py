@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hmmvi.cli
 import hmmvi.mesh
+import hmmvi.solver
 import hmmvi.timeloop
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
 
@@ -358,6 +359,35 @@ def test_config_levels_must_strictly_increase(tmp_path, monkeypatch, capsys):
     assert built == []
 
 
+# int() would read true as level 1, 2.7 as level 2 and "3" as level 3; an
+# empty list would run no level at all.
+@pytest.mark.parametrize("levels", [[True, 2], [2.7], ["3"], [], 2, {"from": 1}],
+                         ids=["boolean", "fraction", "quoted", "empty", "number", "object"])
+def test_case_file_recommended_levels_are_a_level_string_or_integers(
+        tmp_path, monkeypatch, capsys, levels):
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "generate_mesh", lambda *a: built.append(a))
+    case = {**_GOOD_CASE, "exact": {"u": "0.5*x", "grad": ["0.5", "0"]},
+            "recommended": {"mesh_family": "cartesian", "levels": levels}}
+    (tmp_path / "case.json").write_text(json.dumps(case))
+    code = run_cli("converge", "--case-file", str(tmp_path / "case.json"),
+                   "--dt", "0.05", "--out", str(tmp_path / "run"))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert "recommended.levels must be a level string" in lines[0]
+    assert built == []
+
+
+def test_case_file_recommended_level_string_is_read_as_the_flag(tmp_path):
+    case = {**_GOOD_CASE, "exact": {"u": "0.5*x", "grad": ["0.5", "0"]},
+            "recommended": {"mesh_family": "cartesian", "levels": "1..2"}}
+    (tmp_path / "case.json").write_text(json.dumps(case))
+    assert run_cli("converge", "--quiet", "--case-file", str(tmp_path / "case.json"),
+                   "--dt", "0.05", "--out", str(tmp_path / "run")) == EXIT_OK
+    rows = json.loads((tmp_path / "run" / "convergence.json").read_text())["levels"]
+    assert [r["tag"] for r in rows] == ["cartesian_l1", "cartesian_l2"]
+
+
 def test_meshgen_takes_levels_in_any_order(tmp_path):
     code = run_cli("meshgen", "--family", "cartesian", "--levels", "2,1,1",
                    "--out", str(tmp_path))
@@ -472,6 +502,34 @@ def test_solver_failure_names_the_step(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _failing_factorisation(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _unconverged_cg(A, b, **kwargs):
+    return np.zeros_like(b), 7
+
+
+@pytest.mark.parametrize("limit, patch, failure", [
+    (hmmvi.solver.DIRECT_LIMIT, (hmmvi.solver, "factorise_spd", _failing_factorisation),
+     "linear sub-system is singular for the partition with"),
+    (0, (hmmvi.solver.spla, "cg", _unconverged_cg),
+     "conjugate gradients did not converge (info=7)"),
+], ids=["singular-factorisation", "cg-not-converged"])
+def test_linear_solve_failure_is_one_numerical_line(tmp_path, monkeypatch, capsys,
+                                                    limit, patch, failure):
+    monkeypatch.setattr(hmmvi.solver, "DIRECT_LIMIT", limit)
+    monkeypatch.setattr(*patch)
+    code = run_cli("solve", "--quiet", "--case", "test2", "--family", "cartesian",
+                   "--level", "2", "--dt", "0.05", "--formats", "json",
+                   "--out", str(tmp_path / "run"))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_NUMERICAL and len(lines) == 1, lines
+    assert lines[0].startswith("step 1 of 2 (t = 0.05, dt = 0.05): ")
+    assert failure in lines[0] and "contact cells" in lines[0]
+    assert "Traceback" not in lines[0]
+
+
 def test_generated_mesh_box_is_flag_or_config_then_case(tmp_path):
     (tmp_path / "case.json").write_text(json.dumps({**_GOOD_CASE, "bbox": [0, 1, 0, 1]}))
     (tmp_path / "config.json").write_text(json.dumps({"bbox": [0, 2, 0, 1]}))
@@ -584,14 +642,14 @@ def test_bad_options_exit_2_from_flags_and_config(tmp_path, key, flag, config,
 
 
 # Documented keys other than those the fuzz run fixes by flag.
-_FUZZ_KEYS = ["case_file", "variant", "levels", "mesh", "bbox", "dt_coefficient",
+_FUZZ_KEYS = ["case_file", "levels", "mesh", "bbox", "dt_coefficient",
               "dt_exponent", "formats", "vtk_every", "quadrature", "quiet"]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
-_NEAR_VALID = st.sampled_from(["vtk", "csv,json", "fan3", "printed_f", "2", "0",
+_NEAR_VALID = st.sampled_from(["vtk", "csv,json", "fan3", "2", "0",
                                "-1,1,-1,1", "", "pdf", 2, 0.5, -1, True,
                                [0, 1, 0, 1], ["json", "csv"]])
 
@@ -743,6 +801,19 @@ def test_mesh_file_content_names_its_format(tmp_path, name, text):
                  "{path}: not valid JSON", id="json-nested-too-deep"),
     pytest.param("m.txt", b"1" * 5000 + b"\n", "{path}:1: expected vertex count",
                  id="text-count-beyond-the-digit-limit"),
+    pytest.param("m.json", json.dumps({k: v for k, v in _MESH_DOC.items()
+                                       if k != "vertices"}).encode(),
+                 "{path}: missing required field 'vertices'", id="native-without-vertices"),
+    pytest.param("m.json", json.dumps({**_MESH_DOC, "cells": 5}).encode(),
+                 "{path}: 'cells' must be a list of vertex id lists", id="native-cells-number"),
+    pytest.param("m.json", json.dumps({**_MESH_DOC, "cells": [5]}).encode(),
+                 "{path}: cell 0 is not a list of vertex ids", id="native-cell-number"),
+    pytest.param("m.json", json.dumps({**_MESH_DOC, "vertices": [
+        [0, 0, 1], [1, 0, 1], [2, 0, 1], [0, 1, 1], [1, 1, 1], [2, 1, 1]]}).encode(),
+                 "{path}: 'vertices' must be a list of [x, y] pairs",
+                 id="native-three-coordinates"),
+    pytest.param("m.txt", _MESH_TEXT.replace("\n1 0\n", "\n1\n").encode(),
+                 "{path}:3: expected two coordinates", id="text-one-coordinate"),
 ])
 def test_unreadable_mesh_file_is_one_usage_line(tmp_path, capsys, name, data, message):
     path = tmp_path / name
@@ -808,6 +879,36 @@ def test_mesh_format_is_not_an_option(tmp_path, capsys, argv):
     assert code == EXIT_USAGE and len(lines) == 1, lines
     assert "mesh-format" in lines[0] or "'mesh_format'" in lines[0]
     assert not (tmp_path / "run").exists()
+
+
+# test1 has one default source, the closed form; no option chooses another.
+@pytest.mark.parametrize("argv", [
+    ["solve", "--case", "test1", "--variant", "printed_f", "--family", "triangular",
+     "--level", "2", "--out", "{out}"],
+    ["converge", "--case", "test1", "--variant=derived_f", "--family", "triangular",
+     "--levels", "2..3", "--out", "{out}"],
+    ["solve", "--case", "test1", "--family", "triangular", "--level", "2",
+     "--config", "{config}", "--out", "{out}"],
+])
+def test_variant_is_not_an_option(tmp_path, capsys, argv):
+    (tmp_path / "config.json").write_text(json.dumps({"variant": "derived_f"}))
+    code = run_cli(*[a.format(config=tmp_path / "config.json", out=tmp_path / "run")
+                     for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert "--variant" in lines[0] or "'variant'" in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_test1_solve_does_not_load_sympy(tmp_path):
+    script = ("import sys; from hmmvi.cli import main; "
+              "code = main(sys.argv[1:]); print(code, 'sympy' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--quiet", "--case", "test1",
+         "--family", "triangular", "--level", "4", "--formats", "json",
+         "--out", str(tmp_path / "run")], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.split() == ["0", "False"], proc.stderr
+    assert json.loads((tmp_path / "run" / "run.json").read_text())["case"] == "test1"
 
 
 _MESH_VALUES = st.recursive(
@@ -968,11 +1069,31 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert len(rec["iterations"]) == 4
 
 
+@pytest.mark.parametrize("quiet, info", [(True, False), (False, True)])
+def test_config_quiet_key_sets_the_flag(tmp_path, capsys, quiet, info):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"quiet": quiet}))
+    assert run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "2",
+                   "--dt", "0.05", "--formats", "json", "--out", str(tmp_path / "run"),
+                   "--config", str(config)) == EXIT_OK
+    assert ("iterations per step" in capsys.readouterr().err) is info
+
+
+def test_config_quiet_key_takes_a_boolean(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"quiet": 1}))
+    code = run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "2",
+                   "--dt", "0.05", "--out", str(tmp_path / "run"), "--config", str(config))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert "--quiet" in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key, value, flag", [
     ("quadrature", "fan3", "--quadrature=centroid"),
-    ("variant", "printed_f", "--variant=derived_f"),
-    ("bbox", [0, 1, 0, 1], "--bbox=-1,1,-1,1"),
     ("vtk_every", 2, "--vtk-every=1"),
+    ("bbox", [0, 1, 0, 1], "--bbox=-1,1,-1,1"),
     ("formats", "json", "--formats=vtk,csv,json"),
     ("out", "elsewhere", "--out=out"),
 ])

@@ -224,6 +224,30 @@ def test_unreachable_linear_tolerance_is_reported(monkeypatch):
         solve_lvi(prob)
 
 
+def _singular_factorisation(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+# Both failures of the linear solve leave the march naming the step and the
+# partition; test2 on Cartesian level 2 starts with 16 balance cells.
+@pytest.mark.parametrize("limit, target, name, replacement", [
+    (solver.DIRECT_LIMIT, solver, "factorise_spd", _singular_factorisation),
+    (0, spla, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 7)),
+], ids=["singular-factorisation", "cg-not-converged"])
+def test_linear_solve_failure_names_the_step_and_the_partition(
+        monkeypatch, limit, target, name, replacement):
+    case = builtin_case("test2")
+    gd = build_gd(generate_mesh("cartesian", 2))
+    monkeypatch.setattr(solver, "DIRECT_LIMIT", limit)
+    monkeypatch.setattr(target, name, replacement)
+    with pytest.raises(SingularSystemError) as caught:
+        run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 2))
+    assert str(caught.value).startswith("step 1 of 2 (t = 0.05, dt = 0.05): ")
+    assert "for the partition with 0 contact cells" in str(caught.value)
+    assert isinstance(caught.value.partition, ActiveSetPartition)
+    assert caught.value.partition.contact.shape == (gd.n_cells,)
+
+
 @pytest.mark.parametrize("rhs", [np.zeros(3), np.zeros((4, 1)),
                                  np.array([0.0, np.nan, 0.0, 0.0]),
                                  np.array([0.0, 0.0, -np.inf, 0.0])])
