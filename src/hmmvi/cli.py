@@ -218,9 +218,14 @@ def resolve_meshes(args, case=None) -> list:
     levels = args.levels or recommended.get("levels")
     if levels is None:
         raise ConfigError("no refinement levels given; use --levels")
-    levels = parse_levels(levels)
-    if any(a >= b for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"levels {','.join(map(str, levels))} must strictly increase")
+    try:
+        levels = parse_levels(levels)
+        if any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ConfigError(f"levels {','.join(map(str, levels))} must strictly increase")
+    except ConfigError as err:
+        if args.levels or not getattr(args, "case_file", None):
+            raise
+        raise ConfigError(f"{args.case_file}: recommended.levels: {err}") from None
     bbox = args.bbox or case.bbox
     return [(f"{family}_l{n}", partial(generate_mesh, family, n, bbox)) for n in levels]
 

@@ -54,7 +54,7 @@ def _cell_quad_flat(mesh, rule: str):
 
     rules = [cell_rule(mesh, k) for k in range(mesh.n_cells)]
     owner = np.repeat(np.arange(mesh.n_cells), 3 * np.diff(mesh.cell_offsets))
-    return (np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
+    return (np.concatenate([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
             owner)
 
 

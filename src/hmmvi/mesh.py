@@ -71,12 +71,18 @@ def _require_finite(points: np.ndarray, label: str) -> None:
             f"{label.format(i)} has non-finite coordinates {points[i].tolist()}")
 
 
+# A generator's cells as it holds them, flat, so it builds no list per cell.
+_FlatCells = collections.namedtuple("_FlatCells", "ids counts")
+
+
 def _flatten_cells(cell_vertices):
     """Vertex ids of all cells in one array, and the vertex count of each cell.
 
-    ``cell_vertices`` is a 2-D integer array (cells of one size) or a
-    sequence of index sequences.
+    ``cell_vertices`` is a 2-D integer array (cells of one size), a
+    sequence of index sequences, or ``_FlatCells``.
     """
+    if isinstance(cell_vertices, _FlatCells):
+        return cell_vertices
     if isinstance(cell_vertices, np.ndarray) and cell_vertices.ndim == 2:
         n, m = cell_vertices.shape
         return np.asarray(cell_vertices, dtype=int).ravel(), np.full(n, m)
@@ -136,11 +142,11 @@ class PolytopalMesh:
             raise MeshValidationError("vertex array must have shape (nv, 2)")
         _require_finite(self.vertices, "vertex {}")
         self.n_vertices = nv = self.vertices.shape[0]
-        self.n_cells = n = len(cell_vertices)
+        flat, counts = _flatten_cells(cell_vertices)
+        self.n_cells = n = counts.size
         if n == 0:
             raise MeshValidationError("mesh has no cells")
 
-        flat, counts = _flatten_cells(cell_vertices)
         offsets = np.zeros(n + 1, dtype=int)
         np.cumsum(counts, out=offsets[1:])
         cell = np.repeat(np.arange(n), counts)
@@ -527,10 +533,10 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
         keys[start[h]:start[h] + count[h]] = [p.key for p in poly]
         pts[start[h]:start[h] + count[h]] = [(p.x, p.y) for p in poly]
     first, vids = _number_by_first_appearance(keys)
-    flat = vids.tolist()
     # Fewer than 3 points only touch the box: they are reached, not a cell.
-    cells = [flat[s:s + m] for s, m in zip(start.tolist(), count.tolist()) if m >= 3]
-    return PolytopalMesh(_round10(pts[first]), cells)
+    cell = count >= 3
+    return PolytopalMesh(_round10(pts[first]),
+                         _FlatCells(vids[np.repeat(cell, count)], count[cell]))
 
 
 def generate_mesh(family: str, n: int, bbox=(-1.0, 1.0, -1.0, 1.0)) -> PolytopalMesh:

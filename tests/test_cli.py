@@ -388,6 +388,27 @@ def test_case_file_recommended_level_string_is_read_as_the_flag(tmp_path):
     assert [r["tag"] for r in rows] == ["cartesian_l1", "cartesian_l2"]
 
 
+@pytest.mark.parametrize("levels, message", [
+    ("abc", "cannot parse levels 'abc'"),
+    ("0..2", "level 0 is outside 1..1000"),
+    ("3,2", "levels 3,2 must strictly increase"),
+], ids=["unparsable", "out-of-range", "decreasing"])
+def test_case_file_recommended_level_error_names_the_field_and_the_file(
+        tmp_path, monkeypatch, capsys, levels, message):
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "generate_mesh", lambda *a: built.append(a))
+    case = {**_GOOD_CASE, "exact": {"u": "0.5*x", "grad": ["0.5", "0"]},
+            "recommended": {"mesh_family": "cartesian", "levels": levels}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    code = main(["converge", "--case-file", str(path), "--dt", "0.05",
+                 "--out", str(tmp_path / "run")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1, lines
+    assert lines[0].startswith(f"{path}: recommended.levels: {message}")
+    assert built == []
+
+
 def test_meshgen_takes_levels_in_any_order(tmp_path):
     code = run_cli("meshgen", "--family", "cartesian", "--levels", "2,1,1",
                    "--out", str(tmp_path))

@@ -564,6 +564,40 @@ def test_hexagonal_generator_matches_per_hexagon_reference_bitwise(level, bbox):
         assert got.tobytes() == want.tobytes(), name
 
 
+# The default box at levels 1, 3 and 5, the box near a corner row and the
+# (0, 1, 0, 0.7) box have hexagons that only touch the box, at 1 or 2 points.
+@pytest.mark.parametrize("level, bbox", [
+    *((level, (-1.0, 1.0, -1.0, 1.0)) for level in range(1, 7)),
+    (3, (0.0, 1.0, 0.0, 0.8660254137844386)),  # near a corner row
+    (1, (0.0, 1.0, 0.1, 0.100003)),            # thin and offset
+    (4, (0.0, 1.0, 0.0, 0.7)),
+    (3, (-0.3, 2.1, -1.7, 0.4)),
+])
+def test_flat_hexagonal_cells_give_the_mesh_of_per_cell_lists(monkeypatch, level, bbox):
+    passed = []
+
+    def recording_mesh(vertices, cells, *args):
+        passed.append((vertices, cells))
+        return PolytopalMesh(vertices, cells, *args)
+
+    monkeypatch.setattr(hmmvi.mesh, "PolytopalMesh", recording_mesh)
+    mesh = generate_mesh("hexagonal", level, bbox)
+    (vertices, cells), = passed
+    assert isinstance(cells, hmmvi.mesh._FlatCells)
+    bounds = np.concatenate(([0], np.cumsum(cells.counts))).tolist()
+    ids = cells.ids.tolist()
+    ref = PolytopalMesh(vertices, [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+    got, want = vars(mesh), vars(ref)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            other = got[name]
+            assert other.dtype == value.dtype and other.shape == value.shape, name
+            assert other.tobytes() == value.tobytes(), name
+        elif name != "metadata":
+            assert got[name] == value, name
+
+
 def test_vertex_rounding_equals_python_round_bitwise():
     rng = np.random.default_rng(3)
     x = np.concatenate((

@@ -1,5 +1,7 @@
 """Cell quadrature rules against the frozen per-triangle reference."""
 
+import gc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import hmmvi.quadrature
 from hmmvi import (MESH_FAMILIES, PolytopalMesh, TimeGrid, build_gd, builtin_case,
                    error_norms, gd_quality_report, generate_mesh, run_transient)
+from hmmvi.diagnostics import _cell_quad_flat
 from hmmvi.quadrature import cell_rule
 
 import quadref
@@ -109,3 +112,29 @@ def test_quality_report_and_error_norms_match_the_reference_kernel_bitwise(monke
     got = _downstream_numbers()
     monkeypatch.setattr(hmmvi.quadrature, "cell_rule", quadref.cell_rule)
     assert _downstream_numbers() == got
+
+
+def test_second_flattening_of_a_mesh_reuses_its_corner_table():
+    mesh = generate_mesh("hexagonal", 2)
+    first = _cell_quad_flat(mesh, "fan3")
+    table = hmmvi.quadrature._corners[mesh]
+    second = _cell_quad_flat(mesh, "fan3")
+    assert hmmvi.quadrature._corners[mesh] is table
+    for a, b in zip(first, second):
+        assert _same_bits(a, b)
+    # Cells share the vertex pairs of the table: no corner is a copy.
+    corners = [pair for cell in table[1] for pair in cell]
+    assert len({id(pair) for pair in corners}) == mesh.n_vertices
+
+
+def test_corner_table_goes_with_its_mesh():
+    gc.collect()
+    before = len(hmmvi.quadrature._corners)
+    mesh = generate_mesh("kershaw", 1)
+    _cell_quad_flat(mesh, "fan3")
+    assert len(hmmvi.quadrature._corners) == before + 1
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert alive() is None
+    assert len(hmmvi.quadrature._corners) == before
