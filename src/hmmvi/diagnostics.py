@@ -23,6 +23,7 @@ accurate the cell values are.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +38,9 @@ from .timeloop import TransientSolution
 # The C_D power iteration stops at this relative change, or fails after CD_MAX_ITER.
 CD_TOL = 1e-8
 CD_MAX_ITER = 10_000
+
+# forms -> (A0, its factorisation), see _plain_factorisation; dropped with the forms.
+_plain_factors = weakref.WeakKeyDictionary()
 
 
 class DiagnosticsError(Exception):
@@ -166,7 +170,7 @@ def _plain_factorisation(forms: AssembledForms):
     positive definite, so it goes through the solver's SPD factorisation,
     once per forms object.
     """
-    if forms._plain_factor is None:
+    if forms not in _plain_factors:
         gd = forms.gd
         stiffness = forms.stiffness
         if not np.all(gd.diffusion == np.eye(2)):
@@ -177,8 +181,8 @@ def _plain_factorisation(forms: AssembledForms):
             lu = factorise_spd(A0)
         except RuntimeError as exc:
             raise DiagnosticsError(f"gradient form is singular: {exc}") from exc
-        forms._plain_factor = (A0, lu)
-    return forms._plain_factor
+        _plain_factors[forms] = (A0, lu)
+    return _plain_factors[forms]
 
 
 def estimate_CD(forms: AssembledForms) -> float:

@@ -63,112 +63,18 @@ class DofVector:
         return self.values[self.n_cells:]
 
 
-@dataclass(frozen=True)
-class SchurPlan:
-    """A_ee - B^T diag(w) B as one sparse product on a fixed union pattern.
-
-    The pattern holds every stored entry of A_ee and every coupling of two
-    interior edges of one cell, in sorted CSC order: entry p = (i, j) is row
-    i of column j.  ``aee`` holds A_ee on it, 0.0 where A_ee stores nothing.
-    Row p of ``q`` holds B[K,j] at column t for each entry t = (K, i) of B
-    whose cell K also holds edge j.  With v_t = w_K B[K,i], entry p of q v is
-    sum_K (w_K B[K,i]) B[K,j], the cells in increasing order: the multiplies
-    and the sums of scipy's product of the column-scaled B^T with B.  So
-    ``complement`` returns scipy's matrix bit for bit, exact zeros dropped,
-    on every mesh.
-    """
-
-    aee: np.ndarray
-    q: sp.csr_matrix
-    cell: np.ndarray
-    b: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-    @classmethod
-    def build(cls, B: sp.csr_matrix, Aee: sp.spmatrix) -> "SchurPlan":
-        """The plan of the cell x interior-edge block B and the edge block A_ee."""
-        n = B.shape[1]
-        m = np.diff(B.indptr)
-        cell = np.repeat(np.arange(B.shape[0]), m)
-        # One pair (t, s) of entries of B per cell K and pair (i, j) of its
-        # edges: t = (K, i), s = (K, j), t in increasing order.
-        reps = m[cell]
-        t = np.repeat(np.arange(B.nnz), reps)
-        s = B.indptr[cell[t]] + np.arange(t.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        # The union's keys column * n + row, sorted, and each key's position.
-        A = Aee.tocsc()
-        akey = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
-        keys = np.concatenate((akey, B.indices[s].astype(np.int64) * n + B.indices[t]))
-        order = np.argsort(keys)
-        keys = keys[order]
-        new = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        union = keys[new]
-        pos = np.empty_like(order)
-        pos[order] = np.cumsum(new) - 1
-        aee = np.zeros(union.size)
-        aee[pos[:A.nnz]] = A.data
-        # COO to CSR keeps the input order within a row: t increasing.
-        q = sp.csr_matrix((B.data[s], (pos[A.nnz:], t)), shape=(union.size, B.nnz))
-        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
-        return cls(aee, q, cell, B.data, (union % n).astype(A.indices.dtype),
-                   indptr.astype(A.indptr.dtype))
-
-    def complement(self, w: np.ndarray) -> sp.csc_matrix:
-        """A_ee - B^T diag(w) B as CSC, sorted, with exact zeros dropped.
-
-        Only a complement with no zero to drop holds the plan's own
-        ``indptr``, and with it the plan's whole pattern.
-        """
-        v = w[self.cell]
-        v *= self.b
-        data = self.q @ v
-        np.subtract(self.aee, data, out=data)
-        n = self.indptr.size - 1
-        if data.all():
-            return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
-        # eliminate_zeros compacts the arrays in place: the plan's own stay.
-        S = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
-        S.eliminate_zeros()
-        return S
-
-
-@dataclass
+@dataclass(eq=False)
 class AssembledForms:
     """Global sparse forms over the full cell+edge unknown set.
 
     One object serves every time step of a run; the mass is kept as its
-    diagonal.  ``split`` and ``schur_plan`` are built when first read.  The
-    quality diagnostics keep their factorisation of the identity scheme's
-    stiffness in ``_plain_factor``, and the solver keeps the fill-reducing
-    ordering of the last Schur complement it factorised in ``_ordering``.
+    diagonal.  Forms compare by identity: the solver and the diagnostics keep
+    what they derive from them in their own modules, per forms object.
     """
 
-    gd: GradientDiscretisation = field(repr=False, compare=False)
+    gd: GradientDiscretisation = field(repr=False)
     stiffness: sp.csr_matrix        # diffusion-weighted gradient form
     mass_diag: np.ndarray           # |K| on cell entries, zero on edges
-    _plain_factor: Optional[tuple] = field(default=None, init=False, repr=False)
-    _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    @cached_property
-    def split(self) -> tuple:
-        """(s_cc, B, edofs): the stiffness blocks of the condensed solve.
-
-        s_cc is the diagonal of the cell-cell block (diagonal in HMM), B the
-        cell x interior-edge block and edofs the interior-edge unknowns.
-        None of them depends on alpha.
-        """
-        nc = self.gd.n_cells
-        edofs = self.gd.free_dofs[nc:]
-        cell_rows = self.stiffness[:nc]
-        return cell_rows.diagonal(), cell_rows[:, edofs], edofs
-
-    @cached_property
-    def schur_plan(self) -> SchurPlan:
-        """The Schur complement build of B and the interior-edge block A_ee."""
-        _, B, edofs = self.split
-        return SchurPlan.build(B, self.stiffness[edofs][:, edofs])
 
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:

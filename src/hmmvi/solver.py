@@ -13,11 +13,11 @@ into a set A where the balance equation is enforced and a set B where the
 solution is pinned to the obstacle, solves the resulting linear system, and
 exchanges cells between the sets: an A-cell at or below the obstacle becomes
 contact, a B-cell whose multiplier (the balance residual) turns strictly
-negative, or that falls strictly below the obstacle, is released.  Ties at
-exact equality are assigned to the contact set.  A fixed partition means the
-complementarity conditions hold and the iteration stops; the iteration count
-is bounded by the number of cells, with a safeguard one step above that and
-detection of revisited partitions.
+negative, or that falls strictly below the obstacle, is released.  Ties within
+the tolerances go to contact.  A fixed partition means the complementarity
+conditions hold and the iteration stops; the iteration count is bounded by
+the number of cells, with a safeguard one step above that and detection of
+revisited partitions.
 
 A partition is a read-only boolean contact mask with its count of contact
 cells.  Each linear solve returns, next to u, the balance residual
@@ -27,27 +27,17 @@ complementarity measure read it from r and form no product of their own.
 
 Each linear solve condenses the cell unknowns out.  An HMM cell unknown
 couples only to its own edges, so the cell-cell block of S + alpha M is the
-diagonal d = s_cc + alpha |K|; the mass enters nowhere else.  The stiffness
-diagonal s_cc and the cell x interior-edge block B are split off the
-stiffness once per forms object (``AssembledForms.split``), and the
-interior-edge block A_ee goes into the plan below; they serve every step of
-a run, so S + alpha M is never formed.  With w = 1/d on balance cells and 0
-on contact cells and g = b - (S + alpha M) u_pinned (u_pinned holds the
-obstacle on contact cells and the Dirichlet values), the interior edges solve
+diagonal d = s_cc + alpha |K|; the mass enters nowhere else.  With w = 1/d on
+balance cells and 0 on contact cells and g = b - (S + alpha M) u_pinned
+(u_pinned holds the obstacle on contact cells and the Dirichlet values), the
+interior edges solve
 
     (A_ee - B^T diag(w) B) u_e = g_e - B^T (w g_cells),
 
-and the cells follow as u_K = w_K (g_K - B_K u_e).
-
-A cell couples its interior edges pairwise.  The forms object holds a plan
-(``AssembledForms.schur_plan``), built once on every mesh: the union of A_ee's
-pattern and those couplings, A_ee's values on it, and a sparse matrix q
-with one row per entry (i, j) of the union, holding B[K,j] in the column of
-B's entry (K, i) for each cell K with both edges.  A solve scales B's
-entries by w, forms A_ee - q (w B) in one product and drops exact zeros.
-Those are the multiplies of scipy's product of B^T, its columns scaled by
-w, with B, summed over the cells in the same increasing order: the matrix
-is scipy's bit for bit.
+and the cells follow as u_K = w_K (g_K - B_K u_e), B being the cell x
+interior-edge block of S.  The solver keeps a ``SchurPlan`` per forms object,
+built on the first solve and dropped with the forms: the alpha-free blocks,
+so S + alpha M is never formed, and the held ordering below.
 
 The Schur complement is SPD because S is SPD on the free unknowns.  Every SPD
 factorisation of the package, this one and the plain form of the quality
@@ -58,26 +48,26 @@ save.
 
 On triangular, hexagonal and Kershaw meshes A_ee stores every coupling, so
 the Schur complement has the plan's whole pattern whatever the partition
-(all 298 of the triangular-48 march share it) and shares the plan's index
-arrays.  On Cartesian meshes some couplings are exact zeros of A_ee that
-B^T diag(w) B fills in, so there the pattern follows the partition.  The
-forms object holds the CSC pattern of the last Schur complement ordered by
-minimum degree, and that ordering perm_c.  A Schur complement with exactly
-that pattern is factorised in natural order after the held ordering is
-applied by one gather: column perm_c[j] of the permuted matrix is column j,
-with its rows renamed by perm_c.  Each permuted column keeps its entries in
-their original order, unsorted in the new row numbering.  SuperLU's symbolic
-factorisation visits a column's entries in stored order, and in symmetric
-mode it does not postorder the elimination tree, so it then repeats the
-operations of the minimum-degree factorisation exactly: the factors and the
-solutions are bit for bit the same, only the ordering is not recomputed.
-With the rows sorted, the solutions differ in the last bits.  A new pattern
-is ordered afresh and becomes the held one.
+and shares the plan's index arrays.  On Cartesian meshes some couplings are
+exact zeros of A_ee that B^T diag(w) B fills in, so there the pattern
+follows the partition.  The plan holds the CSC pattern of the last Schur
+complement ordered by minimum degree, and that ordering perm_c.  A Schur
+complement with exactly that pattern is factorised in natural order after
+the held ordering is applied by one gather: column perm_c[j] of the permuted
+matrix is column j, with its rows renamed by perm_c.  Each permuted column
+keeps its entries in their original order, unsorted in the new row
+numbering.  SuperLU's symbolic factorisation visits a column's entries in
+stored order, and in symmetric mode it does not postorder the elimination
+tree, so it then repeats the operations of the minimum-degree factorisation
+exactly: the factors and the solutions are bit for bit the same, only the
+ordering is not recomputed.  With the rows sorted, the solutions differ in
+the last bits.  A new pattern is ordered afresh and becomes the held one.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -184,11 +174,11 @@ class SolveStats:
 
 
 def contact_tolerance(problem: LviProblem) -> float:
-    """Comparison tolerance for the set updates, scaled by the data."""
-    scale = 1.0
-    if problem.rhs.size:
-        scale = max(1.0, float(np.max(np.abs(problem.rhs))))
-    return 1e-10 * scale
+    """The multiplier's tolerance in the set updates, scaled by the right-hand side.
+
+    tau = 1e-10 max(1, max|rhs|), in the units of the balance residual.
+    """
+    return 1e-10 * float(np.max(np.abs(problem.rhs), initial=1.0))
 
 
 def update_partition(problem: LviProblem, u: DofVector, r: np.ndarray,
@@ -199,18 +189,19 @@ def update_partition(problem: LviProblem, u: DofVector, r: np.ndarray,
     ``_linear_solve`` returns it with u; its cell part is the multiplier.
     Balance cells at or below the obstacle move to contact (ties go to
     contact); contact cells move back when their multiplier turns strictly
-    negative or their value falls strictly below the obstacle.  The function
-    is a pure map of (u, r, partition) and is idempotent at the solution.
+    negative or their value falls strictly below the obstacle.  The gap
+    u_K - psi_K is compared with 1e-10 max(1, max|psi|), the multiplier with
+    ``contact_tolerance``.  A pure map of (u, r, partition), idempotent at
+    the solution.
     """
     n_cells = problem.forms.gd.n_cells
     if current.contact.size != n_cells:
         raise SolverError(
             f"partition covers {current.contact.size} cells, mesh has {n_cells}")
-    tau = contact_tolerance(problem)
+    gap_tol = 1e-10 * float(np.max(np.abs(problem.psi), initial=1.0))
     feas = u.cells - problem.psi
-    mult = r[:n_cells]
-    keep_contact = ~((mult < -tau) | (feas < -tau))
-    enter_contact = feas <= tau
+    keep_contact = ~((r[:n_cells] < -contact_tolerance(problem)) | (feas < -gap_tol))
+    enter_contact = feas <= gap_tol
     return ActiveSetPartition(np.where(current.contact, keep_contact, enter_contact))
 
 
@@ -233,73 +224,169 @@ def factorise_spd(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
                      options=dict(SymmetricMode=True))
 
 
-def _factorise_schur(forms: AssembledForms, A: sp.csc_matrix):
+@dataclass(eq=False)
+class SchurPlan:
+    """The solver's state for one forms object: split, union plan, held ordering.
+
+    ``s_cc`` is the diagonal of the stiffness's cell-cell block, ``B`` (with
+    the cell of each entry in ``cell``) its cell x interior-edge block and
+    ``edofs`` the interior-edge unknowns.  The union pattern (``indices``,
+    ``indptr``) holds every stored entry of A_ee, whose values ``aee`` holds
+    (0.0 elsewhere), and every coupling of two interior edges of one cell, in
+    sorted CSC order.  Row p = (i, j) of ``q`` holds B[K,j] at column t for
+    each entry t = (K, i) of B whose cell K also holds edge j.  With v_t =
+    w_K B[K,i], entry p of q v is sum_K (w_K B[K,i]) B[K,j], the cells in
+    increasing order: the multiplies and sums of scipy's product of the
+    column-scaled B^T with B, so ``complement`` is scipy's matrix bit for bit,
+    exact zeros dropped, on every mesh.  The held ordering is ``held_indptr``,
+    ``held_indices`` and ``perm_c``; ``gather``, ``inverse`` = argsort(perm_c)
+    and the permuted pattern are built when that pattern comes back.
+    """
+
+    s_cc: np.ndarray
+    B: sp.csr_matrix
+    edofs: np.ndarray
+    aee: np.ndarray
+    q: sp.csr_matrix
+    cell: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    held_indptr: Optional[np.ndarray] = None
+    held_indices: Optional[np.ndarray] = None
+    perm_c: Optional[np.ndarray] = None
+    gather: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = None
+    permuted_indptr: Optional[np.ndarray] = None
+    permuted_indices: Optional[np.ndarray] = None
+
+    @classmethod
+    def build(cls, stiffness: sp.csr_matrix, n_cells: int, edofs: np.ndarray) -> "SchurPlan":
+        """The plan of a stiffness with ``n_cells`` cell unknowns first."""
+        cell_rows = stiffness[:n_cells]
+        B = cell_rows[:, edofs]
+        n = B.shape[1]
+        m = np.diff(B.indptr)
+        cell = np.repeat(np.arange(B.shape[0]), m)
+        # One pair (t, s) of entries of B per cell K and pair (i, j) of its
+        # edges: t = (K, i), s = (K, j), t in increasing order.
+        reps = m[cell]
+        t = np.repeat(np.arange(B.nnz), reps)
+        s = B.indptr[cell[t]] + np.arange(t.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        # The union's keys column * n + row, sorted, and each key's position.
+        A = stiffness[edofs][:, edofs].tocsc()
+        akey = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
+        keys = np.concatenate((akey, B.indices[s].astype(np.int64) * n + B.indices[t]))
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        union = keys[new]
+        pos = np.empty_like(order)
+        pos[order] = np.cumsum(new) - 1
+        aee = np.zeros(union.size)
+        aee[pos[:A.nnz]] = A.data
+        # COO to CSR keeps the input order within a row: t increasing.
+        q = sp.csr_matrix((B.data[s], (pos[A.nnz:], t)), shape=(union.size, B.nnz))
+        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+        return cls(cell_rows.diagonal(), B, edofs, aee, q, cell,
+                   (union % n).astype(A.indices.dtype), indptr.astype(A.indptr.dtype))
+
+    def complement(self, w: np.ndarray) -> sp.csc_matrix:
+        """A_ee - B^T diag(w) B as CSC, sorted, with exact zeros dropped.
+
+        Only a complement with no zero to drop holds the plan's own
+        ``indptr``, and with it the plan's whole pattern.
+        """
+        v = w[self.cell]
+        v *= self.B.data
+        data = self.q @ v
+        np.subtract(self.aee, data, out=data)
+        n = self.indptr.size - 1
+        if data.all():
+            return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        # eliminate_zeros compacts the arrays in place: the plan's own stay.
+        S = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        S.eliminate_zeros()
+        return S
+
+
+# forms -> its SchurPlan, dropped with the forms.
+_plans = weakref.WeakKeyDictionary()
+
+
+def _schur_plan(forms: AssembledForms) -> SchurPlan:
+    """The solver's state for ``forms``, built on its first solve."""
+    if forms not in _plans:
+        nc = forms.gd.n_cells
+        _plans[forms] = SchurPlan.build(forms.stiffness, nc, forms.gd.free_dofs[nc:])
+    return _plans[forms]
+
+
+def _factorise_schur(plan: SchurPlan, A: sp.csc_matrix):
     """Factorise a Schur complement in the held ordering when its pattern is held.
 
     Returns (solve, ordered): a function solving with A, and whether this
     factorisation computed a minimum-degree ordering.
     """
-    held = forms._ordering
     # Complements that share the plan's indptr share its whole pattern.
-    if held is None or not (held[0] is A.indptr or (
-            np.array_equal(held[0], A.indptr) and np.array_equal(held[1], A.indices))):
+    if plan.perm_c is None or not (plan.held_indptr is A.indptr or (
+            np.array_equal(plan.held_indptr, A.indptr)
+            and np.array_equal(plan.held_indices, A.indices))):
         lu = factorise_spd(A)
         # perm_c is a view into the factor object: a copy lets the factors go.
-        forms._ordering = (A.indptr, A.indices, lu.perm_c.copy())
+        plan.held_indptr, plan.held_indices, plan.perm_c, plan.gather = (
+            A.indptr, A.indices, lu.perm_c.copy(), None)
         return lu.solve, True
-    if len(held) == 3:
+    if plan.gather is None:
         # The pattern came back: build the gather once.  Column k of the
-        # permuted matrix is column q[k] of A, its entries in A's order.
-        indptr, indices, perm_c = held
-        q = np.argsort(perm_c)
-        counts = np.diff(indptr)[q]
-        new_indptr = np.zeros_like(indptr)
-        np.cumsum(counts, out=new_indptr[1:])
-        gather = (np.repeat(indptr[q] - new_indptr[:-1], counts)
-                  + np.arange(indices.size, dtype=indptr.dtype))
-        held = forms._ordering = (indptr, indices, perm_c, q, gather, new_indptr,
-                                  perm_c[indices[gather]])
-    q, gather, new_indptr, new_indices = held[3:]
-    P = sp.csc_matrix((A.data[gather], new_indices, new_indptr), shape=A.shape)
+        # permuted matrix is column inverse[k] of A, its entries in A's order.
+        indptr, indices = plan.held_indptr, plan.held_indices
+        plan.inverse = np.argsort(plan.perm_c)
+        counts = np.diff(indptr)[plan.inverse]
+        plan.permuted_indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=plan.permuted_indptr[1:])
+        plan.gather = (np.repeat(indptr[plan.inverse] - plan.permuted_indptr[:-1], counts)
+                       + np.arange(indices.size, dtype=indptr.dtype))
+        plan.permuted_indices = plan.perm_c[indices[plan.gather]]
+    P = sp.csc_matrix((A.data[plan.gather], plan.permuted_indices, plan.permuted_indptr),
+                      shape=A.shape)
     # splu sorts the rows of a matrix not marked canonical, and sorted rows
     # change SuperLU's order of operations.  P has no duplicate entries, only
     # rows out of order, which SuperLU accepts.
     P.has_canonical_format = True
     lu = factorise_spd(P, "NATURAL")
+    inverse = plan.inverse
 
     def solve(b):
         x = np.empty_like(b)
-        x[q] = lu.solve(b[q])
+        x[inverse] = lu.solve(b[inverse])
         return x
 
     return solve, False
 
 
 def _linear_solve(problem, partition):
-    """Solve the linear system for a fixed partition.
+    """Solve the linear system for a fixed partition, the cells condensed out.
 
-    The balance cells are condensed out and only the interior-edge Schur
-    complement is factorised.  Returns (u, r, relative residual, the
-    seconds of the Schur complement build and of the factorisation as
-    ``{"schur_s": ..., "factor_s": ...}``, whether the factorisation computed
-    an ordering).
-    r = (S + alpha M) u - b is the balance residual over all unknowns; its
-    norm on the free unknowns, relative to the pinned right-hand side's, is
-    the relative residual, and its cell part is the multiplier of the set
-    update.  ``solve_lvi`` has checked the boundary values once for all its
-    iterations.
+    Returns (u, r, relative residual, the seconds of the Schur complement
+    build and of its factorisation as ``{"schur_s": ..., "factor_s": ...}``,
+    whether the factorisation computed an ordering).  r = (S + alpha M) u - b
+    is the balance residual over all unknowns; its norm on the free unknowns,
+    relative to the pinned right-hand side's, is the relative residual, and
+    its cell part is the multiplier of the set update.  ``solve_lvi`` has
+    checked the boundary values once for all its iterations.
     """
     gd = problem.forms.gd
     nc = gd.n_cells
-    bdofs = gd.boundary_edge_dofs
-    s_cc, B, edofs = problem.forms.split
-    d = s_cc + problem.alpha * problem.forms.mass_diag[:nc]
+    plan = _schur_plan(problem.forms)  # built on the first solve, outside schur_s
+    B, edofs = plan.B, plan.edofs
+    d = plan.s_cc + problem.alpha * problem.forms.mass_diag[:nc]
     contact = partition.contact
     balance = ~contact
     u = np.zeros(gd.n_dofs)
     u[:nc][contact] = problem.psi[contact]
     if problem.boundary_values is not None:
-        u[bdofs] = problem.boundary_values
+        u[gd.boundary_edge_dofs] = problem.boundary_values
     free_ids = np.concatenate((np.nonzero(balance)[0], edofs))
 
     b = np.zeros(gd.n_dofs)
@@ -308,7 +395,6 @@ def _linear_solve(problem, partition):
     w = np.zeros(nc)
     w[balance] = 1.0 / d[balance]
     wg = w * g[:nc]
-    plan = problem.forms.schur_plan  # built on the first read, outside schur_s
     start = time.perf_counter()
     schur = plan.complement(w)  # A_ee - B^T diag(w) B as CSC
     seconds = {"schur_s": time.perf_counter() - start, "factor_s": 0.0}
@@ -320,7 +406,7 @@ def _linear_solve(problem, partition):
             x = np.zeros(0)
         elif free_ids.size <= DIRECT_LIMIT:
             start = time.perf_counter()
-            solve, ordered = _factorise_schur(problem.forms, schur)
+            solve, ordered = _factorise_schur(plan, schur)
             seconds["factor_s"] = time.perf_counter() - start
             x = solve(rhs_e)
         else:
@@ -409,8 +495,9 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
         key = np.packbits(new.contact).tobytes()
         if key in seen:
             raise IterationLimitError(
-                f"active-set iteration revisited a partition after {it} solves",
-                last_partitions=(partition, new))
+                f"active-set iteration revisited a partition after {it} solves: the partitions "
+                f"with {partition.n_contact} and {new.n_contact} contact cells differ in "
+                f"{changed} cells", last_partitions=(partition, new))
         seen.add(key)
         previous, partition = partition, new
     raise IterationLimitError(

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmvi.timeloop
-from hmmvi import (MESH_FAMILIES, ActiveSetPartition, LviProblem,
-                   SingularSystemError, SolverError, TimeGrid, assemble_forms,
-                   build_gd, builtin_case, complementarity_residual,
-                   contact_tolerance, generate_mesh, run_transient, solve_lvi,
-                   update_partition)
+from hmmvi import (MESH_FAMILIES, ActiveSetPartition, IterationLimitError,
+                   LviProblem, ProblemSpec, SingularSystemError, SolverError,
+                   TimeGrid, assemble_forms, build_gd, builtin_case,
+                   complementarity_residual, contact_tolerance, generate_mesh,
+                   run_transient, solve_lvi, update_partition)
 from hmmvi import solver
-from hmmvi.discretisation import SchurPlan
-from hmmvi.solver import _linear_solve
+from hmmvi.solver import SchurPlan, _linear_solve, _schur_plan
 
 from cellref import local_stiffness, vector
 from lviref import (balance_residual, enumerate_lvi, full_linear_solve,
@@ -59,11 +58,60 @@ def test_solution_is_feasible_and_complementary():
     prob = _problem(gd, rhs=rng.standard_normal(m.n_cells),
                     psi=rng.standard_normal(m.n_cells) * 0.2, alpha=2.0)
     u, part, stats = solve_lvi(prob)
+    # The gap is held to psi's scale, the multiplier to the right-hand side's.
     tau = contact_tolerance(prob)
-    assert np.all(u.cells - prob.psi >= -tau)
-    assert complementarity_residual(prob, u, balance_residual(gd, prob, u.values)) <= 1e-10
+    assert tau == 1e-10 * max(1.0, np.max(np.abs(prob.rhs)))
+    r = balance_residual(gd, prob, u.values)
+    assert np.all(u.cells - prob.psi >= -1e-10 * max(1.0, np.max(np.abs(prob.psi))))
+    assert np.all(r[:m.n_cells][part.contact] >= -tau)
+    assert complementarity_residual(prob, u, r) <= 1e-10
     assert stats.complementarity_max <= 1e-10
     assert stats.conservation_defect < 1e-10
+
+
+@pytest.mark.parametrize("family, level, n_steps", [("kershaw", 2, 256),
+                                                    ("hexagonal", 3, 1024)])
+def test_small_steps_of_test1_do_not_cycle(family, level, n_steps):
+    # The gap's tolerance does not grow like 1/dt: a released cell a few
+    # 1e-9 above psi stays released, where it used to re-enter contact and
+    # revisit a partition (kershaw at step 51, hexagonal at step 825).
+    case = builtin_case("test1")
+    gd = build_gd(generate_mesh(family, level), case.spec.diffusion)
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, n_steps))
+    assert len(sol.stats) == n_steps and any(p.n_contact for p in sol.partitions)
+    assert max(s.complementarity_max for s in sol.stats) <= 1e-8
+
+
+@pytest.mark.parametrize("obstacle", [0.0, -10.0])
+def test_tiny_step_puts_no_cell_above_the_obstacle_in_contact(obstacle):
+    # alpha = 1e300 scales the right-hand side, not the gap's tolerance.
+    spec = ProblemSpec(source=lambda p, t: 1.0 + p[:, 0] ** 2,
+                       obstacle=lambda p: np.full(len(p), obstacle),
+                       initial=lambda p: 1.0 - p[:, 0] ** 2, final_time=1e-300)
+    gd = build_gd(generate_mesh("cartesian", 2))
+    sol = run_transient(gd, spec, TimeGrid(spec.final_time, 1))
+    assert [p.n_contact for p in sol.partitions] == [0]
+    assert sol.iterations == [1]
+
+
+def test_cycle_error_names_both_partitions(monkeypatch):
+    # A forced 2-cycle between the contact sets {0, 1, 2, 3} and {3, 4, 5}.
+    gd = build_gd(generate_mesh("cartesian", 2))
+    nc = gd.n_cells
+    first, second = np.zeros(nc, dtype=bool), np.zeros(nc, dtype=bool)
+    first[:4] = second[3:6] = True
+
+    def flip(problem, u, r, current):
+        return ActiveSetPartition(second if current.contact[0] else first)
+
+    monkeypatch.setattr(solver, "update_partition", flip)
+    prob = _problem(gd, rhs=np.ones(nc), psi=np.full(nc, -1.0))
+    with pytest.raises(IterationLimitError) as info:
+        solve_lvi(prob, warm=ActiveSetPartition(first))
+    assert str(info.value) == (
+        "active-set iteration revisited a partition after 2 solves: the partitions "
+        "with 3 and 4 contact cells differ in 5 cells")
+    assert [p.n_contact for p in info.value.last_partitions] == [3, 4]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -180,7 +228,7 @@ def test_one_balance_residual_per_iteration(monkeypatch):
 
     def counting_forms(gd):
         forms = assemble_forms(gd)
-        forms.schur_plan  # split and plan slice the stiffness before counting
+        _schur_plan(forms)  # the plan slices the stiffness before counting
         forms.stiffness = CountingMatrix(forms.stiffness)
         counters.append(forms.stiffness)
         return forms
@@ -449,7 +497,7 @@ def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family)
     rng = np.random.default_rng(11)
     prob = _problem(gd, rhs=rng.standard_normal(nc), psi=np.zeros(nc), alpha=7.0)
     B, Aee = _edge_blocks(prob.forms)
-    d = prob.forms.split[0] + prob.alpha * prob.forms.mass_diag[:nc]
+    d = _schur_plan(prob.forms).s_cc + prob.alpha * prob.forms.mass_diag[:nc]
     kinds = []
     some = rng.random(nc) < 0.3
     for contact in (np.zeros(nc, dtype=bool), some, some, np.ones(nc, dtype=bool)):
@@ -457,7 +505,7 @@ def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family)
         got, kw, _ = calls.pop()
         kinds.append(kw["permc_spec"])
         if kinds[-1] == "NATURAL":
-            got = _unpermute(got, prob.forms._ordering[2])
+            got = _unpermute(got, _schur_plan(prob.forms).perm_c)
         want = (Aee - B.T @ sp.diags(np.where(contact, 0.0, 1.0 / d)) @ B).tocsc()
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
@@ -515,12 +563,16 @@ def test_new_pattern_is_ordered_and_becomes_the_held_one(monkeypatch):
     for partition in (none, every, every, none):
         u, _, _, _, was_ordered = _linear_solve(_problem_on(forms, rhs, psi, 5.0), partition)
         ordered.append(was_ordered)
+        plan = _schur_plan(forms)
         if was_ordered:
             A = calls[-1][0]
-            assert forms._ordering[0] is A.indptr and forms._ordering[1] is A.indices
+            assert plan.held_indptr is A.indptr and plan.held_indices is A.indices
+            assert plan.gather is None
         # The held state owns its arrays: a view of the factor object's
         # perm_c would keep the factors alive.
-        assert all(a.base is None or type(a.base) is np.ndarray for a in forms._ordering)
+        held = (plan.held_indptr, plan.held_indices, plan.perm_c, plan.gather,
+                plan.inverse, plan.permuted_indptr, plan.permuted_indices)
+        assert all(a is None or a.base is None or type(a.base) is np.ndarray for a in held)
         fresh, *_ = _linear_solve(
             _problem_on(assemble_forms(gd), rhs, psi, 5.0), partition)
         assert u.values.tobytes() == fresh.values.tobytes()
@@ -529,9 +581,9 @@ def test_new_pattern_is_ordered_and_becomes_the_held_one(monkeypatch):
 
 
 def _edge_blocks(forms):
-    """B and A_ee, sliced from the stiffness as the forms' split and plan do."""
-    _, B, edofs = forms.split
-    return B, forms.stiffness[edofs][:, edofs]
+    """B and A_ee, sliced from the stiffness as the solver's plan does."""
+    plan = _schur_plan(forms)
+    return plan.B, forms.stiffness[plan.edofs][:, plan.edofs]
 
 
 def _scipy_schur(B, Aee, w):
@@ -552,8 +604,8 @@ def _assert_same_csc(got, want):
                                            ("kershaw", 2), ("cartesian", 3)])
 @pytest.mark.parametrize("case_name", ["test1", "test2"])
 def test_one_pass_schur_complement_is_scipys_bitwise(monkeypatch, family, level, case_name):
-    # Every solve of a march builds its Schur complement from the forms'
-    # plan; each must be scipy's matrix, exact zeros dropped, bit for bit.
+    # Every solve of a march builds its Schur complement from the solver's
+    # plan of the run's forms; each must be scipy's matrix, exact zeros dropped, bit for bit.
     built, runs = [], []
     complement = SchurPlan.complement
 
@@ -582,7 +634,9 @@ def test_one_pass_schur_complement_drops_an_entry_that_cancels():
     # the off-diagonal coupling 1 - 1*1*1 is exactly 0.0 and is dropped.
     B = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     Aee = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 4.0]]))
-    plan = SchurPlan.build(B, Aee)
+    stiffness = sp.bmat([[sp.diags([2.0, 3.0, 2.0]), B], [B.T, Aee]], format="csr")
+    plan = SchurPlan.build(stiffness, 3, np.array([3, 4]))
+    assert plan.s_cc.tolist() == [2.0, 3.0, 2.0]
     for w, nnz in ((np.array([0.0, 1.0, 0.0]), 2), (np.array([0.5, 0.25, 3.0]), 4)):
         got = plan.complement(w)
         _assert_same_csc(got, _scipy_schur(B, Aee, w))
@@ -604,11 +658,12 @@ def test_every_family_builds_one_schur_plan(family):
     # every coupling.
     gd = build_gd(generate_mesh(family, 3))
     forms = assemble_forms(gd)
-    assert isinstance(forms.schur_plan, SchurPlan)
+    plan = _schur_plan(forms)
+    assert isinstance(plan, SchurPlan) and _schur_plan(forms) is plan
     B, Aee = _edge_blocks(forms)
     couplings = _pattern(abs(B).T @ abs(B))
-    every = forms.schur_plan.complement(np.zeros(gd.n_cells))
-    none = forms.schur_plan.complement(1.0 / (forms.split[0] + 5.0 * gd.mesh.cell_areas))
+    every = plan.complement(np.zeros(gd.n_cells))
+    none = plan.complement(1.0 / (plan.s_cc + 5.0 * gd.mesh.cell_areas))
     assert every.nnz == Aee.nnz and _pattern(every) == _pattern(Aee)
     assert _pattern(none) == couplings | _pattern(Aee)
     assert (couplings <= _pattern(Aee)) == (family != "cartesian")
@@ -619,9 +674,9 @@ def test_schur_plan_build_is_not_timed_as_a_schur_complement(monkeypatch):
     # counts in linear_s, never in the per-solve schur_s.
     build = SchurPlan.build.__func__
 
-    def slow_build(cls, B, Aee):
+    def slow_build(cls, *args):
         time.sleep(0.2)
-        return build(cls, B, Aee)
+        return build(cls, *args)
 
     monkeypatch.setattr(SchurPlan, "build", classmethod(slow_build))
     case = builtin_case("test2")

@@ -1,17 +1,19 @@
 """Time grids and the implicit Euler outer loop."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import hmmvi.diagnostics
 import hmmvi.timeloop
-from hmmvi import (LviProblem, ProblemSpec, TimeGrid, TimeGridError, assemble_forms,
-                   build_gd, builtin_case, generate_mesh, run_transient, solve_lvi,
-                   time_average_source)
-from hmmvi.discretisation import AssembledForms
-from hmmvi.solver import IterationLimitError
+from hmmvi import (AssembledForms, LviProblem, ProblemSpec, TimeGrid, TimeGridError,
+                   assemble_forms, build_gd, builtin_case, generate_mesh,
+                   gd_quality_report, run_transient, solve_lvi, time_average_source)
+from hmmvi.solver import IterationLimitError, SchurPlan, _plans
 
 from lviref import reference_march
 
@@ -229,20 +231,45 @@ def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
     gd = build_gd(generate_mesh("cartesian", 2))
     run_transient(gd, case.spec, TimeGrid.uniform_from_dt(case.spec.final_time, 0.05))
     assert len(built) == 1
-    assert built[0]._plain_factor is None
+    assert built[0] not in hmmvi.diagnostics._plain_factors
+
+
+def test_forms_hold_only_the_forms():
+    fields = [f.name for f in dataclasses.fields(AssembledForms)]
+    assert fields == ["gd", "stiffness", "mass_diag"]
+
+
+def test_derived_state_goes_with_its_forms(monkeypatch):
+    # A run and a quality report on one forms object: the solver's plan and
+    # the diagnostics' plain factor are both dropped with the forms.
+    gc.collect()
+    plans, factors = len(_plans), len(hmmvi.diagnostics._plain_factors)
+    gd = build_gd(generate_mesh("cartesian", 3))
+    shared = [assemble_forms(gd)]
+    for module in (hmmvi.timeloop, hmmvi.diagnostics):
+        monkeypatch.setattr(module, "assemble_forms", lambda gd: shared[0])
+    case = builtin_case("test2")
+    run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 3))
+    gd_quality_report(gd)
+    alive = weakref.ref(shared[0])
+    assert alive() in _plans and alive() in hmmvi.diagnostics._plain_factors
+    shared.clear()
+    gc.collect()
+    assert alive() is None
+    assert (len(_plans), len(hmmvi.diagnostics._plain_factors)) == (plans, factors)
 
 
 def test_run_builds_the_operator_split_once(monkeypatch):
     # Problems with different alpha share one forms object, as the steps of a
-    # run do: its alpha-free split is built on the first solve only.
-    split = AssembledForms.split.func
+    # run do: the solver's alpha-free plan is built on the first solve only.
+    build = SchurPlan.build.__func__
     builds = []
 
-    def counting(forms):
-        builds.append(split(forms))
+    def counting(cls, *args):
+        builds.append(build(cls, *args))
         return builds[-1]
 
-    monkeypatch.setattr(AssembledForms.split, "func", counting)
+    monkeypatch.setattr(SchurPlan, "build", classmethod(counting))
     case = builtin_case("test2")
     gd = build_gd(generate_mesh("cartesian", 3))
     forms = assemble_forms(gd)
@@ -254,7 +281,7 @@ def test_run_builds_the_operator_split_once(monkeypatch):
                              alpha=alpha, psi=psi)
         iterations.append(solve_lvi(problem)[2].iterations)
     assert sum(iterations) > 2
-    assert len(builds) == 1 and forms.split is builds[0]
+    assert len(builds) == 1 and _plans[forms] is builds[0]
 
 
 def _rotated_anisotropy(angle, ratio):
