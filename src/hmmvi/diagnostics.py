@@ -221,14 +221,12 @@ def estimate_WD(forms: AssembledForms, omega: Callable, div_omega: Callable) -> 
     Riesz representative, so the value is sqrt(l^T A0^{-1} l).
     """
     gd = forms.gd
-    ell = np.zeros(gd.n_dofs)
     pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
-    np.add.at(ell, cidx, w * np.asarray(div_omega(pts), dtype=float))
+    ell = np.bincount(cidx, w * np.asarray(div_omega(pts), dtype=float), minlength=gd.n_dofs)
 
     spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
-    vals = np.asarray(omega(spts), dtype=float)
-    moments = np.zeros((gd.n_subcells, 2))
-    np.add.at(moments, sidx, sw[:, None] * vals)
+    flux = sw[:, None] * np.asarray(omega(spts), dtype=float)
+    moments = np.column_stack([np.bincount(sidx, f, minlength=gd.n_subcells) for f in flux.T])
     ell += gd._grad_matrix.T @ moments.ravel()
 
     ell_f = ell[gd.free_dofs]

@@ -17,10 +17,12 @@ not depend on Lambda, so with Lambda = I the stiffness is the unweighted
 gradient form in which the quality measures are taken.
 
 G is written straight into CSR arrays.  The cells are grouped by corner
-count, and each group is one broadcast pass: rows 2s and 2s+1 of subcell s
-hold the cell column first, then the cell's edge columns by ascending edge
-number, with exact zeros dropped.  That is scipy's canonical order, so G is
-bit for bit the matrix a COO build and ``tocsr`` would give.
+count, and each group is one pass over contiguous arrays, one per vector
+component, that writes the group's rows into their slots in subcell order:
+rows 2s and 2s+1 of subcell s hold the cell column first, then the cell's
+edge columns by ascending edge number.  Exact zeros are then dropped.  That
+is scipy's canonical order, so G is bit for bit the matrix a COO build and
+``tocsr`` would give.
 
 Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
 non-homogeneous data the same unknowns are pinned to the boundary values
@@ -95,19 +97,22 @@ def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
 
 def _check_diffusion(field: np.ndarray) -> None:
     lo, hi = EIG_BOUNDS
-    bad = np.flatnonzero(~np.isfinite(field).all(axis=(1, 2)))
+    # One contiguous array per entry: a = L_00, b = L_01, c = L_10, d = L_11.
+    a, b, c, d = field.reshape(-1, 4).T.copy()
+    bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)))
     if bad.size:
         k = int(bad[0])
         raise DiscretisationError(
             f"diffusion tensor on cell {k} is not finite: {field[k].tolist()}")
-    sym_defect = np.abs(field[:, 0, 1] - field[:, 1, 0])
-    scale = np.maximum(1.0, np.max(np.abs(field), axis=(1, 2)))
+    sym_defect = np.abs(b - c)
+    scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                       np.maximum(np.abs(c), np.abs(d))))
     bad = np.nonzero(sym_defect > 1e-12 * scale)[0]
     if bad.size:
         raise DiscretisationError(f"diffusion tensor on cell {int(bad[0])} is not symmetric")
     # Closed-form eigenvalues of a symmetric 2x2 matrix.
-    tr = field[:, 0, 0] + field[:, 1, 1]
-    det = field[:, 0, 0] * field[:, 1, 1] - field[:, 0, 1] * field[:, 1, 0]
+    tr = a + d
+    det = a * d - b * c
     disc = np.sqrt(np.maximum(0.0, 0.25 * tr * tr - det))
     lam_min = 0.5 * tr - disc
     lam_max = 0.5 * tr + disc
@@ -164,46 +169,64 @@ class GradientDiscretisation:
         g_t + c_s (delta_st - (x_sigma_s - x_K) . g_t) and the cell column
         is -c_s.
 
-        The CSR arrays are written directly, one broadcast pass per corner
-        count m: the cells with m corners give an (n_m, m, 2, m+1) block of
-        rows, the columns of each row being the cell first, then the cell's
-        edges by ascending number (scipy's canonical order).  Exact zeros are
-        dropped, and the row lengths give ``indptr``.  With more than one
-        cell size the rows are put back in subcell order at the end.
+        The CSR arrays are written directly, one pass per corner count m.
+        The pass keeps the cells with m corners on the last axis, so every
+        operation runs over them as one contiguous 1-D array per component.
+        Each cell's 2m rows have m + 1 slots each: the cell column first,
+        then the cell's edges by ascending number (scipy's canonical order).
+        The rows go straight into their slots in subcell order, and the
+        exact zeros are then dropped in place.
         """
         mesh = self.mesh
-        cell, edges, first = self.subcell_cell, self.subcell_edge, mesh.cell_offsets[:-1]
-        g = mesh.corner_normals * lengths[:, None] / mesh.cell_areas[cell][:, None]
-        c = (math.sqrt(2.0) / mesh.corner_edge_dists)[:, None] * mesh.corner_normals
-        dx = mesh.edge_centers[edges] - mesh.cell_points[cell]
+        n, cell, edges = self.n_cells, self.subcell_cell, self.subcell_edge
+        nx, ny = mesh.corner_normals.T
+        area = mesh.cell_areas[cell]
+        gx, gy = nx * lengths / area, ny * lengths / area
+        scale = math.sqrt(2.0) / mesh.corner_edge_dists
+        cx, cy = scale * nx, scale * ny
+        (ex, ey), (px, py) = mesh.edge_centers.T, mesh.cell_points.T
+        dx, dy = ex[edges] - px[cell], ey[edges] - py[cell]
 
-        data, indices, row_nnz, rows = [], [], [], []
+        # Cell k's rows take the 2 m (m + 1) slots from at[k] on.
+        at = np.zeros(n + 1, dtype=int)
+        np.cumsum(2 * counts * (counts + 1), out=at[1:])
+        # The index type scipy picks for G: int32 while the slots fit in it.
+        index = np.int32 if max(at[-1], self.n_dofs) < 2**31 else np.int64
+        data, indices = np.empty(at[-1]), np.empty(at[-1], dtype=index)
         for m in np.unique(counts):
             cells = np.flatnonzero(counts == m)
-            corners = first[cells][:, None] + np.arange(m)     # subcell s, row order
-            order = np.argsort(edges[corners], axis=1)
-            ranked = np.take_along_axis(corners, order, axis=1)  # subcell t, column order
-            gt, ds, cs = g[ranked], dx[corners], c[corners]
-            stab = (np.arange(m)[:, None] == order[:, None, :]) - (
-                ds[:, :, None, 0] * gt[:, None, :, 0] + ds[:, :, None, 1] * gt[:, None, :, 1])
-            vals = np.empty((cells.size, m, 2, m + 1))
-            vals[..., 0] = -cs
-            vals[..., 1:] = gt.transpose(0, 2, 1)[:, None] + cs[..., None] * stab[:, :, None]
-            cols = np.column_stack((cells, self.n_cells + edges[ranked]))[:, None, None]
-            keep = vals != 0.0
-            data.append(vals[keep])
-            indices.append(np.broadcast_to(cols, vals.shape)[keep])
-            row_nnz.append(keep.sum(axis=3).ravel())
-            rows.append((2 * corners[..., None] + np.arange(2)).ravel())
+            corners = mesh.cell_offsets[cells] + np.arange(m)[:, None]  # [s, k]: subcell s
+            e = edges[corners]
+            rank = np.count_nonzero(e < e[:, None], axis=1)  # column of subcell s's edge
+            ranked = np.empty_like(corners)  # [t, k]: the subcell of column t
+            np.put_along_axis(ranked, rank, corners, axis=0)
+            stab = (rank[:, None] == np.arange(m)[:, None]) - (
+                dx[corners][:, None] * gx[ranked] + dy[corners][:, None] * gy[ranked])
+            vals = np.empty((m, 2, m + 1, cells.size))  # [s, component, column, k]
+            for i, (c, g) in enumerate(((cx[corners], gx[ranked]), (cy[corners], gy[ranked]))):
+                np.negative(c, out=vals[:, i, 0])
+                np.multiply(c[:, None], stab, out=vals[:, i, 1:])
+                vals[:, i, 1:] += g
+            del stab
+            cols = np.concatenate((cells[None], n + edges[ranked]))
+            if cells.size == n:  # one cell size: the slots hold the cells in order
+                shape = (n, m, 2, m + 1)
+                np.copyto(data.reshape(shape), vals.transpose(3, 0, 1, 2))
+                np.copyto(indices.reshape(shape), cols.T[:, None, None])
+            else:
+                slots = np.arange(2 * m * (m + 1)).reshape(m, 2, m + 1, 1) + at[cells]
+                data[slots] = vals
+                indices[slots] = cols
+                del slots
+            del vals
 
-        row_nnz = np.concatenate(row_nnz)
-        indptr = np.zeros(row_nnz.size + 1, dtype=row_nnz.dtype)
-        np.cumsum(row_nnz, out=indptr[1:])
-        mat = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                            shape=(2 * self.n_subcells, self.n_dofs))
-        if len(rows) > 1:
-            mat = mat[np.argsort(np.concatenate(rows))]
-        return mat
+        indptr = np.zeros(2 * self.n_subcells + 1, dtype=index)
+        np.cumsum(np.repeat(counts + 1, 2 * counts), out=indptr[1:])
+        shape = (2 * self.n_subcells, self.n_dofs)
+        mat = sp.csr_matrix((data, indices, indptr), shape=shape)
+        mat.eliminate_zeros()
+        # Copies of the kept entries alone, so that G holds no empty slots.
+        return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), mat.indptr), shape=shape)
 
     @cached_property
     def subcell_triangles(self) -> np.ndarray:

@@ -99,13 +99,23 @@ def _flatten_cells(cell_vertices):
 def _number_by_first_appearance(keys: np.ndarray):
     """Ids 0, 1, ... for the distinct keys, in the order they first appear.
 
-    Returns the index of each id's first appearance and the id of every key.
+    Returns the index of each id's first appearance, the id of every key and
+    its slot, the number of equal keys before it.  One stable sort gives all
+    three: each run of equal keys lists their indices in ascending order.
     """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+    order = np.argsort(keys, kind="stable")
+    run_start = np.ones(keys.size, dtype=bool)
+    ordered = keys[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    run = np.cumsum(run_start) - 1
+    # The first index of every run, marked in key order, numbers the runs.
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[order[starts]] = True
+    ids, slots = np.empty_like(order), np.empty_like(order)
+    ids[order] = (np.cumsum(is_first) - 1)[order[starts]][run]
+    slots[order] = np.arange(keys.size) - starts[run]
+    return np.flatnonzero(is_first), ids, slots
 
 
 class PolytopalMesh:
@@ -127,6 +137,10 @@ class PolytopalMesh:
     gives its orientation and ``cell_areas``, and its centroid come from one
     pass of shoelace cross terms relative to the cell's first vertex, so their
     round-off scales with the cell, not with its distance from the origin.
+    All geometry is computed per corner on contiguous x and y arrays; an
+    edge takes the length and centre of the corner that first reaches it.
+    One stable sort of the corners' vertex pairs numbers the edges and
+    orders each edge's owners.
 
     Cells are stored only flat: corner j of cell k is entry
     ``cell_offsets[k] + j`` of ``corner_vertices``, ``corner_edges``,
@@ -153,18 +167,17 @@ class PolytopalMesh:
         first = offsets[cell]
         size = counts[cell]
         local = np.arange(flat.size) - first
-        half = int(counts.max()) // 2
-
-        def ahead(r):
-            """Index of the corner r places after each corner of its cell."""
-            return first + (local + r) % size
+        # ahead[r - 1]: the corner r places after each corner of its cell,
+        # for r = 1 to m/2 of the largest cell, and at least for r = 1.
+        ahead = [first + (local + r) % size
+                 for r in range(1, max(int(counts.max()) // 2, 1) + 1)]
 
         small = counts < 3
         unknown = np.zeros(n, dtype=bool)
         unknown[cell[(flat < 0) | (flat >= nv)]] = True
         repeated = np.zeros(n, dtype=bool)
-        for r in range(1, half + 1):
-            repeated[cell[(flat == flat[ahead(r)]) & (r % size != 0)]] = True
+        for r, later in enumerate(ahead, start=1):
+            repeated[cell[(flat == flat[later]) & (r % size != 0)]] = True
 
         # Cross terms of the cells before the first id defect, the only ones
         # whose geometry can be read and the only ones that can fail first,
@@ -172,11 +185,11 @@ class PolytopalMesh:
         id_bad = np.flatnonzero(small | unknown | repeated)
         stop = int(id_bad[0]) if id_bad.size else n
         c = offsets[stop]
-        nxt = ahead(1)[:c]
-        pts = self.vertices[flat[:c]]
-        p0 = pts[offsets[:stop]]
-        rel = pts - p0[cell[:c]]
-        x, y = rel[:, 0], rel[:, 1]
+        nxt = ahead[0][:c]
+        vx, vy = self.vertices.T.copy()
+        px, py = vx[flat[:c]], vy[flat[:c]]
+        x0, y0 = px[offsets[:stop]], py[offsets[:stop]]
+        x, y = px - x0[cell[:c]], py - y0[cell[:c]]
         cross = x * y[nxt] - x[nxt] * y
         signed = 0.5 * np.bincount(cell[:c], cross, minlength=stop)
         zero_area, overflow = np.zeros((2, n), dtype=bool)
@@ -191,22 +204,24 @@ class PolytopalMesh:
 
         # The centroid formula is unchanged when a cell is reversed.
         six_area = 6.0 * signed
-        centroids = p0 + np.column_stack(
-            (np.bincount(cell, (x + x[nxt]) * cross, minlength=n) / six_area,
-             np.bincount(cell, (y + y[nxt]) * cross, minlength=n) / six_area))
+        centroids = np.column_stack(
+            (x0 + np.bincount(cell, (x + x[nxt]) * cross, minlength=n) / six_area,
+             y0 + np.bincount(cell, (y + y[nxt]) * cross, minlength=n) / six_area))
         self.cell_areas = np.abs(signed)
+        del x, y, cross
 
         # Reverse clockwise cells: local vertex j takes vertex m - 1 - j.
         reverse = (signed < 0.0)[cell]
         perm = np.where(reverse, first + size - 1 - local, np.arange(flat.size))
-        flat = flat[perm]
-        pts = pts[perm]
+        flat, px, py = flat[perm], px[perm], py[perm]
 
         # Diameters: every vertex pair of a cell is r <= m/2 corners apart.
         far = np.zeros(flat.size)
-        for r in range(1, half + 1):
-            np.maximum(far, np.sum((pts - pts[ahead(r)]) ** 2, axis=1), out=far)
+        for later in ahead:
+            dx, dy = px - px[later], py - py[later]
+            np.maximum(far, dx * dx + dy * dy, out=far)
         self.cell_diameters = np.sqrt(np.maximum.reduceat(far, offsets[:-1]))
+        del ahead, far, dx, dy
 
         if cell_points is None:
             _require_finite(centroids, "cell {}: centroid")
@@ -217,12 +232,10 @@ class PolytopalMesh:
 
         self.cell_offsets = offsets
         self.corner_vertices = flat
-        self._build_edges(cell, nxt)
-        self._build_cell_geometry(cell, nxt, pts)
+        lengths, mx, my = self._build_cell_geometry(cell, nxt, px, py)
+        self._build_edges(cell, nxt, lengths, mx, my)
 
-        xmin, ymin = self.vertices.min(axis=0)
-        xmax, ymax = self.vertices.max(axis=0)
-        self.bbox = (float(xmin), float(xmax), float(ymin), float(ymax))
+        self.bbox = (float(vx.min()), float(vx.max()), float(vy.min()), float(vy.max()))
         self.metadata = dict(metadata) if metadata else {}
 
         for arr in (self.vertices, self.cell_points, self.cell_areas,
@@ -232,21 +245,34 @@ class PolytopalMesh:
                     self.corner_normals, self.corner_edge_dists):
             arr.setflags(write=False)
 
-    def _build_edges(self, cell, nxt):
+    def _build_cell_geometry(self, cell, nxt, px, py):
+        """Outward unit normals and orthogonal distances from x_K, per corner.
+
+        The edge of corner j joins local vertices j and j+1.  Returns the
+        length and the midpoint coordinates of every corner's edge.
+        """
+        dx, dy = px[nxt] - px, py[nxt] - py
+        lengths = np.sqrt(dx * dx + dy * dy)
+        # For a counterclockwise polygon (dy, -dx) points outward.
+        nx, ny = dy / lengths, -dx / lengths
+        self.corner_normals = np.column_stack((nx, ny))
+        mx, my = 0.5 * (px + px[nxt]), 0.5 * (py + py[nxt])
+        cx, cy = self.cell_points.T
+        self.corner_edge_dists = (mx - cx[cell]) * nx + (my - cy[cell]) * ny
+        return lengths, mx, my
+
+    def _build_edges(self, cell, nxt, lengths, mx, my):
         # Edges are numbered in the order the corners first reach them, and
-        # the owners of an edge in corner order.
+        # the owners of an edge in corner order.  An edge takes the length and
+        # centre of its first corner: both are symmetric in the two ends.
         a = self.corner_vertices
         b = a[nxt]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        first_corner, edges = _number_by_first_appearance(lo * self.n_vertices + hi)
+        first_corner, edges, slot = _number_by_first_appearance(lo * self.n_vertices + hi)
         self.corner_edges = edges
         self.n_edges = first_corner.size
         self.edge_vertices = np.column_stack((lo[first_corner], hi[first_corner]))
 
-        by_edge = np.argsort(edges, kind="stable")
-        owners = np.bincount(edges, minlength=self.n_edges)
-        slot = np.empty_like(by_edge)
-        slot[by_edge] = np.arange(edges.size) - np.repeat(np.cumsum(owners) - owners, owners)
         third = np.flatnonzero(slot >= 2)
         if third.size:
             e = int(edges[third[0]])
@@ -256,27 +282,14 @@ class PolytopalMesh:
         self.edge_cells = np.full((self.n_edges, 2), -1, dtype=int)
         self.edge_cells[edges, slot] = cell
 
-        pa = self.vertices[self.edge_vertices[:, 0]]
-        pb = self.vertices[self.edge_vertices[:, 1]]
-        self.edge_centers = 0.5 * (pa + pb)
-        self.edge_lengths = np.sqrt(np.sum((pb - pa) ** 2, axis=1))
+        self.edge_centers = np.column_stack((mx[first_corner], my[first_corner]))
+        self.edge_lengths = lengths[first_corner]
         ok = (0.0 < self.edge_lengths) & (self.edge_lengths < math.inf)
         if not ok.all():
             e = int(np.argmin(ok))
             what = "zero" if self.edge_lengths[e] == 0.0 else "non-finite"
             raise MeshValidationError(f"edge {e} has {what} length")
         self.is_boundary_edge = self.edge_cells[:, 1] < 0
-
-    def _build_cell_geometry(self, cell, nxt, pts):
-        # Outward unit normals and orthogonal distances from x_K, per corner
-        # (the edge of corner j joins local vertices j and j+1).
-        d = pts[nxt] - pts
-        lengths = np.sqrt(np.sum(d**2, axis=1))
-        # For a counterclockwise polygon (dy, -dx) points outward.
-        self.corner_normals = np.column_stack((d[:, 1], -d[:, 0])) / lengths[:, None]
-        mids = 0.5 * (pts + pts[nxt])
-        self.corner_edge_dists = np.sum(
-            (mids - self.cell_points[cell]) * self.corner_normals, axis=1)
 
     @property
     def boundary_edges(self) -> np.ndarray:
@@ -312,9 +325,9 @@ def validate(mesh: PolytopalMesh) -> dict:
     starts = mesh.cell_offsets[:-1]
     cell = np.repeat(np.arange(n), np.diff(mesh.cell_offsets))
     lengths = mesh.edge_lengths[mesh.corner_edges]
-    flux = mesh.corner_normals * lengths[:, None]
-    closure = np.hypot(np.bincount(cell, flux[:, 0], minlength=n),
-                       np.bincount(cell, flux[:, 1], minlength=n))
+    nx, ny = mesh.corner_normals.T
+    closure = np.hypot(np.bincount(cell, nx * lengths, minlength=n),
+                       np.bincount(cell, ny * lengths, minlength=n))
     perimeter = np.bincount(cell, lengths, minlength=n)
     dmin = np.minimum.reduceat(mesh.corner_edge_dists, starts)
     open_cells = ~(closure <= GEOM_TOL * np.maximum(1.0, perimeter))
@@ -343,10 +356,10 @@ def validate(mesh: PolytopalMesh) -> dict:
         raise MeshValidationError(
             f"Euler characteristic V - E + F = {euler}, expected 1")
     boundary = mesh.boundary_edges
-    c = mesh.edge_centers[boundary]
+    cx, cy = mesh.edge_centers[boundary].T
     near = GEOM_TOL * scale
-    on_box = ((np.minimum(np.abs(c[:, 0] - xmin), np.abs(c[:, 0] - xmax)) <= near)
-              | (np.minimum(np.abs(c[:, 1] - ymin), np.abs(c[:, 1] - ymax)) <= near))
+    on_box = ((np.minimum(np.abs(cx - xmin), np.abs(cx - xmax)) <= near)
+              | (np.minimum(np.abs(cy - ymin), np.abs(cy - ymax)) <= near))
     off_box = boundary[~on_box]
     if off_box.size:
         raise MeshValidationError(
@@ -532,7 +545,7 @@ def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
     for h, poly in clipped:
         keys[start[h]:start[h] + count[h]] = [p.key for p in poly]
         pts[start[h]:start[h] + count[h]] = [(p.x, p.y) for p in poly]
-    first, vids = _number_by_first_appearance(keys)
+    first, vids, _ = _number_by_first_appearance(keys)
     # Fewer than 3 points only touch the box: they are reached, not a cell.
     cell = count >= 3
     return PolytopalMesh(_round10(pts[first]),

@@ -161,9 +161,14 @@ def _assert_gradient_matrix_is_the_coo_one(m, gd):
     assert gd.subcell_centroids.tobytes() == centroids.tobytes()
 
 
+# Levels 1 to 3 of every family, and one larger level each, so that the
+# array passes of the build are pinned beyond the smallest meshes.
+COO_LEVELS = [(level, family) for family in MESH_FAMILIES for level in (1, 2, 3)] + [
+    (4, "cartesian"), (16, "triangular"), (4, "hexagonal"), (4, "kershaw")]
+
+
 @pytest.mark.parametrize("diffusion", ["identity", "per_cell"])
-@pytest.mark.parametrize("family", MESH_FAMILIES)
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level, family", COO_LEVELS)
 def test_gradient_matrix_is_bitwise_the_coo_construction(level, family, diffusion):
     m = generate_mesh(family, level)
     _assert_gradient_matrix_is_the_coo_one(m, build_gd(m, diffusion=_diffusion(diffusion, m)))

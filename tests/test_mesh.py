@@ -434,9 +434,14 @@ def _assert_same_outcome(mesh, report, ref, ref_report):
             _assert_same_report(report, ref_report)
 
 
+# Levels 1 to 3 of every family, and one larger level each, so that the
+# constructor's array passes are pinned beyond the smallest meshes.
+REFERENCE_LEVELS = [(family, level) for family in MESH_FAMILIES for level in (1, 2, 3)] + [
+    ("cartesian", 4), ("triangular", 16), ("hexagonal", 4), ("kershaw", 4)]
+
+
 @pytest.mark.parametrize("layout", ["given", "reversed", "alternate"])
-@pytest.mark.parametrize("level", [1, 2, 3])
-@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("family, level", REFERENCE_LEVELS)
 def test_mesh_matches_per_cell_reference(family, level, layout):
     generated = generate_mesh(family, level)
     vertices = generated.vertices
