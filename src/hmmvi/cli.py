@@ -230,6 +230,22 @@ def resolve_meshes(args, case=None) -> list:
     return [(f"{family}_l{n}", partial(generate_mesh, family, n, bbox)) for n in levels]
 
 
+def study_meshes(args, case=None):
+    """(tag, mesh) per level of a refinement study, coarse to fine.  Generated
+    levels are built one at a time; mesh files are all loaded first, once
+    each, and their h must strictly decrease."""
+    meshes = resolve_meshes(args, case)
+    if not args.mesh:
+        return ((tag, build()) for tag, build in meshes)
+    meshes = [(tag, build()) for tag, build in meshes]
+    sizes = [mesh_size(mesh) for _, mesh in meshes]
+    for a, b, ha, hb in zip(args.mesh, args.mesh[1:], sizes, sizes[1:]):
+        if hb >= ha:
+            raise ConfigError(f"mesh files must go coarse to fine, with h strictly "
+                              f"decreasing: {a} has h = {ha!r}, {b} after it h = {hb!r}")
+    return meshes
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -257,12 +273,11 @@ def cmd_validate(args) -> int:
 
 
 def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
-    """One run on one mesh: box check, scheme, time grid, march and error norms.
+    """One run on one mesh: box check, scheme, time grid and march.
 
     ``on_step(n_steps, step, t, u, partition, stats)`` is called after each
-    step.  Returns gd, the solution, the error report (None when the case has
-    no exact solution) and the wall times of ``build_gd`` and of the march as
-    ``{"build_gd_seconds": ..., "wall_seconds": ...}``."""
+    step.  Returns gd, the solution and the wall times of ``build_gd`` and of
+    the march as ``{"build_gd_seconds": ..., "wall_seconds": ...}``."""
     check_mesh_box(mesh, case, tag, from_file=bool(args.mesh))
     start = time.perf_counter()
     gd = build_gd(mesh, case.spec.diffusion)
@@ -276,9 +291,7 @@ def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
         lambda *step: on_step(grid.n_steps, *step)))
     seconds = {"build_gd_seconds": build_seconds,
                "wall_seconds": time.perf_counter() - start}
-    report = error_norms(gd, solution, case.u_exact, case.grad_exact,
-                         rule=args.quadrature) if case.has_exact else None
-    return gd, solution, report, seconds
+    return gd, solution, seconds
 
 
 def cmd_solve(args) -> int:
@@ -309,7 +322,7 @@ def cmd_solve(args) -> int:
             snapshot_seconds += time.perf_counter() - start
             snapshots.append(str(path))
 
-    gd, solution, report, seconds = run_level(args, case, tag, mesh, on_step)
+    gd, solution, seconds = run_level(args, case, tag, mesh, on_step)
     log.info("iterations per step: %s", solution.iterations)
 
     record = {
@@ -335,14 +348,18 @@ def cmd_solve(args) -> int:
                   ["cell", "x", "y", "area", "u", "obstacle", "contact"],
                   [range(mesh.n_cells), x, y, mesh.cell_areas, solution.final.cells,
                    solution.psi, solution.partitions[-1].contact.astype(int)])
-    if report is not None:
-        record["errors"] = {key: getattr(report, key) for key in (
-            "rel_l2_final", "rel_grad_final", "linf_l2", "spacetime_grad",
-            "quadrature")}
-        log.info("relative errors at T: %.5g (values), %.5g (gradients)",
-                 report.rel_l2_final, report.rel_grad_final)
-    if "json" in args.formats:
-        write_json(out / "run.json", record)
+    try:  # error norms that cannot be taken fail the run after its record is written
+        if case.has_exact:
+            report = error_norms(gd, solution, case.u_exact, case.grad_exact,
+                                 rule=args.quadrature)
+            record["errors"] = {key: getattr(report, key) for key in (
+                "rel_l2_final", "rel_grad_final", "linf_l2", "spacetime_grad",
+                "quadrature")}
+            log.info("relative errors at T: %.5g (values), %.5g (gradients)",
+                     report.rel_l2_final, report.rel_grad_final)
+    finally:
+        if "json" in args.formats:
+            write_json(out / "run.json", record)
     return EXIT_OK
 
 
@@ -354,9 +371,10 @@ def cmd_converge(args) -> int:
     out = resolve_out_dir(args)
 
     rows = []
-    for tag, build in resolve_meshes(args, case):
-        mesh = build()
-        gd, solution, report, seconds = run_level(args, case, tag, mesh)
+    for tag, mesh in study_meshes(args, case):
+        gd, solution, seconds = run_level(args, case, tag, mesh)
+        report = error_norms(gd, solution, case.u_exact, case.grad_exact,
+                             rule=args.quadrature)
         rows.append({
             "tag": tag,
             "h": mesh_size(mesh),
@@ -403,11 +421,19 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
+# The measures diagnose reports beside C_D, each on gd_quality_report's one probe.
+DIAGNOSE_MEASURES = ("w_d", "s_d", "i_d0")
+
+
+def _probe_value(by_probe: dict) -> float:
+    (value,) = by_probe.values()
+    return value
+
+
 def cmd_diagnose(args) -> int:
     out = resolve_out_dir(args)
     rows = []
-    for tag, build in resolve_meshes(args):
-        mesh = build()
+    for tag, mesh in study_meshes(args):
         start = time.perf_counter()
         gd = build_gd(mesh)
         build_seconds = time.perf_counter() - start
@@ -416,30 +442,20 @@ def cmd_diagnose(args) -> int:
         entry = {"tag": tag, **asdict(report), "build_gd_seconds": build_seconds,
                  "report_seconds": time.perf_counter() - start}
         rows.append(entry)
-        log.info("%s: h = %.5g, C_D = %.5g, W_D = %.5g, S_D = %.5g, I_D0 = %.5g",
-                 tag, report.h, report.c_d,
-                 report.w_d["sinusoidal_field"],
-                 report.s_d["polynomial_bump"],
-                 report.i_d0["polynomial_bump"])
+        log.info("%s: h = %.5g, C_D = %.5g, %s", tag, report.h, report.c_d, ", ".join(
+            f"{m.upper()} = {_probe_value(entry[m]):.5g}" for m in DIAGNOSE_MEASURES))
 
+    columns = {m: [_probe_value(r[m]) for r in rows] for m in DIAGNOSE_MEASURES}
     doc = {"levels": rows}
     if len(rows) >= 2:
         hs = [r["h"] for r in rows]
-        doc["eoc"] = {
-            "w_d": eoc([r["w_d"]["sinusoidal_field"] for r in rows], hs).tolist(),
-            "s_d": eoc([r["s_d"]["polynomial_bump"] for r in rows], hs).tolist(),
-            "i_d0": eoc([r["i_d0"]["polynomial_bump"] for r in rows], hs).tolist(),
-        }
-        log.info("orders between levels: W_D %s, S_D %s, I_D0 %s",
-                 ["%.2f" % v for v in doc["eoc"]["w_d"]],
-                 ["%.2f" % v for v in doc["eoc"]["s_d"]],
-                 ["%.2f" % v for v in doc["eoc"]["i_d0"]])
+        doc["eoc"] = {m: eoc(column, hs).tolist() for m, column in columns.items()}
+        log.info("orders between levels: %s", ", ".join(
+            f"{m.upper()} {['%.2f' % v for v in o]}" for m, o in doc["eoc"].items()))
     write_json(out / "quality.json", doc)
-    write_csv(out / "quality.csv",
-              ["tag", "h", "n_cells", "n_edges", "c_d", "w_d", "s_d", "i_d0"],
-              zip(*[(r["tag"], r["h"], r["n_cells"], r["n_edges"], r["c_d"],
-                     r["w_d"]["sinusoidal_field"], r["s_d"]["polynomial_bump"],
-                     r["i_d0"]["polynomial_bump"]) for r in rows]))
+    fields = ("tag", "h", "n_cells", "n_edges", "c_d")
+    write_csv(out / "quality.csv", [*fields, *columns],
+              [*([r[f] for r in rows] for f in fields), *columns.values()])
     return EXIT_OK
 
 

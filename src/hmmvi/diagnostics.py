@@ -63,15 +63,20 @@ def _cell_quad_flat(mesh, rule: str):
 
 
 def _subcell_quad_flat(gd, rule: str):
-    """Points, weights and owning subcell for the "centroid" or "fan3" rule."""
+    """Points, weights and owning subcell for the "centroid" or "fan3" rule.
+
+    Subcell s is the triangle (x_K, a, b) of corner s, whose edge runs from
+    vertex a to b; "fan3" takes the midpoints of its sides x_K a, a b, b x_K.
+    """
+    mesh, cell = gd.mesh, gd.subcell_cell
+    first = mesh.cell_offsets[:-1][cell]
+    nxt = first + (np.arange(gd.n_subcells) - first + 1) % np.diff(mesh.cell_offsets)[cell]
+    xk, a = mesh.cell_points[cell], mesh.vertices[mesh.corner_vertices]
+    b = a[nxt]
     if rule == "centroid":
-        return gd.subcell_centroids, gd.subcell_volumes, np.arange(gd.n_subcells)
-    tri = gd.subcell_triangles
-    mids = 0.5 * (tri + np.roll(tri, -1, axis=1))
-    pts = mids.reshape(-1, 2)
-    w = np.repeat(gd.subcell_volumes / 3.0, 3)
-    idx = np.repeat(np.arange(gd.n_subcells), 3)
-    return pts, w, idx
+        return (xk + a + b) / 3.0, gd.subcell_volumes, np.arange(gd.n_subcells)
+    pts = (0.5 * np.stack((xk + a, a + b, b + xk), axis=1)).reshape(-1, 2)
+    return pts, np.repeat(gd.subcell_volumes / 3.0, 3), np.repeat(np.arange(gd.n_subcells), 3)
 
 
 # -- error norms -------------------------------------------------------------

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -125,13 +124,13 @@ def _check_diffusion(field: np.ndarray) -> None:
 
 
 class GradientDiscretisation:
-    """Subcell gradient matrix, subcell geometry and unknown layout.
+    """Subcell gradient matrix, subcell volumes and unknown layout.
 
     Unknown ordering is all cells first, then all edges: edge e is unknown
-    n_cells + e.  Instances are immutable after construction and can be
-    shared between solves: every array, the gradient matrix's included, is
-    read-only.  ``subcell_triangles`` and ``subcell_centroids`` are built on
-    first read; only the diagnostics use them.
+    n_cells + e.  Subcell s is the mesh's corner s: it belongs to cell
+    ``subcell_cell[s]`` and to edge ``mesh.corner_edges[s]``.  Instances are
+    immutable after construction and can be shared between solves: every
+    array, the gradient matrix's included, is read-only.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None):
@@ -145,7 +144,6 @@ class GradientDiscretisation:
         counts = np.diff(mesh.cell_offsets)
         lengths = mesh.edge_lengths[mesh.corner_edges]
         self.subcell_cell = np.repeat(np.arange(self.n_cells), counts)
-        self.subcell_edge = mesh.corner_edges
         self.subcell_volumes = 0.5 * lengths * mesh.corner_edge_dists
         self.n_subcells = self.subcell_cell.size
 
@@ -178,7 +176,7 @@ class GradientDiscretisation:
         exact zeros are then dropped in place.
         """
         mesh = self.mesh
-        n, cell, edges = self.n_cells, self.subcell_cell, self.subcell_edge
+        n, cell, edges = self.n_cells, self.subcell_cell, mesh.corner_edges
         nx, ny = mesh.corner_normals.T
         area = mesh.cell_areas[cell]
         gx, gy = nx * lengths / area, ny * lengths / area
@@ -227,26 +225,6 @@ class GradientDiscretisation:
         mat.eliminate_zeros()
         # Copies of the kept entries alone, so that G holds no empty slots.
         return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), mat.indptr), shape=shape)
-
-    @cached_property
-    def subcell_triangles(self) -> np.ndarray:
-        """(n_subcells, 3, 2): x_K, then the two ends of the subcell's edge."""
-        mesh = self.mesh
-        counts = np.diff(mesh.cell_offsets)[self.subcell_cell]
-        first = mesh.cell_offsets[:-1][self.subcell_cell]
-        nxt = first + (np.arange(self.n_subcells) - first + 1) % counts
-        verts = mesh.vertices[mesh.corner_vertices]
-        tri = np.stack((mesh.cell_points[self.subcell_cell], verts, verts[nxt]), axis=1)
-        tri.setflags(write=False)
-        return tri
-
-    @cached_property
-    def subcell_centroids(self) -> np.ndarray:
-        """(n_subcells, 2): the centroids of ``subcell_triangles``."""
-        tri = self.subcell_triangles
-        centroids = (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
-        centroids.setflags(write=False)
-        return centroids
 
     # -- unknown layout ------------------------------------------------------
 

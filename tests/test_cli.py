@@ -359,6 +359,71 @@ def test_config_levels_must_strictly_increase(tmp_path, monkeypatch, capsys):
     assert built == []
 
 
+def _counted_loads(tmp_path, monkeypatch):
+    """Cartesian level 1 and 2 files, and the paths load_mesh is called with."""
+    assert run_cli("meshgen", "--family", "cartesian", "--levels", "1,2",
+                   "--out", str(tmp_path)) == EXIT_OK
+    loaded = []
+    load = hmmvi.cli.load_mesh
+    monkeypatch.setattr(hmmvi.cli, "load_mesh", lambda path: loaded.append(path) or load(path))
+    return [str(tmp_path / f"cartesian_l0{n}.json") for n in (1, 2)], loaded
+
+
+@pytest.mark.parametrize("command", [["converge", "--case", "test1"], ["diagnose"]],
+                         ids=["converge", "diagnose"])
+@pytest.mark.parametrize("order", [(1, 0), (0, 0)], ids=["fine-to-coarse", "one-file-twice"])
+def test_mesh_files_must_go_coarse_to_fine(tmp_path, monkeypatch, capsys, command, order):
+    # The sizes are compared before the first level runs: one usage line
+    # naming both files and their h, no output file, each file read once.
+    paths, loaded = _counted_loads(tmp_path, monkeypatch)
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "build_gd", lambda *a: built.append(a))
+    files = [paths[i] for i in order]
+    sizes = [hmmvi.mesh.mesh_size(hmmvi.mesh.load_mesh(f)) for f in files]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run_cli(*command, "--mesh", files[0], "--mesh", files[1], "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.splitlines() == [
+        f"mesh files must go coarse to fine, with h strictly decreasing: "
+        f"{files[0]} has h = {sizes[0]!r}, {files[1]} after it h = {sizes[1]!r}"]
+    assert "Traceback" not in err
+    assert loaded == files and built == []
+    assert list(out.iterdir()) == []
+
+
+def test_diagnose_reads_each_mesh_file_once(tmp_path, monkeypatch):
+    paths, loaded = _counted_loads(tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("diagnose", "--mesh", paths[0], "--mesh", paths[1],
+                   "--out", str(out)) == EXIT_OK
+    assert loaded == paths
+    doc = json.loads((out / "quality.json").read_text())
+    assert [level["tag"] for level in doc["levels"]] == ["cartesian_l01", "cartesian_l02"]
+    assert len(doc["eoc"]["w_d"]) == 1
+
+
+def test_solve_keeps_its_record_when_the_error_norms_fail(tmp_path, capsys):
+    # An exact solution that vanishes at T leaves the relative errors
+    # undefined: the run fails after its record and final cells are written.
+    case = {**_GOOD_CASE, "initial": "0*x", "obstacle": "-1+0*x",
+            "exact": {"u": "0*x", "grad": ["0", "0"]}}
+    (tmp_path / "case.json").write_text(json.dumps(case))
+    out = tmp_path / "run"
+    code = run_cli("solve", "--quiet", "--case-file", str(tmp_path / "case.json"),
+                   "--family", "cartesian", "--level", "2", "--dt", "0.05",
+                   "--formats", "csv,json", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "exact solution norm vanishes at the final time; relative errors are undefined"]
+    record = json.loads((out / "run.json").read_text())
+    assert "errors" not in record
+    assert record["iterations"] == [1, 1] and record["time_nodes"][-1] == 0.1
+    rows = (out / "cells_final.csv").read_text().splitlines()
+    assert rows[0] == "cell,x,y,area,u,obstacle,contact" and len(rows) == 17
+
+
 # int() would read true as level 1, 2.7 as level 2 and "3" as level 3; an
 # empty list would run no level at all.
 @pytest.mark.parametrize("levels", [[True, 2], [2.7], ["3"], [], 2, {"from": 1}],

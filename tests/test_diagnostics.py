@@ -151,7 +151,7 @@ def test_error_norms_on_known_fields():
     assert len(rep.grad_per_step) == grid.n_steps
     t_final = float(grid.nodes[-1])
     exact_l2 = np.sqrt(m.cell_areas @ case.u_exact(m.cell_points, t_final) ** 2)
-    ge = case.grad_exact(gd.subcell_centroids, t_final)
+    ge = case.grad_exact(_subcell_quad_flat(gd, "centroid")[0], t_final)
     exact_grad = np.sqrt(gd.subcell_volumes @ np.sum(ge**2, axis=1))
     assert exact_l2 > 0.5
     assert exact_grad > 1.0

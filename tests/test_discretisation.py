@@ -18,6 +18,7 @@ from hmmvi import (DiscretisationError, MESH_FAMILIES, PolytopalMesh, ProblemSpe
                    TimeGrid, assemble_forms, build_gd, flux_conservation_defect,
                    generate_mesh, interpolate_exact, reconstruct_gradient_flat,
                    run_transient, validate)
+from hmmvi.diagnostics import _subcell_quad_flat
 from hmmvi.discretisation import DofVector
 
 import gdref
@@ -156,9 +157,18 @@ def _assert_gradient_matrix_is_the_coo_one(m, gd):
         cols = G.indices[G.indptr[k]:G.indptr[k + 1]]
         assert np.all(np.diff(cols) > 0)
     assert np.all(G.data != 0.0)
+    # both subcell quadratures, points, weights and owners, bit for bit
     triangles, centroids = gdref.eager_subcell_geometry(m)
-    assert gd.subcell_triangles.tobytes() == triangles.tobytes()
-    assert gd.subcell_centroids.tobytes() == centroids.tobytes()
+    volumes = 0.5 * m.edge_lengths[m.corner_edges] * m.corner_edge_dists
+    owners = np.arange(len(centroids))
+    side_midpoints = 0.5 * (triangles + np.roll(triangles, -1, axis=1))
+    for rule, expected in (
+            ("centroid", (centroids, volumes, owners)),
+            ("fan3", (side_midpoints.reshape(-1, 2), np.repeat(volumes / 3.0, 3),
+                      np.repeat(owners, 3)))):
+        for got, want in zip(_subcell_quad_flat(gd, rule), expected, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape, rule
+            assert got.tobytes() == want.tobytes(), rule
 
 
 # Levels 1 to 3 of every family, and one larger level each, so that the
@@ -192,10 +202,8 @@ def test_discretisation_arrays_are_read_only():
     gd = build_gd(m, diffusion=_diffusion("per_cell", m))
     G = gd._grad_matrix
     arrays = {"diffusion": gd.diffusion, "subcell_cell": gd.subcell_cell,
-              "subcell_edge": gd.subcell_edge, "subcell_volumes": gd.subcell_volumes,
+              "mesh.corner_edges": m.corner_edges, "subcell_volumes": gd.subcell_volumes,
               "boundary_edge_dofs": gd.boundary_edge_dofs, "free_dofs": gd.free_dofs,
-              "subcell_triangles": gd.subcell_triangles,
-              "subcell_centroids": gd.subcell_centroids,
               "G.data": G.data, "G.indices": G.indices, "G.indptr": G.indptr}
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
