@@ -232,12 +232,15 @@ def resolve_meshes(args, case=None) -> list:
 
 def study_meshes(args, case=None):
     """(tag, mesh) per level of a refinement study, coarse to fine.  Generated
-    levels are built one at a time; mesh files are all loaded first, once
-    each, and their h must strictly decrease."""
+    levels are built one at a time; mesh files are all loaded first, once each,
+    and must lie inside the case's box with h strictly decreasing."""
     meshes = resolve_meshes(args, case)
     if not args.mesh:
         return ((tag, build()) for tag, build in meshes)
     meshes = [(tag, build()) for tag, build in meshes]
+    if case is not None:
+        for tag, mesh in meshes:
+            check_mesh_box(mesh, case, tag, from_file=True)
     sizes = [mesh_size(mesh) for _, mesh in meshes]
     for a, b, ha, hb in zip(args.mesh, args.mesh[1:], sizes, sizes[1:]):
         if hb >= ha:

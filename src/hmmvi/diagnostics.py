@@ -79,6 +79,20 @@ def _subcell_quad_flat(gd, rule: str):
     return pts, np.repeat(gd.subcell_volumes / 3.0, 3), np.repeat(np.arange(gd.n_subcells), 3)
 
 
+def _value_error(quad, cells, value: Callable) -> float:
+    """L2 norm of cell values minus ``value`` by a cell rule's flattening."""
+    pts, w, cidx = quad
+    diff = cells[cidx] - np.asarray(value(pts), dtype=float)
+    return math.sqrt(float(w @ diff**2))
+
+
+def _gradient_error(quad, gd, v, grad: Callable) -> float:
+    """L2 norm of v's reconstructed gradient minus ``grad`` by a subcell rule's flattening."""
+    pts, w, sidx = quad
+    diff = reconstruct_gradient_flat(gd, v)[sidx] - np.asarray(grad(pts), dtype=float)
+    return math.sqrt(float(w @ np.sum(diff**2, axis=1)))
+
+
 # -- error norms -------------------------------------------------------------
 
 
@@ -114,23 +128,15 @@ def error_norms(gd: GradientDiscretisation, solution: TransientSolution,
         raise DiagnosticsError(
             f"{len(solution.vectors)} vectors for {n_nodes} time nodes")
 
-    pts, w, cidx = _cell_quad_flat(gd.mesh, rule)
-    spts, sw, sidx = _subcell_quad_flat(gd, rule)
-
-    # The grid has at least two nodes, so the last pass sets both exact arrays.
-    l2 = np.empty(n_nodes)
-    grad = np.empty(n_nodes - 1)
-    for n, (t, u) in enumerate(zip(times, solution.vectors)):
-        exact = np.asarray(u_exact(pts, float(t)), dtype=float)
-        diff = u.cells[cidx] - exact
-        l2[n] = math.sqrt(float(w @ diff**2))
-        if n > 0:
-            ge = np.asarray(grad_exact(spts, float(t)), dtype=float)
-            gdiff = reconstruct_gradient_flat(gd, u)[sidx] - ge
-            grad[n - 1] = math.sqrt(float(sw @ np.sum(gdiff**2, axis=1)))
-
-    exact_l2 = math.sqrt(float(w @ exact**2))
-    exact_grad = math.sqrt(float(sw @ np.sum(ge**2, axis=1)))
+    cells, subcells = _cell_quad_flat(gd.mesh, rule), _subcell_quad_flat(gd, rule)
+    nodes = [(float(t), u) for t, u in zip(times, solution.vectors)]
+    l2 = np.array([_value_error(cells, u.cells, lambda p: u_exact(p, t)) for t, u in nodes])
+    grad = np.array([_gradient_error(subcells, gd, u, lambda p: grad_exact(p, t))
+                     for t, u in nodes[1:]])
+    # The exact norms at T are the errors of the zero vector: (0 - x)^2 = x^2.
+    T, zero = nodes[-1][0], gd.zeros()
+    exact_l2 = _value_error(cells, zero.cells, lambda p: u_exact(p, T))
+    exact_grad = _gradient_error(subcells, gd, zero, lambda p: grad_exact(p, T))
     if exact_l2 <= 0.0 or exact_grad <= 0.0:
         raise DiagnosticsError(
             "exact solution norm vanishes at the final time; "
@@ -253,14 +259,8 @@ def bound_SD(gd: GradientDiscretisation, phi: Callable, grad_phi: Callable,
     """Reconstruction errors of the admissible sampling interpolant of phi,
     its cell values clipped from below at the per-cell obstacle values psi."""
     v = interpolate_exact(gd, phi, psi)
-    pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
-    diff = v.cells[cidx] - np.asarray(phi(pts), dtype=float)
-    func = math.sqrt(float(w @ diff**2))
-
-    g = reconstruct_gradient_flat(gd, v)
-    spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
-    gdiff = g[sidx] - np.asarray(grad_phi(spts), dtype=float)
-    grad = math.sqrt(float(sw @ np.sum(gdiff**2, axis=1)))
+    func = _value_error(_cell_quad_flat(gd.mesh, "fan3"), v.cells, phi)
+    grad = _gradient_error(_subcell_quad_flat(gd, "fan3"), gd, v, grad_phi)
     return SdBound(total=func + grad, function_part=func, gradient_part=grad)
 
 
@@ -269,9 +269,7 @@ def initial_interp_error(gd: GradientDiscretisation, u_ini: Callable,
     """Distance between the initial datum and its admissible interpolant, the
     cell values max(u_ini(x_K), psi_K)."""
     cells = np.maximum(np.asarray(u_ini(gd.mesh.cell_points), dtype=float), psi)
-    pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
-    diff = cells[cidx] - np.asarray(u_ini(pts), dtype=float)
-    return math.sqrt(float(w @ diff**2))
+    return _value_error(_cell_quad_flat(gd.mesh, "fan3"), cells, u_ini)
 
 
 @dataclass

@@ -20,10 +20,12 @@ the number of cells, with a safeguard one step above that and detection of
 revisited partitions.
 
 A partition is a read-only boolean contact mask with its count of contact
-cells.  Each linear solve returns, next to u, the balance residual
+cells.  Each linear solve returns u and the balance residual
 r = (S + alpha M) u - b over all unknowns that it forms for its own residual
-check.  The cell part of r is the multiplier: the set update and the
-complementarity measure read it from r and form no product of their own.
+check, and writes its contact size, relative residual and timings into the
+step's ``SolveStats``.  The cell part of r is the multiplier: the set update
+and the complementarity measure read it from r and form no product of their
+own.
 
 Each linear solve condenses the cell unknowns out.  An HMM cell unknown
 couples only to its own edges, so the cell-cell block of S + alpha M is the
@@ -322,12 +324,13 @@ def _schur_plan(forms: AssembledForms) -> SchurPlan:
     return _plans[forms]
 
 
-def _factorise_schur(plan: SchurPlan, A: sp.csc_matrix):
+def _factorise_schur(plan: SchurPlan, A: sp.csc_matrix, stats: SolveStats):
     """Factorise a Schur complement in the held ordering when its pattern is held.
 
-    Returns (solve, ordered): a function solving with A, and whether this
-    factorisation computed a minimum-degree ordering.
+    Returns a function solving with A, and adds the factorisation's seconds
+    and any minimum-degree ordering it computed to ``stats``.
     """
+    start = time.perf_counter()
     # Complements that share the plan's indptr share its whole pattern.
     if plan.perm_c is None or not (plan.held_indptr is A.indptr or (
             np.array_equal(plan.held_indptr, A.indptr)
@@ -336,7 +339,9 @@ def _factorise_schur(plan: SchurPlan, A: sp.csc_matrix):
         # perm_c is a view into the factor object: a copy lets the factors go.
         plan.held_indptr, plan.held_indices, plan.perm_c, plan.gather = (
             A.indptr, A.indices, lu.perm_c.copy(), None)
-        return lu.solve, True
+        stats.orderings += 1
+        stats.timings["factor_s"] += time.perf_counter() - start
+        return lu.solve
     if plan.gather is None:
         # The pattern came back: build the gather once.  Column k of the
         # permuted matrix is column inverse[k] of A, its entries in A's order.
@@ -356,25 +361,26 @@ def _factorise_schur(plan: SchurPlan, A: sp.csc_matrix):
     P.has_canonical_format = True
     lu = factorise_spd(P, "NATURAL")
     inverse = plan.inverse
+    stats.timings["factor_s"] += time.perf_counter() - start
 
     def solve(b):
         x = np.empty_like(b)
         x[inverse] = lu.solve(b[inverse])
         return x
 
-    return solve, False
+    return solve
 
 
-def _linear_solve(problem, partition):
+def _linear_solve(problem, partition, stats: SolveStats):
     """Solve the linear system for a fixed partition, the cells condensed out.
 
-    Returns (u, r, relative residual, the seconds of the Schur complement
-    build and of its factorisation as ``{"schur_s": ..., "factor_s": ...}``,
-    whether the factorisation computed an ordering).  r = (S + alpha M) u - b
-    is the balance residual over all unknowns; its norm on the free unknowns,
-    relative to the pinned right-hand side's, is the relative residual, and
-    its cell part is the multiplier of the set update.  ``solve_lvi`` has
-    checked the boundary values once for all its iterations.
+    Returns (u, r) and appends the partition's contact size and the relative
+    residual to ``stats``, adding the Schur complement build's seconds.
+    r = (S + alpha M) u - b is the balance residual over all unknowns; its
+    norm on the free unknowns, relative to the pinned right-hand side's, is
+    the relative residual, and its cell part is the multiplier of the set
+    update.  ``solve_lvi`` has checked the boundary values once for all its
+    iterations.
     """
     gd = problem.forms.gd
     nc = gd.n_cells
@@ -397,18 +403,14 @@ def _linear_solve(problem, partition):
     wg = w * g[:nc]
     start = time.perf_counter()
     schur = plan.complement(w)  # A_ee - B^T diag(w) B as CSC
-    seconds = {"schur_s": time.perf_counter() - start, "factor_s": 0.0}
+    stats.timings["schur_s"] += time.perf_counter() - start
     rhs_e = g[edofs] - B.T @ wg
 
-    ordered = False
     try:
         if edofs.size == 0:
             x = np.zeros(0)
         elif free_ids.size <= DIRECT_LIMIT:
-            start = time.perf_counter()
-            solve, ordered = _factorise_schur(plan, schur)
-            seconds["factor_s"] = time.perf_counter() - start
-            x = solve(rhs_e)
+            x = _factorise_schur(plan, schur, stats)(rhs_e)
         else:
             precond = sp.diags(1.0 / schur.diagonal())
             x, info = spla.cg(schur, rhs_e, M=precond, rtol=LINEAR_TOL,
@@ -434,7 +436,9 @@ def _linear_solve(problem, partition):
         raise SingularSystemError(
             f"linear solve residual {resid:.3e} for the partition with "
             f"{partition.n_contact} contact cells", partition=partition)
-    return DofVector(u, nc), r, resid, seconds, ordered
+    stats.contact_sizes.append(partition.n_contact)
+    stats.linear_residuals.append(resid)
+    return DofVector(u, nc), r
 
 
 def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
@@ -472,20 +476,14 @@ def solve_lvi(problem: LviProblem, warm: Optional[ActiveSetPartition] = None):
     stats = SolveStats()
     seen = {np.packbits(partition.contact).tobytes()}
     previous = partition
-    timings = stats.timings
     for it in range(1, nc + 2):
         start = time.perf_counter()
-        u, r, lin_resid, seconds, ordered = _linear_solve(problem, partition)
+        u, r = _linear_solve(problem, partition, stats)
         mid = time.perf_counter()
-        for key, value in seconds.items():
-            timings[key] += value
-        stats.orderings += ordered
-        timings["linear_s"] += mid - start
+        stats.timings["linear_s"] += mid - start
         stats.iterations = it
-        stats.linear_residuals.append(lin_resid)
-        stats.contact_sizes.append(partition.n_contact)
         new = update_partition(problem, u, r, partition)
-        timings["update_s"] += time.perf_counter() - mid
+        stats.timings["update_s"] += time.perf_counter() - mid
         changed = int(np.count_nonzero(new.contact != partition.contact))
         stats.set_changes.append(changed)
         if changed == 0:

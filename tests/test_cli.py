@@ -393,6 +393,31 @@ def test_mesh_files_must_go_coarse_to_fine(tmp_path, monkeypatch, capsys, comman
     assert list(out.iterdir()) == []
 
 
+def test_converge_checks_every_mesh_file_box_before_the_first_level(tmp_path, monkeypatch,
+                                                                   capsys):
+    # The second file lies outside test1's box: refused with one usage line
+    # before level 1 marches, and no output file.
+    assert run_cli("meshgen", "--family", "cartesian", "--levels", "1",
+                   "--out", str(tmp_path / "a")) == EXIT_OK
+    assert run_cli("meshgen", "--family", "cartesian", "--levels", "2", "--bbox=-1,3,-1,1",
+                   "--out", str(tmp_path / "b")) == EXIT_OK
+    built = []
+    monkeypatch.setattr(hmmvi.cli, "build_gd", lambda *a: built.append(a))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run_cli("converge", "--case", "test1",
+                   "--mesh", str(tmp_path / "a" / "cartesian_l01.json"),
+                   "--mesh", str(tmp_path / "b" / "cartesian_l02.json"), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.splitlines() == [
+        "mesh cartesian_l02 spans the box [-1.0, 3.0, -1.0, 1.0], which is not inside "
+        "the box [-1.0, 1.0, -1.0, 1.0] of case test1"]
+    assert "case test1 on" not in err and "Traceback" not in err
+    assert built == []
+    assert list(out.iterdir()) == []
+
+
 def test_diagnose_reads_each_mesh_file_once(tmp_path, monkeypatch):
     paths, loaded = _counted_loads(tmp_path, monkeypatch)
     out = tmp_path / "out"

@@ -13,9 +13,11 @@ import hmmvi.quadrature
 from hmmvi import (MESH_FAMILIES, DiagnosticsError, GdQualityReport, TimeGrid,
                    assemble_forms, bound_SD, build_gd, builtin_case, eoc, error_norms,
                    estimate_CD, estimate_WD, gd_quality_report, generate_mesh,
-                   initial_interp_error, run_transient, standard_probes)
+                   initial_interp_error, interpolate_exact, run_transient,
+                   standard_probes)
 from hmmvi.diagnostics import _cell_quad_flat, _subcell_quad_flat
 from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
+from hmmvi.timeloop import TransientSolution
 
 import diagref
 
@@ -287,6 +289,27 @@ def test_initial_interp_error_is_the_sd_function_part(family):
     zero_psi = np.zeros(gd.n_cells)
     sd = bound_SD(gd, bump, grad_bump, zero_psi)
     assert initial_interp_error(gd, bump, zero_psi).hex() == sd.function_part.hex()
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_sd_bound_is_the_fan3_error_of_the_interpolants(family):
+    # S_D at t_n is error_norms of the admissible interpolants of u(., t_n):
+    # one fan3 sweep gives the function part at every node and the gradient
+    # part at every node after the first.
+    case = builtin_case("test1")
+    gd = build_gd(generate_mesh(family, 2), case.spec.diffusion)
+    psi = case.spec.obstacle(gd.mesh.cell_points)
+    grid = TimeGrid(case.spec.final_time, 4)
+    at = [(lambda p, t=float(t): case.u_exact(p, t),
+           lambda p, t=float(t): case.grad_exact(p, t)) for t in grid.nodes]
+    vectors = [interpolate_exact(gd, u, psi) for u, _ in at]
+    sol = TransientSolution(grid=grid, psi=psi, vectors=vectors, stats=[], partitions=[])
+    rep = error_norms(gd, sol, case.u_exact, case.grad_exact, rule="fan3")
+    for n, (u, grad) in enumerate(at):
+        sd = bound_SD(gd, u, grad, psi)
+        assert rep.l2_per_node[n].hex() == sd.function_part.hex()
+        if n > 0:
+            assert rep.grad_per_step[n - 1].hex() == sd.gradient_part.hex()
 
 
 def test_fan3_flattening_calls_cell_rule_once_per_cell(monkeypatch):

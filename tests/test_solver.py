@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import hmmvi.timeloop
 from hmmvi import (MESH_FAMILIES, ActiveSetPartition, IterationLimitError,
-                   LviProblem, ProblemSpec, SingularSystemError, SolverError,
-                   TimeGrid, assemble_forms, build_gd, builtin_case,
+                   LviProblem, ProblemSpec, SingularSystemError, SolveStats,
+                   SolverError, TimeGrid, assemble_forms, build_gd, builtin_case,
                    complementarity_residual, contact_tolerance, generate_mesh,
                    run_transient, solve_lvi, update_partition)
 from hmmvi import solver
@@ -417,16 +417,19 @@ def test_condensed_solve_matches_full_system_reference(monkeypatch, family, leve
                       boundary_values=bvals)
             want, _ = full_linear_solve(gd, LviProblem(**kw), part)
             scale = max(np.linalg.norm(want.values), 1e-300)
-            got, r, resid, _, _ = _linear_solve(LviProblem(**kw), part)
+            stats = SolveStats()
+            got, r = _linear_solve(LviProblem(**kw), part, stats)
             assert np.linalg.norm(got.values - want.values) <= 1e-12 * scale
+            (resid,) = stats.linear_residuals
             assert resid <= 1e-12
             # r is the balance residual of the returned vector
             dense_r = balance_residual(gd, LviProblem(**kw), got.values)
             assert np.linalg.norm(r - dense_r) <= 1e-12 * max(1.0, np.linalg.norm(dense_r))
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "DIRECT_LIMIT", 0)
-                cg, _, _, seconds, _ = _linear_solve(LviProblem(**kw), part)
-            assert seconds["factor_s"] == 0.0
+                cg_stats = SolveStats()
+                cg, _ = _linear_solve(LviProblem(**kw), part, cg_stats)
+            assert cg_stats.timings["factor_s"] == 0.0
             assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 
 
@@ -501,7 +504,7 @@ def test_schur_complement_equals_the_triple_product_bitwise(monkeypatch, family)
     kinds = []
     some = rng.random(nc) < 0.3
     for contact in (np.zeros(nc, dtype=bool), some, some, np.ones(nc, dtype=bool)):
-        _linear_solve(prob, ActiveSetPartition(contact))
+        _linear_solve(prob, ActiveSetPartition(contact), SolveStats())
         got, kw, _ = calls.pop()
         kinds.append(kw["permc_spec"])
         if kinds[-1] == "NATURAL":
@@ -528,9 +531,11 @@ def test_held_ordering_solves_bitwise_as_a_fresh_ordering(family):
     partition = ActiveSetPartition(rng.random(nc) < 0.3)
     rhs, psi = rng.standard_normal(nc), np.zeros(nc)
     held = assemble_forms(gd)
-    solves = [_linear_solve(_problem_on(forms, rhs, psi, alpha), partition)
-              for forms, alpha in ((held, 3.0), (held, 7.0), (assemble_forms(gd), 7.0))]
-    assert [ordered for *_, ordered in solves] == [True, False, True]
+    stats = [SolveStats() for _ in range(3)]
+    solves = [_linear_solve(_problem_on(forms, rhs, psi, alpha), partition, s)
+              for (forms, alpha), s in zip(
+                  ((held, 3.0), (held, 7.0), (assemble_forms(gd), 7.0)), stats)]
+    assert [s.orderings for s in stats] == [1, 0, 1]
     assert solves[1][0].values.tobytes() == solves[2][0].values.tobytes()
 
 
@@ -561,10 +566,11 @@ def test_new_pattern_is_ordered_and_becomes_the_held_one(monkeypatch):
     none, every = (ActiveSetPartition(np.full(nc, flag)) for flag in (False, True))
     ordered = []
     for partition in (none, every, every, none):
-        u, _, _, _, was_ordered = _linear_solve(_problem_on(forms, rhs, psi, 5.0), partition)
-        ordered.append(was_ordered)
+        stats = SolveStats()
+        u, _ = _linear_solve(_problem_on(forms, rhs, psi, 5.0), partition, stats)
+        ordered.append(stats.orderings)
         plan = _schur_plan(forms)
-        if was_ordered:
+        if stats.orderings:
             A = calls[-1][0]
             assert plan.held_indptr is A.indptr and plan.held_indices is A.indices
             assert plan.gather is None
@@ -573,10 +579,10 @@ def test_new_pattern_is_ordered_and_becomes_the_held_one(monkeypatch):
         held = (plan.held_indptr, plan.held_indices, plan.perm_c, plan.gather,
                 plan.inverse, plan.permuted_indptr, plan.permuted_indices)
         assert all(a is None or a.base is None or type(a.base) is np.ndarray for a in held)
-        fresh, *_ = _linear_solve(
-            _problem_on(assemble_forms(gd), rhs, psi, 5.0), partition)
+        fresh, _ = _linear_solve(
+            _problem_on(assemble_forms(gd), rhs, psi, 5.0), partition, SolveStats())
         assert u.values.tobytes() == fresh.values.tobytes()
-    assert ordered == [True, True, False, True]
+    assert ordered == [1, 1, 0, 1]
     assert [kw["permc_spec"] for _, kw, _ in calls].count("NATURAL") == 1
 
 
