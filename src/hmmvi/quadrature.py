@@ -4,38 +4,41 @@ The fan rule splits the cell into triangles around x_K and applies the
 three-point edge-midpoint rule on each (exact for quadratics).  The
 one-point centroid rule needs no construction and is built by its callers.
 
-``cell_rule`` runs once per cell, on 3 to 6 corners.  On arrays that small
-numpy's fixed cost per operation outweighs the arithmetic, so the fan is
-built in Python floats, by the same IEEE operations as the per-triangle
-reference and so bit for bit its points and weights.  A mesh is converted
-to Python floats once, on its first call: every x_K, and every cell's
-corners, closed by its first so that each edge is a pair, as references to
-the mesh's vertex pairs, which cells share.
+A mesh's fan is built once, on its first ``cell_rule`` call, in one numpy
+pass over its corner arrays: every corner's triangle (x_K, v_j, v_{j+1}) by
+the same IEEE operations as the per-triangle reference, so bit for bit its
+points and weights.  The table lives as long as the mesh, and ``cell_rule``
+returns read-only slices of it.  ``diagnostics._cell_quad_flat`` still calls
+``cell_rule`` once per cell only because the benchmark selftest pins that
+call count; ROADMAP item 5 deletes the loop and this module with it.
 """
 
 from __future__ import annotations
 
 import weakref
-from itertools import pairwise
 
 import numpy as np
 
-# mesh -> its corner table (see _corner_table); the weak key drops it with
-# the mesh.
-_corners = weakref.WeakKeyDictionary()
+# mesh -> its fan table (see _fan_table); the weak key drops it with the mesh.
+_fans = weakref.WeakKeyDictionary()
 
 
-def _corner_table(mesh):
-    """Every cell's [x, y] of x_K and its closed list of corner [x, y]."""
-    table = _corners.get(mesh)
+def _fan_table(mesh):
+    """Every corner's three points and weights, and each cell's row bounds."""
+    table = _fans.get(mesh)
     if table is None:
         offsets, ids = mesh.cell_offsets, mesh.corner_vertices
-        closed = np.insert(ids, offsets[1:], ids[offsets[:-1]])
-        bounds = (offsets + np.arange(offsets.size)).tolist()
-        vertices = mesh.vertices.tolist()
-        corners = list(map(vertices.__getitem__, closed.tolist()))
-        table = _corners[mesh] = (mesh.cell_points.tolist(),
-                                  [corners[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+        counts = np.diff(offsets)
+        first = np.repeat(offsets[:-1], counts)
+        nxt = first + (np.arange(ids.size) - first + 1) % np.repeat(counts, counts)
+        xk, a = np.repeat(mesh.cell_points, counts, axis=0), mesh.vertices[ids]
+        b = a[nxt]
+        fan = 0.5 * np.stack((xk + a, a + b, b + xk), axis=1)
+        (dax, day), (dbx, dby) = (a - xk).T, (b - xk).T
+        w = np.repeat(0.5 * abs(dax * dby - dbx * day) / 3.0, 3)
+        # Read-only at the owner, so no view of the table can be made writable.
+        fan.flags.writeable = w.flags.writeable = False
+        table = _fans[mesh] = (fan.reshape(-1, 2), w, (3 * offsets).tolist())
     return table
 
 
@@ -43,15 +46,9 @@ def cell_rule(mesh, k: int):
     """Fan3 quadrature points and weights for cell k; weights sum to |K|.
 
     The points come in triangle order (x_K, v_j, v_{j+1}), three edge
-    midpoints per triangle, each weighted by |T|/3.
+    midpoints per triangle, each weighted by |T|/3.  Both are read-only
+    views of the mesh's fan table.
     """
-    points, cells = _corner_table(mesh)
-    xk, yk = points[k]
-    corners = cells[k]
-    pts, ws = [], []
-    for (ax, ay), (bx, by) in pairwise(corners):
-        pts += (0.5 * (xk + ax), 0.5 * (yk + ay), 0.5 * (ax + bx), 0.5 * (ay + by),
-                0.5 * (bx + xk), 0.5 * (by + yk))
-        w = 0.5 * abs((ax - xk) * (by - yk) - (bx - xk) * (ay - yk)) / 3.0
-        ws += (w, w, w)
-    return np.array(pts, float).reshape(-1, 2), np.array(ws, float)
+    pts, w, bounds = _fan_table(mesh)
+    a, b = bounds[k], bounds[k + 1]
+    return pts[a:b], w[a:b]

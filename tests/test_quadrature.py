@@ -114,27 +114,41 @@ def test_quality_report_and_error_norms_match_the_reference_kernel_bitwise(monke
     assert _downstream_numbers() == got
 
 
-def test_second_flattening_of_a_mesh_reuses_its_corner_table():
+def test_second_flattening_of_a_mesh_reuses_its_fan_table():
     mesh = generate_mesh("hexagonal", 2)
     first = _cell_quad_flat(mesh, "fan3")
-    table = hmmvi.quadrature._corners[mesh]
+    table = hmmvi.quadrature._fans[mesh]
     second = _cell_quad_flat(mesh, "fan3")
-    assert hmmvi.quadrature._corners[mesh] is table
+    assert hmmvi.quadrature._fans[mesh] is table
     for a, b in zip(first, second):
         assert _same_bits(a, b)
-    # Cells share the vertex pairs of the table: no corner is a copy.
-    corners = [pair for cell in table[1] for pair in cell]
-    assert len({id(pair) for pair in corners}) == mesh.n_vertices
+    # Every cell_rule result is a view of the table, not a copy.
+    pts, w = cell_rule(mesh, mesh.n_cells - 1)
+    assert np.shares_memory(pts, table[0]) and np.shares_memory(w, table[1])
 
 
-def test_corner_table_goes_with_its_mesh():
+def test_fan_table_goes_with_its_mesh():
     gc.collect()
-    before = len(hmmvi.quadrature._corners)
+    before = len(hmmvi.quadrature._fans)
     mesh = generate_mesh("kershaw", 1)
     _cell_quad_flat(mesh, "fan3")
-    assert len(hmmvi.quadrature._corners) == before + 1
+    assert len(hmmvi.quadrature._fans) == before + 1
     alive = weakref.ref(mesh)
     del mesh
     gc.collect()
     assert alive() is None
-    assert len(hmmvi.quadrature._corners) == before
+    assert len(hmmvi.quadrature._fans) == before
+
+
+def test_cell_rule_results_are_read_only():
+    mesh = generate_mesh("hexagonal", 1)
+    pts, w = cell_rule(mesh, 0)
+    kept = pts.copy(), w.copy()
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        w[:] = 1.0
+    with pytest.raises(ValueError):
+        pts.flags.writeable = True
+    again = cell_rule(mesh, 0)
+    assert _same_bits(again[0], kept[0]) and _same_bits(again[1], kept[1])
