@@ -439,116 +439,116 @@ def _round10(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generate_hexagonal(circumradius: float, bbox) -> PolytopalMesh:
-    """Flat-top hexagon tiling clipped to the box (contract: docs/formats.md).
+def _clip_to_box(key, xy, side, lines, tol, n_ids):
+    """Sutherland-Hodgman on padded rows of keys, coordinates and sides.
 
-    Vertices are named by topology: a lattice corner by its integer id, a
-    cut point by its lattice edge and box line, a box corner by its two
-    lines.  Every point decides its side of each box line once, from its
-    lattice position (c a/2, r sqrt(3) a/2 from the box centre) or, for a
-    cut point, its interpolated one; within ON_LINE_TOL a of a line it lies
-    on the line and takes its coordinate (a cut point with its interpolated
-    sign, so a cut just below y = 0 reads -0.0).  Hexagons inside the box
-    keep their six corners; the others are clipped one by one
-    (Sutherland-Hodgman) on those decisions.  Vertices are numbered by first
-    reach in the (i, then j) sweep, with that reach's coordinates rounded to
-    10 decimals.  A hexagon that only touches the box reaches the points it
-    touches, unless it computes one of them, centre plus offset, outside.
+    A cut point on two lines is their box corner ``n_ids + mask``; any other
+    is named by its line and lattice edge (a cut end's, else its end keys),
+    and its first reach decides its sides.  Returns counts, keys and xy.
+    """
+    count, edge = np.full(len(key), key.shape[1]), np.full(key.shape, -1)  # edge of a cut point
+    next_key = pair = n_ids + 16  # above every box corner
+    bits = 1 << np.arange(4)
+    for k, (axis, v, s) in enumerate(lines):
+        slot = np.arange(key.shape[1])
+        valid, nxt = slot < count[:, None], np.where(slot + 1 < count[:, None], slot + 1, 0)
+        keep = valid & (side[..., k] >= 0)
+        cross = valid & (side[..., k] * np.take_along_axis(side[..., k], nxt, axis=1) < 0)
+        h, j = np.nonzero(cross)
+        jq = nxt[h, j]
+        p, q, sp, sq = xy[h, j], xy[h, jq], side[h, j], side[h, jq]
+        dp, dq = s * (p[:, axis] - v), s * (q[:, axis] - v)
+        pt = p + (q - p) * (dp / (dp - dq))[:, None]
+        # On every other line the point lies on the side p and q share.
+        # Where they lie on opposite sides, it is decided like a corner.
+        d = np.where(sp * sq < 0, np.column_stack([sl * (pt[:, ax] - vl) for ax, vl, sl in lines]),
+                     sp + sq)
+        own = np.where((np.abs(d) <= tol) | (bits == 1 << k), 0, np.sign(d)).astype(np.int8)
+        shared = ((sp == 0) & (sq == 0)) @ bits  # the lines p and q both lie on
+        ends = np.sort(np.column_stack((key[h, j], key[h, jq])), axis=1) @ [pair, 1]
+        cut_edge = np.select([edge[h, j] >= 0, edge[h, jq] >= 0], [edge[h, j], edge[h, jq]], ends)
+        first, number, _ = _number_by_first_appearance(
+            np.where(shared > 0, (shared | 1 << k) - 16, 4 * cut_edge + k))
+        cut_side = own[first][number]
+        on = cut_side == 0
+        # A point on two lines is their box corner, however it is reached.
+        cut_key = np.where(on.sum(axis=1) > 1, n_ids + on @ bits, next_key + number)
+        next_key += first.size
+        for n, (ax, vl, _) in enumerate(lines):
+            pt[:, ax] = np.where(on[:, n], np.copysign(vl, pt[:, ax]), pt[:, ax])
+        emitted = keep + cross.astype(int)
+        at = np.cumsum(emitted, axis=1) - emitted
+        count = emitted.sum(axis=1)
+        hk, jk = np.nonzero(keep)
+        clipped = []
+        for kept, cut in ((key, cut_key), (xy, pt), (side, cut_side),
+                          (edge, np.where(shared > 0, -1, cut_edge))):
+            out = np.full((len(key), max(count.max(initial=0), 1)) + kept.shape[2:], -1, kept.dtype)
+            out[hk, at[hk, jk]], out[h, at[h, j] + keep[h, j]] = kept[hk, jk], cut
+            clipped.append(out)
+        key, xy, side, edge = clipped
+    return count, key, xy
+
+
+def _generate_hexagonal(a: float, bbox) -> PolytopalMesh:
+    """Flat-top hexagons of circumradius a clipped to the box (docs/formats.md).
+
+    A lattice corner is named by its id, a cut point by its lattice edge and
+    box line, a box corner by its two lines.  Each point decides its side of
+    each line once, from its lattice position (c a/2, r sqrt(3) a/2 from the
+    box centre) or its interpolated one; within ON_LINE_TOL a it lies on the
+    line and takes its coordinate (a cut point with its interpolated sign).
+    On a lattice cut to the box, array passes keep the corners of the
+    hexagons inside and clip the others (``_clip_to_box``).  Vertices are
+    numbered by first reach in the (i, then j) sweep.
     """
     xmin, xmax, ymin, ymax = map(float, bbox)
-    a = circumradius
     dy = math.sqrt(3.0) * a
-    offsets = np.array([(math.cos(t), math.sin(t))
-                        for t in np.arange(6) * math.pi / 3.0]) * a
-    cx0 = 0.5 * (xmin + xmax)
-    cy0 = 0.5 * (ymin + ymax)
-
+    offsets = np.array([(math.cos(t), math.sin(t)) for t in np.arange(6) * math.pi / 3.0]) * a
+    cx0, cy0 = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    # Centres lie 1.5 a apart in x and dy in y from the box centre.  One that
+    # reaches the box, if only at a corner within ON_LINE_TOL a of it, lies
+    # within a + ON_LINE_TOL a in x and dy / 2 + ON_LINE_TOL a in y of it: in
+    # the first column or row past the half-extent.  The second is margin.
     ni = int(math.ceil((xmax - xmin) / (3.0 * a))) + 2
-    nj = int(math.ceil((ymax - ymin) / dy)) + 2
-    i, j = (g.ravel() for g in np.meshgrid(np.arange(-ni, ni + 1), np.arange(-nj, nj + 1),
-                                           indexing="ij"))
-    c = 3 * i[:, None] + np.array([2, 1, -1, -2, -1, 1])
-    r = 2 * j[:, None] + (i % 2)[:, None] + np.array([0, 1, 1, 0, -1, -1])
-    ids = (c + 3 * ni + 2) * (4 * nj + 5) + (r + 2 * nj + 2)  # >= 0; cut points < 0
-    lattice = (cx0 + 0.5 * a * c, cy0 + 0.5 * dy * r)
+    nj = int(math.ceil(0.5 * (ymax - ymin) / dy)) + 2
+    i, j = np.indices((2 * ni + 1, 2 * nj + 1)).reshape(2, -1) - [[ni], [nj]]
+    # Column c and row r of each corner, as c + 3 ni + 2 and r + 2 nj + 1.
+    col = 3 * (i + ni) + 2 + np.array([2, 1, -1, -2, -1, 1])[:, None]
+    row = 2 * (j + nj) + 1 + i % 2 + np.array([0, 1, 1, 0, -1, -1])[:, None]
+    ids = col * (4 * nj + 5) + row + 1
     # (axis, value, inward sign) of xmin, xmax, ymin, ymax
     lines = ((0, xmin, 1.0), (0, xmax, -1.0), (1, ymin, 1.0), (1, ymax, -1.0))
-    dist = np.stack([s * (lattice[axis] - v) for axis, v, s in lines], axis=-1)
-    side = np.where(np.abs(dist) <= ON_LINE_TOL * a, 0, np.sign(dist)).astype(np.int8)
+    # side[line, corner, hexagon]: of an x line by column, of a y line by row
+    pos = (cx0 + 0.5 * a * np.arange(-3 * ni - 2, 3 * ni + 3),
+           cy0 + 0.5 * dy * np.arange(-2 * nj - 1, 2 * nj + 3))
+    side = np.stack([np.where(np.abs(d) <= ON_LINE_TOL * a, 0, np.sign(d)).astype(np.int8)[by]
+                     for d, by in ((s * (pos[ax] - v), (col, row)[ax]) for ax, v, s in lines)])
     # Each hexagon computes its own corners, centre plus offset.
-    centers = np.column_stack((cx0 + 1.5 * a * i,
-                               cy0 + dy * j + np.where(i % 2 == 1, 0.5 * dy, 0.0)))
-    xy = centers[:, None, :] + offsets
-    outside = ((xy < (xmin, ymin)) | (xy > (xmax, ymax))).any(axis=-1)
+    xy = [cx0 + 1.5 * a * i + offsets[:, :1],
+          cy0 + dy * j + np.where(i % 2 == 1, 0.5 * dy, 0.0) + offsets[:, 1:]]
+    inside = (side >= 0).all(axis=(0, 1))
+    crossing = np.flatnonzero(~inside & (side >= 0).any(axis=1).all(axis=0))
+    x, y = xy[0][:, crossing], xy[1][:, crossing]
+    off = np.where((x < xmin) | (x > xmax) | (y < ymin) | (y > ymax), ids[:, crossing], -2).T
     for k, (axis, v, _) in enumerate(lines):
-        xy[..., axis][side[..., k] == 0] = v
-
-    inside = (side >= 0).all(axis=(1, 2))
-    crossing = np.flatnonzero(~inside & ~(side < 0).all(axis=1).any(axis=1))
-    # A point of a clipped hexagon; edge is the lattice edge of a cut point.
-    Point = collections.namedtuple("Point", "key x y sides edge")
-    known = {}  # name of a cut point or box corner -> (vertex key, sides)
-
-    def cut(p, q, k):
-        """The point where segment p q crosses line k."""
-        axis, v, s = lines[k]
-        dp, dq = s * ((p.x, p.y)[axis] - v), s * ((q.x, q.y)[axis] - v)
-        t = dp / (dp - dq)
-        pt = [p.x + (q.x - p.x) * t, p.y + (q.y - p.y) * t]
-        shared = [n for n in range(4) if p.sides[n] == q.sides[n] == 0]
-        edge = p.edge or q.edge or (min(p.key, q.key), max(p.key, q.key))
-        name = ("box", *sorted(shared + [k])) if shared else (edge, k)
-        if name not in known:
-            # On every other line the point lies on the side p and q share.
-            # Where they lie on opposite sides, it is decided like a corner.
-            sides = []
-            for n, (ax, vl, sl) in enumerate(lines):
-                opposite = p.sides[n] * q.sides[n] < 0
-                d = sl * (pt[ax] - vl) if opposite else p.sides[n] + q.sides[n]
-                sides.append(0 if n == k or abs(d) <= ON_LINE_TOL * a else (d > 0) - (d < 0))
-            on = [n for n in range(4) if sides[n] == 0]
-            key = (-1 - len(known), tuple(sides))
-            # A point on two lines is their box corner, however it is reached.
-            known[name] = known.setdefault(("box", *on), key) if len(on) > 1 else key
-        key, sides = known[name]
-        for n, (ax, vl, _) in enumerate(lines):
-            if sides[n] == 0:
-                pt[ax] = math.copysign(vl, pt[ax])
-        return Point(key, pt[0], pt[1], sides, None if shared else edge)
-
+        xy[axis][side[k] == 0] = v
+    n_pts, keys, pts = _clip_to_box(
+        ids[:, crossing].T, np.stack([z[:, crossing].T for z in xy], axis=-1),
+        side[..., crossing].T, lines, ON_LINE_TOL * a, (6 * ni + 5) * (4 * nj + 5))
+    # A hexagon that only touches the box reaches the points it touches,
+    # unless it computes one of them outside the box (-2 matches no padding).
+    n_pts[(n_pts < 3) & (keys[:, :2, None] == off[:, None, :]).any(axis=(1, 2))] = 0
     count = np.where(inside, 6, 0)
-    clipped = []
-    for h in crossing.tolist():
-        poly = [Point(key, x, y, sides, None) for key, (x, y), sides in
-                zip(ids[h].tolist(), xy[h].tolist(), map(tuple, side[h].tolist()))]
-        for k in range(4):
-            out = []
-            for p, q in zip(poly, poly[1:] + poly[:1]):
-                if p.sides[k] >= 0:
-                    out.append(p)
-                if p.sides[k] * q.sides[k] < 0:
-                    out.append(cut(p, q, k))
-            poly = out
-        # A hexagon that only touches the box reaches the points it touches,
-        # unless it computes one of them outside the box.
-        off = ids[h][outside[h]].tolist() if len(poly) < 3 else []
-        if poly and not any(p.key in off for p in poly):
-            count[h] = len(poly)
-            clipped.append((h, poly))
-
-    start = np.cumsum(count) - count
-    keys = np.empty(int(count.sum()), dtype=int)
-    pts = np.empty((keys.size, 2))
-    at = start[inside][:, None] + np.arange(6)
-    keys[at] = ids[inside]
-    pts[at] = xy[inside]
-    for h, poly in clipped:
-        keys[start[h]:start[h] + count[h]] = [p.key for p in poly]
-        pts[start[h]:start[h] + count[h]] = [(p.x, p.y) for p in poly]
-    first, vids, _ = _number_by_first_appearance(keys)
+    count[crossing] = n_pts
+    at = np.repeat(6 * np.cumsum(inside)[crossing], n_pts)  # after the inner hexagons before
+    reached = np.arange(keys.shape[1]) < n_pts[:, None]
+    flat = [np.insert(lattice.T[inside].ravel(), at, clipped[reached])
+            for lattice, clipped in ((ids, keys), (xy[0], pts[..., 0]), (xy[1], pts[..., 1]))]
+    first, vids, _ = _number_by_first_appearance(flat[0])
     # Fewer than 3 points only touch the box: they are reached, not a cell.
     cell = count >= 3
-    return PolytopalMesh(_round10(pts[first]),
+    return PolytopalMesh(_round10(np.column_stack((flat[1][first], flat[2][first]))),
                          _FlatCells(vids[np.repeat(cell, count)], count[cell]))
 
 

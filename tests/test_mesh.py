@@ -1,5 +1,6 @@
 """Mesh generation, validation and file IO."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,23 @@ def test_geometry_that_overflows_is_refused_without_warnings(vertices, message):
     # RuntimeWarnings are errors under this suite's warning filter.
     with pytest.raises(MeshValidationError, match=message):
         PolytopalMesh(vertices, [[0, 1, 2]])
+
+
+def test_cell_id_beyond_int64_is_an_unknown_vertex():
+    # The id overflows the flat int array before any range check sees it.
+    with pytest.raises(MeshValidationError, match=r"^cell 1 references an unknown vertex$"):
+        PolytopalMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, 2**63]])
+
+
+def test_vertex_array_of_three_columns_is_refused():
+    with pytest.raises(MeshValidationError, match=r"^vertex array must have shape \(nv, 2\)$"):
+        PolytopalMesh(np.zeros((4, 3)), [[0, 1, 2]])
+
+
+def test_box_of_zero_width_is_degenerate():
+    with pytest.raises(MeshGenerationError,
+                       match=r"^degenerate bounding box \(0\.0, 0\.0, 0\.0, 1\.0\)$"):
+        generate_mesh("cartesian", 2, (0.0, 0.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
@@ -554,8 +572,10 @@ def test_defective_meshes_match_per_cell_reference(defect, data):
     _assert_same_outcome(mesh, report, ref, ref_report)
 
 
+# Wide, tall and off-centre boxes exercise each axis of the lattice alone.
 @pytest.mark.parametrize("bbox", [(-1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 0.7),
-                                  (-0.3, 2.1, -1.7, 0.4)])
+                                  (-0.3, 2.1, -1.7, 0.4), (0.0, 3.0, 0.0, 0.2),
+                                  (0.0, 0.2, 0.0, 3.0), (-2.5, 3.5, 0.2, 0.9)])
 @pytest.mark.parametrize("level", range(1, 7))
 def test_hexagonal_generator_matches_per_hexagon_reference_bitwise(level, bbox):
     # tobytes also tells -0.0 from 0.0, which the (0, 1, 0, 0.7) box produces
@@ -567,6 +587,40 @@ def test_hexagonal_generator_matches_per_hexagon_reference_bitwise(level, bbox):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+# sha256 of each box's vertices, cell_offsets and corner_vertices (tobytes)
+# at levels 1 to 6, taken from the per-hexagon Python clip.  It also pins the
+# boxes near the lattice, where tests/meshref.py is no oracle.
+@pytest.mark.parametrize("bbox, digest", [
+    ((-1.0, 1.0, -1.0, 1.0),
+     "f034bb617a0593ab50c5b36b389afd5a548d19f04ef85a124c8470249413198a"),
+    ((-1.0, 0.9999999999, -1.0, 0.9999999999),
+     "b20897fe58d8956d65fcf1b611a72b267834736d21a04a0377cfef34ff0002c2"),
+    ((-0.3, 2.1 + 1e-10, -1.7, 0.4),
+     "e24f9ed2128e5c92796ee8c2b9a4cb9141900b279b120e4eb4aa58e4afd72d17"),
+    ((0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5 + 1e-8),
+     "e030cee8caeaeea1fc3fd2417adeada9a18cce50030cb1c786ccd9aa2b0d52fc"),
+    ((0.0, 1.0, 0.0, 0.5 * 3.0 ** 0.5 + 1e-10),
+     "9fbcf44f91750f3c2681bf8d238f7fc40569cec6c308dabba0cc504096731e6f"),
+    ((0.0, 1.0, -1e-8, 0.5 * 3.0 ** 0.5 - 1e-8),
+     "3e936690f78feb3c3b7f3f5ec1c536fe03eb5f65f0acb67916f2945c9e2fe782"),
+    ((-0.375, 0.375, -(3.0 ** 0.5 / 8 + 1e-11), 3.0 ** 0.5 / 8 + 1e-11),
+     "32a50b70ff80006cda20c5b52f161d20d1bd0d2edd70d7a9dfd6522db3bef04e"),
+    ((0.0, 3.0, 0.0, 0.2),
+     "1a5f24338dd9a52785f05dff0dbf9e765f379a5c558f4064d94ce4b104e4df99"),
+    ((0.0, 0.2, 0.0, 3.0),
+     "01f46a70c1937f4247c8f7543547f15f3543c724527e6f4bc1e078f78a929749"),
+    ((-2.5, 3.5, 0.2, 0.9),
+     "2af57f100070f4ee6b01b67ed682d7fcaa51d860745ba464b828aa98efaaf2b5"),
+])
+def test_hexagonal_generator_output_is_frozen(bbox, digest):
+    h = hashlib.sha256()
+    for level in range(1, 7):
+        mesh = generate_mesh("hexagonal", level, bbox)
+        for name in ("vertices", "cell_offsets", "corner_vertices"):
+            h.update(getattr(mesh, name).tobytes())
+    assert h.hexdigest() == digest
 
 
 # The default box at levels 1, 3 and 5, the box near a corner row and the
