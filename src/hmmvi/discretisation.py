@@ -11,18 +11,21 @@ D_{K,sigma} (the triangles spanned by an edge and the cell point x_K):
 
 The stabilised gradient is exact for affine functions sampled at cell points
 and edge midpoints.  It is one linear map, stored as a sparse matrix G with
-two rows per subcell and one column per unknown.  The stiffness is that map
-weighted and squared, G^T W G with W = |D| Lambda_K on each subcell.  G does
-not depend on Lambda, so with Lambda = I the stiffness is the unweighted
-gradient form in which the quality measures are taken.
+two rows per subcell and one column per unknown.  The stiffness is the sum
+over the cells of the local forms A_K = sum_s |D_s| L_s^T Lambda_K L_s, L_s
+the gradient map of subcell s.  G does not depend on Lambda, so with
+Lambda = I the stiffness is the unweighted gradient form in which the
+quality measures are taken.
 
-G is written straight into CSR arrays.  The cells are grouped by corner
-count, and each group is one pass over contiguous arrays, one per vector
-component, that writes the group's rows into their slots in subcell order:
-rows 2s and 2s+1 of subcell s hold the cell column first, then the cell's
-edge columns by ascending edge number.  Exact zeros are then dropped.  That
-is scipy's canonical order, so G is bit for bit the matrix a COO build and
-``tocsr`` would give.
+The cells are grouped by corner count, and ``_gradient_groups`` computes
+each group's gradient maps in one pass over contiguous arrays, one per
+vector component, with the cells on the last axis.  G is written from them
+straight into CSR arrays: rows 2s and 2s+1 of subcell s hold the cell
+column first, then the cell's edge columns by ascending edge number, and
+exact zeros are then dropped.  That is scipy's canonical order, so G is bit
+for bit the matrix a COO build and ``tocsr`` would give.  The stiffness is
+built from the same maps, one batched block A_K per cell, each symmetrised,
+and the blocks are summed once into CSR.
 
 Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
 non-homogeneous data the same unknowns are pinned to the boundary values
@@ -142,12 +145,11 @@ class GradientDiscretisation:
         self.n_dofs = self.n_cells + self.n_edges
 
         counts = np.diff(mesh.cell_offsets)
-        lengths = mesh.edge_lengths[mesh.corner_edges]
         self.subcell_cell = np.repeat(np.arange(self.n_cells), counts)
-        self.subcell_volumes = 0.5 * lengths * mesh.corner_edge_dists
+        self.subcell_volumes = 0.5 * mesh.edge_lengths[mesh.corner_edges] * mesh.corner_edge_dists
         self.n_subcells = self.subcell_cell.size
 
-        self._grad_matrix = G = self._build_gradient_matrix(counts, lengths)
+        self._grad_matrix = G = self._build_gradient_matrix(counts)
 
         bdofs = self.n_cells + mesh.boundary_edges
         self.boundary_edge_dofs = bdofs
@@ -159,54 +161,24 @@ class GradientDiscretisation:
                     self.boundary_edge_dofs, self.free_dofs, G.data, G.indices, G.indptr):
             arr.setflags(write=False)
 
-    def _build_gradient_matrix(self, counts, lengths) -> sp.csr_matrix:
+    def _build_gradient_matrix(self, counts) -> sp.csr_matrix:
         """Rows 2s, 2s+1 hold the gradient on subcell s as a map of the dofs.
 
-        For subcells s and t of cell K, with g_t = |sigma_t| n_t / |K| and
-        c_s = sqrt(2) / d_s n_s, the edge-t column is
-        g_t + c_s (delta_st - (x_sigma_s - x_K) . g_t) and the cell column
-        is -c_s.
-
-        The CSR arrays are written directly, one pass per corner count m.
-        The pass keeps the cells with m corners on the last axis, so every
-        operation runs over them as one contiguous 1-D array per component.
-        Each cell's 2m rows have m + 1 slots each: the cell column first,
-        then the cell's edges by ascending number (scipy's canonical order).
-        The rows go straight into their slots in subcell order, and the
-        exact zeros are then dropped in place.
+        The CSR arrays are written directly from ``_gradient_groups``, one
+        pass per corner count.  Each cell's 2m rows have m + 1 slots each: the
+        cell column first, then the cell's edges by ascending number (scipy's
+        canonical order).  The rows go straight into their slots in subcell
+        order, and the exact zeros are then dropped in place.
         """
-        mesh = self.mesh
-        n, cell, edges = self.n_cells, self.subcell_cell, mesh.corner_edges
-        nx, ny = mesh.corner_normals.T
-        area = mesh.cell_areas[cell]
-        gx, gy = nx * lengths / area, ny * lengths / area
-        scale = math.sqrt(2.0) / mesh.corner_edge_dists
-        cx, cy = scale * nx, scale * ny
-        (ex, ey), (px, py) = mesh.edge_centers.T, mesh.cell_points.T
-        dx, dy = ex[edges] - px[cell], ey[edges] - py[cell]
-
+        n = self.n_cells
         # Cell k's rows take the 2 m (m + 1) slots from at[k] on.
         at = np.zeros(n + 1, dtype=int)
         np.cumsum(2 * counts * (counts + 1), out=at[1:])
         # The index type scipy picks for G: int32 while the slots fit in it.
         index = np.int32 if max(at[-1], self.n_dofs) < 2**31 else np.int64
         data, indices = np.empty(at[-1]), np.empty(at[-1], dtype=index)
-        for m in np.unique(counts):
-            cells = np.flatnonzero(counts == m)
-            corners = mesh.cell_offsets[cells] + np.arange(m)[:, None]  # [s, k]: subcell s
-            e = edges[corners]
-            rank = np.count_nonzero(e < e[:, None], axis=1)  # column of subcell s's edge
-            ranked = np.empty_like(corners)  # [t, k]: the subcell of column t
-            np.put_along_axis(ranked, rank, corners, axis=0)
-            stab = (rank[:, None] == np.arange(m)[:, None]) - (
-                dx[corners][:, None] * gx[ranked] + dy[corners][:, None] * gy[ranked])
-            vals = np.empty((m, 2, m + 1, cells.size))  # [s, component, column, k]
-            for i, (c, g) in enumerate(((cx[corners], gx[ranked]), (cy[corners], gy[ranked]))):
-                np.negative(c, out=vals[:, i, 0])
-                np.multiply(c[:, None], stab, out=vals[:, i, 1:])
-                vals[:, i, 1:] += g
-            del stab
-            cols = np.concatenate((cells[None], n + edges[ranked]))
+        for cells, _, vals, cols in _gradient_groups(self):
+            m = vals.shape[0]
             if cells.size == n:  # one cell size: the slots hold the cells in order
                 shape = (n, m, 2, m + 1)
                 np.copyto(data.reshape(shape), vals.transpose(3, 0, 1, 2))
@@ -238,6 +210,46 @@ class GradientDiscretisation:
                 f"expected {self.n_dofs} and {self.n_cells}")
 
 
+def _gradient_groups(gd: GradientDiscretisation):
+    """Each corner-count group's subcell gradient maps, cells on the last axis.
+
+    For subcells s and t of cell K, with g_t = |sigma_t| n_t / |K| and
+    c_s = sqrt(2) / d_s n_s, the edge-t column is
+    g_t + c_s (delta_st - (x_sigma_s - x_K) . g_t) and the cell column is
+    -c_s.  Yields ``(cells, corners, vals, cols)`` per corner count m:
+    ``corners[s, k]`` is subcell s of ``cells[k]``, and ``vals[s, i, j, k]``
+    component i of its gradient per unit of the local unknown ``cols[j, k]``,
+    the cell first, then its edges by ascending number.
+    """
+    mesh, n, cell, edges = gd.mesh, gd.n_cells, gd.subcell_cell, gd.mesh.corner_edges
+    counts = np.diff(mesh.cell_offsets)
+    lengths = mesh.edge_lengths[edges]
+    nx, ny = mesh.corner_normals.T
+    area = mesh.cell_areas[cell]
+    gx, gy = nx * lengths / area, ny * lengths / area
+    scale = math.sqrt(2.0) / mesh.corner_edge_dists
+    cx, cy = scale * nx, scale * ny
+    (ex, ey), (px, py) = mesh.edge_centers.T, mesh.cell_points.T
+    dx, dy = ex[edges] - px[cell], ey[edges] - py[cell]
+    for m in np.unique(counts):
+        cells = np.flatnonzero(counts == m)
+        corners = mesh.cell_offsets[cells] + np.arange(m)[:, None]  # [s, k]: subcell s
+        e = edges[corners]
+        rank = np.count_nonzero(e < e[:, None], axis=1)  # column of subcell s's edge
+        ranked = np.empty_like(corners)  # [t, k]: the subcell of column t
+        np.put_along_axis(ranked, rank, corners, axis=0)
+        stab = (rank[:, None] == np.arange(m)[:, None]) - (
+            dx[corners][:, None] * gx[ranked] + dy[corners][:, None] * gy[ranked])
+        vals = np.empty((m, 2, m + 1, cells.size))  # [s, component, column, k]
+        for i, (c, g) in enumerate(((cx[corners], gx[ranked]), (cy[corners], gy[ranked]))):
+            np.negative(c, out=vals[:, i, 0])
+            np.multiply(c[:, None], stab, out=vals[:, i, 1:])
+            vals[:, i, 1:] += g
+        del stab
+        yield cells, corners, vals, np.concatenate((cells[None], n + edges[ranked]))
+        del vals
+
+
 def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
     """Build the discretisation for a mesh and an optional diffusion field.
 
@@ -265,17 +277,43 @@ def reconstruct_gradient_flat(gd: GradientDiscretisation, v: DofVector) -> np.nd
 def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     """Assemble the global stiffness and the diagonal cell mass.
 
-    The stiffness is G^T W G of the subcell gradient matrix G, with W holding
-    |D| Lambda_K on each subcell, symmetrised.
+    The stiffness sums the local forms A_K of the module docstring, one
+    batched pass per corner-count group.  Each A_K is symmetrised, so every
+    entry, held by one cell (all off-diagonal ones) or by two, is exactly
+    symmetric.  The blocks go once into canonical CSR without exact zeros.
     """
-    G = gd._grad_matrix
-    n = gd.n_subcells
-    blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[gd.subcell_cell]
-    W = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n))
-    stiffness = (G.T @ (W @ G)).tocsr()
+    vols, lam = gd.subcell_volumes, gd.diffusion
+    # Cell K's block takes (m_K + 1)^2 entries, its group's in [j, l, k] order:
+    # at most its 2 m_K (m_K + 1) slots in G, so G's index type holds them.
+    size = int(np.sum((np.diff(gd.mesh.cell_offsets) + 1) ** 2))
+    index = gd._grad_matrix.indices.dtype
+    data, rows, cols = np.empty(size), np.empty(size, dtype=index), np.empty(size, dtype=index)
+    start = 0
+    for cells, corners, vals, dofs in _gradient_groups(gd):
+        block = (vals.shape[2], vals.shape[2], cells.size)
+        stop = start + math.prod(block)
+        w = vols[corners][:, None]
+        weighted = np.empty_like(vals)  # |D_s| Lambda_K applied to each map
+        for i in range(2):
+            np.multiply(w * lam[cells, i, 0], vals[:, 0], out=weighted[:, i])
+            weighted[:, i] += w * lam[cells, i, 1] * vals[:, 1]
+        flat = (-1,) + block[1:]
+        A = data[start:stop].reshape(block)
+        np.einsum("sjk,slk->jlk", vals.reshape(flat), weighted.reshape(flat), out=A)
+        del vals, weighted
+        A += A.transpose(1, 0, 2)
+        A *= 0.5
+        rows[start:stop].reshape(block)[...] = dofs[:, None]
+        cols[start:stop].reshape(block)[...] = dofs
+        start = stop
+    shape = (gd.n_dofs, gd.n_dofs)
+    S = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    S.eliminate_zeros()
+    # Copies of the kept entries alone, so that S holds no empty slots.
+    stiffness = sp.csr_matrix((S.data.copy(), S.indices.copy(), S.indptr), shape=shape)
     mass = np.zeros(gd.n_dofs)
     mass[:gd.n_cells] = gd.mesh.cell_areas
-    return AssembledForms(gd=gd, stiffness=0.5 * (stiffness + stiffness.T), mass_diag=mass)
+    return AssembledForms(gd=gd, stiffness=stiffness, mass_diag=mass)
 
 
 def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:

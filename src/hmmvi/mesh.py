@@ -443,11 +443,13 @@ def _clip_to_box(key, xy, side, lines, tol, n_ids):
     """Sutherland-Hodgman on padded rows of keys, coordinates and sides.
 
     A cut point on two lines is their box corner ``n_ids + mask``; any other
-    is named by its line and lattice edge (a cut end's, else its end keys),
-    and its first reach decides its sides.  Returns counts, keys and xy.
+    is named by its line and the sorted keys of its segment's ends, and its
+    first reach decides its sides.  Returns counts, keys and xy.
     """
-    count, edge = np.full(len(key), key.shape[1]), np.full(key.shape, -1)  # edge of a cut point
-    next_key = pair = n_ids + 16  # above every box corner
+    count = np.full(len(key), key.shape[1])
+    next_key = n_ids + 16  # above every box corner
+    # Above every key: each pass cuts each convex polygon at most twice.
+    pair = next_key + 2 * len(lines) * len(key)
     bits = 1 << np.arange(4)
     for k, (axis, v, s) in enumerate(lines):
         slot = np.arange(key.shape[1])
@@ -466,9 +468,8 @@ def _clip_to_box(key, xy, side, lines, tol, n_ids):
         own = np.where((np.abs(d) <= tol) | (bits == 1 << k), 0, np.sign(d)).astype(np.int8)
         shared = ((sp == 0) & (sq == 0)) @ bits  # the lines p and q both lie on
         ends = np.sort(np.column_stack((key[h, j], key[h, jq])), axis=1) @ [pair, 1]
-        cut_edge = np.select([edge[h, j] >= 0, edge[h, jq] >= 0], [edge[h, j], edge[h, jq]], ends)
         first, number, _ = _number_by_first_appearance(
-            np.where(shared > 0, (shared | 1 << k) - 16, 4 * cut_edge + k))
+            np.where(shared > 0, (shared | 1 << k) - 16, 4 * ends + k))
         cut_side = own[first][number]
         on = cut_side == 0
         # A point on two lines is their box corner, however it is reached.
@@ -481,26 +482,25 @@ def _clip_to_box(key, xy, side, lines, tol, n_ids):
         count = emitted.sum(axis=1)
         hk, jk = np.nonzero(keep)
         clipped = []
-        for kept, cut in ((key, cut_key), (xy, pt), (side, cut_side),
-                          (edge, np.where(shared > 0, -1, cut_edge))):
+        for kept, cut in ((key, cut_key), (xy, pt), (side, cut_side)):
             out = np.full((len(key), max(count.max(initial=0), 1)) + kept.shape[2:], -1, kept.dtype)
             out[hk, at[hk, jk]], out[h, at[h, j] + keep[h, j]] = kept[hk, jk], cut
             clipped.append(out)
-        key, xy, side, edge = clipped
+        key, xy, side = clipped
     return count, key, xy
 
 
 def _generate_hexagonal(a: float, bbox) -> PolytopalMesh:
     """Flat-top hexagons of circumradius a clipped to the box (docs/formats.md).
 
-    A lattice corner is named by its id, a cut point by its lattice edge and
-    box line, a box corner by its two lines.  Each point decides its side of
-    each line once, from its lattice position (c a/2, r sqrt(3) a/2 from the
-    box centre) or its interpolated one; within ON_LINE_TOL a it lies on the
-    line and takes its coordinate (a cut point with its interpolated sign).
-    On a lattice cut to the box, array passes keep the corners of the
-    hexagons inside and clip the others (``_clip_to_box``).  Vertices are
-    numbered by first reach in the (i, then j) sweep.
+    A lattice corner is named by its id, a cut point by its box line and its
+    segment's end keys, a box corner by its two lines.  Each point decides
+    its side of each line once, from its lattice position (c a/2, r sqrt(3)
+    a/2 from the box centre) or its interpolated one; within ON_LINE_TOL a
+    it lies on the line and takes its coordinate (a cut point with its
+    interpolated sign).  On a lattice cut to the box, array passes keep the
+    corners of the hexagons inside and clip the others (``_clip_to_box``).
+    Vertices are numbered by first reach in the (i, then j) sweep.
     """
     xmin, xmax, ymin, ymax = map(float, bbox)
     dy = math.sqrt(3.0) * a

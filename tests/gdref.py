@@ -4,7 +4,9 @@ This is the cell-by-cell construction the vectorised code in
 ``hmmvi.discretisation`` replaced, kept frozen so the batched operators can be
 checked against it: one dense (m, 2, m+1) gradient map per cell, a sparse
 matrix stacked from them, and local forms summed over the subcells with
-einsum before being scattered into the global matrices.
+einsum before being scattered into the global matrices.  The global triple
+product G^T W G the per-cell stiffness blocks replaced is kept too, as the
+oracle of the stiffness pattern.
 """
 
 import math
@@ -90,6 +92,20 @@ def assemble(mesh, diffusion):
     stiffness = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
     plain = sp.coo_matrix((np.concatenate(vals0), (rows, cols)), shape=shape).tocsr()
     return stiffness, plain
+
+
+def triple_product_stiffness(gd):
+    """G^T (W G) of the library's G, W = |D| Lambda_K per subcell, symmetrised.
+
+    Built through a block-diagonal BSR W, two scipy products and a global
+    0.5 (S + S^T), as the library assembled the stiffness before.
+    """
+    G = gd._grad_matrix
+    n = gd.n_subcells
+    blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[gd.subcell_cell]
+    W = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n))
+    stiffness = (G.T @ (W @ G)).tocsr()
+    return 0.5 * (stiffness + stiffness.T)
 
 
 # -- the pair-index COO construction -----------------------------------------

@@ -1,6 +1,7 @@
 """Built-in problem data, user case files and the expression grammar."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,28 @@ def test_expression_comparison_and_where():
 def test_bad_expressions_are_rejected(text):
     with pytest.raises(ExpressionError):
         compile_expression(text, ("x", "y"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x // y", "operator FloorDiv not allowed"),
+    ("x @ y", "operator MatMult not allowed"),
+    ("~x", "operator Invert not allowed"),
+    ("not x", "operator Not not allowed"),
+    ("sin(x=1)", "keyword arguments are not part of the grammar"),
+])
+def test_expression_outside_the_grammar_names_what_is_refused(text, message):
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        compile_expression(text, ("x", "y"))
+
+
+@pytest.mark.parametrize("text, given, message", [
+    ("min()", ("x", "y"), "min/max need at least one argument"),
+    ("x + y", ("x",), "missing variables ['y']"),
+])
+def test_expression_evaluation_errors_name_the_cause(text, given, message):
+    f = compile_expression(text, ("x", "y"))
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        f(**{name: np.ones(2) for name in given})
 
 
 # -- case files ----------------------------------------------------------------

@@ -230,6 +230,37 @@ def test_shared_factorisation_matches_two_factorisation_reference(family, level)
     assert abs(wd - ref_wd) <= 1e-12 * ref_wd
 
 
+def test_singular_plain_form_is_a_diagnostics_error(monkeypatch):
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(hmmvi.diagnostics, "factorise_spd", singular)
+    forms = assemble_forms(build_gd(generate_mesh("cartesian", 2)))
+    with pytest.raises(DiagnosticsError,
+                       match="^gradient form is singular: Factor is exactly singular$"):
+        estimate_CD(forms)
+
+
+def test_power_iteration_that_reaches_zero_is_a_diagnostics_error(monkeypatch):
+    class ZeroFactor:
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    monkeypatch.setattr(hmmvi.diagnostics, "factorise_spd", lambda A: ZeroFactor())
+    forms = assemble_forms(build_gd(generate_mesh("cartesian", 2)))
+    with pytest.raises(DiagnosticsError,
+                       match="^power iteration collapsed to the null space$"):
+        estimate_CD(forms)
+
+
+def test_power_iteration_out_of_iterations_is_a_diagnostics_error(monkeypatch):
+    monkeypatch.setattr(hmmvi.diagnostics, "CD_MAX_ITER", 1)
+    forms = assemble_forms(build_gd(generate_mesh("cartesian", 2)))
+    with pytest.raises(DiagnosticsError,
+                       match="^power iteration did not stabilise within 1 iterations$"):
+        estimate_CD(forms)
+
+
 def test_quality_report_factorises_the_plain_form_once(monkeypatch):
     calls, built = [], []
     splu = spla.splu

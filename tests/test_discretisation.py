@@ -231,9 +231,39 @@ def test_stiffness_is_symmetric_and_psd():
         np.array([[2.0, -0.3], [-0.3, 0.8]]), (m.n_cells, 2, 2)))
     forms = assemble_forms(gd)
     S = forms.stiffness.toarray()
-    assert np.abs(S - S.T).max() < 1e-12 * np.abs(S).max()
+    assert np.array_equal(S, S.T)
     eigs = np.linalg.eigvalsh(S)
     assert eigs.min() > -1e-11 * eigs.max()
+
+
+def _owned(a):
+    """The array that holds a's memory: a itself, or the buffer it views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("diffusion", ["identity", "anisotropic", "per_cell"])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_stiffness_is_exactly_symmetric_with_the_triple_product_pattern(level, family, diffusion):
+    m = generate_mesh(family, level)
+    gd = build_gd(m, diffusion=_diffusion(diffusion, m))
+    S = assemble_forms(gd).stiffness
+    T = S.transpose().tocsr()
+    assert np.array_equal(S.indptr, T.indptr) and np.array_equal(S.indices, T.indices)
+    assert S.data.tobytes() == T.data.tobytes()
+    # canonical CSR: sorted, no duplicates, no stored zeros, scipy's int32
+    row = np.repeat(np.arange(gd.n_dofs), np.diff(S.indptr))
+    assert np.all((np.diff(S.indices) > 0) | (np.diff(row) > 0))
+    assert np.all(S.data != 0.0)
+    assert S.indices.dtype == S.indptr.dtype == np.int32
+    # the arrays hold the kept entries alone, not views of larger buffers
+    assert _owned(S.data).size == _owned(S.indices).size == S.nnz
+    ref = gdref.triple_product_stiffness(gd)
+    assert np.array_equal(S.indptr, ref.indptr) and np.array_equal(S.indices, ref.indices)
+    assert S.indptr.dtype == ref.indptr.dtype and S.indices.dtype == ref.indices.dtype
+    assert np.abs(S.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
 def test_mass_weights_are_cell_areas():

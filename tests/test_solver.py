@@ -114,6 +114,28 @@ def test_cycle_error_names_both_partitions(monkeypatch):
     assert [p.n_contact for p in info.value.last_partitions] == [3, 4]
 
 
+def test_safeguard_error_names_the_solve_count(monkeypatch):
+    # Every update returns a partition not seen before: contact set i is
+    # the cells of the set bits of i.
+    gd = build_gd(generate_mesh("cartesian", 2))
+    nc = gd.n_cells
+
+    def contact(i):
+        return (i >> np.arange(nc)) % 2 == 1
+
+    made = itertools.count(1)
+    monkeypatch.setattr(solver, "update_partition",
+                        lambda problem, u, r, current: ActiveSetPartition(contact(next(made))))
+    prob = _problem(gd, rhs=np.ones(nc), psi=np.full(nc, -1.0))
+    with pytest.raises(IterationLimitError) as info:
+        solve_lvi(prob)
+    assert str(info.value) == f"active-set iteration exceeded the safeguard of {nc + 1} solves"
+    # the solve count nc + 1 made the last partition
+    previous, last = info.value.last_partitions
+    assert np.array_equal(previous.contact, contact(nc))
+    assert np.array_equal(last.contact, contact(nc + 1))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_matches_reference_solvers(seed):
     m = generate_mesh("triangular", 2)
