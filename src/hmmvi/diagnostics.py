@@ -13,6 +13,13 @@ scheme (Lambda = I) on the homogeneous unknowns:
 * The interpolation bound for S_D evaluates the sampling interpolant of a
   smooth admissible function and adds the two reconstruction errors.
 
+C_D and W_D solve with A0 with the cells condensed out, as the solver does:
+a cell unknown couples only to its own edges, so the cell block of A0 is the
+diagonal s_cc.  With B the cell x interior-edge block, the interior edges
+solve S z_e = l_e - B^T (l_c / s_cc) with S = A_ee - B^T diag(1/s_cc) B, and
+the cells follow as z_c = (l_c - B z_e) / s_cc.  S is factorised once per
+forms object; A0 itself is neither held nor applied.
+
 Error norms of transient runs are evaluated by cell quadrature.  The default
 centroid rule measures the cell-value error, which is the quantity that
 superconverges for this scheme; the fan rule measures the full piecewise
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discretisation import (AssembledForms, GradientDiscretisation, assemble_forms,
                              build_gd, interpolate_exact, reconstruct_gradient_flat)
@@ -39,7 +47,7 @@ from .timeloop import TransientSolution
 CD_TOL = 1e-8
 CD_MAX_ITER = 10_000
 
-# forms -> (A0, its factorisation), see _plain_factorisation; dropped with the forms.
+# forms -> the solve with A0, see _plain_solve; dropped with the forms.
 _plain_factors = weakref.WeakKeyDictionary()
 
 
@@ -171,28 +179,38 @@ def eoc(errors, sizes) -> np.ndarray:
 # -- quality measures --------------------------------------------------------
 
 
-def _plain_factorisation(forms: AssembledForms):
-    """(A0, its factorisation), A0 the plain gradient form on the free unknowns.
+def _plain_solve(forms: AssembledForms):
+    """l -> A0^{-1} l on the free unknowns (cells first), A0 the plain gradient form.
 
     The quality constants are taken in the unweighted gradient norm, whose
     form is the stiffness of the identity scheme.  When every Lambda_K of
     ``forms.gd`` is the identity that is ``forms.stiffness``; otherwise it is
-    assembled from the same mesh with identity diffusion.  A0 is symmetric
-    positive definite, so it goes through the solver's SPD factorisation,
-    once per forms object.
+    assembled from the same mesh with identity diffusion.  Its interior-edge
+    complement S (see the module docstring) is SPD as A0 is, and goes through
+    the solver's SPD factorisation, once per forms object.
     """
     if forms not in _plain_factors:
         gd = forms.gd
         stiffness = forms.stiffness
         if not np.all(gd.diffusion == np.eye(2)):
             stiffness = assemble_forms(build_gd(gd.mesh)).stiffness
-        free = gd.free_dofs
-        A0 = stiffness[free][:, free].tocsc()
+        nc, edofs = gd.n_cells, gd.free_dofs[gd.n_cells:]
+        cell_rows = stiffness[:nc]
+        s_cc = cell_rows.diagonal()
+        B = cell_rows[:, edofs]
+        S = (stiffness[edofs][:, edofs] - (B.T @ sp.diags(1.0 / s_cc)) @ B).tocsc()
         try:
-            lu = factorise_spd(A0)
+            lu = factorise_spd(S)
         except RuntimeError as exc:
             raise DiagnosticsError(f"gradient form is singular: {exc}") from exc
-        _plain_factors[forms] = (A0, lu)
+
+        def solve(ell: np.ndarray) -> np.ndarray:
+            z = np.empty_like(ell)
+            z[nc:] = lu.solve(ell[nc:] - B.T @ (ell[:nc] / s_cc))
+            z[:nc] = (ell[:nc] - B @ z[nc:]) / s_cc
+            return z
+
+        _plain_factors[forms] = solve
     return _plain_factors[forms]
 
 
@@ -201,22 +219,22 @@ def estimate_CD(forms: AssembledForms) -> float:
 
     Power iteration on the pencil (M, A0) restricted to the homogeneous
     unknowns of ``forms.gd``, stopped when the eigenvalue is stable to
-    ``CD_TOL`` relative.
+    ``CD_TOL`` relative.  Each iterate z = A0^{-1} M x is scaled to unit A0
+    norm, z^T A0 z being z^T M x; no iterate depends on the start's scale.
     """
-    free = forms.gd.free_dofs
-    A0, lu = _plain_factorisation(forms)
-    mass = forms.mass_diag[free]
+    solve = _plain_solve(forms)
+    mass = forms.mass_diag[forms.gd.free_dofs]
 
-    x = np.ones(free.size)
-    x /= math.sqrt(float(x @ (A0 @ x)))
+    mx = mass  # M x for the start x = 1
     lam = 0.0
     for _ in range(CD_MAX_ITER):
-        z = lu.solve(mass * x)
-        nrm = math.sqrt(float(z @ (A0 @ z)))
-        if nrm == 0.0:
+        z = solve(mx)
+        zz = float(z @ mx)
+        if zz <= 0.0:
             raise DiagnosticsError("power iteration collapsed to the null space")
-        x = z / nrm
-        lam_new = float(x @ (mass * x))
+        x = z / math.sqrt(zz)
+        mx = mass * x
+        lam_new = float(x @ mx)
         if abs(lam_new - lam) <= CD_TOL * max(lam_new, 1e-300):
             return math.sqrt(lam_new)
         lam = lam_new
@@ -241,7 +259,7 @@ def estimate_WD(forms: AssembledForms, omega: Callable, div_omega: Callable) -> 
     ell += gd._grad_matrix.T @ moments.ravel()
 
     ell_f = ell[gd.free_dofs]
-    x = _plain_factorisation(forms)[1].solve(ell_f)
+    x = _plain_solve(forms)(ell_f)
     return math.sqrt(max(0.0, float(ell_f @ x)))
 
 

@@ -42,11 +42,11 @@ built on the first solve and dropped with the forms: the alpha-free blocks,
 so S + alpha M is never formed, and the held ordering below.
 
 The Schur complement is SPD because S is SPD on the free unknowns.  Every SPD
-factorisation of the package, this one and the plain form of the quality
-measures, goes through ``factorise_spd``: SuperLU with a symmetric
-minimum-degree ordering of A^T + A, diagonal pivots, and relaxed supernodes
-and panels switched off, which on these 2-D mesh graphs cost more than they
-save.
+factorisation of the package, this one and the interior-edge complement of
+the quality measures' plain form, goes through ``factorise_spd``: SuperLU
+with a symmetric minimum-degree ordering of A^T + A, diagonal pivots, and
+relaxed supernodes and panels switched off, which on these 2-D mesh graphs
+cost more than they save.
 
 On triangular, hexagonal and Kershaw meshes A_ee stores every coupling, so
 the Schur complement has the plan's whole pattern whatever the partition

@@ -264,6 +264,29 @@ def test_case_file_bad_diffusion(tmp_path):
         load_case_file(_write_case(tmp_path, doc))
 
 
+@pytest.mark.parametrize("recommended, message", [
+    pytest.param([1, 2], "recommended must be an object, got [1, 2]", id="recommended-list"),
+    pytest.param({"dt_rule": 0.01}, "recommended.dt_rule must be an object, got 0.01",
+                 id="dt-rule-number"),
+    pytest.param({"dt_rule": {"fixed": [0.1]}},
+                 "recommended.dt_rule.fixed must be a finite number, got [0.1]",
+                 id="dt-rule-list"),
+    pytest.param({"dt_rule": {"coefficient": 1e400}},
+                 "recommended.dt_rule.coefficient must be a finite number, got inf",
+                 id="dt-rule-infinite"),
+    pytest.param({"dt_rule": {"exponent": "x"}},
+                 "recommended.dt_rule.exponent must be numeric, got 'x'", id="dt-rule-string"),
+])
+def test_case_file_bad_recommendation_names_the_field(tmp_path, recommended, message):
+    # json writes inf as Infinity; the JSON number 1e400 reads back as inf.
+    text = json.dumps(dict(BASE_DOC, recommended=recommended))
+    path = tmp_path / "case.json"
+    path.write_text(text.replace("Infinity", "1e400"))
+    with pytest.raises(CaseError) as info:
+        load_case_file(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_case_file_not_json(tmp_path):
     path = tmp_path / "case.json"
     path.write_text("not json at all {")

@@ -4,6 +4,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,8 @@ from hmmvi import (MESH_FAMILIES, DiagnosticsError, GdQualityReport, TimeGrid,
                    estimate_CD, estimate_WD, gd_quality_report, generate_mesh,
                    initial_interp_error, interpolate_exact, run_transient,
                    standard_probes)
-from hmmvi.diagnostics import _cell_quad_flat, _subcell_quad_flat
-from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
+from hmmvi.diagnostics import _cell_quad_flat, _plain_solve, _subcell_quad_flat
+from hmmvi.discretisation import AssembledForms, DofVector, reconstruct_gradient_flat
 from hmmvi.timeloop import TransientSolution
 
 import diagref
@@ -216,7 +217,7 @@ def test_estimators_take_the_discretisation_from_the_forms(monkeypatch):
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level", [1, 2, 3])
 def test_shared_factorisation_matches_two_factorisation_reference(family, level):
     gd = build_gd(generate_mesh(family, level))
     forms = assemble_forms(gd)
@@ -241,13 +242,10 @@ def test_singular_plain_form_is_a_diagnostics_error(monkeypatch):
         estimate_CD(forms)
 
 
-def test_power_iteration_that_reaches_zero_is_a_diagnostics_error(monkeypatch):
-    class ZeroFactor:
-        def solve(self, b):
-            return np.zeros_like(b)
-
-    monkeypatch.setattr(hmmvi.diagnostics, "factorise_spd", lambda A: ZeroFactor())
-    forms = assemble_forms(build_gd(generate_mesh("cartesian", 2)))
+def test_power_iteration_that_reaches_zero_is_a_diagnostics_error():
+    # A vanishing mass makes every iterate A0^{-1} M x the zero vector.
+    gd = build_gd(generate_mesh("cartesian", 2))
+    forms = AssembledForms(gd, assemble_forms(gd).stiffness, np.zeros(gd.n_dofs))
     with pytest.raises(DiagnosticsError,
                        match="^power iteration collapsed to the null space$"):
         estimate_CD(forms)
@@ -279,16 +277,44 @@ def test_quality_report_factorises_the_plain_form_once(monkeypatch):
     gd = build_gd(generate_mesh("hexagonal", 2))
     gd_quality_report(gd)
     # With identity diffusion the plain form is the stiffness itself: no
-    # second assembly, and exactly its free block is factorised.
+    # second assembly, and exactly the interior-edge complement of its free
+    # block, the cells condensed out, is factorised.
     assert len(built) == 1 and len(calls) == 1
     A, kwargs = calls[0]
-    free = gd.free_dofs
-    want = built[0].stiffness[free][:, free].tocsc()
+    nc, free = gd.n_cells, gd.free_dofs
+    A0 = built[0].stiffness[free][:, free]
+    B = A0[:nc, nc:]
+    want = (A0[nc:, nc:] - (B.T @ sp.diags(1.0 / A0.diagonal()[:nc])) @ B).tocsc()
     for a, b in ((A.data, want.data), (A.indices, want.indices), (A.indptr, want.indptr)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     # The solver's SPD factorisation: the same options reach SuperLU.
     assert kwargs == dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                           relax=1, panel_size=1, options=dict(SymmetricMode=True))
+
+
+def _per_cell_diffusion(mesh):
+    rng = np.random.default_rng(3)
+    per_cell = np.zeros((mesh.n_cells, 2, 2))
+    per_cell[:, 0, 0] = rng.uniform(0.5, 2.0, mesh.n_cells)
+    per_cell[:, 1, 1] = rng.uniform(0.5, 2.0, mesh.n_cells)
+    per_cell[:, 0, 1] = per_cell[:, 1, 0] = rng.uniform(-0.3, 0.3, mesh.n_cells)
+    return per_cell
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_condensed_plain_solve_matches_the_full_free_block(family, level):
+    # The plain form does not depend on Lambda: every scheme's solve is the
+    # identity stiffness's free block solved in full.
+    mesh = generate_mesh(family, level)
+    gd = build_gd(mesh)
+    free = gd.free_dofs
+    A0 = assemble_forms(gd).stiffness[free][:, free].tocsc()
+    ell = np.random.default_rng(level).standard_normal(free.size)
+    want = spla.spsolve(A0, ell)
+    for diffusion in (None, np.array([[1.5, 0.2], [0.2, 3.0]]), _per_cell_diffusion(mesh)):
+        got = _plain_solve(assemble_forms(build_gd(mesh, diffusion)))(ell)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
@@ -297,14 +323,9 @@ def test_quality_constants_are_taken_in_the_plain_form(family):
     # diffusion: a gd with another Lambda gives the identity gd's bits.
     mesh = generate_mesh(family, 2)
     omega, div_omega = standard_probes(mesh.bbox)["sinusoidal_field"]
-    rng = np.random.default_rng(3)
-    per_cell = np.zeros((mesh.n_cells, 2, 2))
-    per_cell[:, 0, 0] = rng.uniform(0.5, 2.0, mesh.n_cells)
-    per_cell[:, 1, 1] = rng.uniform(0.5, 2.0, mesh.n_cells)
-    per_cell[:, 0, 1] = per_cell[:, 1, 0] = rng.uniform(-0.3, 0.3, mesh.n_cells)
     identity = assemble_forms(build_gd(mesh))
     want = (estimate_CD(identity), estimate_WD(identity, omega, div_omega))
-    for diffusion in (np.array([[1.5, 0.2], [0.2, 3.0]]), per_cell):
+    for diffusion in (np.array([[1.5, 0.2], [0.2, 3.0]]), _per_cell_diffusion(mesh)):
         forms = assemble_forms(build_gd(mesh, diffusion))
         got = (estimate_CD(forms), estimate_WD(forms, omega, div_omega))
         assert [v.hex() for v in got] == [v.hex() for v in want]

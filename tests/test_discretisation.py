@@ -323,6 +323,16 @@ def test_nonfinite_obstacle_is_rejected():
         run_transient(build_gd(generate_mesh("cartesian", 1)), spec, TimeGrid(0.1, 1))
 
 
+def test_nonfinite_diffusion_names_the_first_cell():
+    m = generate_mesh("cartesian", 1)
+    field = np.broadcast_to(np.eye(2), (m.n_cells, 2, 2)).copy()
+    field[2, 0, 1] = field[2, 1, 0] = np.nan
+    field[3, 1, 1] = np.inf
+    with pytest.raises(DiscretisationError) as info:
+        build_gd(m, diffusion=field)
+    assert str(info.value) == "diffusion tensor on cell 2 is not finite: [[1.0, nan], [nan, 1.0]]"
+
+
 def test_asymmetric_diffusion_is_rejected():
     m = generate_mesh("cartesian", 1)
     with pytest.raises(DiscretisationError, match="symmetric"):

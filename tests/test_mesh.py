@@ -1,6 +1,7 @@
 """Mesh generation, validation and file IO."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,28 @@ def test_json_loader_requires_marker(tmp_path):
     path.write_text('{"vertices": [], "cells": []}')
     with pytest.raises(MeshFormatError, match="marker"):
         load_mesh(path)
+
+
+def test_native_json_metadata_must_be_an_object(tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({"format": "polytopal-mesh", "version": 1,
+                                "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                                "cells": [[0, 1, 2, 3]], "metadata": [1, 2]}))
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}: 'metadata' must be a JSON object"
+
+
+def test_validate_names_a_cell_whose_normals_do_not_close():
+    # PolytopalMesh builds normals that close to rounding; stored normals
+    # that disagree with the edges are the defect validate reports first.
+    m = generate_mesh("cartesian", 1)
+    normals = m.corner_normals.copy()
+    normals[0] *= -1.0
+    m.corner_normals = normals
+    with pytest.raises(MeshValidationError,
+                       match=r"^cell 0: edge normals do not close up \(defect 2\.000e\+00\)$"):
+        validate(m)
 
 
 def test_missing_file_is_a_format_error(tmp_path):
