@@ -137,10 +137,11 @@ class PolytopalMesh:
     gives its orientation and ``cell_areas``, and its centroid come from one
     pass of shoelace cross terms relative to the cell's first vertex, so their
     round-off scales with the cell, not with its distance from the origin.
-    All geometry is computed per corner on contiguous x and y arrays; an
-    edge takes the length and centre of the corner that first reaches it.
-    One stable sort of the corners' vertex pairs numbers the edges and
-    orders each edge's owners.
+    All geometry is computed per corner on contiguous x and y arrays.  One
+    stable sort of the corners' vertex pairs numbers the edges in the order
+    the corners first reach them, as ``corner_edges``.  An edge keeps the
+    length and centre of its first corner, and the edges that a second corner
+    reaches are ``interior_edges``; the rest are ``boundary_edges``.
 
     Cells are stored only flat: corner j of cell k is entry
     ``cell_offsets[k] + j`` of ``corner_vertices``, ``corner_edges``,
@@ -233,14 +234,14 @@ class PolytopalMesh:
         self.cell_offsets = offsets
         self.corner_vertices = flat
         lengths, mx, my = self._build_cell_geometry(cell, nxt, px, py)
-        self._build_edges(cell, nxt, lengths, mx, my)
+        self._build_edges(nxt, lengths, mx, my)
 
         self.bbox = (float(vx.min()), float(vx.max()), float(vy.min()), float(vy.max()))
         self.metadata = dict(metadata) if metadata else {}
 
         for arr in (self.vertices, self.cell_points, self.cell_areas,
-                    self.cell_diameters, self.edge_vertices, self.edge_cells,
-                    self.edge_centers, self.edge_lengths, self.is_boundary_edge,
+                    self.cell_diameters, self.edge_centers, self.edge_lengths,
+                    self.boundary_edges, self.interior_edges,
                     self.cell_offsets, self.corner_vertices, self.corner_edges,
                     self.corner_normals, self.corner_edge_dists):
             arr.setflags(write=False)
@@ -261,26 +262,21 @@ class PolytopalMesh:
         self.corner_edge_dists = (mx - cx[cell]) * nx + (my - cy[cell]) * ny
         return lengths, mx, my
 
-    def _build_edges(self, cell, nxt, lengths, mx, my):
-        # Edges are numbered in the order the corners first reach them, and
-        # the owners of an edge in corner order.  An edge takes the length and
-        # centre of its first corner: both are symmetric in the two ends.
+    def _build_edges(self, nxt, lengths, mx, my):
+        # An edge takes the length and centre of its first corner: both are
+        # symmetric in the two ends.  A second corner makes it interior.
         a = self.corner_vertices
         b = a[nxt]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         first_corner, edges, slot = _number_by_first_appearance(lo * self.n_vertices + hi)
         self.corner_edges = edges
         self.n_edges = first_corner.size
-        self.edge_vertices = np.column_stack((lo[first_corner], hi[first_corner]))
 
         third = np.flatnonzero(slot >= 2)
         if third.size:
-            e = int(edges[third[0]])
-            key = tuple(int(v) for v in self.edge_vertices[e])
-            raise MeshValidationError(
-                f"edge {e} between vertices {key} has more than two cells")
-        self.edge_cells = np.full((self.n_edges, 2), -1, dtype=int)
-        self.edge_cells[edges, slot] = cell
+            j = int(third[0])
+            raise MeshValidationError(f"edge {int(edges[j])} between vertices "
+                                      f"{(int(lo[j]), int(hi[j]))} has more than two cells")
 
         self.edge_centers = np.column_stack((mx[first_corner], my[first_corner]))
         self.edge_lengths = lengths[first_corner]
@@ -289,15 +285,10 @@ class PolytopalMesh:
             e = int(np.argmin(ok))
             what = "zero" if self.edge_lengths[e] == 0.0 else "non-finite"
             raise MeshValidationError(f"edge {e} has {what} length")
-        self.is_boundary_edge = self.edge_cells[:, 1] < 0
-
-    @property
-    def boundary_edges(self) -> np.ndarray:
-        return np.nonzero(self.is_boundary_edge)[0]
-
-    @property
-    def interior_edges(self) -> np.ndarray:
-        return np.nonzero(~self.is_boundary_edge)[0]
+        interior = np.zeros(self.n_edges, dtype=bool)
+        interior[edges[slot == 1]] = True
+        self.boundary_edges = np.flatnonzero(~interior)
+        self.interior_edges = np.flatnonzero(interior)
 
     def __repr__(self):
         return (f"PolytopalMesh({self.n_cells} cells, {self.n_edges} edges, "

@@ -147,6 +147,26 @@ class ReferenceMesh:
         return np.nonzero(self.is_boundary_edge)[0]
 
 
+def edge_table(mesh):
+    """Each edge's sorted vertex pair and its owning cells, read from the corners.
+
+    Built from ``corner_vertices``, ``corner_edges`` and ``cell_offsets``
+    alone, one corner at a time.  The owners are in corner order, with -1
+    where an edge has no second owner.
+    """
+    pairs = np.full((mesh.n_edges, 2), -1, dtype=int)
+    owners = np.full((mesh.n_edges, 2), -1, dtype=int)
+    for k in range(mesh.n_cells):
+        a, b = mesh.cell_offsets[k:k + 2]
+        loc = mesh.corner_vertices[a:b]
+        for j, e in enumerate(mesh.corner_edges[a:b]):
+            pair = sorted((int(loc[j]), int(loc[(j + 1) % loc.size])))
+            assert owners[e, 0] < 0 or pairs[e].tolist() == pair, f"edge {e}"
+            pairs[e] = pair
+            owners[e, int(owners[e, 0] >= 0)] = k
+    return pairs, owners
+
+
 def validate(mesh, require_bbox_cover: bool = True, tol: float = GEOM_TOL) -> dict:
     """The per-cell ``hmmvi.mesh.validate``, for a ReferenceMesh."""
     xmin, xmax, ymin, ymax = mesh.bbox

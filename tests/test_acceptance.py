@@ -20,6 +20,7 @@ from hmmvi import (LviProblem, TimeGrid, assemble_forms, build_gd, builtin_case,
 
 from cellref import fluxes, local_stiffness, vector
 from lviref import enumerate_lvi, projected_gauss_seidel
+from meshref import edge_table
 
 
 @contextmanager
@@ -191,7 +192,8 @@ def test_a7_contact_blob_qualitative():
         check_step_residuals(solution)
         contact = solution.partitions[-1].contact
         assert contact.any(), "contact region is empty at the final time"
-        interior = mesh.edge_cells[mesh.edge_cells[:, 1] >= 0]
+        _, owners = edge_table(mesh)
+        interior = owners[owners[:, 1] >= 0]
         front_y = [mesh.cell_points[b if contact[a] else a, 1]
                    for a, b in interior if contact[a] != contact[b]]
         top = max(front_y)

@@ -389,6 +389,32 @@ def test_arrays_are_read_only():
         m.cell_areas[0] = -1.0
 
 
+@pytest.mark.parametrize("family, level", [
+    *((family, level) for family in MESH_FAMILIES for level in (1, 2, 3)),
+    ("mixed", None)])
+def test_boundary_and_interior_edges_are_fixed_sorted_lists(family, level):
+    if family == "mixed":
+        # A pentagon and two quadrilaterals tiling the box [0, 2]^2.
+        m = PolytopalMesh([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0],
+                           [0.0, 2.0], [1.0, 2.0], [2.0, 2.0]],
+                          [[0, 1, 2, 3, 4], [4, 3, 6, 5], [3, 2, 7, 6]])
+    else:
+        m = generate_mesh(family, level)
+    boundary, interior = m.boundary_edges, m.interior_edges
+    for edges, again in ((boundary, m.boundary_edges), (interior, m.interior_edges)):
+        assert edges is again
+        assert not edges.flags.writeable
+        assert edges.dtype.kind == "i" and np.all(np.diff(edges) > 0)
+    both = np.sort(np.concatenate((boundary, interior)))
+    assert np.array_equal(both, np.arange(m.n_edges))
+    reached = np.bincount(m.corner_edges, minlength=m.n_edges)
+    assert np.array_equal(boundary, np.flatnonzero(reached == 1))
+    assert np.array_equal(interior, np.flatnonzero(reached == 2))
+    xmin, xmax, ymin, ymax = m.bbox
+    cx, cy = m.edge_centers[boundary].T
+    assert np.all((cx == xmin) | (cx == xmax) | (cy == ymin) | (cy == ymax))
+
+
 def test_mesh_keeps_copies_of_the_given_arrays():
     # Views of writable arrays: writing through them must not reach the mesh.
     table = np.array([[0.0, 0.0, 0.5, 0.5], [1.0, 0.0, 0.5, 0.5],
@@ -426,8 +452,11 @@ def _assert_same_mesh(mesh, ref):
         got, want = cell_slices(mesh, flat), getattr(ref, name)
         assert len(got) == len(want)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
-    for name in ("edge_vertices", "edge_cells"):
-        assert np.array_equal(getattr(mesh, name), getattr(ref, name))
+    pairs, owners = meshref.edge_table(mesh)
+    assert np.array_equal(pairs, ref.edge_vertices)
+    assert np.array_equal(owners, ref.edge_cells)
+    assert np.array_equal(mesh.boundary_edges, np.flatnonzero(ref.is_boundary_edge))
+    assert np.array_equal(mesh.interior_edges, np.flatnonzero(~ref.is_boundary_edge))
     for name in ("cell_areas", "cell_diameters", "cell_points", "edge_centers",
                  "edge_lengths"):
         assert _rel(getattr(mesh, name), getattr(ref, name)) <= 1e-14, name

@@ -181,7 +181,7 @@ def test_dirichlet_values_enter_the_boundary_edges():
     grid = TimeGrid(case.spec.final_time, 3)
     sol = run_transient(gd, case.spec, grid)
     bdofs = gd.boundary_edge_dofs
-    centers = m.edge_centers[m.is_boundary_edge]
+    centers = m.edge_centers[m.boundary_edges]
     expected = case.u_exact(centers, grid.nodes[-1])
     assert sol.final.values[bdofs] == pytest.approx(expected)
     assert np.abs(expected).max() > 0.1, "case should have nonzero boundary data"
