@@ -341,13 +341,16 @@ def gd_quality_report(gd: GradientDiscretisation) -> GdQualityReport:
     omega, div_omega = probes["sinusoidal_field"]
     bump, grad_bump = probes["polynomial_bump"]
     zero_psi = np.zeros(gd.n_cells)
+    # W_D first: its functional reads G, so G is built before the plain
+    # factorisation both measures share, not on top of it.
+    w_d = estimate_WD(forms, omega, div_omega)
 
     return GdQualityReport(
         h=mesh_size(gd.mesh),
         n_cells=gd.n_cells,
         n_edges=gd.n_edges,
         c_d=estimate_CD(forms),
-        w_d={"sinusoidal_field": estimate_WD(forms, omega, div_omega)},
+        w_d={"sinusoidal_field": w_d},
         s_d={"polynomial_bump": bound_SD(gd, bump, grad_bump, zero_psi).total},
         i_d0={"polynomial_bump": initial_interp_error(gd, bump, zero_psi)},
     )

@@ -11,7 +11,9 @@ D_{K,sigma} (the triangles spanned by an edge and the cell point x_K):
 
 The stabilised gradient is exact for affine functions sampled at cell points
 and edge midpoints.  It is one linear map, stored as a sparse matrix G with
-two rows per subcell and one column per unknown.  The stiffness is the sum
+two rows per subcell and one column per unknown.  Only the error norms and
+the quality measures read G, so it is built on its first read; a time march
+needs the stiffness and the mass alone.  The stiffness is the sum
 over the cells of the local forms A_K = sum_s |D_s| L_s^T Lambda_K L_s, L_s
 the gradient map of subcell s.  G does not depend on Lambda, so with
 Lambda = I the stiffness is the unweighted gradient form in which the
@@ -34,6 +36,7 @@ instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -132,8 +135,9 @@ class GradientDiscretisation:
     Unknown ordering is all cells first, then all edges: edge e is unknown
     n_cells + e.  Subcell s is the mesh's corner s: it belongs to cell
     ``subcell_cell[s]`` and to edge ``mesh.corner_edges[s]``.  Instances are
-    immutable after construction and can be shared between solves: every
-    array, the gradient matrix's included, is read-only.
+    immutable and can be shared between solves: every array is read-only.
+    The gradient matrix ``_grad_matrix`` is built on its first read, from the
+    mesh alone, and its arrays are read-only too.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None):
@@ -149,8 +153,6 @@ class GradientDiscretisation:
         self.subcell_volumes = 0.5 * mesh.edge_lengths[mesh.corner_edges] * mesh.corner_edge_dists
         self.n_subcells = self.subcell_cell.size
 
-        self._grad_matrix = G = self._build_gradient_matrix(counts)
-
         bdofs = self.n_cells + mesh.boundary_edges
         self.boundary_edge_dofs = bdofs
         free = np.ones(self.n_dofs, dtype=bool)
@@ -158,10 +160,18 @@ class GradientDiscretisation:
         self.free_dofs = np.nonzero(free)[0]
 
         for arr in (self.diffusion, self.subcell_cell, self.subcell_volumes,
-                    self.boundary_edge_dofs, self.free_dofs, G.data, G.indices, G.indptr):
+                    self.boundary_edge_dofs, self.free_dofs):
             arr.setflags(write=False)
 
-    def _build_gradient_matrix(self, counts) -> sp.csr_matrix:
+    @functools.cached_property
+    def _grad_matrix(self) -> sp.csr_matrix:
+        """G, built on the first read; its arrays are read-only."""
+        G = self._build_gradient_matrix()
+        for arr in (G.data, G.indices, G.indptr):
+            arr.setflags(write=False)
+        return G
+
+    def _build_gradient_matrix(self) -> sp.csr_matrix:
         """Rows 2s, 2s+1 hold the gradient on subcell s as a map of the dofs.
 
         The CSR arrays are written directly from ``_gradient_groups``, one
@@ -170,12 +180,11 @@ class GradientDiscretisation:
         canonical order).  The rows go straight into their slots in subcell
         order, and the exact zeros are then dropped in place.
         """
-        n = self.n_cells
+        n, counts = self.n_cells, np.diff(self.mesh.cell_offsets)
         # Cell k's rows take the 2 m (m + 1) slots from at[k] on.
         at = np.zeros(n + 1, dtype=int)
         np.cumsum(2 * counts * (counts + 1), out=at[1:])
-        # The index type scipy picks for G: int32 while the slots fit in it.
-        index = np.int32 if max(at[-1], self.n_dofs) < 2**31 else np.int64
+        index = _index_type(at[-1], self.n_dofs)
         data, indices = np.empty(at[-1]), np.empty(at[-1], dtype=index)
         for cells, _, vals, cols in _gradient_groups(self):
             m = vals.shape[0]
@@ -195,6 +204,8 @@ class GradientDiscretisation:
         shape = (2 * self.n_subcells, self.n_dofs)
         mat = sp.csr_matrix((data, indices, indptr), shape=shape)
         mat.eliminate_zeros()
+        if mat.nnz == at[-1]:  # nothing dropped: the arrays have exact size
+            return mat
         # Copies of the kept entries alone, so that G holds no empty slots.
         return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), mat.indptr), shape=shape)
 
@@ -208,6 +219,12 @@ class GradientDiscretisation:
             raise DiscretisationError(
                 f"vector has {v.values.shape[0]} entries for {v.n_cells} cells, "
                 f"expected {self.n_dofs} and {self.n_cells}")
+
+
+def _index_type(n_slots: int, n_dofs: int) -> type:
+    """The index type scipy picks for G and the stiffness: int32 while G's
+    Sigma 2 m (m + 1) slots and the unknown count both fit in it."""
+    return np.int32 if max(n_slots, n_dofs) < 2**31 else np.int64
 
 
 def _gradient_groups(gd: GradientDiscretisation):
@@ -282,11 +299,11 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     entry, held by one cell (all off-diagonal ones) or by two, is exactly
     symmetric.  The blocks go once into canonical CSR without exact zeros.
     """
-    vols, lam = gd.subcell_volumes, gd.diffusion
+    vols, lam, counts = gd.subcell_volumes, gd.diffusion, np.diff(gd.mesh.cell_offsets)
     # Cell K's block takes (m_K + 1)^2 entries, its group's in [j, l, k] order:
     # at most its 2 m_K (m_K + 1) slots in G, so G's index type holds them.
-    size = int(np.sum((np.diff(gd.mesh.cell_offsets) + 1) ** 2))
-    index = gd._grad_matrix.indices.dtype
+    size = int(np.sum((counts + 1) ** 2))
+    index = _index_type(int(np.sum(2 * counts * (counts + 1))), gd.n_dofs)
     data, rows, cols = np.empty(size), np.empty(size, dtype=index), np.empty(size, dtype=index)
     start = 0
     for cells, corners, vals, dofs in _gradient_groups(gd):

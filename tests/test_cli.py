@@ -119,6 +119,13 @@ def test_solve_writes_outputs(tmp_path):
     assert timings["schur_s"] <= timings["linear_s"]
 
 
+def test_solve_without_an_exact_solution_builds_no_gradient_matrix(tmp_path, g_builds):
+    code = run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "3",
+                   "--dt", "0.05", "--formats", "json", "--out", str(tmp_path / "run"))
+    assert code == EXIT_OK
+    assert g_builds == []
+
+
 @pytest.mark.parametrize("formats, snapshots", [("vtk,json", 2), ("json", 0)])
 def test_run_record_has_the_snapshot_time(tmp_path, formats, snapshots):
     out = tmp_path / "run"

@@ -292,6 +292,27 @@ def test_quality_report_factorises_the_plain_form_once(monkeypatch):
                           relax=1, panel_size=1, options=dict(SymmetricMode=True))
 
 
+def test_quality_report_builds_the_gradient_matrix_once_before_factorising(
+        monkeypatch, g_builds):
+    builds_at_factorisation = []
+    factorise = hmmvi.diagnostics.factorise_spd
+
+    def counting(S):
+        builds_at_factorisation.append(len(g_builds))
+        return factorise(S)
+
+    monkeypatch.setattr(hmmvi.diagnostics, "factorise_spd", counting)
+    gd = build_gd(generate_mesh("hexagonal", 2))
+    gd_quality_report(gd)
+    assert g_builds == [gd] and builds_at_factorisation == [1]
+
+
+def test_plain_solve_builds_no_gradient_matrix_for_its_identity_scheme(g_builds):
+    gd = build_gd(generate_mesh("hexagonal", 2), np.array([[1.5, 0.2], [0.2, 3.0]]))
+    _plain_solve(assemble_forms(gd))
+    assert g_builds == []
+
+
 def _per_cell_diffusion(mesh):
     rng = np.random.default_rng(3)
     per_cell = np.zeros((mesh.n_cells, 2, 2))

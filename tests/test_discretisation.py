@@ -19,7 +19,7 @@ from hmmvi import (DiscretisationError, MESH_FAMILIES, PolytopalMesh, ProblemSpe
                    generate_mesh, interpolate_exact, reconstruct_gradient_flat,
                    run_transient, validate)
 from hmmvi.diagnostics import _subcell_quad_flat
-from hmmvi.discretisation import DofVector
+from hmmvi.discretisation import DofVector, _index_type
 
 import gdref
 from cellref import cell_slice, fluxes, local_stiffness, vector
@@ -157,6 +157,8 @@ def _assert_gradient_matrix_is_the_coo_one(m, gd):
         cols = G.indices[G.indptr[k]:G.indptr[k + 1]]
         assert np.all(np.diff(cols) > 0)
     assert np.all(G.data != 0.0)
+    # the arrays hold the kept entries alone, not views of larger buffers
+    assert _owned(G.data).size == _owned(G.indices).size == G.nnz
     # both subcell quadratures, points, weights and owners, bit for bit
     triangles, centroids = gdref.eager_subcell_geometry(m)
     volumes = 0.5 * m.edge_lengths[m.corner_edges] * m.corner_edge_dists
@@ -213,6 +215,39 @@ def test_discretisation_arrays_are_read_only():
     build_gd(m, diffusion=field)
     build_gd(m, diffusion=field[0])
     field[0, 0, 0] = 2.0
+
+
+def test_index_type_is_int32_while_the_sizes_fit():
+    below, at = 2**31 - 1, 2**31
+    assert _index_type(below, below) is np.int32
+    assert _index_type(at, 1) is np.int64
+    assert _index_type(1, at) is np.int64
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_stiffness_and_gradient_matrix_share_the_index_type(family):
+    gd = build_gd(generate_mesh(family, 2))
+    S, G = assemble_forms(gd).stiffness, gd._grad_matrix
+    assert S.indices.dtype == S.indptr.dtype == G.indices.dtype == G.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_a_march_builds_no_gradient_matrix(family, g_builds):
+    m = generate_mesh(family, 2)
+    spec = _obstacle_spec(lambda p: np.zeros(len(p)),
+                          lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
+    run_transient(build_gd(m, diffusion=_diffusion("anisotropic", m)), spec, TimeGrid(0.1, 2))
+    assert g_builds == []
+
+
+def test_gradient_matrix_is_built_once_on_its_first_read(g_builds):
+    gd = build_gd(generate_mesh("hexagonal", 2))
+    assert g_builds == []
+    v = interpolate_exact(gd, lambda p: p[:, 0] - 2 * p[:, 1])
+    first = reconstruct_gradient_flat(gd, v)
+    second = reconstruct_gradient_flat(gd, v)
+    assert g_builds == [gd]
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
