@@ -37,8 +37,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .discretisation import (AssembledForms, GradientDiscretisation, assemble_forms,
-                             build_gd, interpolate_exact, reconstruct_gradient_flat)
+from .discretisation import (AssembledForms, GradientDiscretisation, _apply_gradient_maps,
+                             _gradient_groups, assemble_forms, build_gd, interpolate_exact,
+                             reconstruct_gradient_flat)
 from .solver import factorise_spd
 from .timeloop import TransientSolution
 
@@ -94,10 +95,10 @@ def _value_error(quad, cells, value: Callable) -> float:
     return math.sqrt(float(w @ diff**2))
 
 
-def _gradient_error(quad, gd, v, grad: Callable) -> float:
-    """L2 norm of v's reconstructed gradient minus ``grad`` by a subcell rule's flattening."""
+def _gradient_error(quad, grads, grad: Callable) -> float:
+    """L2 norm of per-subcell gradients minus ``grad`` by a subcell rule's flattening."""
     pts, w, sidx = quad
-    diff = reconstruct_gradient_flat(gd, v)[sidx] - np.asarray(grad(pts), dtype=float)
+    diff = grads[sidx] - np.asarray(grad(pts), dtype=float)
     return math.sqrt(float(w @ np.sum(diff**2, axis=1)))
 
 
@@ -137,14 +138,16 @@ def error_norms(gd: GradientDiscretisation, solution: TransientSolution,
             f"{len(solution.vectors)} vectors for {n_nodes} time nodes")
 
     cells, subcells = _cell_quad_flat(gd.mesh, rule), _subcell_quad_flat(gd, rule)
+    maps = list(_gradient_groups(gd))  # one pass, applied to every node
     nodes = [(float(t), u) for t, u in zip(times, solution.vectors)]
     l2 = np.array([_value_error(cells, u.cells, lambda p: u_exact(p, t)) for t, u in nodes])
-    grad = np.array([_gradient_error(subcells, gd, u, lambda p: grad_exact(p, t))
-                     for t, u in nodes[1:]])
+    grad = np.array([_gradient_error(subcells, _apply_gradient_maps(gd, maps, u),
+                                     lambda p: grad_exact(p, t)) for t, u in nodes[1:]])
     # The exact norms at T are the errors of the zero vector: (0 - x)^2 = x^2.
-    T, zero = nodes[-1][0], gd.zeros()
-    exact_l2 = _value_error(cells, zero.cells, lambda p: u_exact(p, T))
-    exact_grad = _gradient_error(subcells, gd, zero, lambda p: grad_exact(p, T))
+    T = nodes[-1][0]
+    exact_l2 = _value_error(cells, np.zeros(gd.n_cells), lambda p: u_exact(p, T))
+    exact_grad = _gradient_error(subcells, np.zeros((gd.n_subcells, 2)),
+                                 lambda p: grad_exact(p, T))
     if exact_l2 <= 0.0 or exact_grad <= 0.0:
         raise DiagnosticsError(
             "exact solution norm vanishes at the final time; "
@@ -256,7 +259,11 @@ def estimate_WD(forms: AssembledForms, omega: Callable, div_omega: Callable) -> 
     spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
     flux = sw[:, None] * np.asarray(omega(spts), dtype=float)
     moments = np.column_stack([np.bincount(sidx, f, minlength=gd.n_subcells) for f in flux.T])
-    ell += gd._grad_matrix.T @ moments.ravel()
+    # The adjoint of the reconstruction: each local unknown takes its maps'
+    # products with the moments of the cell's subcells.
+    for _, corners, vals, cols in _gradient_groups(gd):
+        products = np.einsum("sijk,ski->jk", vals, moments[corners])
+        ell += np.bincount(cols.ravel(), products.ravel(), minlength=gd.n_dofs)
 
     ell_f = ell[gd.free_dofs]
     x = _plain_solve(forms)(ell_f)
@@ -278,7 +285,8 @@ def bound_SD(gd: GradientDiscretisation, phi: Callable, grad_phi: Callable,
     its cell values clipped from below at the per-cell obstacle values psi."""
     v = interpolate_exact(gd, phi, psi)
     func = _value_error(_cell_quad_flat(gd.mesh, "fan3"), v.cells, phi)
-    grad = _gradient_error(_subcell_quad_flat(gd, "fan3"), gd, v, grad_phi)
+    grad = _gradient_error(_subcell_quad_flat(gd, "fan3"), reconstruct_gradient_flat(gd, v),
+                           grad_phi)
     return SdBound(total=func + grad, function_part=func, gradient_part=grad)
 
 
@@ -341,8 +349,8 @@ def gd_quality_report(gd: GradientDiscretisation) -> GdQualityReport:
     omega, div_omega = probes["sinusoidal_field"]
     bump, grad_bump = probes["polynomial_bump"]
     zero_psi = np.zeros(gd.n_cells)
-    # W_D first: its functional reads G, so G is built before the plain
-    # factorisation both measures share, not on top of it.
+    # W_D first: its functional's pass over the gradient maps then runs
+    # before the plain factorisation both measures share, not on top of it.
     w_d = estimate_WD(forms, omega, div_omega)
 
     return GdQualityReport(

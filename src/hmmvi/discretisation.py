@@ -10,24 +10,19 @@ D_{K,sigma} (the triangles spanned by an edge and the cell point x_K):
     grad_D v   = grad_K v + (sqrt(2)/d_{K,sigma}) R_K(v)_s n_{K,sigma}
 
 The stabilised gradient is exact for affine functions sampled at cell points
-and edge midpoints.  It is one linear map, stored as a sparse matrix G with
-two rows per subcell and one column per unknown.  Only the error norms and
-the quality measures read G, so it is built on its first read; a time march
-needs the stiffness and the mass alone.  The stiffness is the sum
-over the cells of the local forms A_K = sum_s |D_s| L_s^T Lambda_K L_s, L_s
-the gradient map of subcell s.  G does not depend on Lambda, so with
-Lambda = I the stiffness is the unweighted gradient form in which the
+and edge midpoints.  On each subcell it is a small linear map L_s of the
+cell's own unknowns, and these maps are the scheme's one gradient
+representation.  The stiffness is the sum over the cells of the local forms
+A_K = sum_s |D_s| L_s^T Lambda_K L_s.  The maps do not depend on Lambda, so
+with Lambda = I the stiffness is the unweighted gradient form in which the
 quality measures are taken.
 
 The cells are grouped by corner count, and ``_gradient_groups`` computes
-each group's gradient maps in one pass over contiguous arrays, one per
-vector component, with the cells on the last axis.  G is written from them
-straight into CSR arrays: rows 2s and 2s+1 of subcell s hold the cell
-column first, then the cell's edge columns by ascending edge number, and
-exact zeros are then dropped.  That is scipy's canonical order, so G is bit
-for bit the matrix a COO build and ``tocsr`` would give.  The stiffness is
-built from the same maps, one batched block A_K per cell, each symmetrised,
-and the blocks are summed once into CSR.
+each group's maps in one pass over contiguous arrays, one per vector
+component, with the cells on the last axis.  Nothing holds them between
+calls: the stiffness is built from one pass, one batched block A_K per cell,
+each symmetrised, and the blocks are summed once into CSR.  A gradient
+reconstruction applies one pass's maps to the local unknowns.
 
 Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
 non-homogeneous data the same unknowns are pinned to the boundary values
@@ -36,7 +31,6 @@ instead.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -130,14 +124,12 @@ def _check_diffusion(field: np.ndarray) -> None:
 
 
 class GradientDiscretisation:
-    """Subcell gradient matrix, subcell volumes and unknown layout.
+    """Diffusion field, subcell volumes and unknown layout.
 
     Unknown ordering is all cells first, then all edges: edge e is unknown
     n_cells + e.  Subcell s is the mesh's corner s: it belongs to cell
     ``subcell_cell[s]`` and to edge ``mesh.corner_edges[s]``.  Instances are
     immutable and can be shared between solves: every array is read-only.
-    The gradient matrix ``_grad_matrix`` is built on its first read, from the
-    mesh alone, and its arrays are read-only too.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None):
@@ -163,52 +155,6 @@ class GradientDiscretisation:
                     self.boundary_edge_dofs, self.free_dofs):
             arr.setflags(write=False)
 
-    @functools.cached_property
-    def _grad_matrix(self) -> sp.csr_matrix:
-        """G, built on the first read; its arrays are read-only."""
-        G = self._build_gradient_matrix()
-        for arr in (G.data, G.indices, G.indptr):
-            arr.setflags(write=False)
-        return G
-
-    def _build_gradient_matrix(self) -> sp.csr_matrix:
-        """Rows 2s, 2s+1 hold the gradient on subcell s as a map of the dofs.
-
-        The CSR arrays are written directly from ``_gradient_groups``, one
-        pass per corner count.  Each cell's 2m rows have m + 1 slots each: the
-        cell column first, then the cell's edges by ascending number (scipy's
-        canonical order).  The rows go straight into their slots in subcell
-        order, and the exact zeros are then dropped in place.
-        """
-        n, counts = self.n_cells, np.diff(self.mesh.cell_offsets)
-        # Cell k's rows take the 2 m (m + 1) slots from at[k] on.
-        at = np.zeros(n + 1, dtype=int)
-        np.cumsum(2 * counts * (counts + 1), out=at[1:])
-        index = _index_type(at[-1], self.n_dofs)
-        data, indices = np.empty(at[-1]), np.empty(at[-1], dtype=index)
-        for cells, _, vals, cols in _gradient_groups(self):
-            m = vals.shape[0]
-            if cells.size == n:  # one cell size: the slots hold the cells in order
-                shape = (n, m, 2, m + 1)
-                np.copyto(data.reshape(shape), vals.transpose(3, 0, 1, 2))
-                np.copyto(indices.reshape(shape), cols.T[:, None, None])
-            else:
-                slots = np.arange(2 * m * (m + 1)).reshape(m, 2, m + 1, 1) + at[cells]
-                data[slots] = vals
-                indices[slots] = cols
-                del slots
-            del vals
-
-        indptr = np.zeros(2 * self.n_subcells + 1, dtype=index)
-        np.cumsum(np.repeat(counts + 1, 2 * counts), out=indptr[1:])
-        shape = (2 * self.n_subcells, self.n_dofs)
-        mat = sp.csr_matrix((data, indices, indptr), shape=shape)
-        mat.eliminate_zeros()
-        if mat.nnz == at[-1]:  # nothing dropped: the arrays have exact size
-            return mat
-        # Copies of the kept entries alone, so that G holds no empty slots.
-        return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), mat.indptr), shape=shape)
-
     # -- unknown layout ------------------------------------------------------
 
     def zeros(self) -> DofVector:
@@ -221,10 +167,10 @@ class GradientDiscretisation:
                 f"expected {self.n_dofs} and {self.n_cells}")
 
 
-def _index_type(n_slots: int, n_dofs: int) -> type:
-    """The index type scipy picks for G and the stiffness: int32 while G's
-    Sigma 2 m (m + 1) slots and the unknown count both fit in it."""
-    return np.int32 if max(n_slots, n_dofs) < 2**31 else np.int64
+def _index_type(n_entries: int, n_dofs: int) -> type:
+    """The index type scipy picks for the stiffness: int32 while its
+    Sigma (m + 1)^2 block entries and the unknown count both fit in it."""
+    return np.int32 if max(n_entries, n_dofs) < 2**31 else np.int64
 
 
 def _gradient_groups(gd: GradientDiscretisation):
@@ -287,8 +233,25 @@ def reconstruct_gradient_flat(gd: GradientDiscretisation, v: DofVector) -> np.nd
     Subcells are ordered cell by cell, matching ``gd.subcell_cell`` and
     ``gd.subcell_volumes``.
     """
+    return _apply_gradient_maps(gd, _gradient_groups(gd), v)
+
+
+def _apply_gradient_maps(gd: GradientDiscretisation, groups, v: DofVector) -> np.ndarray:
+    """``reconstruct_gradient_flat`` with the maps of ``_gradient_groups`` given.
+
+    Each subcell's sum starts at +0 and adds the terms of its local unknowns
+    in their column order, the cell first, then the edges by ascending
+    number, as the product with the CSR matrix of the maps would.
+    """
     gd.check_vector(v)
-    return (gd._grad_matrix @ v.values).reshape(gd.n_subcells, 2)
+    out = np.empty((gd.n_subcells, 2))
+    for _, corners, vals, cols in groups:
+        x = v.values[cols]
+        g = np.zeros(vals.shape[:2] + x.shape[1:])  # [s, component, k]
+        for j, xj in enumerate(x):
+            g += vals[:, :, j] * xj
+        out[corners] = g.transpose(0, 2, 1)
+    return out
 
 
 def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
@@ -300,10 +263,9 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     symmetric.  The blocks go once into canonical CSR without exact zeros.
     """
     vols, lam, counts = gd.subcell_volumes, gd.diffusion, np.diff(gd.mesh.cell_offsets)
-    # Cell K's block takes (m_K + 1)^2 entries, its group's in [j, l, k] order:
-    # at most its 2 m_K (m_K + 1) slots in G, so G's index type holds them.
+    # Cell K's block takes (m_K + 1)^2 entries, its group's in [j, l, k] order.
     size = int(np.sum((counts + 1) ** 2))
-    index = _index_type(int(np.sum(2 * counts * (counts + 1))), gd.n_dofs)
+    index = _index_type(size, gd.n_dofs)
     data, rows, cols = np.empty(size), np.empty(size, dtype=index), np.empty(size, dtype=index)
     start = 0
     for cells, corners, vals, dofs in _gradient_groups(gd):

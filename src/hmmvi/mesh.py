@@ -290,10 +290,6 @@ class PolytopalMesh:
         self.boundary_edges = np.flatnonzero(~interior)
         self.interior_edges = np.flatnonzero(interior)
 
-    def __repr__(self):
-        return (f"PolytopalMesh({self.n_cells} cells, {self.n_edges} edges, "
-                f"{self.n_vertices} vertices, h={mesh_size(self):.4g})")
-
 
 def mesh_size(mesh: PolytopalMesh) -> float:
     """Largest cell diameter."""

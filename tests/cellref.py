@@ -1,15 +1,16 @@
 """One cell at a time, read from the library's flat arrays.
 
 The mesh holds its cells only as per-corner arrays cut by ``cell_offsets``,
-and the scheme is one subcell gradient matrix ``gd._grad_matrix``.  The tests
-that check a single cell cut it out here: its slice of a corner array, and
-its local form and fluxes taken from the rows of the library's own matrix
-that belong to its subcells, so the library stays under test.
+and the scheme reconstructs the gradient from per-cell maps it does not hold.
+The tests that check a single cell cut it out here: its slice of a corner
+array, and its local form and fluxes taken from the library's own
+reconstructed gradients of the cell's local unit vectors, so the library
+stays under test.
 """
 
 import numpy as np
 
-from hmmvi.discretisation import DofVector
+from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
 
 
 def cell_slice(mesh, flat, k):
@@ -33,11 +34,18 @@ def vector(gd, cells=None, edges=None):
 
 
 def local_stiffness(gd, k):
-    """Dense local form on (v_K, v_sigma1, ..., v_sigmam) of cell k."""
+    """Dense local form on (v_K, v_sigma1, ..., v_sigmam) of cell k.
+
+    Column j of its maps is the library's gradient on the cell's subcells of
+    the unit vector of local unknown j.
+    """
     eids = cell_slice(gd.mesh, gd.mesh.corner_edges, k)
     first, m = gd.mesh.cell_offsets[k], eids.size
-    dofs = np.concatenate(([k], gd.n_cells + eids))
-    maps = gd._grad_matrix[2 * first:2 * (first + m)][:, dofs].toarray()
+    maps = np.empty((2 * m, m + 1))
+    for j, dof in enumerate(np.concatenate(([k], gd.n_cells + eids))):
+        unit = gd.zeros()
+        unit.values[dof] = 1.0
+        maps[:, j] = reconstruct_gradient_flat(gd, unit)[first:first + m].ravel()
     W = np.kron(np.diag(gd.subcell_volumes[first:first + m]), gd.diffusion[k])
     A = maps.T @ W @ maps
     return 0.5 * (A + A.T)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import hmmvi.diagnostics
+import hmmvi.discretisation
 from hmmvi import PolytopalMesh, build_gd
-from hmmvi.discretisation import GradientDiscretisation
 
 
 @pytest.fixture
@@ -18,14 +19,16 @@ def unit_square_gd(unit_square_mesh):
 
 
 @pytest.fixture
-def g_builds(monkeypatch):
-    """The discretisations whose gradient matrix G gets built, one entry per build."""
-    built = []
-    build = GradientDiscretisation._build_gradient_matrix
+def gradient_passes(monkeypatch):
+    """The discretisations whose subcell gradient maps get computed, one
+    entry per pass of ``_gradient_groups``."""
+    passes = []
+    groups = hmmvi.discretisation._gradient_groups
 
-    def counting(gd, *args):
-        built.append(gd)
-        return build(gd, *args)
+    def counting(gd):
+        passes.append(gd)
+        return groups(gd)
 
-    monkeypatch.setattr(GradientDiscretisation, "_build_gradient_matrix", counting)
-    return built
+    for module in (hmmvi.discretisation, hmmvi.diagnostics):
+        monkeypatch.setattr(module, "_gradient_groups", counting)
+    return passes

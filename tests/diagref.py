@@ -19,6 +19,8 @@ from hmmvi.diagnostics import (DiagnosticsError, _cell_quad_flat,
 from hmmvi.discretisation import (AssembledForms, GradientDiscretisation,
                                   assemble_forms)
 
+from gdref import coo_gradient_matrix
+
 
 def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = None,
                 tol: float = 1e-8, max_iter: int = 10_000) -> float:
@@ -75,7 +77,7 @@ def estimate_WD(gd: GradientDiscretisation, omega: Callable, div_omega: Callable
     vals = np.asarray(omega(spts), dtype=float)
     moments = np.zeros((gd.n_subcells, 2))
     np.add.at(moments, sidx, sw[:, None] * vals)
-    ell += gd._grad_matrix.T @ moments.ravel()
+    ell += coo_gradient_matrix(gd.mesh).T @ moments.ravel()
 
     free = gd.free_dofs
     ell_f = ell[free]

@@ -4,9 +4,11 @@ This is the cell-by-cell construction the vectorised code in
 ``hmmvi.discretisation`` replaced, kept frozen so the batched operators can be
 checked against it: one dense (m, 2, m+1) gradient map per cell, a sparse
 matrix stacked from them, and local forms summed over the subcells with
-einsum before being scattered into the global matrices.  The global triple
-product G^T W G the per-cell stiffness blocks replaced is kept too, as the
-oracle of the stiffness pattern.
+einsum before being scattered into the global matrices.  The library holds
+no gradient matrix; the subcell gradient matrix G is built here alone, by
+COO triplets, as the oracle of the library's reconstruction (G v, bit for
+bit) and, through the global triple product G^T W G the per-cell stiffness
+blocks replaced, of the stiffness pattern.
 """
 
 import math
@@ -95,12 +97,12 @@ def assemble(mesh, diffusion):
 
 
 def triple_product_stiffness(gd):
-    """G^T (W G) of the library's G, W = |D| Lambda_K per subcell, symmetrised.
+    """G^T (W G), W = |D| Lambda_K per subcell, symmetrised, G the COO one.
 
     Built through a block-diagonal BSR W, two scipy products and a global
     0.5 (S + S^T), as the library assembled the stiffness before.
     """
-    G = gd._grad_matrix
+    G = coo_gradient_matrix(gd.mesh)
     n = gd.n_subcells
     blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[gd.subcell_cell]
     W = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n))
@@ -110,7 +112,7 @@ def triple_product_stiffness(gd):
 
 # -- the pair-index COO construction -----------------------------------------
 #
-# The batched construction the direct CSR build replaced, frozen as it was:
+# The batched construction of G the library once held, frozen as it was:
 # pair indices (s, t) over every two subcells of a cell, COO triplets with
 # exact zeros dropped, then ``tocsr``.  The subcell geometry is the eager
 # formula of the same code.

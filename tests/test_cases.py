@@ -287,6 +287,14 @@ def test_case_file_bad_recommendation_names_the_field(tmp_path, recommended, mes
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_case_file_dt_rule_numbers_are_kept_as_floats(tmp_path):
+    rule = {"fixed": 0.05, "coefficient": 2, "exponent": 1}
+    case = load_case_file(_write_case(tmp_path, dict(BASE_DOC, recommended={"dt_rule": rule})))
+    got = case.recommended["dt_rule"]
+    assert got == {"fixed": 0.05, "coefficient": 2.0, "exponent": 1.0}
+    assert all(type(v) is float for v in got.values())
+
+
 def test_case_file_not_json(tmp_path):
     path = tmp_path / "case.json"
     path.write_text("not json at all {")

@@ -1,6 +1,7 @@
 """Command line driver, exercised in-process through main()."""
 
 import json
+import logging
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import hmmvi.cli
 import hmmvi.mesh
 import hmmvi.solver
 import hmmvi.timeloop
-from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_levels
+from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_levels
 
 from test_export import parse_vtk
 
@@ -119,11 +120,12 @@ def test_solve_writes_outputs(tmp_path):
     assert timings["schur_s"] <= timings["linear_s"]
 
 
-def test_solve_without_an_exact_solution_builds_no_gradient_matrix(tmp_path, g_builds):
+def test_solve_without_an_exact_solution_makes_one_gradient_pass(tmp_path, gradient_passes):
+    # the assembly's: no error norms, so no reconstruction
     code = run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "3",
                    "--dt", "0.05", "--formats", "json", "--out", str(tmp_path / "run"))
     assert code == EXIT_OK
-    assert g_builds == []
+    assert len(gradient_passes) == 1
 
 
 @pytest.mark.parametrize("formats, snapshots", [("vtk,json", 2), ("json", 0)])
@@ -1290,3 +1292,85 @@ def test_out_defaults_to_out_whatever_the_environment(tmp_path, monkeypatch):
     assert run_cli("meshgen", "--family", "cartesian", "--levels", "1") == EXIT_OK
     assert sorted(map(str, tmp_path.rglob("*"))) == [
         str(tmp_path / "out"), str(tmp_path / "out" / "cartesian_l01.json")]
+
+
+# -- option branches, each with its full message -------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["solve", "--case", "test2", "--family", "cartesian", "--level", "2",
+                  "--formats", "vtk,xml"],
+                 "argument --formats: expected a comma list from vtk,csv,json, got 'vtk,xml'",
+                 id="bad-formats"),
+    pytest.param(["solve", "--family", "cartesian", "--level", "2"],
+                 "no case selected; use --case with one of "
+                 "('test1', 'test2', 'smooth_baseline') or --case-file", id="no-case"),
+    pytest.param(["solve", "--case", "test1", "--family", "cartesian", "--level", "2",
+                  "--dt-exp", "-3000"],
+                 "the dt rule dt = 1.0 * h^-3000.0 overflows for h = 0.707107",
+                 id="dt-rule-overflows"),
+    pytest.param(["diagnose", "--level", "2"],
+                 "no mesh given; use --family/--levels or --mesh", id="no-mesh"),
+    pytest.param(["diagnose", "--family", "cartesian"],
+                 "no refinement levels given; use --levels", id="no-levels"),
+    pytest.param(["meshgen", "--family", "cartesian"],
+                 "meshgen needs --family and --levels", id="meshgen-without-levels"),
+    pytest.param(["meshgen", "--levels", "2"],
+                 "meshgen needs --family and --levels", id="meshgen-without-family"),
+])
+def test_usage_branch_is_its_one_message_line(tmp_path, capsys, argv, message):
+    code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_a_case_fixed_dt_rule_sets_the_step(tmp_path, capsys):
+    # test2 recommends the fixed step 0.01: no --dt, --dt-coef or --dt-exp
+    out = tmp_path / "run"
+    code = run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "2",
+                   "--formats", "json", "--out", str(out))
+    assert code == EXIT_OK
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "case test2 on cartesian_l2: 16 cells, h = 0.70711, 10 steps of dt = 0.01")
+    record = json.loads((out / "run.json").read_text())
+    assert record["time_nodes"] == np.linspace(0.0, 0.1, 11).tolist()
+
+
+def test_a_generated_mesh_off_the_case_box_is_warned_about(tmp_path, caplog):
+    # main() replaces the root logger's handlers, so the capture listens on
+    # the package's own logger
+    logger = logging.getLogger("hmmvi")
+    logger.addHandler(caplog.handler)
+    try:
+        code = run_cli("solve", "--case", "test1", "--family", "cartesian", "--level", "2",
+                       "--bbox=-1,3,-1,1", "--dt", "0.05", "--formats", "json",
+                       "--out", str(tmp_path / "run"))
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert code == EXIT_OK
+    warnings = [(r.name, r.getMessage()) for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == [(
+        "hmmvi", "mesh cartesian_l2 spans the box [-1.0, 3.0, -1.0, 1.0], which is not "
+        "inside the box [-1.0, 1.0, -1.0, 1.0] of case test1; its fields are evaluated "
+        "outside their domain")]
+
+
+def test_converge_on_one_level_has_no_rates(tmp_path):
+    out = tmp_path / "conv"
+    code = run_cli("converge", "--case", "test1", "--family", "triangular", "--levels", "2",
+                   "--out", str(out))
+    assert code == EXIT_OK
+    (level,) = json.loads((out / "convergence.json").read_text())["levels"]
+    assert level["rate_l2"] is None and level["rate_grad"] is None
+    assert 0.0 < level["rel_l2"] and 0.0 < level["rel_grad"]
+
+
+@pytest.mark.parametrize("command", [None, "solve"])
+def test_help_prints_the_parser_help_and_returns_0(capsys, command):
+    parser, commands = build_parser()
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert run_cli(*argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == (parser if command is None else commands[command]).format_help()
+    assert captured.err == ""

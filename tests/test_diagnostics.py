@@ -182,6 +182,28 @@ def test_error_norms_reject_an_unknown_rule():
         error_norms(gd, sol, case.u_exact, case.grad_exact, rule="gauss")
 
 
+@pytest.mark.parametrize("missing", ["u_exact", "grad_exact"])
+def test_error_norms_need_both_exact_callables(missing):
+    case = builtin_case("smooth_baseline")
+    gd = build_gd(generate_mesh("cartesian", 2))
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 1))
+    exact = {"u_exact": case.u_exact, "grad_exact": case.grad_exact, missing: None}
+    with pytest.raises(DiagnosticsError) as info:
+        error_norms(gd, sol, **exact)
+    assert str(info.value) == "error norms need both exact callables"
+
+
+def test_error_norms_refuse_a_vector_count_off_the_node_count():
+    case = builtin_case("smooth_baseline")
+    gd = build_gd(generate_mesh("cartesian", 2))
+    sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 2))
+    short = TransientSolution(grid=sol.grid, psi=sol.psi, vectors=sol.vectors[:-1],
+                              stats=sol.stats, partitions=sol.partitions)
+    with pytest.raises(DiagnosticsError) as info:
+        error_norms(gd, short, case.u_exact, case.grad_exact)
+    assert str(info.value) == "2 vectors for 3 time nodes"
+
+
 def test_spacetime_norms_accumulate_steps():
     case = builtin_case("smooth_baseline")
     m = generate_mesh("triangular", 6)
@@ -292,25 +314,39 @@ def test_quality_report_factorises_the_plain_form_once(monkeypatch):
                           relax=1, panel_size=1, options=dict(SymmetricMode=True))
 
 
-def test_quality_report_builds_the_gradient_matrix_once_before_factorising(
-        monkeypatch, g_builds):
-    builds_at_factorisation = []
+def test_quality_report_passes_the_gradient_maps_before_factorising(
+        monkeypatch, gradient_passes):
+    # assembly and W_D before the plain factorisation, then S_D's reconstruction
+    passes_at_factorisation = []
     factorise = hmmvi.diagnostics.factorise_spd
 
     def counting(S):
-        builds_at_factorisation.append(len(g_builds))
+        passes_at_factorisation.append(len(gradient_passes))
         return factorise(S)
 
     monkeypatch.setattr(hmmvi.diagnostics, "factorise_spd", counting)
     gd = build_gd(generate_mesh("hexagonal", 2))
     gd_quality_report(gd)
-    assert g_builds == [gd] and builds_at_factorisation == [1]
+    assert gradient_passes == [gd] * 3 and passes_at_factorisation == [2]
 
 
-def test_plain_solve_builds_no_gradient_matrix_for_its_identity_scheme(g_builds):
+def test_plain_solve_makes_one_gradient_pass_for_its_identity_scheme(gradient_passes):
     gd = build_gd(generate_mesh("hexagonal", 2), np.array([[1.5, 0.2], [0.2, 3.0]]))
-    _plain_solve(assemble_forms(gd))
-    assert g_builds == []
+    forms = assemble_forms(gd)
+    _plain_solve(forms)
+    (plain,) = gradient_passes[1:]
+    assert gradient_passes[0] is gd and plain is not gd and plain.mesh is gd.mesh
+
+
+@pytest.mark.parametrize("rule", ["centroid", "fan3"])
+def test_error_norms_make_one_gradient_pass_whatever_the_node_count(rule, gradient_passes):
+    case = builtin_case("smooth_baseline")
+    gd = build_gd(generate_mesh("hexagonal", 2))
+    for n_steps in (1, 4):
+        sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, n_steps))
+        gradient_passes.clear()
+        error_norms(gd, sol, case.u_exact, case.grad_exact, rule=rule)
+        assert gradient_passes == [gd]
 
 
 def _per_cell_diffusion(mesh):

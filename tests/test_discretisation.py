@@ -1,7 +1,8 @@
 """Gradient reconstruction, local forms, fluxes and interpolants.
 
-The library holds the scheme as one subcell gradient matrix; the local form
-and fluxes of one cell are cut from its rows by ``cellref``.
+The library reconstructs the gradient from per-cell maps it does not hold;
+the local form and fluxes of one cell are taken from its reconstructed
+gradients by ``cellref``.
 
 The single-cell numbers asserted here were worked out by hand for the unit
 square with identity diffusion: putting 1 at the cell unknown and 0 on the
@@ -113,6 +114,17 @@ def _rel_diff(A, B):
     return abs(A - B).max() / abs(B).max()
 
 
+def _gradient_columns(gd):
+    """The library's gradient as a dense matrix, column j the reconstruction
+    of unit vector j, two rows per subcell."""
+    columns = []
+    for j in range(gd.n_dofs):
+        unit = gd.zeros()
+        unit.values[j] = 1.0
+        columns.append(reconstruct_gradient_flat(gd, unit).ravel())
+    return np.column_stack(columns)
+
+
 @pytest.mark.parametrize("diffusion", ["identity", "anisotropic", "per_cell"])
 @pytest.mark.parametrize("family", MESH_FAMILIES)
 @pytest.mark.parametrize("level", [1, 2])
@@ -121,7 +133,7 @@ def test_operators_match_per_cell_reference(level, family, diffusion):
     gd = build_gd(m, diffusion=_diffusion(diffusion, m))
     forms = assemble_forms(gd)
     stiffness, plain = gdref.assemble(m, gd.diffusion)
-    assert _rel_diff(gd._grad_matrix, gdref.gradient_matrix(m)) <= 1e-14
+    assert _rel_diff(_gradient_columns(gd), gdref.gradient_matrix(m)) <= 1e-14
     assert _rel_diff(forms.stiffness, stiffness) <= 1e-14
     assert _rel_diff(assemble_forms(build_gd(m)).stiffness, plain) <= 1e-14
     for k in range(m.n_cells):
@@ -141,24 +153,15 @@ def _mixed_cell_mesh():
     return PolytopalMesh(vertices, [[1, 2, 3, 6], [0, 1, 6, 4, 5], [6, 3, 4]])
 
 
-def _assert_same_csr(A, B):
-    assert A.shape == B.shape
-    assert A.data.dtype == B.data.dtype and A.data.tobytes() == B.data.tobytes()
-    for name in ("indices", "indptr"):
-        a, b = getattr(A, name), getattr(B, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-
-
-def _assert_gradient_matrix_is_the_coo_one(m, gd):
-    G = gd._grad_matrix
-    _assert_same_csr(G, gdref.coo_gradient_matrix(m))
-    # canonical CSR: sorted columns, no duplicates, no stored zeros
-    for k in range(G.shape[0]):
-        cols = G.indices[G.indptr[k]:G.indptr[k + 1]]
-        assert np.all(np.diff(cols) > 0)
-    assert np.all(G.data != 0.0)
-    # the arrays hold the kept entries alone, not views of larger buffers
-    assert _owned(G.data).size == _owned(G.indices).size == G.nnz
+def _assert_gradient_is_the_coo_product(m, gd):
+    # G v with the COO-built G, bit for bit, for random vectors and zero
+    G = gdref.coo_gradient_matrix(m)
+    rng = np.random.default_rng(m.n_cells)
+    for values in (*rng.standard_normal((3, gd.n_dofs)), np.zeros(gd.n_dofs)):
+        got = reconstruct_gradient_flat(gd, DofVector(values, gd.n_cells))
+        want = (G @ values).reshape(-1, 2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     # both subcell quadratures, points, weights and owners, bit for bit
     triangles, centroids = gdref.eager_subcell_geometry(m)
     volumes = 0.5 * m.edge_lengths[m.corner_edges] * m.corner_edge_dists
@@ -174,26 +177,26 @@ def _assert_gradient_matrix_is_the_coo_one(m, gd):
 
 
 # Levels 1 to 3 of every family, and one larger level each, so that the
-# array passes of the build are pinned beyond the smallest meshes.
+# array passes of the maps are pinned beyond the smallest meshes.
 COO_LEVELS = [(level, family) for family in MESH_FAMILIES for level in (1, 2, 3)] + [
     (4, "cartesian"), (16, "triangular"), (4, "hexagonal"), (4, "kershaw")]
 
 
 @pytest.mark.parametrize("diffusion", ["identity", "per_cell"])
 @pytest.mark.parametrize("level, family", COO_LEVELS)
-def test_gradient_matrix_is_bitwise_the_coo_construction(level, family, diffusion):
+def test_gradient_is_bitwise_the_coo_product(level, family, diffusion):
     m = generate_mesh(family, level)
-    _assert_gradient_matrix_is_the_coo_one(m, build_gd(m, diffusion=_diffusion(diffusion, m)))
+    _assert_gradient_is_the_coo_product(m, build_gd(m, diffusion=_diffusion(diffusion, m)))
 
 
-def test_gradient_matrix_of_mixed_cells_is_bitwise_the_coo_construction():
+def test_gradient_of_mixed_cells_is_bitwise_the_coo_product():
     m = _mixed_cell_mesh()
     validate(m)
     assert np.diff(m.cell_offsets).tolist() == [4, 5, 3]
     assert cell_slice(m, m.corner_edges, 1).tolist() == [4, 3, 5, 6, 7]
     assert cell_slice(m, m.corner_edges, 2).tolist() == [2, 8, 5]
     gd = build_gd(m, diffusion=_diffusion("per_cell", m))
-    _assert_gradient_matrix_is_the_coo_one(m, gd)
+    _assert_gradient_is_the_coo_product(m, gd)
     v = vector(gd, cells=m.cell_points[:, 0] - 2 * m.cell_points[:, 1],
                edges=m.edge_centers[:, 0] - 2 * m.edge_centers[:, 1])
     assert np.allclose(reconstruct_gradient_flat(gd, v), [1.0, -2.0], rtol=0, atol=1e-13)
@@ -202,11 +205,9 @@ def test_gradient_matrix_of_mixed_cells_is_bitwise_the_coo_construction():
 def test_discretisation_arrays_are_read_only():
     m = _mixed_cell_mesh()
     gd = build_gd(m, diffusion=_diffusion("per_cell", m))
-    G = gd._grad_matrix
     arrays = {"diffusion": gd.diffusion, "subcell_cell": gd.subcell_cell,
               "mesh.corner_edges": m.corner_edges, "subcell_volumes": gd.subcell_volumes,
-              "boundary_edge_dofs": gd.boundary_edge_dofs, "free_dofs": gd.free_dofs,
-              "G.data": G.data, "G.indices": G.indices, "G.indptr": G.indptr}
+              "boundary_edge_dofs": gd.boundary_edge_dofs, "free_dofs": gd.free_dofs}
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
@@ -225,28 +226,23 @@ def test_index_type_is_int32_while_the_sizes_fit():
 
 
 @pytest.mark.parametrize("family", MESH_FAMILIES)
-def test_stiffness_and_gradient_matrix_share_the_index_type(family):
-    gd = build_gd(generate_mesh(family, 2))
-    S, G = assemble_forms(gd).stiffness, gd._grad_matrix
-    assert S.indices.dtype == S.indptr.dtype == G.indices.dtype == G.indptr.dtype == np.int32
-
-
-@pytest.mark.parametrize("family", MESH_FAMILIES)
-def test_a_march_builds_no_gradient_matrix(family, g_builds):
+def test_a_march_makes_one_gradient_pass(family, gradient_passes):
+    # the assembly's: the time loop itself reconstructs no gradient
     m = generate_mesh(family, 2)
+    gd = build_gd(m, diffusion=_diffusion("anisotropic", m))
+    assert gradient_passes == []
     spec = _obstacle_spec(lambda p: np.zeros(len(p)),
                           lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
-    run_transient(build_gd(m, diffusion=_diffusion("anisotropic", m)), spec, TimeGrid(0.1, 2))
-    assert g_builds == []
+    run_transient(gd, spec, TimeGrid(0.1, 2))
+    assert gradient_passes == [gd]
 
 
-def test_gradient_matrix_is_built_once_on_its_first_read(g_builds):
+def test_each_reconstruction_makes_one_gradient_pass(gradient_passes):
     gd = build_gd(generate_mesh("hexagonal", 2))
-    assert g_builds == []
     v = interpolate_exact(gd, lambda p: p[:, 0] - 2 * p[:, 1])
     first = reconstruct_gradient_flat(gd, v)
     second = reconstruct_gradient_flat(gd, v)
-    assert g_builds == [gd]
+    assert gradient_passes == [gd, gd]
     assert first.tobytes() == second.tobytes()
 
 

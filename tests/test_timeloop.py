@@ -40,6 +40,13 @@ def test_step_budget_is_checked_before_the_grid_is_built():
     assert TimeGrid.uniform_from_dt(1.0, 1e-6).n_steps == hmmvi.timeloop.MAX_STEPS
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_uniform_from_dt_refuses_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(TimeGridError) as info:
+        TimeGrid.uniform_from_dt(0.1, dt)
+    assert str(info.value) == f"time step must be positive and finite, got {dt!r}"
+
+
 def test_uniform_from_dt_rounds_up():
     g = TimeGrid.uniform_from_dt(0.1, 0.03)
     assert g.n_steps == 4
