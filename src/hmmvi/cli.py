@@ -157,9 +157,15 @@ def config_argv(parser: argparse.ArgumentParser, path,
     return tokens
 
 
-def resolve_out_dir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+def output(args, name: str, write, *data, **options) -> Path:
+    """Write ``name`` in ``--out`` by ``write(path, *data, **options)``, making
+    ``--out`` first; an OSError is a usage error naming the file."""
+    path = Path(args.out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path, *data, **options)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -255,11 +261,9 @@ def study_meshes(args, case=None):
 def cmd_meshgen(args) -> int:
     if args.family is None or args.levels is None:
         raise ConfigError("meshgen needs --family and --levels")
-    out = resolve_out_dir(args)
     for n in args.levels:
         mesh = generate_mesh(args.family, n, args.bbox)
-        path = out / f"{args.family}_l{n:02d}.json"
-        save_mesh(mesh, path)
+        path = output(args, f"{args.family}_l{n:02d}.json", partial(save_mesh, mesh))
         log.info("wrote %s: %d cells, %d edges, h = %.5g",
                  path, mesh.n_cells, mesh.n_edges, mesh_size(mesh))
     return EXIT_OK
@@ -278,8 +282,8 @@ def cmd_validate(args) -> int:
 def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
     """One run on one mesh: box check, scheme, time grid and march.
 
-    ``on_step(n_steps, step, t, u, partition, stats)`` is called after each
-    step.  Returns gd, the solution and the wall times of ``build_gd`` and of
+    ``on_step(step, t, u, partition, stats)`` goes to ``run_transient`` as it
+    is.  Returns gd, the solution and the wall times of ``build_gd`` and of
     the march as ``{"build_gd_seconds": ..., "wall_seconds": ...}``."""
     check_mesh_box(mesh, case, tag, from_file=bool(args.mesh))
     start = time.perf_counter()
@@ -290,8 +294,7 @@ def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
     log.info("case %s on %s: %d cells, h = %.5g, %d steps of dt = %.5g",
              case.name, tag, mesh.n_cells, h, grid.n_steps, grid.step)
     start = time.perf_counter()
-    solution = run_transient(gd, case.spec, grid, on_step=on_step and (
-        lambda *step: on_step(grid.n_steps, *step)))
+    solution = run_transient(gd, case.spec, grid, on_step=on_step)
     seconds = {"build_gd_seconds": build_seconds,
                "wall_seconds": time.perf_counter() - start}
     return gd, solution, seconds
@@ -299,8 +302,6 @@ def run_level(args, case: AnalyticCase, tag: str, mesh, on_step=None):
 
 def cmd_solve(args) -> int:
     case = resolve_case(args)
-    out = resolve_out_dir(args)
-
     meshes = resolve_meshes(args, case)
     if len(meshes) != 1:
         raise ConfigError(f"solve expects exactly one mesh, got {len(meshes)}")
@@ -312,12 +313,13 @@ def cmd_solve(args) -> int:
     with np.errstate(all="ignore"):  # run_transient rejects non-finite values
         psi = case.spec.obstacle(mesh.cell_points)
 
-    def on_step(n_steps, step, t, u, partition, stats):
+    # The grid's last node is np.linspace's endpoint, final_time exactly.
+    def on_step(step, t, u, partition, stats):
         nonlocal snapshot_seconds
-        if "vtk" in args.formats and (step % args.vtk_every == 0 or step == n_steps):
-            path = out / f"snapshot_{step:04d}.vtk"
+        if "vtk" in args.formats and (step % args.vtk_every == 0
+                                      or t == case.spec.final_time):
             start = time.perf_counter()
-            write_vtk(path, mesh, {
+            path = output(args, f"snapshot_{step:04d}.vtk", write_vtk, mesh, {
                 "u": u.cells,
                 "gap": u.cells - psi,
                 "contact": partition.contact.astype(float),
@@ -347,10 +349,10 @@ def cmd_solve(args) -> int:
 
     if "csv" in args.formats:
         x, y = mesh.cell_points.T
-        write_csv(out / "cells_final.csv",
-                  ["cell", "x", "y", "area", "u", "obstacle", "contact"],
-                  [range(mesh.n_cells), x, y, mesh.cell_areas, solution.final.cells,
-                   solution.psi, solution.partitions[-1].contact.astype(int)])
+        output(args, "cells_final.csv", write_csv,
+               ["cell", "x", "y", "area", "u", "obstacle", "contact"],
+               [range(mesh.n_cells), x, y, mesh.cell_areas, solution.final.cells,
+                solution.psi, solution.partitions[-1].contact.astype(int)])
     try:  # error norms that cannot be taken fail the run after its record is written
         if case.has_exact:
             report = error_norms(gd, solution, case.u_exact, case.grad_exact,
@@ -362,7 +364,7 @@ def cmd_solve(args) -> int:
                      report.rel_l2_final, report.rel_grad_final)
     finally:
         if "json" in args.formats:
-            write_json(out / "run.json", record)
+            output(args, "run.json", write_json, record)
     return EXIT_OK
 
 
@@ -371,7 +373,6 @@ def cmd_converge(args) -> int:
     if not case.has_exact:
         raise ConfigError(f"case {case.name!r} has no exact solution; "
                           f"a convergence study needs one")
-    out = resolve_out_dir(args)
 
     rows = []
     for tag, mesh in study_meshes(args, case):
@@ -394,24 +395,20 @@ def cmd_converge(args) -> int:
         })
 
     hs = [r["h"] for r in rows]
-    if len(rows) >= 2:
-        rate_l2 = eoc([r["rel_l2"] for r in rows], hs)
-        rate_grad = eoc([r["rel_grad"] for r in rows], hs)
-    else:
-        rate_l2 = rate_grad = np.array([])
-    for i, r in enumerate(rows):
-        r["rate_l2"] = float(rate_l2[i - 1]) if i > 0 else None
-        r["rate_grad"] = float(rate_grad[i - 1]) if i > 0 else None
+    for key in ("l2", "grad"):
+        rates = eoc([r[f"rel_{key}"] for r in rows], hs).tolist() if len(rows) > 1 else []
+        for r, rate in zip(rows, [None, *rates]):
+            r[f"rate_{key}"] = rate
 
     header = ["tag", "h", "n_cells", "n_dofs", "dt", "n_steps",
               "rel_l2", "rate_l2", "rel_grad", "rate_grad"]
-    write_csv(out / "convergence.csv", header, [[r[k] for r in rows] for k in header])
-    write_json(out / "convergence.json", {"case": case.name,
-                                          "case_bbox": list(case.bbox),
-                                          "quadrature": args.quadrature,
-                                          "levels": rows})
-    write_csv(out / "convergence_loglog.dat", ["h", "rel_l2", "rel_grad"],
-              [[r[k] for r in rows] for k in ("h", "rel_l2", "rel_grad")])
+    output(args, "convergence.csv", write_csv, header,
+           [[r[k] for r in rows] for k in header])
+    output(args, "convergence.json", write_json, {
+        "case": case.name, "case_bbox": list(case.bbox),
+        "quadrature": args.quadrature, "levels": rows})
+    output(args, "convergence_loglog.dat", write_csv, ["h", "rel_l2", "rel_grad"],
+           [[r[k] for r in rows] for k in ("h", "rel_l2", "rel_grad")])
 
     fmt = "%-16s %-9s %-8s %-10s %-8s %-10s %-8s"
     log.info(fmt, "level", "h", "cells", "rel_l2", "rate", "rel_grad", "rate")
@@ -434,7 +431,6 @@ def _probe_value(by_probe: dict) -> float:
 
 
 def cmd_diagnose(args) -> int:
-    out = resolve_out_dir(args)
     rows = []
     for tag, mesh in study_meshes(args):
         start = time.perf_counter()
@@ -455,10 +451,10 @@ def cmd_diagnose(args) -> int:
         doc["eoc"] = {m: eoc(column, hs).tolist() for m, column in columns.items()}
         log.info("orders between levels: %s", ", ".join(
             f"{m.upper()} {['%.2f' % v for v in o]}" for m, o in doc["eoc"].items()))
-    write_json(out / "quality.json", doc)
+    output(args, "quality.json", write_json, doc)
     fields = ("tag", "h", "n_cells", "n_edges", "c_d")
-    write_csv(out / "quality.csv", [*fields, *columns],
-              [*([r[f] for r in rows] for f in fields), *columns.values()])
+    output(args, "quality.csv", write_csv, [*fields, *columns],
+           [*([r[f] for r in rows] for f in fields), *columns.values()])
     return EXIT_OK
 
 
@@ -531,18 +527,18 @@ def build_parser() -> tuple:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s",
-                        stream=sys.stderr, force=True)
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
+    handler, level = logging.StreamHandler(), log.level  # for this call only
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):  # config options go before the flags
             at = argv.index(args.command) + 1
             tokens = config_argv(commands[args.command], args.config, args)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
-        if args.quiet:
-            logging.getLogger().setLevel(logging.WARNING)
+        log.setLevel(logging.WARNING if args.quiet else logging.INFO)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -554,6 +550,9 @@ def main(argv=None) -> int:
             DiscretisationError) as exc:
         log.error("%s", exc)
         return EXIT_NUMERICAL
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import logging.handlers
 import subprocess
 import sys
 import tempfile
@@ -399,7 +400,7 @@ def test_mesh_files_must_go_coarse_to_fine(tmp_path, monkeypatch, capsys, comman
         f"{files[0]} has h = {sizes[0]!r}, {files[1]} after it h = {sizes[1]!r}"]
     assert "Traceback" not in err
     assert loaded == files and built == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_converge_checks_every_mesh_file_box_before_the_first_level(tmp_path, monkeypatch,
@@ -424,7 +425,7 @@ def test_converge_checks_every_mesh_file_box_before_the_first_level(tmp_path, mo
         "the box [-1.0, 1.0, -1.0, 1.0] of case test1"]
     assert "case test1 on" not in err and "Traceback" not in err
     assert built == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_diagnose_reads_each_mesh_file_once(tmp_path, monkeypatch):
@@ -1317,11 +1318,57 @@ def test_out_defaults_to_out_whatever_the_environment(tmp_path, monkeypatch):
                  "meshgen needs --family and --levels", id="meshgen-without-levels"),
     pytest.param(["meshgen", "--levels", "2"],
                  "meshgen needs --family and --levels", id="meshgen-without-family"),
+    pytest.param(["meshgen", "--family", "cartesian", "--levels", "11"],
+                 "level 11 of family 'cartesian' would create about 4.19e+06 cells, "
+                 "more than the budget of 2000000", id="meshgen-over-the-cell-budget"),
 ])
 def test_usage_branch_is_its_one_message_line(tmp_path, capsys, argv, message):
+    # --out is made by the first file written: a refused run leaves none
     code = run_cli(*argv, "--out", str(tmp_path / "out"))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["diagnose", "--family", "cartesian", "--levels", "1", "--quiet"], "quality.json"),
+    (["meshgen", "--family", "cartesian", "--levels", "1"], "cartesian_l01.json"),
+    (["solve", "--case", "test2", "--family", "cartesian", "--level", "2", "--dt", "0.05",
+      "--quiet"], "snapshot_0001.vtk"),
+], ids=["diagnose", "meshgen", "solve"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_out_that_cannot_be_made_is_one_usage_line(tmp_path, capsys, argv, first,
+                                                      under):
+    # --out names an existing file, or a path through one: the first write
+    # fails, and its one line names the file and the cause, with no traceback
+    (tmp_path / "f").write_text("keep")
+    out = tmp_path / "f" / "sub" if under else tmp_path / "f"
+    code = run_cli(*argv, "--out", str(out))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert lines == [f"cannot write {out / first}: " + (
+        f"[Errno 20] Not a directory: '{out}'" if under
+        else f"[Errno 17] File exists: '{out}'")]
+    assert (tmp_path / "f").read_text() == "keep"
+
+
+def test_main_keeps_the_callers_root_handler_and_feeds_it(tmp_path):
+    # main() puts its stderr handler on the hmmvi logger for the call only
+    root, package = logging.getLogger(), logging.getLogger("hmmvi")
+    before = (list(package.handlers), package.level)
+    handler = logging.handlers.BufferingHandler(100)
+    root.addHandler(handler)
+    try:
+        code = run_cli("meshgen", "--family", "cartesian", "--levels", "1",
+                       "--out", str(tmp_path))
+        assert handler in root.handlers
+    finally:
+        root.removeHandler(handler)
+    assert code == EXIT_OK
+    (record,) = handler.buffer
+    assert (record.name, record.levelno) == ("hmmvi", logging.INFO)
+    assert record.getMessage().startswith(f"wrote {tmp_path / 'cartesian_l01.json'}: ")
+    assert (list(package.handlers), package.level) == before
 
 
 def test_a_case_fixed_dt_rule_sets_the_step(tmp_path, capsys):
@@ -1337,16 +1384,9 @@ def test_a_case_fixed_dt_rule_sets_the_step(tmp_path, capsys):
 
 
 def test_a_generated_mesh_off_the_case_box_is_warned_about(tmp_path, caplog):
-    # main() replaces the root logger's handlers, so the capture listens on
-    # the package's own logger
-    logger = logging.getLogger("hmmvi")
-    logger.addHandler(caplog.handler)
-    try:
-        code = run_cli("solve", "--case", "test1", "--family", "cartesian", "--level", "2",
-                       "--bbox=-1,3,-1,1", "--dt", "0.05", "--formats", "json",
-                       "--out", str(tmp_path / "run"))
-    finally:
-        logger.removeHandler(caplog.handler)
+    code = run_cli("solve", "--case", "test1", "--family", "cartesian", "--level", "2",
+                   "--bbox=-1,3,-1,1", "--dt", "0.05", "--formats", "json",
+                   "--out", str(tmp_path / "run"))
     assert code == EXIT_OK
     warnings = [(r.name, r.getMessage()) for r in caplog.records
                 if r.levelno == logging.WARNING]

@@ -50,7 +50,7 @@ def test_uniform_from_dt_refuses_a_step_that_is_not_positive_and_finite(dt):
 def test_uniform_from_dt_rounds_up():
     g = TimeGrid.uniform_from_dt(0.1, 0.03)
     assert g.n_steps == 4
-    assert g.nodes[-1] == pytest.approx(0.1)
+    assert g.nodes[-1] == 0.1
     # a step larger than the horizon still gives one step
     assert TimeGrid.uniform_from_dt(0.1, 0.5).n_steps == 1
     # dt that divides T exactly must not gain a spurious extra step
@@ -58,6 +58,15 @@ def test_uniform_from_dt_rounds_up():
     # ... nor when T / dt lands one ulp above an integer of many steps
     assert TimeGrid.uniform_from_dt(0.1, 4e-6).n_steps == 25_000
     assert TimeGrid.uniform_from_dt(0.1, 1e-6).n_steps == 100_000
+
+
+# The last node is final_time exactly, not up to rounding: solve writes its
+# last snapshot at t == final_time.
+@pytest.mark.parametrize("final_time, dt", [
+    (0.1, 0.03), (0.1, 0.025), (0.1, 4e-6), (0.25, 0.01), (1.0, 0.3), (0.7, 0.1),
+    (1 / 3, 0.07), (2.5e-3, 1e-4), (1e3, 0.9)])
+def test_uniform_from_dt_ends_exactly_at_the_horizon(final_time, dt):
+    assert TimeGrid.uniform_from_dt(final_time, dt).nodes[-1] == final_time
 
 
 @pytest.mark.parametrize("final_time, n_steps", [
