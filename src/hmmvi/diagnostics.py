@@ -98,8 +98,8 @@ def _value_error(quad, cells, value: Callable) -> float:
 def _gradient_error(quad, grads, grad: Callable) -> float:
     """L2 norm of per-subcell gradients minus ``grad`` by a subcell rule's flattening."""
     pts, w, sidx = quad
-    diff = grads[sidx] - np.asarray(grad(pts), dtype=float)
-    return math.sqrt(float(w @ np.sum(diff**2, axis=1)))
+    dx, dy = (grads[sidx] - np.asarray(grad(pts), dtype=float)).T
+    return math.sqrt(float(w @ (dx * dx + dy * dy)))
 
 
 # -- error norms -------------------------------------------------------------
@@ -256,9 +256,9 @@ def estimate_WD(forms: AssembledForms, omega: Callable, div_omega: Callable) -> 
     pts, w, cidx = _cell_quad_flat(gd.mesh, "fan3")
     ell = np.bincount(cidx, w * np.asarray(div_omega(pts), dtype=float), minlength=gd.n_dofs)
 
-    spts, sw, sidx = _subcell_quad_flat(gd, "fan3")
+    spts, sw, _ = _subcell_quad_flat(gd, "fan3")
     flux = sw[:, None] * np.asarray(omega(spts), dtype=float)
-    moments = np.column_stack([np.bincount(sidx, f, minlength=gd.n_subcells) for f in flux.T])
+    moments = flux.reshape(gd.n_subcells, 3, 2).sum(axis=1)  # the rule's 3 points per subcell
     # The adjoint of the reconstruction: each local unknown takes its maps'
     # products with the moments of the cell's subcells.
     for _, corners, vals, cols in _gradient_groups(gd):

@@ -18,11 +18,12 @@ with Lambda = I the stiffness is the unweighted gradient form in which the
 quality measures are taken.
 
 The cells are grouped by corner count, and ``_gradient_groups`` computes
-each group's maps in one pass over contiguous arrays, one per vector
-component, with the cells on the last axis.  Nothing holds them between
-calls: the stiffness is built from one pass, one batched block A_K per cell,
-each symmetrised, and the blocks are summed once into CSR.  A gradient
-reconstruction applies one pass's maps to the local unknowns.
+each group's maps in one pass over slices of a bounded size, one contiguous
+array per vector component, with the cells on the last axis.  Nothing holds
+them between calls: the stiffness is built from one pass, one batched block
+A_K per cell, each symmetrised, and its rows are then summed from the
+blocks, again in slices, into CSR.  A gradient reconstruction applies one
+pass's maps to the local unknowns.
 
 Homogeneous Dirichlet conditions eliminate the boundary edge unknowns; with
 non-homogeneous data the same unknowns are pinned to the boundary values
@@ -42,6 +43,14 @@ from .mesh import PolytopalMesh
 
 # Every diffusion tensor must have its eigenvalues in this closed interval.
 EIG_BOUNDS = (1e-12, 1e12)
+# Entries per slice of the set-up passes: block entries of a slice of cells
+# and entries of a slice of rows in the assembly, keys of a slice of the
+# Schur plan's union.  A slice holds about 1 MiB of temporaries.  On
+# Cartesian 7, 2^13, 2^14, 2^15 and 2^16 took the assembly's tracemalloc
+# peak to 8.6, 8.9, 9.8 and 10.6 MiB and the plan build's to 9.9, 10.2, 10.7
+# and 11.8 MiB; each halving from 2^16 to 2^13 added 1.5 to 4 ms to the
+# assembly on Cartesian 7 and hexagonal 6 (minima of 12 calls, 2-vCPU Xeon).
+SLICE = 1 << 14
 
 
 class DiscretisationError(Exception):
@@ -174,43 +183,47 @@ def _index_type(n_entries: int, n_dofs: int) -> type:
 
 
 def _gradient_groups(gd: GradientDiscretisation):
-    """Each corner-count group's subcell gradient maps, cells on the last axis.
+    """The subcell gradient maps of slices of cells with one corner count.
 
     For subcells s and t of cell K, with g_t = |sigma_t| n_t / |K| and
     c_s = sqrt(2) / d_s n_s, the edge-t column is
     g_t + c_s (delta_st - (x_sigma_s - x_K) . g_t) and the cell column is
-    -c_s.  Yields ``(cells, corners, vals, cols)`` per corner count m:
-    ``corners[s, k]`` is subcell s of ``cells[k]``, and ``vals[s, i, j, k]``
-    component i of its gradient per unit of the local unknown ``cols[j, k]``,
-    the cell first, then its edges by ascending number.
+    -c_s.  Yields ``(cells, corners, vals, cols)`` per slice of the cells
+    with m corners, at most ``SLICE`` (m + 1)^2 block entries and at least
+    one cell: ``corners[s, k]`` is subcell s of ``cells[k]``, and
+    ``vals[s, i, j, k]`` component i of its gradient per unit of the local
+    unknown ``cols[j, k]``, the cell first, then its edges by ascending
+    number.  Each slice reads the mesh for its own corners alone.
     """
-    mesh, n, cell, edges = gd.mesh, gd.n_cells, gd.subcell_cell, gd.mesh.corner_edges
+    mesh, n = gd.mesh, gd.n_cells
     counts = np.diff(mesh.cell_offsets)
-    lengths = mesh.edge_lengths[edges]
-    nx, ny = mesh.corner_normals.T
-    area = mesh.cell_areas[cell]
-    gx, gy = nx * lengths / area, ny * lengths / area
-    scale = math.sqrt(2.0) / mesh.corner_edge_dists
-    cx, cy = scale * nx, scale * ny
+    normals, dists = mesh.corner_normals, mesh.corner_edge_dists
     (ex, ey), (px, py) = mesh.edge_centers.T, mesh.cell_points.T
-    dx, dy = ex[edges] - px[cell], ey[edges] - py[cell]
     for m in np.unique(counts):
-        cells = np.flatnonzero(counts == m)
-        corners = mesh.cell_offsets[cells] + np.arange(m)[:, None]  # [s, k]: subcell s
-        e = edges[corners]
-        rank = np.count_nonzero(e < e[:, None], axis=1)  # column of subcell s's edge
-        ranked = np.empty_like(corners)  # [t, k]: the subcell of column t
-        np.put_along_axis(ranked, rank, corners, axis=0)
-        stab = (rank[:, None] == np.arange(m)[:, None]) - (
-            dx[corners][:, None] * gx[ranked] + dy[corners][:, None] * gy[ranked])
-        vals = np.empty((m, 2, m + 1, cells.size))  # [s, component, column, k]
-        for i, (c, g) in enumerate(((cx[corners], gx[ranked]), (cy[corners], gy[ranked]))):
-            np.negative(c, out=vals[:, i, 0])
-            np.multiply(c[:, None], stab, out=vals[:, i, 1:])
-            vals[:, i, 1:] += g
-        del stab
-        yield cells, corners, vals, np.concatenate((cells[None], n + edges[ranked]))
-        del vals
+        group = np.flatnonzero(counts == m)
+        step = max(1, SLICE // int(m + 1) ** 2)
+        for cells in np.split(group, range(step, group.size, step)):
+            corners = mesh.cell_offsets[cells] + np.arange(m)[:, None]  # [s, k]: subcell s
+            e = mesh.corner_edges[corners]
+            rank = np.count_nonzero(e < e[:, None], axis=1)  # column of subcell s's edge
+            ranked = np.empty_like(corners)  # [t, k]: the subcell of column t
+            ranked[rank, np.arange(cells.size)] = corners
+            edges = np.sort(e, axis=0)  # [t, k]: the edge of column t
+            lengths, area = mesh.edge_lengths[edges], mesh.cell_areas[cells]
+            gx, gy = normals[ranked, 0] * lengths / area, normals[ranked, 1] * lengths / area
+            scale = math.sqrt(2.0) / dists[corners]
+            dx, dy = ex[e] - px[cells], ey[e] - py[cells]
+            stab = (rank[:, None] == np.arange(m)[:, None]) - (
+                dx[:, None] * gx + dy[:, None] * gy)
+            vals = np.empty((m, 2, m + 1, cells.size))  # [s, component, column, k]
+            for i, g in enumerate((gx, gy)):
+                c = scale * normals[corners, i]
+                np.negative(c, out=vals[:, i, 0])
+                np.multiply(c[:, None], stab, out=vals[:, i, 1:])
+                vals[:, i, 1:] += g
+            del stab
+            yield cells, corners, vals, np.concatenate((cells[None], n + edges))
+            del vals
 
 
 def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
@@ -258,38 +271,77 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     """Assemble the global stiffness and the diagonal cell mass.
 
     The stiffness sums the local forms A_K of the module docstring, one
-    batched pass per corner-count group.  Each A_K is symmetrised, so every
-    entry, held by one cell (all off-diagonal ones) or by two, is exactly
-    symmetric.  The blocks go once into canonical CSR without exact zeros.
+    batched block per cell from each slice of ``_gradient_groups``.  Each
+    A_K is symmetrised, so every entry, held by one cell (all off-diagonal
+    ones) or by two, is exactly symmetric.  The blocks are kept, each cell's
+    rows together, and the rows of the stiffness are then summed from them
+    in slices of at most ``SLICE`` entries, each into canonical CSR without
+    exact zeros.  While it runs it holds at most the blocks, 8 bytes for
+    each of their Sigma (m_K + 1)^2 entries, 16 bytes per local unknown
+    (Sigma (m_K + 1)), 24 per cell and 12 per unknown to find the rows, one
+    slice, and the rows summed so far, which it joins into the stiffness
+    once the blocks are gone.  On Cartesian 7 that peaks 8.9 MiB above its
+    start, for a 3.4 MiB result.
     """
-    vols, lam, counts = gd.subcell_volumes, gd.diffusion, np.diff(gd.mesh.cell_offsets)
-    # Cell K's block takes (m_K + 1)^2 entries, its group's in [j, l, k] order.
-    size = int(np.sum((counts + 1) ** 2))
-    index = _index_type(size, gd.n_dofs)
-    data, rows, cols = np.empty(size), np.empty(size, dtype=index), np.empty(size, dtype=index)
-    start = 0
-    for cells, corners, vals, dofs in _gradient_groups(gd):
-        block = (vals.shape[2], vals.shape[2], cells.size)
-        stop = start + math.prod(block)
+    mesh, n, shape = gd.mesh, gd.n_cells, (gd.n_dofs, gd.n_dofs)
+    size = np.diff(mesh.cell_offsets) + 1  # unknowns of each cell
+    # Cell K's block is blocks[first[K]:first[K + 1]], row by row, and its
+    # unknowns, the cell first, then its edges by ascending number, are
+    # dofs[home[K]:home[K] + size[K]].
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(size * size, out=first[1:])
+    index = _index_type(int(first[-1]), gd.n_dofs)
+    home = mesh.cell_offsets[:-1] + np.arange(n)
+    blocks, dofs = np.empty(int(first[-1])), np.empty(home[-1] + size[-1], dtype=index)
+    vols, lam = gd.subcell_volumes, gd.diffusion
+    for cells, corners, vals, cols in _gradient_groups(gd):
+        m1 = vals.shape[2]
         w = vols[corners][:, None]
         weighted = np.empty_like(vals)  # |D_s| Lambda_K applied to each map
         for i in range(2):
             np.multiply(w * lam[cells, i, 0], vals[:, 0], out=weighted[:, i])
             weighted[:, i] += w * lam[cells, i, 1] * vals[:, 1]
-        flat = (-1,) + block[1:]
-        A = data[start:stop].reshape(block)
-        np.einsum("sjk,slk->jlk", vals.reshape(flat), weighted.reshape(flat), out=A)
+        flat = (-1, m1, cells.size)
+        A = np.einsum("sjk,slk->jlk", vals.reshape(flat), weighted.reshape(flat))
         del vals, weighted
         A += A.transpose(1, 0, 2)
         A *= 0.5
-        rows[start:stop].reshape(block)[...] = dofs[:, None]
-        cols[start:stop].reshape(block)[...] = dofs
-        start = stop
-    shape = (gd.n_dofs, gd.n_dofs)
-    S = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-    S.eliminate_zeros()
-    # Copies of the kept entries alone, so that S holds no empty slots.
-    stiffness = sp.csr_matrix((S.data.copy(), S.indices.copy(), S.indptr), shape=shape)
+        blocks[first[cells] + np.arange(m1 * m1)[:, None]] = A.reshape(m1 * m1, -1)
+        dofs[home[cells] + np.arange(m1)[:, None]] = cols
+
+    # Row r sums row j of each block whose unknown j is r: a cell's row 0,
+    # or the rows of an edge's one or two cells.  Two entries at most meet
+    # in one place, and their sum does not depend on their order.
+    holders = np.argsort(dofs)  # positions in dofs, row by row
+    owner = np.repeat(np.arange(n, dtype=index), size)  # the cell of each position
+    bounds = np.zeros(gd.n_dofs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dofs, minlength=gd.n_dofs), out=bounds[1:])
+    data, indices = [], []
+    counts = np.empty(gd.n_dofs, dtype=index)
+    step = max(1, SLICE // (2 * int(size.max())))
+    for r in range(0, gd.n_dofs, step):
+        stop = min(r + step, gd.n_dofs)
+        p = holders[bounds[r]:bounds[stop]]
+        K = owner[p]
+        m1 = size[K]
+        ends = np.cumsum(m1)
+        local = np.arange(ends[-1]) - np.repeat(ends - m1, m1)
+        # Each row's block rows one after the other, then sorted and summed.
+        S = sp.csr_matrix((blocks[np.repeat(first[K] + (p - home[K]) * m1, m1) + local],
+                           dofs[np.repeat(home[K], m1) + local],
+                           np.concatenate(([0], ends))[bounds[r:stop + 1] - bounds[r]]),
+                          shape=(stop - r, gd.n_dofs))
+        S.sum_duplicates()
+        S.eliminate_zeros()
+        # Copies of the kept entries alone: the arrays hold the dropped too.
+        data.append(S.data.copy())
+        indices.append(S.indices.copy())
+        counts[r:stop] = np.diff(S.indptr)
+    del blocks, dofs, holders, owner, bounds
+    indptr = np.zeros(gd.n_dofs + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.concatenate(data)  # its slices go before the indices are joined
+    stiffness = sp.csr_matrix((data, np.concatenate(indices, dtype=index), indptr), shape=shape)
     mass = np.zeros(gd.n_dofs)
     mass[:gd.n_cells] = gd.mesh.cell_areas
     return AssembledForms(gd=gd, stiffness=stiffness, mass_diag=mass)
