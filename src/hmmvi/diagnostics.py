@@ -40,7 +40,8 @@ import scipy.sparse as sp
 from .discretisation import (AssembledForms, GradientDiscretisation, _apply_gradient_maps,
                              _gradient_groups, assemble_forms, build_gd, interpolate_exact,
                              reconstruct_gradient_flat)
-from .solver import factorise_spd
+from .mesh import _corner_triangles
+from .solver import _cell_split, factorise_spd
 from .timeloop import TransientSolution
 
 
@@ -77,11 +78,7 @@ def _subcell_quad_flat(gd, rule: str):
     Subcell s is the triangle (x_K, a, b) of corner s, whose edge runs from
     vertex a to b; "fan3" takes the midpoints of its sides x_K a, a b, b x_K.
     """
-    mesh, cell = gd.mesh, gd.subcell_cell
-    first = mesh.cell_offsets[:-1][cell]
-    nxt = first + (np.arange(gd.n_subcells) - first + 1) % np.diff(mesh.cell_offsets)[cell]
-    xk, a = mesh.cell_points[cell], mesh.vertices[mesh.corner_vertices]
-    b = a[nxt]
+    xk, a, b = _corner_triangles(gd.mesh)
     if rule == "centroid":
         return (xk + a + b) / 3.0, gd.subcell_volumes, np.arange(gd.n_subcells)
     pts = (0.5 * np.stack((xk + a, a + b, b + xk), axis=1)).reshape(-1, 2)
@@ -198,9 +195,7 @@ def _plain_solve(forms: AssembledForms):
         if not np.all(gd.diffusion == np.eye(2)):
             stiffness = assemble_forms(build_gd(gd.mesh)).stiffness
         nc, edofs = gd.n_cells, gd.free_dofs[gd.n_cells:]
-        cell_rows = stiffness[:nc]
-        s_cc = cell_rows.diagonal()
-        B = cell_rows[:, edofs]
+        s_cc, B = _cell_split(stiffness, nc, edofs)
         S = (stiffness[edofs][:, edofs] - (B.T @ sp.diags(1.0 / s_cc)) @ B).tocsc()
         try:
             lu = factorise_spd(S)

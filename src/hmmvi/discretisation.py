@@ -136,9 +136,9 @@ class GradientDiscretisation:
     """Diffusion field, subcell volumes and unknown layout.
 
     Unknown ordering is all cells first, then all edges: edge e is unknown
-    n_cells + e.  Subcell s is the mesh's corner s: it belongs to cell
-    ``subcell_cell[s]`` and to edge ``mesh.corner_edges[s]``.  Instances are
-    immutable and can be shared between solves: every array is read-only.
+    n_cells + e.  Subcell s is the triangle ``mesh._corner_triangles`` gives
+    corner s, on edge ``mesh.corner_edges[s]``.  Instances are immutable and
+    can be shared between solves: every array is read-only.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None):
@@ -149,19 +149,13 @@ class GradientDiscretisation:
         self.n_edges = mesh.n_edges
         self.n_dofs = self.n_cells + self.n_edges
 
-        counts = np.diff(mesh.cell_offsets)
-        self.subcell_cell = np.repeat(np.arange(self.n_cells), counts)
         self.subcell_volumes = 0.5 * mesh.edge_lengths[mesh.corner_edges] * mesh.corner_edge_dists
-        self.n_subcells = self.subcell_cell.size
+        self.n_subcells = self.subcell_volumes.size
+        self.boundary_edge_dofs = self.n_cells + mesh.boundary_edges
+        self.free_dofs = np.concatenate((np.arange(self.n_cells),
+                                         self.n_cells + mesh.interior_edges))
 
-        bdofs = self.n_cells + mesh.boundary_edges
-        self.boundary_edge_dofs = bdofs
-        free = np.ones(self.n_dofs, dtype=bool)
-        free[bdofs] = False
-        self.free_dofs = np.nonzero(free)[0]
-
-        for arr in (self.diffusion, self.subcell_cell, self.subcell_volumes,
-                    self.boundary_edge_dofs, self.free_dofs):
+        for arr in (self.diffusion, self.subcell_volumes, self.boundary_edge_dofs, self.free_dofs):
             arr.setflags(write=False)
 
     # -- unknown layout ------------------------------------------------------
@@ -174,6 +168,14 @@ class GradientDiscretisation:
             raise DiscretisationError(
                 f"vector has {v.values.shape[0]} entries for {v.n_cells} cells, "
                 f"expected {self.n_dofs} and {self.n_cells}")
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]) one after the other,
+    in the integer type of the two arrays."""
+    ends = np.cumsum(counts, dtype=starts.dtype)
+    return (np.repeat(starts + counts - ends, counts)
+            + np.arange(ends[-1] if ends.size else 0, dtype=starts.dtype))
 
 
 def _index_type(n_entries: int, n_dofs: int) -> type:
@@ -243,8 +245,8 @@ def build_gd(mesh: PolytopalMesh, diffusion=None) -> GradientDiscretisation:
 def reconstruct_gradient_flat(gd: GradientDiscretisation, v: DofVector) -> np.ndarray:
     """Per-subcell gradients as an (n_subcells, 2) array.
 
-    Subcells are ordered cell by cell, matching ``gd.subcell_cell`` and
-    ``gd.subcell_volumes``.
+    Subcells are the mesh's corners, ordered cell by cell as
+    ``gd.subcell_volumes`` is.
     """
     return _apply_gradient_maps(gd, _gradient_groups(gd), v)
 
@@ -324,12 +326,10 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
         p = holders[bounds[r]:bounds[stop]]
         K = owner[p]
         m1 = size[K]
-        ends = np.cumsum(m1)
-        local = np.arange(ends[-1]) - np.repeat(ends - m1, m1)
         # Each row's block rows one after the other, then sorted and summed.
-        S = sp.csr_matrix((blocks[np.repeat(first[K] + (p - home[K]) * m1, m1) + local],
-                           dofs[np.repeat(home[K], m1) + local],
-                           np.concatenate(([0], ends))[bounds[r:stop + 1] - bounds[r]]),
+        S = sp.csr_matrix((blocks[_ranges(first[K] + (p - home[K]) * m1, m1)],
+                           dofs[_ranges(home[K], m1)],
+                           np.concatenate(([0], np.cumsum(m1)))[bounds[r:stop + 1] - bounds[r]]),
                           shape=(stop - r, gd.n_dofs))
         S.sum_duplicates()
         S.eliminate_zeros()
@@ -352,7 +352,7 @@ def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:
     gd = forms.gd
     gd.check_vector(v)
     resid = forms.stiffness @ v.values
-    interior = gd.n_cells + gd.mesh.interior_edges
+    interior = gd.free_dofs[gd.n_cells:]
     if interior.size == 0:
         return 0.0
     return float(np.max(np.abs(resid[interior]) / gd.mesh.edge_lengths[gd.mesh.interior_edges]))

@@ -296,6 +296,17 @@ def mesh_size(mesh: PolytopalMesh) -> float:
     return float(np.max(mesh.cell_diameters))
 
 
+def _corner_triangles(mesh: PolytopalMesh):
+    """(x_K, a, b) per corner, (n_corners, 2) each: the triangle of x_K and the
+    corner's edge, from vertex a to b, which is the HMM subcell D_{K,sigma}."""
+    offsets = mesh.cell_offsets
+    counts = np.diff(offsets)
+    first = np.repeat(offsets[:-1], counts)
+    nxt = first + (np.arange(first.size) - first + 1) % np.repeat(counts, counts)
+    a = mesh.vertices[mesh.corner_vertices]
+    return np.repeat(mesh.cell_points, counts, axis=0), a, a[nxt]
+
+
 def validate(mesh: PolytopalMesh) -> dict:
     """Check the mesh invariants and return a report of the worst defects.
 

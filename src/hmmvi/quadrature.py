@@ -4,13 +4,13 @@ The fan rule splits the cell into triangles around x_K and applies the
 three-point edge-midpoint rule on each (exact for quadratics).  The
 one-point centroid rule needs no construction and is built by its callers.
 
-A mesh's fan is built once, on its first ``cell_rule`` call, in one numpy
-pass over its corner arrays: every corner's triangle (x_K, v_j, v_{j+1}) by
-the same IEEE operations as the per-triangle reference, so bit for bit its
-points and weights.  The table lives as long as the mesh, and ``cell_rule``
-returns read-only slices of it.  ``diagnostics._cell_quad_flat`` still calls
-``cell_rule`` once per cell only because the benchmark selftest pins that
-call count; ROADMAP item 5 deletes the loop and this module with it.
+A mesh's fan is built once, on its first ``cell_rule`` call, from the
+triangles (x_K, v_j, v_{j+1}) of ``mesh._corner_triangles``, the HMM
+subcells, by the same IEEE operations as the per-triangle reference, so bit
+for bit its points and weights.  The table lives as long as the mesh, and
+``cell_rule`` returns read-only slices of it.  ``diagnostics._cell_quad_flat``
+still calls ``cell_rule`` once per cell only because the benchmark selftest
+pins that call count; ROADMAP item 5 deletes the loop and this module with it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
+
+from .mesh import _corner_triangles
 
 # mesh -> its fan table (see _fan_table); the weak key drops it with the mesh.
 _fans = weakref.WeakKeyDictionary()
@@ -27,18 +29,13 @@ def _fan_table(mesh):
     """Every corner's three points and weights, and each cell's row bounds."""
     table = _fans.get(mesh)
     if table is None:
-        offsets, ids = mesh.cell_offsets, mesh.corner_vertices
-        counts = np.diff(offsets)
-        first = np.repeat(offsets[:-1], counts)
-        nxt = first + (np.arange(ids.size) - first + 1) % np.repeat(counts, counts)
-        xk, a = np.repeat(mesh.cell_points, counts, axis=0), mesh.vertices[ids]
-        b = a[nxt]
+        xk, a, b = _corner_triangles(mesh)
         fan = 0.5 * np.stack((xk + a, a + b, b + xk), axis=1)
         (dax, day), (dbx, dby) = (a - xk).T, (b - xk).T
         w = np.repeat(0.5 * abs(dax * dby - dbx * day) / 3.0, 3)
         # Read-only at the owner, so no view of the table can be made writable.
         fan.flags.writeable = w.flags.writeable = False
-        table = _fans[mesh] = (fan.reshape(-1, 2), w, (3 * offsets).tolist())
+        table = _fans[mesh] = (fan.reshape(-1, 2), w, (3 * mesh.cell_offsets).tolist())
     return table
 
 

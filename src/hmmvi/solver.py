@@ -77,7 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretisation import (SLICE, AssembledForms, DofVector, _index_type,
+from .discretisation import (SLICE, AssembledForms, DofVector, _index_type, _ranges,
                              flux_conservation_defect)
 
 # CG's relative tolerance; a linear residual above 1e3 times it is refused.
@@ -227,29 +227,30 @@ def factorise_spd(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
                      options=dict(SymmetricMode=True))
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [starts[i], starts[i] + counts[i]) one after the other."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts + counts - ends, counts) + np.arange(ends[-1] if ends.size else 0)
+def _cell_split(stiffness: sp.csr_matrix, n_cells: int, edofs: np.ndarray):
+    """(s_cc, B): the diagonal of the cell-cell block of a stiffness with
+    ``n_cells`` cell unknowns first, and its cell x ``edofs`` block."""
+    cell_rows = stiffness[:n_cells]
+    return cell_rows.diagonal(), cell_rows[:, edofs]
 
 
 @dataclass(eq=False)
 class SchurPlan:
     """The solver's state for one forms object: split, union plan, held ordering.
 
-    ``s_cc`` is the diagonal of the stiffness's cell-cell block, ``B`` (with
-    the cell of each entry in ``cell``) its cell x interior-edge block and
-    ``edofs`` the interior-edge unknowns.  The union pattern (``indices``,
-    ``indptr``) holds every stored entry of A_ee, whose values ``aee`` holds
-    (0.0 elsewhere), and every coupling of two interior edges of one cell, in
-    sorted CSC order.  Row p = (i, j) of ``q`` holds B[K,j] at column t for
-    each entry t = (K, i) of B whose cell K also holds edge j.  With v_t =
-    w_K B[K,i], entry p of q v is sum_K (w_K B[K,i]) B[K,j], the cells in
-    increasing order: the multiplies and sums of scipy's product of the
-    column-scaled B^T with B, so ``complement`` is scipy's matrix bit for bit,
-    exact zeros dropped, on every mesh.  The held ordering is ``held_indptr``,
-    ``held_indices`` and ``perm_c``; ``gather``, ``inverse`` = argsort(perm_c)
-    and the permuted pattern are built when that pattern comes back.
+    ``s_cc`` is the diagonal of the stiffness's cell-cell block and ``B`` its
+    cell x interior-edge block (``_cell_split``), ``edofs`` the interior-edge
+    unknowns.  The union pattern (``indices``, ``indptr``) holds every stored
+    entry of A_ee, whose values ``aee`` holds (0.0 elsewhere), and every
+    coupling of two interior edges of one cell, in sorted CSC order.  Row
+    p = (i, j) of ``q`` holds B[K,j] at column t for each entry t = (K, i)
+    of B whose cell K also holds edge j.  With v_t = w_K B[K,i], entry p of
+    q v is sum_K (w_K B[K,i]) B[K,j], the cells in increasing order: the
+    multiplies and sums of scipy's product of the column-scaled B^T with B,
+    so ``complement`` is scipy's matrix bit for bit, exact zeros dropped, on
+    every mesh.  The held ordering is ``held_indptr``, ``held_indices`` and
+    ``perm_c``; ``gather``, ``inverse`` = argsort(perm_c) and the permuted
+    pattern are built when that pattern comes back.
     """
 
     s_cc: np.ndarray
@@ -257,7 +258,6 @@ class SchurPlan:
     edofs: np.ndarray
     aee: np.ndarray
     q: sp.csr_matrix
-    cell: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     held_indptr: Optional[np.ndarray] = None
@@ -277,16 +277,12 @@ class SchurPlan:
         rows are A_ee's and B's columns.  While it runs it holds at most its
         result, 4 bytes per unknown, one slice, and the union's slices until
         it joins them, one array at a time, which holds that array twice: 8
-        bytes per union entry at most.  On Cartesian 7 that peaks 10.2 MiB
-        above its start, for an 8.0 MiB result.
+        bytes per union entry at most.  On Cartesian 7 that peaks 9.6 MiB
+        above its start, for a 7.5 MiB result.
         """
-        cell_rows = stiffness[:n_cells]
-        B = cell_rows[:, edofs]
-        s_cc = cell_rows.diagonal()
-        del cell_rows
+        s_cc, B = _cell_split(stiffness, n_cells, edofs)
         n = B.shape[1]
         m = np.diff(B.indptr)
-        cell = np.repeat(np.arange(n_cells), m)
         edge = np.full(stiffness.shape[0], -1, dtype=stiffness.indices.dtype)
         edge[edofs] = np.arange(n)  # interior edge number of each unknown
         n_pairs = int(m @ m)
@@ -342,7 +338,7 @@ class SchurPlan:
         q_indptr = np.zeros(aee.size + 1, dtype=q_indices.dtype)
         np.cumsum(np.concatenate(q_counts), out=q_indptr[1:])
         q = sp.csr_matrix((q_data, q_indices, q_indptr), shape=(aee.size, B.nnz))
-        return cls(s_cc, B, edofs, aee, q, cell, indices, np.cumsum(union_counts, out=union_counts))
+        return cls(s_cc, B, edofs, aee, q, indices, np.cumsum(union_counts, out=union_counts))
 
     def complement(self, w: np.ndarray) -> sp.csc_matrix:
         """A_ee - B^T diag(w) B as CSC, sorted, with exact zeros dropped.
@@ -350,7 +346,7 @@ class SchurPlan:
         Only a complement with no zero to drop holds the plan's own
         ``indptr``, and with it the plan's whole pattern.
         """
-        v = w[self.cell]
+        v = np.repeat(w, np.diff(self.B.indptr))
         v *= self.B.data
         data = self.q @ v
         np.subtract(self.aee, data, out=data)
@@ -401,8 +397,7 @@ def _factorise_schur(plan: SchurPlan, A: sp.csc_matrix, stats: SolveStats):
         counts = np.diff(indptr)[plan.inverse]
         plan.permuted_indptr = np.zeros_like(indptr)
         np.cumsum(counts, out=plan.permuted_indptr[1:])
-        plan.gather = (np.repeat(indptr[plan.inverse] - plan.permuted_indptr[:-1], counts)
-                       + np.arange(indices.size, dtype=indptr.dtype))
+        plan.gather = _ranges(indptr[plan.inverse], counts)
         plan.permuted_indices = plan.perm_c[indices[plan.gather]]
     P = sp.csc_matrix((A.data[plan.gather], plan.permuted_indices, plan.permuted_indptr),
                       shape=A.shape)

@@ -104,7 +104,8 @@ def triple_product_stiffness(gd):
     """
     G = coo_gradient_matrix(gd.mesh)
     n = gd.n_subcells
-    blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[gd.subcell_cell]
+    cell = np.repeat(np.arange(gd.n_cells), np.diff(gd.mesh.cell_offsets))  # of each subcell
+    blocks = gd.subcell_volumes[:, None, None] * gd.diffusion[cell]
     W = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n))
     stiffness = (G.T @ (W @ G)).tocsr()
     return 0.5 * (stiffness + stiffness.T)

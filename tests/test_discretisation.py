@@ -71,7 +71,8 @@ def test_subcell_volumes_partition_each_cell():
     m = generate_mesh("kershaw", 2)
     gd = build_gd(m)
     per_cell = np.zeros(m.n_cells)
-    np.add.at(per_cell, gd.subcell_cell, gd.subcell_volumes)
+    np.add.at(per_cell, np.repeat(np.arange(m.n_cells), np.diff(m.cell_offsets)),
+              gd.subcell_volumes)
     assert np.allclose(per_cell, m.cell_areas, rtol=1e-13, atol=0)
 
 
@@ -205,8 +206,8 @@ def test_gradient_of_mixed_cells_is_bitwise_the_coo_product():
 def test_discretisation_arrays_are_read_only():
     m = _mixed_cell_mesh()
     gd = build_gd(m, diffusion=_diffusion("per_cell", m))
-    arrays = {"diffusion": gd.diffusion, "subcell_cell": gd.subcell_cell,
-              "mesh.corner_edges": m.corner_edges, "subcell_volumes": gd.subcell_volumes,
+    arrays = {"diffusion": gd.diffusion, "mesh.corner_edges": m.corner_edges,
+              "subcell_volumes": gd.subcell_volumes,
               "boundary_edge_dofs": gd.boundary_edge_dofs, "free_dofs": gd.free_dofs}
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):

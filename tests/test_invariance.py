@@ -1,16 +1,24 @@
-"""The operator does not depend on how the mesh is numbered.
+"""The scheme does not depend on how the mesh is numbered or turned.
 
 Permuting the cells and the vertices, and starting each cell at another
 corner, renumbers the unknowns.  The stiffness and the solver's Schur
 complements follow that renumbering to rounding, and the complement of the
 solver's plan is still scipy's product bit for bit, so neither the
 assembly nor the plan relies on the numbering the generators produce.
+
+A march follows both a renumbering and a quarter turn of the mesh with its
+data: the same iterations and contact sets at every step, and the same cell
+values to rounding.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
-from hmmvi import MESH_FAMILIES, PolytopalMesh, assemble_forms, build_gd, generate_mesh, validate
+from hmmvi import (MESH_FAMILIES, PolytopalMesh, TimeGrid, assemble_forms, build_gd,
+                   builtin_case, error_norms, generate_mesh, run_transient, validate)
 from hmmvi.solver import _schur_plan
 
 import meshref
@@ -86,3 +94,77 @@ def test_renumbered_mesh_gives_the_renumbered_operator(family):
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+MARCH_MESHES = [("cartesian", 4), ("triangular", 8), ("hexagonal", 4), ("kershaw", 3)]
+GRID = TimeGrid(0.1, 5)  # five steps of dt = 0.02
+
+
+def _march(mesh, spec):
+    return run_transient(build_gd(mesh, spec.diffusion), spec, GRID)
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_march(case_name, family, level):
+    """The case, the generated mesh and its march."""
+    case = builtin_case(case_name)
+    mesh = generate_mesh(family, level)
+    return case, mesh, _march(mesh, case.spec)
+
+
+def _assert_same_march(solution, new_solution, cells):
+    """The new march is the old one with new cell k old cell ``cells[k]``."""
+    assert new_solution.iterations == solution.iterations
+    for old, new in zip(solution.partitions, new_solution.partitions, strict=True):
+        assert np.array_equal(new.contact, old.contact[cells])
+    for old, new in zip(solution.vectors, new_solution.vectors, strict=True):
+        want = old.cells[cells]
+        assert np.abs(new.cells - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("family, level", MARCH_MESHES)
+@pytest.mark.parametrize("case_name", ["test1", "test2"])
+def test_renumbered_mesh_gives_the_renumbered_march(case_name, family, level):
+    case, mesh, solution = _generated_march(case_name, family, level)
+    new, old_of_new = _renumbered(mesh, seed=44)
+    validate(new)
+    new_solution = _march(new, case.spec)
+    _assert_same_march(solution, new_solution, old_of_new[:mesh.n_cells])
+    if case.has_exact:
+        # The fan3 rules sum over each corner's triangle, wherever a cell starts.
+        for rule in ("centroid", "fan3"):
+            old, got = (error_norms(gd, run, case.u_exact, case.grad_exact, rule)
+                        for gd, run in ((build_gd(mesh), solution), (build_gd(new), new_solution)))
+            for name in ("l2_per_node", "grad_per_step"):
+                want = getattr(old, name)
+                assert np.abs(getattr(got, name) - want).max() <= 1e-13 * want.max(), name
+
+
+def _turn(points):
+    """A quarter turn about the origin, exact in floating point."""
+    return np.column_stack((-points[:, 1], points[:, 0]))
+
+
+def _unturn(points):
+    return np.column_stack((points[:, 1], -points[:, 0]))
+
+
+@pytest.mark.parametrize("family, level", MARCH_MESHES)
+@pytest.mark.parametrize("case_name", ["test1", "test2"])
+def test_turned_mesh_and_data_give_the_same_march(case_name, family, level):
+    case, mesh, solution = _generated_march(case_name, family, level)
+    spec = case.spec
+    assert spec.diffusion is None  # the identity needs no turning
+    offsets = mesh.cell_offsets
+    turned = PolytopalMesh(_turn(mesh.vertices),
+                           [mesh.corner_vertices[a:b] for a, b in zip(offsets, offsets[1:])],
+                           _turn(mesh.cell_points))
+    validate(turned)
+    dirichlet = spec.dirichlet
+    turned_spec = dataclasses.replace(
+        spec,
+        source=lambda p, t: spec.source(_unturn(p), t),
+        obstacle=lambda p: spec.obstacle(_unturn(p)),
+        initial=lambda p: spec.initial(_unturn(p)),
+        dirichlet=None if dirichlet is None else lambda p, t: dirichlet(_unturn(p), t))
+    _assert_same_march(solution, _march(turned, turned_spec), np.arange(mesh.n_cells))

@@ -42,3 +42,26 @@ def test_no_public_function_takes_the_discretisation_twice():
             if "gd" in params and params & {"forms", "problem"}:
                 twice.append(name)
     assert twice == []
+
+
+def _printing(source: str) -> list:
+    """Lines that call ``print`` or use ``sys.stdout`` or ``sys.stderr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+                alias.name in ("stdout", "stderr") for alias in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_library_reports_through_logging_and_never_prints():
+    assert _printing("print(1)\nimport sys\nsys.stdout.write('')\nf(sys.stderr)\n"
+                     "from sys import stderr\nx = 'print(2)'\n") == [1, 3, 4, 5]
+    printing = {path.name: _printing(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in printing.items() if lines} == {}

@@ -59,5 +59,5 @@ def test_plan_build_holds_a_bounded_multiple_of_what_it_returns(family, level):
     stiffness, nc = assemble_forms(gd).stiffness, gd.n_cells
     plan, peak = _traced(SchurPlan.build, stiffness, nc, gd.free_dofs[nc:])
     returned = (_csr_nbytes(plan.B) + _csr_nbytes(plan.q)
-                + _nbytes(plan.s_cc, plan.aee, plan.cell, plan.indices, plan.indptr))
+                + _nbytes(plan.s_cc, plan.aee, plan.indices, plan.indptr))
     assert peak <= PLAN_BOUND * returned, (peak, returned)
