@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from . import quadrature
 from .discretisation import (AssembledForms, GradientDiscretisation, _apply_gradient_maps,
                              _gradient_groups, assemble_forms, build_gd, interpolate_exact,
                              reconstruct_gradient_flat)
@@ -64,9 +65,7 @@ def _cell_quad_flat(mesh, rule: str):
     """Points, weights and owning cell for the "centroid" or "fan3" cell rule."""
     if rule == "centroid":
         return mesh.cell_points, mesh.cell_areas, np.arange(mesh.n_cells)
-    from .quadrature import cell_rule
-
-    rules = [cell_rule(mesh, k) for k in range(mesh.n_cells)]
+    rules = [quadrature.cell_rule(mesh, k) for k in range(mesh.n_cells)]
     owner = np.repeat(np.arange(mesh.n_cells), 3 * np.diff(mesh.cell_offsets))
     return (np.concatenate([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
             owner)
@@ -76,13 +75,13 @@ def _subcell_quad_flat(gd, rule: str):
     """Points, weights and owning subcell for the "centroid" or "fan3" rule.
 
     Subcell s is the triangle (x_K, a, b) of corner s, whose edge runs from
-    vertex a to b; "fan3" takes the midpoints of its sides x_K a, a b, b x_K.
+    vertex a to b.  "fan3" is the mesh's read-only fan table: the midpoints
+    of its sides x_K a, a b, b x_K, each weighted ``gd.subcell_volumes[s] / 3``.
     """
-    xk, a, b = _corner_triangles(gd.mesh)
     if rule == "centroid":
+        xk, a, b = _corner_triangles(gd.mesh)
         return (xk + a + b) / 3.0, gd.subcell_volumes, np.arange(gd.n_subcells)
-    pts = (0.5 * np.stack((xk + a, a + b, b + xk), axis=1)).reshape(-1, 2)
-    return pts, np.repeat(gd.subcell_volumes / 3.0, 3), np.repeat(np.arange(gd.n_subcells), 3)
+    return (*quadrature._fan_table(gd.mesh)[:2], np.repeat(np.arange(gd.n_subcells), 3))
 
 
 def _value_error(quad, cells, value: Callable) -> float:
@@ -221,7 +220,8 @@ def estimate_CD(forms: AssembledForms) -> float:
     norm, z^T A0 z being z^T M x; no iterate depends on the start's scale.
     """
     solve = _plain_solve(forms)
-    mass = forms.mass_diag[forms.gd.free_dofs]
+    mass = np.zeros(forms.gd.free_dofs.size)  # M on the free unknowns, cells first
+    mass[:forms.gd.n_cells] = forms.gd.mesh.cell_areas
 
     mx = mass  # M x for the start x = 1
     lam = 0.0

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PolytopalMesh
+from .mesh import PolytopalMesh, _subcell_areas
 
 # Every diffusion tensor must have its eigenvalues in this closed interval.
 EIG_BOUNDS = (1e-12, 1e12)
@@ -77,27 +77,26 @@ class DofVector:
 class AssembledForms:
     """Global sparse forms over the full cell+edge unknown set.
 
-    One object serves every time step of a run; the mass is kept as its
-    diagonal.  Forms compare by identity: the solver and the diagnostics keep
-    what they derive from them in their own modules, per forms object.
+    One object serves every time step of a run; the diagonal mass is
+    ``gd.mesh.cell_areas`` on the cells.  Forms compare by identity: the solver
+    and the diagnostics keep what they derive from them in their own modules.
     """
 
     gd: GradientDiscretisation = field(repr=False)
     stiffness: sp.csr_matrix        # diffusion-weighted gradient form
-    mass_diag: np.ndarray           # |K| on cell entries, zero on edges
 
 
 def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
     nc = mesh.n_cells
     try:
-        arr = np.asarray(np.eye(2) if diffusion is None else diffusion, dtype=float)
+        arr = np.array(np.eye(2) if diffusion is None else diffusion, dtype=float)
     except (TypeError, ValueError):
         got = f"a {type(diffusion).__name__}"
     else:
-        if arr.shape == (2, 2):
-            return np.broadcast_to(arr, (nc, 2, 2)).copy()
-        if arr.shape == (nc, 2, 2):
-            return arr.copy()
+        if arr.shape in ((2, 2), (nc, 2, 2)):
+            _check_diffusion(arr.reshape(-1, 2, 2))  # each tensor as held, once
+            arr.flags.writeable = False  # so the view cannot be made writable
+            return np.broadcast_to(arr, (nc, 2, 2))
         got = f"shape {arr.shape}"
     raise DiscretisationError(f"diffusion must be None, a 2x2 array or a "
                               f"({nc}, 2, 2) array of numbers, got {got}")
@@ -106,16 +105,14 @@ def _as_diffusion_field(mesh: PolytopalMesh, diffusion) -> np.ndarray:
 def _check_diffusion(field: np.ndarray) -> None:
     lo, hi = EIG_BOUNDS
     # One contiguous array per entry: a = L_00, b = L_01, c = L_10, d = L_11.
-    a, b, c, d = field.reshape(-1, 4).T.copy()
-    bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)))
+    flat = field.reshape(-1, 4)
+    a, b, c, d = flat.T.copy()
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
     if bad.size:
         k = int(bad[0])
         raise DiscretisationError(
             f"diffusion tensor on cell {k} is not finite: {field[k].tolist()}")
-    sym_defect = np.abs(b - c)
-    scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                       np.maximum(np.abs(c), np.abs(d))))
-    bad = np.nonzero(sym_defect > 1e-12 * scale)[0]
+    bad = np.flatnonzero(np.abs(b - c) > 1e-12 * np.maximum(1.0, np.abs(flat).max(axis=1)))
     if bad.size:
         raise DiscretisationError(f"diffusion tensor on cell {int(bad[0])} is not symmetric")
     # Closed-form eigenvalues of a symmetric 2x2 matrix.
@@ -137,25 +134,25 @@ class GradientDiscretisation:
 
     Unknown ordering is all cells first, then all edges: edge e is unknown
     n_cells + e.  Subcell s is the triangle ``mesh._corner_triangles`` gives
-    corner s, on edge ``mesh.corner_edges[s]``.  Instances are immutable and
-    can be shared between solves: every array is read-only.
+    corner s, of area ``subcell_volumes[s]``.  ``diffusion`` views one copy of
+    the caller's tensor (stride 0 along the cells if constant).  Instances are
+    immutable and can be shared between solves: every array is read-only.
     """
 
     def __init__(self, mesh: PolytopalMesh, diffusion=None):
         self.mesh = mesh
         self.diffusion = _as_diffusion_field(mesh, diffusion)
-        _check_diffusion(self.diffusion)
         self.n_cells = mesh.n_cells
         self.n_edges = mesh.n_edges
         self.n_dofs = self.n_cells + self.n_edges
 
-        self.subcell_volumes = 0.5 * mesh.edge_lengths[mesh.corner_edges] * mesh.corner_edge_dists
+        self.subcell_volumes = _subcell_areas(mesh)
         self.n_subcells = self.subcell_volumes.size
         self.boundary_edge_dofs = self.n_cells + mesh.boundary_edges
         self.free_dofs = np.concatenate((np.arange(self.n_cells),
                                          self.n_cells + mesh.interior_edges))
 
-        for arr in (self.diffusion, self.subcell_volumes, self.boundary_edge_dofs, self.free_dofs):
+        for arr in (self.subcell_volumes, self.boundary_edge_dofs, self.free_dofs):
             arr.setflags(write=False)
 
     # -- unknown layout ------------------------------------------------------
@@ -270,7 +267,7 @@ def _apply_gradient_maps(gd: GradientDiscretisation, groups, v: DofVector) -> np
 
 
 def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
-    """Assemble the global stiffness and the diagonal cell mass.
+    """Assemble the global stiffness; the mass is ``gd.mesh.cell_areas``.
 
     The stiffness sums the local forms A_K of the module docstring, one
     batched block per cell from each slice of ``_gradient_groups``.  Each
@@ -342,9 +339,7 @@ def assemble_forms(gd: GradientDiscretisation) -> AssembledForms:
     np.cumsum(counts, out=indptr[1:])
     data = np.concatenate(data)  # its slices go before the indices are joined
     stiffness = sp.csr_matrix((data, np.concatenate(indices, dtype=index), indptr), shape=shape)
-    mass = np.zeros(gd.n_dofs)
-    mass[:gd.n_cells] = gd.mesh.cell_areas
-    return AssembledForms(gd=gd, stiffness=stiffness, mass_diag=mass)
+    return AssembledForms(gd=gd, stiffness=stiffness)
 
 
 def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:
@@ -352,10 +347,9 @@ def flux_conservation_defect(forms: AssembledForms, v: DofVector) -> float:
     gd = forms.gd
     gd.check_vector(v)
     resid = forms.stiffness @ v.values
-    interior = gd.free_dofs[gd.n_cells:]
-    if interior.size == 0:
-        return 0.0
-    return float(np.max(np.abs(resid[interior]) / gd.mesh.edge_lengths[gd.mesh.interior_edges]))
+    interior = gd.mesh.interior_edges
+    return float(np.max(np.abs(resid[gd.n_cells + interior]) / gd.mesh.edge_lengths[interior],
+                        initial=0.0))
 
 
 # -- interpolants ------------------------------------------------------------

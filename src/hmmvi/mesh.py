@@ -307,6 +307,11 @@ def _corner_triangles(mesh: PolytopalMesh):
     return np.repeat(mesh.cell_points, counts, axis=0), a, a[nxt]
 
 
+def _subcell_areas(mesh: PolytopalMesh) -> np.ndarray:
+    """|D_{K,sigma}| = |sigma| d_{K,sigma} / 2 per corner, summing to |K| over a cell."""
+    return 0.5 * mesh.edge_lengths[mesh.corner_edges] * mesh.corner_edge_dists
+
+
 def validate(mesh: PolytopalMesh) -> dict:
     """Check the mesh invariants and return a report of the worst defects.
 

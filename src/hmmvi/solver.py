@@ -152,8 +152,10 @@ class LviProblem:
         self.psi = np.asarray(self.psi, dtype=float)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """(S + alpha M) v, with the mass applied as its diagonal."""
-        return self.forms.stiffness @ v + self.alpha * self.forms.mass_diag * v
+        """(S + alpha M) v: S v, plus alpha |K| v_K on each cell row K."""
+        out, nc = self.forms.stiffness @ v, self.forms.gd.n_cells
+        out[:nc] += self.alpha * self.forms.gd.mesh.cell_areas * v[:nc]
+        return out
 
 
 # Seconds summed over the iterations of one solve: the Schur complement
@@ -214,7 +216,7 @@ def complementarity_residual(problem: LviProblem, u: DofVector, r: np.ndarray) -
     Zero exactly when u satisfies the discrete complementarity system.
     """
     per_cell = np.minimum(u.cells - problem.psi, r[:problem.forms.gd.n_cells])
-    return float(np.max(np.abs(per_cell))) if per_cell.size else 0.0
+    return float(np.max(np.abs(per_cell)))
 
 
 def factorise_spd(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -432,7 +434,7 @@ def _linear_solve(problem, partition, stats: SolveStats):
     nc = gd.n_cells
     plan = _schur_plan(problem.forms)  # built on the first solve, outside schur_s
     B, edofs = plan.B, plan.edofs
-    d = plan.s_cc + problem.alpha * problem.forms.mass_diag[:nc]
+    d = plan.s_cc + problem.alpha * gd.mesh.cell_areas
     contact = partition.contact
     balance = ~contact
     u = np.zeros(gd.n_dofs)

@@ -156,8 +156,7 @@ def run_transient(gd: GradientDiscretisation, spec: ProblemSpec, grid: TimeGrid,
     _check_finite(psi, "obstacle", 0.0)
     _check_finite(u.cells, "initial", 0.0)
 
-    bedges = gd.mesh.boundary_edges
-    bcenters = gd.mesh.edge_centers[bedges]
+    bcenters = gd.mesh.edge_centers[gd.mesh.boundary_edges]
 
     vectors = [u]
     all_stats: list[SolveStats] = []

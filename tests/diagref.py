@@ -33,7 +33,9 @@ def estimate_CD(gd: GradientDiscretisation, forms: Optional[AssembledForms] = No
         forms = assemble_forms(gd)
     free = gd.free_dofs
     A0 = forms.stiffness[free][:, free].tocsc()
-    mass = forms.mass_diag[free]
+    mass = np.zeros(gd.n_dofs)  # |K| on the cells, zero on the edges
+    mass[:gd.n_cells] = gd.mesh.cell_areas
+    mass = mass[free]
     try:
         lu = spla.splu(A0)
     except RuntimeError as exc:

@@ -22,7 +22,10 @@ from hmmvi.solver import LviProblem, SingularSystemError, SolverError
 def _system_matrix(problem):
     S = problem.forms.stiffness
     if problem.alpha != 0.0:
-        S = S + sp.diags(problem.alpha * problem.forms.mass_diag)
+        gd = problem.forms.gd
+        mass = np.zeros(gd.n_dofs)  # |K| on the cells, zero on the edges
+        mass[:gd.n_cells] = gd.mesh.cell_areas
+        S = S + sp.diags(problem.alpha * mass)
     return S.tocsr()
 
 

@@ -17,7 +17,7 @@ from hmmvi import (MESH_FAMILIES, DiagnosticsError, GdQualityReport, TimeGrid,
                    initial_interp_error, interpolate_exact, run_transient,
                    standard_probes)
 from hmmvi.diagnostics import _cell_quad_flat, _plain_solve, _subcell_quad_flat
-from hmmvi.discretisation import AssembledForms, DofVector, reconstruct_gradient_flat
+from hmmvi.discretisation import DofVector, reconstruct_gradient_flat
 from hmmvi.timeloop import TransientSolution
 
 import diagref
@@ -122,7 +122,7 @@ def test_initial_interp_error_decays():
     assert np.all(orders > 0.7)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=0.25, max_value=3.5),
        st.floats(min_value=0.05, max_value=10.0))
 def test_eoc_recovers_synthetic_order(p, c):
@@ -264,10 +264,11 @@ def test_singular_plain_form_is_a_diagnostics_error(monkeypatch):
         estimate_CD(forms)
 
 
-def test_power_iteration_that_reaches_zero_is_a_diagnostics_error():
-    # A vanishing mass makes every iterate A0^{-1} M x the zero vector.
-    gd = build_gd(generate_mesh("cartesian", 2))
-    forms = AssembledForms(gd, assemble_forms(gd).stiffness, np.zeros(gd.n_dofs))
+def test_power_iteration_that_reaches_zero_is_a_diagnostics_error(monkeypatch):
+    # A plain solve that returns zero makes the iterate A0^{-1} M x vanish;
+    # cell areas cannot, so the solve is replaced.
+    monkeypatch.setattr(hmmvi.diagnostics, "_plain_solve", lambda forms: np.zeros_like)
+    forms = assemble_forms(build_gd(generate_mesh("cartesian", 2)))
     with pytest.raises(DiagnosticsError,
                        match="^power iteration collapsed to the null space$"):
         estimate_CD(forms)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hmmvi import (DiscretisationError, MESH_FAMILIES, PolytopalMesh, ProblemSpec,
+import hmmvi.quadrature
+from hmmvi import (DiscretisationError, MESH_FAMILIES, LviProblem, PolytopalMesh, ProblemSpec,
                    TimeGrid, assemble_forms, build_gd, flux_conservation_defect,
                    generate_mesh, interpolate_exact, reconstruct_gradient_flat,
                    run_transient, validate)
@@ -203,6 +204,48 @@ def test_gradient_of_mixed_cells_is_bitwise_the_coo_product():
     assert np.allclose(reconstruct_gradient_flat(gd, v), [1.0, -2.0], rtol=0, atol=1e-13)
 
 
+FAN_MESHES = [(family, level) for family in MESH_FAMILIES for level in (1, 2, 3)] + [
+    ("mixed", None)]
+
+
+def _fan_mesh(family, level):
+    return _mixed_cell_mesh() if family == "mixed" else generate_mesh(family, level)
+
+
+@pytest.mark.parametrize("family, level", FAN_MESHES)
+def test_fan_weights_are_the_subcell_volumes_over_three_bitwise(family, level):
+    m = _fan_mesh(family, level)
+    w = hmmvi.quadrature._fan_table(m)[1]
+    want = np.repeat(build_gd(m).subcell_volumes / 3, 3)
+    assert w.dtype == want.dtype and w.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family, level", FAN_MESHES)
+def test_subcell_fan3_rule_is_the_fan_table(family, level):
+    m = _fan_mesh(family, level)
+    pts, w, _ = hmmvi.quadrature._fan_table(m)
+    spts, sw, _ = _subcell_quad_flat(build_gd(m), "fan3")
+    assert np.shares_memory(spts, pts) and np.shares_memory(sw, w)
+
+
+@pytest.mark.parametrize("kind", ["identity", "constant", "per_cell"])
+def test_diffusion_is_one_copy_of_the_caller_tensor(kind):
+    # A constant tensor is held once, not once per cell, and the caller's
+    # array may change afterwards.
+    m = _mixed_cell_mesh()
+    given = {"identity": None, "constant": np.array([[2.0, 0.5], [0.5, 1.0]]),
+             "per_cell": _diffusion("per_cell", m)}[kind]
+    gd = build_gd(m, diffusion=given)
+    want = np.broadcast_to(np.eye(2) if given is None else given, (m.n_cells, 2, 2)).copy()
+    assert gd.diffusion.shape == (m.n_cells, 2, 2)
+    assert gd.diffusion.strides[0] == (32 if kind == "per_cell" else 0)
+    if given is not None:
+        given[...] = 7.0
+    assert np.array_equal(gd.diffusion, want)
+    with pytest.raises(ValueError):
+        gd.diffusion.flags.writeable = True
+
+
 def test_discretisation_arrays_are_read_only():
     m = _mixed_cell_mesh()
     gd = build_gd(m, diffusion=_diffusion("per_cell", m))
@@ -299,11 +342,14 @@ def test_stiffness_is_exactly_symmetric_with_the_triple_product_pattern(level, f
 
 
 def test_mass_weights_are_cell_areas():
+    # (S + M) v - S v for v = 1 is the mass's diagonal
     m = generate_mesh("cartesian", 2)
-    gd = build_gd(m)
-    forms = assemble_forms(gd)
-    assert np.allclose(forms.mass_diag[:m.n_cells], m.cell_areas)
-    assert np.all(forms.mass_diag[m.n_cells:] == 0.0)
+    forms = assemble_forms(build_gd(m))
+    v = np.ones(forms.gd.n_dofs)
+    zero = np.zeros(m.n_cells)
+    mass = LviProblem(forms, zero, 1.0, zero).apply(v) - forms.stiffness @ v
+    assert np.allclose(mass[:m.n_cells], m.cell_areas)
+    assert np.all(mass[m.n_cells:] == 0.0)
 
 
 def test_conservation_defect_vanishes_at_discrete_solutions():

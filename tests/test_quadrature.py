@@ -46,6 +46,23 @@ def test_cell_rule_matches_per_triangle_reference_bitwise(name, mesh, rule):
         assert _same_bits(w, ref_w), (name, k)
 
 
+# The largest relative gap measured on these meshes is 1.05e-13, on kershaw 5
+# in the flat box.
+@pytest.mark.parametrize("box", [(-1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 0.7)])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_fan_weights_are_the_triangle_areas_to_rounding(family, level, box):
+    # |sigma| d / 2 and the cross product are two formulas for one area.
+    mesh = generate_mesh(family, level, bbox=box)
+    areas = []
+    for xk, loc in zip(mesh.cell_points, cell_slices(mesh, mesh.corner_vertices)):
+        v = mesh.vertices[loc]
+        areas += [quadref.cross_area(np.array([xk, a, b])) for a, b in zip(v, np.roll(v, -1, 0))]
+    w = hmmvi.quadrature._fan_table(mesh)[1]
+    want = np.repeat(areas, 3) / 3.0
+    assert np.all(np.abs(w - want) <= 1e-12 * want)
+
+
 def test_hexagonal_levels_one_and_two_mix_three_to_six_edges():
     counts = [np.diff(generate_mesh("hexagonal", level).cell_offsets) for level in (1, 2)]
     assert set(np.concatenate(counts).tolist()) == {3, 4, 5, 6}

@@ -252,7 +252,7 @@ def test_run_transient_leaves_the_plain_form_unassembled(monkeypatch):
 
 def test_forms_hold_only_the_forms():
     fields = [f.name for f in dataclasses.fields(AssembledForms)]
-    assert fields == ["gd", "stiffness", "mass_diag"]
+    assert fields == ["gd", "stiffness"]
 
 
 def test_derived_state_goes_with_its_forms(monkeypatch):

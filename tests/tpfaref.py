@@ -3,8 +3,9 @@
 On a Cartesian grid with a diagonal Lambda, eliminating the edge unknowns
 from the HMM stiffness leaves the classical 5-point matrix on the cells.
 Its coefficient is |sigma| n.Lambda n / d_KL across an interior edge and
-|sigma| n.Lambda n / d_Ksigma on a boundary edge, under homogeneous
-Dirichlet data.  This module builds that matrix from the grid's size and
+|sigma| n.Lambda n / d_Ksigma on a boundary edge, whose Dirichlet value
+g(x_sigma) then adds the same coefficient times g to the cell's right-hand
+side.  This module builds that matrix and that load from the grid's size and
 box alone, with numpy, and marches implicit Euler with its own primal-dual
 active set and ``spsolve``.  It reads no library code: of a mesh it takes
 only the cell points, to match its cells to the mesh's by coordinates.
@@ -54,6 +55,27 @@ def five_point(nx, ny, box, lam):
     return A, hx * hy
 
 
+def dirichlet_load(nx, ny, box, lam, g):
+    """t -> the boundary edges' part of each cell's right-hand side.
+
+    Each boundary edge sigma of cell K adds |sigma| n.Lambda n / d_Ksigma
+    g(x_sigma, t), the coefficient ``five_point`` puts on K's diagonal.
+    """
+    xmin, xmax, ymin, ymax = box
+    hx, hy = (xmax - xmin) / nx, (ymax - ymin) / ny
+    tx, ty = 2.0 * (hy * lam[0] / hx), 2.0 * (hx * lam[1] / hy)
+    xs, ys = xmin + (np.arange(nx) + 0.5) * hx, ymin + (np.arange(ny) + 0.5) * hy
+    cell = np.arange(nx * ny).reshape(ny, nx)  # [j, i]
+    cells = np.concatenate((cell[:, 0], cell[:, -1], cell[0, :], cell[-1, :]))
+    points = np.concatenate((np.column_stack((np.full(ny, xmin), ys)),
+                             np.column_stack((np.full(ny, xmax), ys)),
+                             np.column_stack((xs, np.full(nx, ymin))),
+                             np.column_stack((xs, np.full(nx, ymax)))))
+    coef = np.repeat([tx, tx, ty, ty], [ny, ny, nx, nx])
+    return lambda t: np.bincount(cells, coef * np.asarray(g(points, t), dtype=float),
+                                 minlength=nx * ny)
+
+
 def match(points, nx, ny, box):
     """The mesh cell at each grid cell, from the mesh's cell points."""
     xmin, xmax, ymin, ymax = box
@@ -68,11 +90,12 @@ def match(points, nx, ny, box):
     return order
 
 
-def march(A, area, points, nodes, source, obstacle, initial):
+def march(A, area, points, nodes, source, obstacle, initial, load=None):
     """Implicit Euler with a primal-dual active set per step.
 
-    Each step solves (area/dt) u + A u - rhs >= 0, u >= psi, with their
-    product zero, rhs = area f(t_mid) + (area/dt) u_prev.  The active set
+    Each step solves (area/dt) u + A u - rhs - load(t_end) >= 0, u >= psi,
+    with their product zero, rhs = area f(t_mid) + (area/dt) u_prev, and no
+    load when ``load`` is None (homogeneous Dirichlet data).  The active set
     moves a cell to contact where u <= psi + gap and releases one where its
     multiplier falls below -tau or u below psi - gap, with
     gap = 1e-10 max(1, max|psi|) and tau = 1e-10 max(1, max|rhs|); it stops
@@ -90,6 +113,8 @@ def march(A, area, points, nodes, source, obstacle, initial):
         K = (A + mass * sp.eye(n)).tocsr()
         rhs = area * np.asarray(source(points, 0.5 * (t_a + t_b)), dtype=float) + mass * u
         tau = 1e-10 * max(1.0, np.abs(rhs).max())
+        if load is not None:
+            rhs = rhs + load(t_b)
         for it in range(1, n + 2):
             free = ~contact
             x = np.where(contact, psi, 0.0)
