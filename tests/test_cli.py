@@ -148,6 +148,24 @@ def test_run_record_has_the_snapshot_time(tmp_path, formats, snapshots):
         assert record["snapshot_seconds"] == 0.0
 
 
+def test_run_record_says_what_each_factorisation_cost(tmp_path):
+    # Per active-set iteration, the Schur complement's stored entries and
+    # its factor's L + U entries, which hold at least the complement's.
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--quiet", "--case", "test2",
+         "--family", "cartesian", "--level", "3", "--dt", "0.02",
+         "--formats", "json", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    steps = json.loads((out / "run.json").read_text())["steps"]
+    assert len(steps) == 5 and steps[0]["iterations"] == 2
+    for step in steps:
+        assert len(step["schur_nnz"]) == len(step["factor_nnz"]) == step["iterations"]
+        for schur, factor in zip(step["schur_nnz"], step["factor_nnz"]):
+            assert type(schur) is int and type(factor) is int and 0 < schur <= factor
+
+
 @pytest.mark.parametrize("field,expr", [("source", "log(x)"),
                                         ("initial", "log(x)"),
                                         ("obstacle", "log(x)"),

@@ -273,6 +273,10 @@ def test_stats_record_the_iteration_history():
     assert stats.set_changes[-1] == 0
     assert stats.contact_sizes[-1] == part.n_contact
     assert len(stats.linear_residuals) == stats.iterations
+    # What each factorisation cost: the complement's stored entries and its
+    # factor's L + U entries, which hold the complement's pattern.
+    assert len(stats.schur_nnz) == len(stats.factor_nnz) == stats.iterations
+    assert all(0 < s <= f for s, f in zip(stats.schur_nnz, stats.factor_nnz))
     d = asdict(stats)
     assert d["iterations"] == stats.iterations
     assert set(d["timings"]) == {"schur_s", "factor_s", "linear_s", "update_s"}
@@ -453,6 +457,7 @@ def test_condensed_solve_matches_full_system_reference(monkeypatch, family, leve
                 cg_stats = SolveStats()
                 cg, _ = _linear_solve(LviProblem(**kw), part, cg_stats)
             assert cg_stats.timings["factor_s"] == 0.0
+            assert cg_stats.factor_nnz == [0] and cg_stats.schur_nnz == stats.schur_nnz
             assert np.linalg.norm(cg.values - want.values) <= 1e-8 * scale
 
 
@@ -725,3 +730,55 @@ def test_schur_plan_build_is_not_timed_as_a_schur_complement(monkeypatch):
     sol = run_transient(gd, case.spec, TimeGrid(case.spec.final_time, 3))
     timings = sol.solver_timings
     assert 0.0 < timings["schur_s"] < 0.2 <= timings["linear_s"]
+
+
+def _mesh_order_plan(forms):
+    """The solver's plan with the interior edges in the mesh's own order."""
+    if forms not in solver._plans:
+        nc = forms.gd.n_cells
+        solver._plans[forms] = SchurPlan.build(forms.stiffness, nc, forms.gd.free_dofs[nc:])
+    return solver._plans[forms]
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_schur_plan_numbers_every_interior_edge_once(family):
+    gd = build_gd(generate_mesh(family, 3))
+    nc = gd.n_cells
+    edofs = _schur_plan(assemble_forms(gd)).edofs
+    assert not np.array_equal(edofs, gd.free_dofs[nc:])
+    assert np.array_equal(np.sort(edofs), gd.free_dofs[nc:])
+
+
+@pytest.mark.parametrize("family, level", [("cartesian", 5), ("kershaw", 3)])
+def test_reverse_cuthill_mckee_numbering_shrinks_the_factor(family, level):
+    # Minimum degree breaks its ties by the input numbering: started from
+    # the banded one, the all-balance complement fills in less than from
+    # the mesh's first-appearance edge numbering.
+    gd = build_gd(generate_mesh(family, level))
+    forms = assemble_forms(gd)
+    fills = []
+    for plan in (_schur_plan(forms), _mesh_order_plan(assemble_forms(gd))):
+        w = 1.0 / (plan.s_cc + 100.0 * gd.mesh.cell_areas)
+        fills.append(solver.factorise_spd(plan.complement(w)).nnz)
+    assert fills[0] < fills[1]
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+@pytest.mark.parametrize("case_name", ["test1", "test2"])
+def test_edge_numbering_keeps_the_march(monkeypatch, case_name, family, level):
+    # The plan's numbering changes the factors' order of operations, not the
+    # march: the same iterations, contact sets and orderings as in the
+    # mesh's edge order, and the same node vectors to rounding.
+    case = builtin_case(case_name)
+    gd = build_gd(generate_mesh(family, level), case.spec.diffusion)
+    grid = TimeGrid(case.spec.final_time, 6)
+    sol = run_transient(gd, case.spec, grid)
+    monkeypatch.setattr(solver, "_schur_plan", _mesh_order_plan)
+    want = run_transient(gd, case.spec, grid)
+    assert sol.iterations == want.iterations
+    assert [s.orderings for s in sol.stats] == [s.orderings for s in want.stats]
+    for got, ref in zip(sol.partitions, want.partitions, strict=True):
+        assert np.array_equal(got.contact, ref.contact)
+    for got, ref in zip(sol.vectors, want.vectors, strict=True):
+        assert np.abs(got.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
