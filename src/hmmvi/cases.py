@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expressions import ExpressionError, compile_expression
+from .mesh import MESH_FAMILIES
 from .timeloop import ProblemSpec
 
 
@@ -368,10 +369,17 @@ def load_case_file(path) -> AnalyticCase:
     bbox = _numbers(doc.get("bbox", (-1.0, 1.0, -1.0, 1.0)), f"{path}: bbox")
     if bbox.shape != (4,) or not np.isfinite(bbox).all():
         raise CaseError(f"{path}: bbox must have four finite entries, got {doc['bbox']!r}")
+    xmin, xmax, ymin, ymax = bbox.tolist()
+    if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
+        raise CaseError(f"{path}: bbox must be a non-degenerate bounding box "
+                        f"[xmin, xmax, ymin, ymax] of finite size, got {doc['bbox']!r}")
 
     recommended = doc.get("recommended", {})
     if not isinstance(recommended, dict):
         raise CaseError(f"{path}: recommended must be an object, got {recommended!r}")
+    if "mesh_family" in recommended and recommended["mesh_family"] not in MESH_FAMILIES:
+        raise CaseError(f"{path}: recommended.mesh_family must be one of {MESH_FAMILIES}, "
+                        f"got {recommended['mesh_family']!r}")
     rule = recommended.get("dt_rule", {})
     if not isinstance(rule, dict):
         raise CaseError(f"{path}: recommended.dt_rule must be an object, got {rule!r}")

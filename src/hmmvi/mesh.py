@@ -79,13 +79,22 @@ def _flatten_cells(cell_vertices):
     """Vertex ids of all cells in one array, and the vertex count of each cell.
 
     ``cell_vertices`` is a 2-D integer array (cells of one size), a
-    sequence of index sequences, or ``_FlatCells``.
+    sequence of index sequences, or ``_FlatCells``.  Every id must be an
+    integer: int() would read 1.7 and True as vertex 1.
     """
     if isinstance(cell_vertices, _FlatCells):
         return cell_vertices
     if isinstance(cell_vertices, np.ndarray) and cell_vertices.ndim == 2:
-        n, m = cell_vertices.shape
-        return np.asarray(cell_vertices, dtype=int).ravel(), np.full(n, m)
+        if np.issubdtype(cell_vertices.dtype, np.integer):
+            n, m = cell_vertices.shape
+            return np.asarray(cell_vertices, dtype=int).ravel(), np.full(n, m)
+        cell_vertices = cell_vertices.tolist()  # its ids are checked one by one
+    kinds = set(map(type, itertools.chain.from_iterable(cell_vertices)))
+    bad = {t for t in kinds if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
+    if bad:
+        k, v = next((k, v) for k, ids in enumerate(cell_vertices) for v in ids
+                    if type(v) in bad)
+        raise MeshValidationError(f"cell {k} has vertex id {v!r}, expected an integer")
     counts = np.fromiter(map(len, cell_vertices), dtype=int, count=len(cell_vertices))
     try:
         flat = np.fromiter(itertools.chain.from_iterable(cell_vertices), dtype=int,
@@ -228,7 +237,10 @@ class PolytopalMesh:
             _require_finite(centroids, "cell {}: centroid")
             self.cell_points = centroids
         else:
-            self.cell_points = np.array(cell_points, dtype=float).reshape(n, 2)
+            self.cell_points = np.array(cell_points, dtype=float)
+            if self.cell_points.shape != (n, 2):
+                raise MeshValidationError(f"cell_points has shape {self.cell_points.shape}, "
+                                          f"expected {(n, 2)}")
             _require_finite(self.cell_points, "cell {}: point x_K")
 
         self.cell_offsets = offsets

@@ -1,8 +1,10 @@
 """Command line driver, exercised in-process through main()."""
 
+import importlib
 import json
 import logging
 import logging.handlers
+import math
 import subprocess
 import sys
 import tempfile
@@ -18,9 +20,18 @@ import hmmvi.cli
 import hmmvi.mesh
 import hmmvi.solver
 import hmmvi.timeloop
+from hmmvi import MESH_FAMILIES
 from hmmvi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_levels
 
 from test_export import parse_vtk
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def frozen(workload):
+    """The benchmark's frozen numbers of one workload, which tests only read."""
+    return json.loads((REPO / "benchmarks" / "reference.json").read_text())[workload]
 
 
 def run_cli(*argv):
@@ -58,10 +69,29 @@ def test_meshgen_writes_levels(tmp_path):
     assert files == ["cartesian_l01.json", "cartesian_l02.json"]
 
 
-def test_validate_accepts_generated_mesh(tmp_path):
-    run_cli("meshgen", "--family", "hexagonal", "--levels", "2",
-            "--out", str(tmp_path))
-    assert run_cli("validate", str(tmp_path / "hexagonal_l02.json")) == EXIT_OK
+# meshgen's save and validate's load, on every family: a mesh file's content
+# names its format, not its extension, and only kershaw records an amplitude.
+@pytest.mark.parametrize("family, level, bbox, name", [
+    pytest.param("hexagonal", 2, None, "hexagonal_l02.json", id="hexagonal-2"),
+    pytest.param("hexagonal", 2, None, "hexagonal_l02", id="hexagonal-2-without-json"),
+    pytest.param("kershaw", 2, None, "kershaw_l02.json", id="kershaw-2"),
+    pytest.param("cartesian", 3, None, "cartesian_l03.json", id="cartesian-3"),
+    pytest.param("triangular", 8, None, "triangular_l08.json", id="triangular-8"),
+    # a top box line 1e-8 above a row of corners: they move onto it
+    pytest.param("hexagonal", 3, "0,1,0,0.8660254137844386", "hexagonal_l03.json",
+                 id="hexagonal-3-box-near-a-corner-row"),
+    # a lattice cut too short in either axis would leave cells out
+    pytest.param("hexagonal", 4, "-2.5,3.5,0.2,0.9", "hexagonal_l04.json",
+                 id="hexagonal-4-wide-flat-off-centre-box"),
+])
+def test_validate_accepts_generated_mesh(tmp_path, family, level, bbox, name):
+    box = [f"--bbox={bbox}"] if bbox else []
+    assert run_cli("meshgen", "--family", family, "--levels", str(level), *box,
+                   "--out", str(tmp_path)) == EXIT_OK
+    path = (tmp_path / f"{family}_l{level:02d}.json").rename(tmp_path / name)
+    assert run_cli("validate", str(path)) == EXIT_OK
+    amplitude = json.loads(path.read_text())["metadata"].get("distortion_amplitude")
+    assert amplitude == (0.21 if family == "kershaw" else None)
 
 
 def test_validate_missing_file_is_usage_error(tmp_path):
@@ -166,22 +196,101 @@ def test_run_record_says_what_each_factorisation_cost(tmp_path):
             assert type(schur) is int and type(factor) is int and 0 < schur <= factor
 
 
+def test_solve_on_a_mixed_cell_mesh_file(tmp_path):
+    # Hexagonal cells have 3 to 6 corners, so the stiffness is assembled in
+    # one pass per cell size.
+    assert run_cli("meshgen", "--family", "hexagonal", "--levels", "2",
+                   "--out", str(tmp_path)) == EXIT_OK
+    out = tmp_path / "run"
+    assert run_cli("solve", "--case", "test2", "--mesh", str(tmp_path / "hexagonal_l02.json"),
+                   "--formats", "json", "--out", str(out)) == EXIT_OK
+    record = json.loads((out / "run.json").read_text())
+    assert record["build_gd_seconds"] > 0
+    assert len(record["steps"]) == len(record["time_nodes"]) - 1 >= 1
+
+
+_ANISOTROPIC = {"name": "anisotropic", "final_time": 0.1, "source": "-4+x*x",
+                "obstacle": "-0.05+0*x", "initial": "0*x",
+                "diffusion": [[1.5, 0.2], [0.2, 3.0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--case", "test1", "--family", "triangular", "--level", "8"],
+                 id="test1-triangular-8"),
+    pytest.param(["--case", "test2", "--family", "cartesian", "--level", "4"],
+                 id="test2-cartesian-4"),
+    *(pytest.param(["--case", "test2", "--family", family, "--level", "3"],
+                   id=f"test2-{family}-3") for family in MESH_FAMILIES),
+    *(pytest.param(["--quiet", "--case-file", "{case}", "--family", family, "--level", "3"],
+                   id=f"anisotropic-{family}-3") for family in MESH_FAMILIES),
+])
+def test_march_is_complementary_and_conservative_and_reuses_orderings(tmp_path, argv):
+    # Each solve's balance residual serves its set update and its
+    # complementarity measure, and the flux defect comes from one stiffness
+    # product per solve: both stay at rounding level, also for a constant
+    # anisotropic tensor.  The Schur complement build is timed inside the
+    # linear solve, and a complement with the pattern of the last one ordered
+    # reuses its ordering.
+    (tmp_path / "case.json").write_text(json.dumps(_ANISOTROPIC))
+    out = tmp_path / "run"
+    assert run_cli("solve", *[a.format(case=tmp_path / "case.json") for a in argv],
+                   "--formats", "json", "--out", str(out)) == EXIT_OK
+    record = json.loads((out / "run.json").read_text())
+    assert record["complementarity_max"] < 1e-10
+    assert record["conservation_defect"] < 1e-10
+    timings = record["solver_timings"]
+    assert 0 < timings["schur_s"] <= timings["linear_s"]
+    steps = record["steps"]
+    assert sum(s["orderings"] for s in steps) < sum(s["iterations"] for s in steps)
+
+
+def _cartesian_test2_march(tmp_path, level):
+    out = tmp_path / "run"
+    assert run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", str(level),
+                   "--dt", "0.01", "--formats", "json", "--out", str(out)) == EXIT_OK
+    return json.loads((out / "run.json").read_text())
+
+
+def test_cartesian_5_march_keeps_its_lists(tmp_path):
+    # Cartesian meshes are the one family whose Schur complement drops exact
+    # zeros, and so gets a new ordering when its pattern changes.
+    run = _cartesian_test2_march(tmp_path, 5)
+    assert run["iterations"] == [5, 2, 1, 1, 1, 1, 1, 1, 1, 1]
+    assert run["contact_cells"] == [912] + [896] * 9
+    assert [step["orderings"] for step in run["steps"]] == [5, 1] + [0] * 8
+
+
+def test_cartesian_7_march_matches_the_benchmarks_frozen_lists(tmp_path):
+    # The setup-bound workload's march.  Every iteration records its factor's
+    # L + U entries; the count depends on the SuperLU version, so it is not
+    # pinned.
+    run = _cartesian_test2_march(tmp_path, 7)
+    want = frozen("t2-cart7-snapshots")
+    assert run["iterations"] == want["iterations"]
+    assert run["contact_cells"] == want["contact_cells"]
+    for step in run["steps"]:
+        assert len(step["factor_nnz"]) == step["iterations"]
+        assert all(n > 0 for n in step["factor_nnz"])
+
+
 @pytest.mark.parametrize("field,expr", [("source", "log(x)"),
                                         ("initial", "log(x)"),
                                         ("obstacle", "log(x)"),
                                         ("dirichlet", "sqrt(x-2)+t")])
 def test_nonfinite_case_data_is_named(tmp_path, field, expr):
+    # The march refuses the data where they enter, in one line.
     spec = {"name": "bad", "final_time": 0.1, "source": "0*x",
-            "obstacle": "-10 + 0*x", "initial": "0.5*x", "dirichlet": "0.5*x"}
+            "obstacle": "-10 + 0*x", "initial": "0.5*x"}
     spec[field] = expr
     case = tmp_path / "bad.json"
     case.write_text(json.dumps(spec))
     proc = subprocess.run(
-        [sys.executable, "-m", "hmmvi.cli", "solve", "--case-file", str(case),
+        [sys.executable, "-m", "hmmvi.cli", "solve", "--quiet", "--case-file", str(case),
          "--family", "cartesian", "--level", "2", "--dt", "0.05",
          "--out", str(tmp_path / "run"), "--formats", "json"],
         capture_output=True, text=True)
     assert proc.returncode == EXIT_NUMERICAL
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert f"{field} values are not finite at t = " in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
@@ -496,6 +605,25 @@ def test_case_file_recommended_levels_are_a_level_string_or_integers(
     assert built == []
 
 
+@pytest.mark.parametrize("doc, flags, message", [
+    pytest.param({"bbox": [1, -1, -1, 1]}, ["--family", "cartesian"],
+                 "bbox must be a non-degenerate bounding box [xmin, xmax, ymin, ymax] "
+                 "of finite size, got [1, -1, -1, 1]", id="bbox-upside-down"),
+    pytest.param({"recommended": {"mesh_family": "hexagon"}}, [],
+                 "recommended.mesh_family must be one of ('cartesian', 'triangular', "
+                 "'hexagonal', 'kershaw'), got 'hexagon'", id="unknown-family"),
+])
+def test_case_file_bad_box_or_family_names_the_file_and_the_field(tmp_path, capsys, doc,
+                                                                  flags, message):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**_GOOD_CASE, **doc}))
+    code = run_cli("solve", "--case-file", str(path), *flags, "--level", "2", "--dt", "0.05",
+                   "--out", str(tmp_path / "run"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"{path}: {message}"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_case_file_recommended_level_string_is_read_as_the_flag(tmp_path):
     case = {**_GOOD_CASE, "exact": {"u": "0.5*x", "grad": ["0.5", "0"]},
             "recommended": {"mesh_family": "cartesian", "levels": "1..2"}}
@@ -625,11 +753,13 @@ def test_meshgen_hexagonal_box_just_above_the_thin_limit_meshes(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
-def test_solver_failure_names_the_step(tmp_path):
+@pytest.mark.parametrize("obstacle", ["-10 + 0*x", "0*x"])
+def test_solver_failure_names_the_step(tmp_path, obstacle):
     # Initial data of 1e300 overflow the system under any tolerance: the
     # linear solve's residual is nan, and the overflowing norms print no
     # numpy warning.
-    case = {**_GOOD_CASE, "final_time": 0.1, "source": "1+x*x", "initial": "1e300*(1-x*x)"}
+    case = {**_GOOD_CASE, "final_time": 0.1, "source": "1+x*x", "obstacle": obstacle,
+            "initial": "1e300*(1-x*x)"}
     (tmp_path / "case.json").write_text(json.dumps(case))
     proc = subprocess.run(
         [sys.executable, "-m", "hmmvi.cli", "solve", "--quiet", "--case-file",
@@ -834,17 +964,21 @@ def _case_field(key):
         lambda i: _JSON_VALUES if i == 0 else near))
 
 
+# Each example goes through one of the subcommands that read a case file; the
+# plane case has an exact solution, so that converge runs.
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(fields=st.lists(st.sampled_from(sorted(_NEAR_VALID_FIELDS)).flatmap(_case_field),
-                       max_size=3))
-def test_case_file_fuzz_ends_in_an_exit_code(fields):
+                       max_size=3),
+       command=st.sampled_from([["solve", "--formats", "json"], ["converge"]]))
+def test_case_file_fuzz_ends_in_an_exit_code(fields, command):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(hmmvi.timeloop, "MAX_STEPS", 100):
         path = Path(tmp) / "case.json"
-        path.write_text(json.dumps({**_GOOD_CASE, **dict(fields)}))
-        code = run_cli("solve", "--case-file", str(path), "--family", "cartesian",
-                       "--level", "2", "--out", str(Path(tmp) / "run"),
-                       "--formats", "json")
+        path.write_text(json.dumps({**_GOOD_CASE,
+                                    "exact": {"u": "0.5*x", "grad": ["0.5", "0"]},
+                                    **dict(fields)}))
+        code = run_cli(*command, "--case-file", str(path), "--family", "cartesian",
+                       "--level", "2", "--out", str(Path(tmp) / "run"))
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
 
 
@@ -916,6 +1050,17 @@ def test_validate_bad_mesh_file_is_one_line(tmp_path, name, text, code, message)
     assert proc.returncode == code
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert message in proc.stderr
+
+
+def test_edge_with_three_cells_is_one_numerical_line(tmp_path, capsys):
+    path = tmp_path / "three_owners.json"
+    path.write_text(json.dumps({
+        "format": "polytopal-mesh", "version": 1,
+        "vertices": [[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 0.5]],
+        "cells": [[0, 1, 2], [1, 0, 3], [0, 1, 4]]}))
+    assert run_cli("validate", str(path)) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "edge 0 between vertices (0, 1) has more than two cells"]
 
 
 @pytest.mark.parametrize("name, text", [
@@ -1094,20 +1239,29 @@ def _mutate_text(data, lines):
         lines.insert(i, " ".join(data.draw(st.lists(_MESH_TOKENS, max_size=4))))
 
 
-def _validate_exit_code(name, text):
+def _mesh_file_exit_code(command, name, text):
+    """The exit code of ``command`` on a mesh file holding ``text``.
+
+    solve marches the plane case, two steps, on the two squares' box.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
+        path, case, out = Path(tmp) / name, Path(tmp) / "case.json", str(Path(tmp) / "run")
         path.write_text(text)
-        return run_cli("validate", str(path))
+        case.write_text(json.dumps({**_GOOD_CASE, "bbox": [0, 2, 0, 1]}))
+        return run_cli(command, *{
+            "validate": [str(path)],
+            "solve": ["--case-file", str(case), "--mesh", str(path), "--dt", "0.05",
+                      "--formats", "json", "--out", out],
+            "diagnose": ["--mesh", str(path), "--out", out]}[command])
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_native_mesh_fuzz_ends_in_an_exit_code(data):
+@given(data=st.data(), command=st.sampled_from(["validate", "solve", "diagnose"]))
+def test_native_mesh_fuzz_ends_in_an_exit_code(data, command):
     doc = json.loads(json.dumps(_MESH_DOC))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate_json(data, doc)
-    code = _validate_exit_code("mesh.json", json.dumps(doc))
+    code = _mesh_file_exit_code(command, "mesh.json", json.dumps(doc))
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
 
 
@@ -1117,8 +1271,26 @@ def test_fvca_mesh_fuzz_ends_in_an_exit_code(data):
     lines = _MESH_TEXT.splitlines()
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate_text(data, lines)
-    code = _validate_exit_code("mesh.txt", "\n".join(lines) + "\n")
+    code = _mesh_file_exit_code("validate", "mesh.txt", "\n".join(lines) + "\n")
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
+
+
+def test_snapshots_of_one_run_share_their_geometry(tmp_path):
+    # The bytes from line 3 up to CELL_DATA (the BINARY line, points, cells,
+    # cell types) are the mesh's; the title on line 2 is the snapshot's.
+    out = tmp_path / "run"
+    assert run_cli("solve", "--case", "test2", "--family", "cartesian", "--level", "3",
+                   "--dt", "0.05", "--out", str(out)) == EXIT_OK
+    parts = []
+    for name in ("snapshot_0001.vtk", "snapshot_0002.vtk"):
+        data = (out / name).read_bytes()
+        start = data.index(b"\n") + 1
+        end = data.index(b"\n", start)
+        parts.append((data[start:end], data[end + 1:data.index(b"\nCELL_DATA ")]))
+    (title_1, geometry_1), (title_2, geometry_2) = parts
+    assert geometry_1.startswith(b"BINARY\n") and b"\nCELL_TYPES " in geometry_1
+    assert geometry_1 == geometry_2
+    assert title_1 != title_2
 
 
 def test_vtk_snapshot_is_wellformed(tmp_path):
@@ -1178,19 +1350,41 @@ def test_diagnose_reports_quality(tmp_path):
     assert header.split(",")[:2] == ["tag", "h"]
 
 
-def test_diagnose_records_its_wall_times_per_level(tmp_path):
+@pytest.mark.parametrize("family, levels, count", [
+    ("hexagonal", "1..3", 3), ("cartesian", "1..2", 2), ("triangular", "1..2", 2),
+    ("kershaw", "1..2", 2)])
+def test_diagnose_records_its_constants_and_wall_times_per_level(tmp_path, family, levels,
+                                                                  count):
+    # The constants come from the identity scheme's stiffness on every family.
     out = tmp_path / "diag"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hmmvi.cli", "diagnose", "--quiet", "--family",
-         "hexagonal", "--levels", "1..2", "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    levels = json.loads((out / "quality.json").read_text())["levels"]
-    assert len(levels) == 2
-    assert all(level["build_gd_seconds"] > 0.0 for level in levels)
-    assert all(level["report_seconds"] > 0.0 for level in levels)
+    assert run_cli("diagnose", "--family", family, "--levels", levels,
+                   "--out", str(out)) == EXIT_OK
+    rows = json.loads((out / "quality.json").read_text())["levels"]
+    assert len(rows) == count
+    assert all(row["build_gd_seconds"] > 0.0 for row in rows)
+    assert all(row["report_seconds"] > 0.0 for row in rows)
+    values = [v for r in rows
+              for v in (r["c_d"], *r["w_d"].values(), *r["s_d"].values(), *r["i_d0"].values())]
+    assert len(values) == 4 * count
+    assert all(math.isfinite(v) and v > 0 for v in values)
     header = (out / "quality.csv").read_text().splitlines()[0].split(",")
     assert header == ["tag", "h", "n_cells", "n_edges", "c_d", "w_d", "s_d", "i_d0"]
+
+
+def test_diagnose_matches_the_frozen_quality_constants(tmp_path):
+    # C_D and W_D solve with the plain form with the cells condensed out.
+    out = tmp_path / "diag"
+    assert run_cli("diagnose", "--family", "hexagonal", "--levels", "5..6",
+                   "--out", str(out)) == EXIT_OK
+    levels = json.loads((out / "quality.json").read_text())["levels"]
+    want = frozen("hex-diagnose")
+    assert [row["n_cells"] for row in levels] == [want[k]["n_cells"] for k in ("5", "6")]
+    for level, row in zip(("5", "6"), levels):
+        got = {"c_d": row["c_d"]}
+        for key in ("w_d", "s_d", "i_d0"):
+            (got[key],) = row[key].values()
+        for key, value in got.items():
+            assert value == pytest.approx(want[level][key], rel=1e-9, abs=0), (level, key)
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -1296,13 +1490,14 @@ def test_deterministic_rerun(tmp_path):
     assert a == b
 
 
-def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hmmvi.cli", "meshgen", "--family", "cartesian",
-         "--levels", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK
-    assert (tmp_path / "cartesian_l01.json").exists()
+def test_console_entry_point():
+    # The [project.scripts] line, read as text: Python 3.10 has no tomllib.
+    text = (REPO / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    (target,) = [line.split(" = ", 1)[1] for line in scripts.splitlines()
+                 if line.startswith("hmmvi = ")]
+    module, _, name = json.loads(target).partition(":")
+    assert getattr(importlib.import_module(module), name) is hmmvi.cli.main
 
 
 def test_out_defaults_to_out_whatever_the_environment(tmp_path, monkeypatch):
@@ -1422,6 +1617,28 @@ def test_converge_on_one_level_has_no_rates(tmp_path):
     (level,) = json.loads((out / "convergence.json").read_text())["levels"]
     assert level["rate_l2"] is None and level["rate_grad"] is None
     assert 0.0 < level["rel_l2"] and 0.0 < level["rel_grad"]
+
+
+# The relative errors at T, (rel_l2, rel_grad) per level.  The fan3 norms
+# run on cells with 3 to 6 edges from each mesh's fan table, with the
+# subcell gradient maps computed once per cell size and applied to every
+# time node; they are the values of the CSR gradient matrix the maps
+# replaced.
+@pytest.mark.parametrize("argv, quadrature, errors", [
+    pytest.param(["--family", "triangular", "--levels", "2..3"], "centroid",
+                 [0.5318774800617717, 0.6145523552233454, 0.3489189395869984,
+                  0.5087710905389905], id="triangular-2..3"),
+    pytest.param(["--family", "hexagonal", "--levels", "1..2", "--quadrature", "fan3"], "fan3",
+                 [0.7099207076866078, 0.531747736700853, 0.43165247163076215,
+                  0.46553072297993914], id="hexagonal-1..2-fan3"),
+])
+def test_converge_error_norms_are_pinned(tmp_path, argv, quadrature, errors):
+    out = tmp_path / "conv"
+    assert run_cli("converge", "--case", "test1", *argv, "--out", str(out)) == EXIT_OK
+    doc = json.loads((out / "convergence.json").read_text())
+    assert doc["quadrature"] == quadrature and len(doc["levels"]) == 2
+    got = [row[key] for row in doc["levels"] for key in ("rel_l2", "rel_grad")]
+    assert got == pytest.approx(errors, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("command", [None, "solve"])

@@ -101,6 +101,24 @@ def test_cell_id_beyond_int64_is_an_unknown_vertex():
         PolytopalMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, 2**63]])
 
 
+# int() would read 1.7 and True as vertex 1, and a float array's ids the same.
+@pytest.mark.parametrize("cells, message", [
+    pytest.param([[0, 1.7, 2.2]], "cell 0 has vertex id 1.7", id="fraction"),
+    pytest.param(np.array([[0, 1.7, 2.2]]), "cell 0 has vertex id 0.0", id="float-array"),
+    pytest.param([[0, 1, 2], [0, True, 2]], "cell 1 has vertex id True", id="boolean"),
+])
+def test_cell_vertex_ids_must_be_integers(cells, message):
+    with pytest.raises(MeshValidationError, match=rf"^{message}, expected an integer$"):
+        PolytopalMesh([[0, 0], [1, 0], [0, 1]], cells)
+
+
+def test_cell_points_of_another_shape_are_refused():
+    with pytest.raises(MeshValidationError,
+                       match=r"^cell_points has shape \(2, 2\), expected \(1, 2\)$"):
+        PolytopalMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
+                      cell_points=[[0.2, 0.2], [0.3, 0.3]])
+
+
 def test_vertex_array_of_three_columns_is_refused():
     with pytest.raises(MeshValidationError, match=r"^vertex array must have shape \(nv, 2\)$"):
         PolytopalMesh(np.zeros((4, 3)), [[0, 1, 2]])

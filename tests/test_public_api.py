@@ -65,3 +65,11 @@ def test_the_library_reports_through_logging_and_never_prints():
                      "from sys import stderr\nx = 'print(2)'\n") == [1, 3, 4, 5]
     printing = {path.name: _printing(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in printing.items() if lines} == {}
+
+
+def test_readme_library_quick_start_runs():
+    # The first python block under the heading, run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Quick start (library)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
